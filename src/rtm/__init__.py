@@ -8,17 +8,18 @@ links, and LDA / LDA-plus-regression / unigram baselines.
 """
 
 from .corpus import (Corpus, FoldPlan, SyntheticTruth, generate_synthetic,
-                     load_corpus, split_folds, training_view, write_corpus)
-from .linkfn import (LinkParams, PairStat, expected_log_link, grad_phi_gaussian,
-                     grad_pi, link_probability)
+                     load_corpus, read_vocab, split_folds, training_view,
+                     write_corpus)
+from .linkfn import (LinkParams, expected_log_link_batch, gradient_coefficient,
+                     grad_phi_gaussian, link_probability)
 from .inference import (ElboBreakdown, ModelParams, VariationalState, elbo,
-                        init_state, run_e_step, update_gamma, update_phi)
+                        init_state, run_e_step, update_gamma)
 from .estimation import (FittedModel, RegularizationConfig, SufficientStats,
                          fit, fit_link_exponential, fit_link_gaussian,
                          fit_link_sigmoid_probit, load_model, save_model,
                          update_beta)
 from .prediction import (HeldoutPosterior, RankReport, evaluate_fold,
-                         infer_heldout, predict_link_prob, predict_word_dist)
-from .baselines import BaselineModel, fit_lda, fit_lda_regression, unigram
+                         infer_heldout, predict_word_dist, score_train_docs)
+from .baselines import fit_lda, fit_link_regression, fit_lda_regression, unigram
 
 __version__ = "0.1.0"

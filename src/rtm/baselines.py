@@ -1,60 +1,61 @@
 """Comparator models: plain LDA, LDA plus link regression, and unigram.
 
 fit_lda runs the same variational EM pipeline with the link terms
-disabled.  fit_lda_regression then fits a sigmoid link model to the
+disabled.  fit_link_regression then fits a sigmoid link model to the
 observed links using covariates from the frozen LDA posteriors; the
 regression stage never feeds back into the topics, so its word
-predictions are identical to LDA's.  The unigram baseline is a smoothed
-corpus-wide term frequency distribution (word prediction only; it
-assigns no link scores).
+predictions are identical to LDA's.  fit_lda_regression runs both
+stages.  The unigram baseline is a smoothed corpus-wide term frequency
+distribution (word prediction only; it assigns no link scores).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimation, inference, linkfn
+from .estimation import FittedModel
 from .inference import ModelParams
-
-
-@dataclass
-class BaselineModel(estimation.FittedModel):
-    """A fitted comparator model; kind is lda, lda_regression, or unigram."""
 
 
 def fit_lda(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,
             em_iters=30, tol=1e-6, **kwargs):
     """LDA via the shared EM pipeline with zero link contribution."""
-    fitted = estimation.fit(corpus, num_topics, kind=None,
-                            alpha_total=alpha_total, reg=reg, seed=seed,
-                            em_iters=em_iters, tol=tol, **kwargs)
-    return BaselineModel(params=fitted.params, kind="lda", config=fitted.config,
-                         elbo_trace=fitted.elbo_trace, seed=fitted.seed)
+    return estimation.fit(corpus, num_topics, kind=None,
+                          alpha_total=alpha_total, reg=reg, seed=seed,
+                          em_iters=em_iters, tol=tol, **kwargs)
 
 
-def fit_lda_regression(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,
-                       em_iters=30, tol=1e-6, **kwargs):
-    """Two-stage baseline: fit LDA, then regress links on its covariates.
+def fit_link_regression(corpus, lda):
+    """Stage two of LDA+regression: regress links on a fitted LDA's covariates.
 
-    Stage two fits the sigmoid link parameters to pair covariates from
-    the frozen LDA posteriors, with the same pseudo non-link / l2
-    regularization as the joint model.  Stage one output is unchanged.
+    lda must come from fit_lda on corpus.  The stage infers corpus's
+    LDA posteriors with lda's seed and tolerance, then fits the sigmoid
+    link parameters to their pair covariates with the pseudo non-link /
+    l2 regularization lda was fitted with.  lda's topics are unchanged.
     """
-    lda = fit_lda(corpus, num_topics, alpha_total=alpha_total, reg=reg,
-                  seed=seed, em_iters=em_iters, tol=tol, **kwargs)
-    reg = (reg or estimation.RegularizationConfig()).resolved(corpus.num_links)
+    config = lda.config
+    reg = estimation.RegularizationConfig(rho=config["rho"], lam=config["lam"],
+                                          smoothing=config["smoothing"])
+    num_topics = lda.params.num_topics
     link = linkfn.LinkParams(eta=np.zeros(num_topics), nu=0.0, kind="sigmoid")
     if corpus.num_links:
-        state = inference.init_state(corpus, num_topics, lda.params.alpha, seed)
-        state, _ = inference.run_e_step(corpus, lda.params, state, tol=tol)
+        state = inference.init_state(corpus, num_topics, lda.params.alpha, lda.seed)
+        state, _ = inference.run_e_step(corpus, lda.params, state, tol=config["tol"])
         l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
         pi_bar_links = state.phi_bar[l1] * state.phi_bar[l2]
         link = estimation.fit_link_sigmoid_probit("sigmoid", pi_bar_links, reg,
                                                   lda.params.alpha)
     params = ModelParams(beta=lda.params.beta, alpha=lda.params.alpha, link=link)
-    config = dict(lda.config, kind="lda_regression", rho=reg.rho, lam=reg.lam)
-    return BaselineModel(params=params, kind="lda_regression", config=config,
-                         elbo_trace=lda.elbo_trace, seed=seed)
+    return FittedModel(params=params, kind="lda_regression",
+                       config=dict(config, kind="lda_regression"),
+                       elbo_trace=lda.elbo_trace, seed=lda.seed)
+
+
+def fit_lda_regression(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,
+                       em_iters=30, tol=1e-6, **kwargs):
+    """Two-stage baseline: fit_lda, then fit_link_regression on its output."""
+    lda = fit_lda(corpus, num_topics, alpha_total=alpha_total, reg=reg,
+                  seed=seed, em_iters=em_iters, tol=tol, **kwargs)
+    return fit_link_regression(corpus, lda)
 
 
 def unigram(corpus, smoothing=0.01):
@@ -64,5 +65,5 @@ def unigram(corpus, smoothing=0.01):
         counts[terms] += doc_counts
     dist = counts / counts.sum()
     params = ModelParams(beta=dist[None, :], alpha=np.array([1.0]), link=None)
-    return BaselineModel(params=params, kind="unigram",
-                         config={"smoothing": smoothing})
+    return FittedModel(params=params, kind="unigram",
+                       config={"smoothing": smoothing})

@@ -3,8 +3,9 @@
 All corpus and model file formats are documented in the corpus and
 estimation modules.  Reports are tab-separated; diagnostics go to
 stderr.  Commands exit 0 on success and nonzero with a single-line
-message on failure; model files are written atomically (temp file, then
-rename).
+message on failure; model files are written atomically (a uniquely
+named temp file in the target directory, flushed to disk, then renamed
+over the target).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import baselines, estimation, prediction
 from .corpus import (CorpusFormatError, generate_synthetic, load_corpus,
-                     split_folds, training_view, write_corpus)
+                     read_vocab, split_folds, training_view, write_corpus)
 
 
 def _add_corpus_flags(p, links_required=False):
@@ -38,8 +39,6 @@ def _add_fit_flags(p):
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--em-iters", type=int, default=30)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1,
-                   help=">1 selects the jacobi (snapshot) sweep mode")
     p.add_argument("--verbose", action="store_true",
                    help="write bound traces to stderr")
 
@@ -111,7 +110,6 @@ def _fit(corpus, args, kind=None):
         corpus, args.topics, kind=kind if kind is not None else args.link_fn,
         alpha_total=args.alpha_total, reg=reg, seed=args.seed,
         em_iters=args.em_iters, tol=args.tol,
-        mode="jacobi" if args.threads > 1 else "sequential",
         trace_stream=sys.stderr if args.verbose else None)
 
 
@@ -131,10 +129,7 @@ def _baseline_suite(corpus, args):
     lda = baselines.fit_lda(corpus, args.topics, alpha_total=args.alpha_total,
                             reg=reg, seed=args.seed, em_iters=args.em_iters,
                             tol=args.tol)
-    lda_reg = baselines.fit_lda_regression(
-        corpus, args.topics, alpha_total=args.alpha_total, reg=reg,
-        seed=args.seed, em_iters=args.em_iters, tol=args.tol)
-    return {"lda": lda, "lda_regression": lda_reg,
+    return {"lda": lda, "lda_regression": baselines.fit_link_regression(corpus, lda),
             "unigram": baselines.unigram(corpus, smoothing=args.smoothing)}
 
 
@@ -184,10 +179,7 @@ def topic_word_scores(beta):
 
 def cmd_report_topics(args):
     model = estimation.load_model(args.model)
-    vocab = None
-    if args.vocab:
-        with open(args.vocab, encoding="utf-8") as fh:
-            vocab = [line.rstrip("\n") for line in fh]
+    vocab = read_vocab(args.vocab) if args.vocab else None
     scores = topic_word_scores(model.params.beta)
     for k in range(scores.shape[0]):
         order = prediction.retrieval_order(scores[k])[:args.top_k]
@@ -212,9 +204,8 @@ def _parse_new_doc(text):
 def cmd_suggest_links(args):
     corpus = _load(args)
     model = estimation.load_model(args.model)
-    words = _parse_new_doc(args.new_doc)
+    heldout = prediction.infer_heldout(model, words=_parse_new_doc(args.new_doc))
     state = prediction.train_posteriors(model, corpus, seed=args.seed)
-    heldout = prediction.infer_heldout(model, words=words)
     scores = prediction.score_train_docs(model, heldout,
                                          state.phi_bar, state.var_bar)
     order = prediction.retrieval_order(scores)[:args.top_k]

@@ -6,7 +6,8 @@ unordered index pairs with no self-links.  File formats:
 
   docs file    one document per line: `M term:count [term:count ...]`
                where M is the number of entries on the line, ids 0-based
-  vocab file   one token per line; the token on line i has id i
+  vocab file   one token per line; the token on line i has id i (a blank
+               line inside the file is a token; trailing blank lines are not)
   links file   one `d1 d2` pair per line, whitespace separated, 0-based
 
 Directed link files are collapsed to undirected pairs and duplicates are
@@ -99,11 +100,7 @@ class Corpus:
         return {(int(a), int(b)) for a, b in self.links}
 
     def isolated_docs(self):
-        degree = np.zeros(self.num_docs, dtype=np.int64)
-        for d1, d2 in self.links:
-            degree[d1] += 1
-            degree[d2] += 1
-        return np.flatnonzero(degree == 0)
+        return np.flatnonzero([ns.size == 0 for ns in self.neighbors])
 
 
 def _parse_doc_line(line, lineno, num_terms):
@@ -138,6 +135,15 @@ def _parse_doc_line(line, lineno, num_terms):
     return doc
 
 
+def read_vocab(path):
+    """Tokens of a vocab file, one per line, without its trailing blank lines."""
+    with open(path, encoding="utf-8") as fh:
+        vocab = [line.rstrip("\n") for line in fh]
+    while vocab and vocab[-1] == "":
+        vocab.pop()
+    return vocab
+
+
 def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
     """Load and validate a corpus from the documented file formats.
 
@@ -145,9 +151,7 @@ def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
     With drop_isolated=True, documents that participate in no link are
     removed and the remainder renumbered.
     """
-    with open(vocab_path, encoding="utf-8") as fh:
-        vocab = [line.rstrip("\n") for line in fh]
-    vocab = [v for v in vocab if v != ""] if vocab and vocab[-1] == "" else vocab
+    vocab = read_vocab(vocab_path)
     num_terms = len(vocab)
 
     docs = []

@@ -19,6 +19,7 @@ updates until the bound stabilizes.
 """
 
 import os
+import tempfile
 
 from dataclasses import dataclass, field
 
@@ -280,7 +281,7 @@ def em_objective(corpus, params, state, reg):
 
 def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         reg=None, seed=42, em_iters=30, tol=1e-6, e_step_tol=1e-6,
-        max_sweeps=100, mode="sequential", init_noise=0.01, trace_stream=None):
+        max_sweeps=100, init_noise=0.01, trace_stream=None):
     """Variational EM: alternate the E-step with the M-step updates.
 
     kind selects the link probability function, or None for a pure topic
@@ -307,13 +308,13 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     config = {"num_topics": num_topics, "kind": kind, "alpha_total": alpha_total,
               "rho": reg.rho, "lam": reg.lam, "smoothing": reg.smoothing,
               "em_iters": em_iters, "tol": tol, "e_step_tol": e_step_tol,
-              "max_sweeps": max_sweeps, "mode": mode}
+              "max_sweeps": max_sweeps}
 
     trace = []
     previous = None
     for _ in range(em_iters):
         state, _ = inference.run_e_step(corpus, params, state, tol=e_step_tol,
-                                        max_sweeps=max_sweeps, mode=mode)
+                                        max_sweeps=max_sweeps)
         beta = update_beta(corpus, state, reg.smoothing)
         link = params.link
         if kind is not None:
@@ -340,7 +341,13 @@ _BASELINE_KINDS = ("lda", "lda_regression", "unigram")
 
 
 def save_model(model, path):
-    """Write the plain-text model file (atomically: temp file then rename)."""
+    """Write the plain-text model file atomically.
+
+    The text goes to a uniquely named temp file in the target directory
+    (created by tempfile.mkstemp, so readable by its owner only), which
+    is flushed to disk and then renamed over path.  Concurrent writers
+    never share a temp file, and on failure the temp file is removed.
+    """
     params = model.params
     k, v = params.beta.shape
     alpha_total = float(params.alpha.sum())
@@ -351,18 +358,23 @@ def save_model(model, path):
     else:
         nu = 0.0
         eta = np.zeros(k)
-    with np.errstate(divide="ignore"):
-        log_beta = np.where(params.beta > 0,
-                            np.log(np.maximum(params.beta, 1e-300)), -np.inf)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_MAGIC + "\n")
-        fh.write(f"{k} {v} {model.kind} {alpha_total:.17g} {smoothing:.17g}\n")
-        fh.write(f"{nu:.17g}\n")
-        fh.write(" ".join(f"{x:.17g}" for x in eta) + "\n")
-        for row in log_beta:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-    os.replace(tmp, path)
+    log_beta = inference._log_beta_matrix(params.beta)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(_MAGIC + "\n")
+            fh.write(f"{k} {v} {model.kind} {alpha_total:.17g} {smoothing:.17g}\n")
+            fh.write(f"{nu:.17g}\n")
+            fh.write(" ".join(f"{x:.17g}" for x in eta) + "\n")
+            for row in log_beta:
+                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_model(path):

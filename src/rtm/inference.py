@@ -12,7 +12,9 @@ links rather than the number of document pairs.
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
 bound.  For the exponential and gaussian kinds the expectation is exact
-and each per-term update is an exact coordinate maximization.
+and each per-term update is an exact coordinate maximization.  There is
+one sweep order: every update reads the live per-document means, so a
+document visit sees the neighbors already updated in the same sweep.
 """
 
 from dataclasses import dataclass
@@ -126,12 +128,13 @@ def _log_beta_matrix(beta):
         return np.where(beta > 0, np.log(np.maximum(beta, 1e-300)), -np.inf)
 
 
-def _phi_update(d, term_index, state, params, log_beta, elog_theta_d,
-                phi_bar_view, var_bar_view):
+def _phi_update(d, term_index, state, params, log_beta, elog_theta_d):
     """New simplex vector for one term of one document.
 
-    phi_bar_view/var_bar_view supply the neighbor means: the live caches
-    in sequential mode, a sweep-start snapshot in jacobi mode.
+    Combines the expected log topic proportions, the word evidence, and
+    the gradient of each observed link's expected log probability; the
+    link sum ranges over the document's observed links only.  Returns
+    the new simplex vector without mutating the state.
     """
     corpus = state.corpus
     term = corpus.doc_terms[d][term_index]
@@ -145,7 +148,7 @@ def _phi_update(d, term_index, state, params, log_beta, elog_theta_d,
     neighbors = corpus.neighbors[d]
     if link is not None and neighbors.size:
         n_d = float(corpus.lengths[d])
-        nb_means = phi_bar_view[neighbors]
+        nb_means = state.phi_bar[neighbors]
         if link.kind == "gaussian":
             phi_minus = state.phi_bar[d] - state.phi[d][term_index] / n_d
             total = nb_means.sum(axis=0) - neighbors.size * (phi_minus + 0.5 / n_d)
@@ -158,23 +161,6 @@ def _phi_update(d, term_index, state, params, log_beta, elog_theta_d,
     exponent = exponent - exponent.max()
     out = np.exp(exponent)
     return out / out.sum()
-
-
-def update_phi(d, term, state, params, corpus):
-    """Coordinate update for the phi vector of one (document, term).
-
-    Combines the expected log topic proportions, the word evidence, and
-    the gradient of each observed link's expected log probability; the
-    link sum ranges over the document's observed links only.  Returns
-    the new simplex vector without mutating the state.
-    """
-    term_index = int(np.searchsorted(corpus.doc_terms[d], term))
-    if term_index >= corpus.doc_terms[d].shape[0] or corpus.doc_terms[d][term_index] != term:
-        raise ValueError(f"document {d} does not contain term {term}")
-    log_beta = _log_beta_matrix(params.beta)
-    elog_theta_d = psi(state.gamma[d]) - psi(state.gamma[d].sum())
-    return _phi_update(d, term_index, state, params, log_beta, elog_theta_d,
-                       state.phi_bar, state.var_bar)
 
 
 def update_gamma(d, state, alpha):
@@ -195,6 +181,15 @@ class ElboBreakdown:
     total: float
 
 
+def _doc_word_and_entropy(corpus, state, d, log_beta):
+    """Document d's word term and the entropy of its phi rows."""
+    terms, counts = corpus.doc(d)
+    p = state.phi[d]
+    lb = log_beta[:, terms].T
+    word = float((counts * np.where(p > 0, p * lb, 0.0).sum(axis=1)).sum())
+    return word, -float((counts * xlogy(p, p).sum(axis=1)).sum())
+
+
 def elbo(corpus, params, state):
     """Evidence lower bound of the current state under the model.
 
@@ -209,14 +204,9 @@ def elbo(corpus, params, state):
     link_term = 0.0
     if params.link is not None and corpus.num_links:
         l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
-        if params.link.kind == "gaussian":
-            vals = linkfn.expected_log_link_batch(
-                params.link,
-                mean_a=state.phi_bar[l1], mean_b=state.phi_bar[l2],
-                var_a=state.var_bar[l1], var_b=state.var_bar[l2])
-        else:
-            vals = linkfn.expected_log_link_batch(
-                params.link, pi_bar=state.phi_bar[l1] * state.phi_bar[l2])
+        vals = linkfn.expected_log_link_batch(
+            params.link, state.phi_bar[l1], state.phi_bar[l2],
+            state.var_bar[l1], state.var_bar[l2])
         link_term = float(vals.sum())
 
     z_term = float((corpus.lengths[:, None] * state.phi_bar * elog_theta).sum())
@@ -225,11 +215,9 @@ def elbo(corpus, params, state):
     word_term = 0.0
     mult_entropy = 0.0
     for d in range(corpus.num_docs):
-        terms, counts = corpus.doc(d)
-        p = state.phi[d]
-        lb = log_beta[:, terms].T
-        word_term += float((counts * np.where(p > 0, p * lb, 0.0).sum(axis=1)).sum())
-        mult_entropy -= float((counts * xlogy(p, p).sum(axis=1)).sum())
+        word, entropy = _doc_word_and_entropy(corpus, state, d, log_beta)
+        word_term += word
+        mult_entropy += entropy
 
     theta_prior = float(
         corpus.num_docs * (gammaln(alpha.sum()) - gammaln(alpha).sum())
@@ -247,20 +235,18 @@ def elbo(corpus, params, state):
                          entropy_term=entropy_term, total=total)
 
 
-def _doc_objective(corpus, params, state, d, log_beta, phi_bar_view, var_bar_view):
+def _doc_objective(corpus, params, state, d, log_beta):
     """Bound terms that depend on document d's block (phi rows and gamma).
 
-    Neighbor means come from phi_bar_view, so in sequential mode this is
-    the document's contribution to the global objective being ascended.
+    This is the document's contribution to the global objective being
+    ascended, with the neighbors' means held at their current values.
     """
     gamma_d = state.gamma[d]
     elog = psi(gamma_d) - psi(gamma_d.sum())
-    terms, counts = corpus.doc(d)
-    p = state.phi[d]
-    lb = log_beta[:, terms].T
-    value = float((counts * np.where(p > 0, p * lb, 0.0).sum(axis=1)).sum())
+    word, entropy = _doc_word_and_entropy(corpus, state, d, log_beta)
+    value = word
     value += float(corpus.lengths[d] * (state.phi_bar[d] @ elog))
-    value -= float((counts * xlogy(p, p).sum(axis=1)).sum())
+    value += entropy
     alpha = params.alpha
     value += float((alpha - 1.0) @ elog)
     value += float(gammaln(gamma_d).sum() - gammaln(gamma_d.sum())
@@ -268,17 +254,9 @@ def _doc_objective(corpus, params, state, d, log_beta, phi_bar_view, var_bar_vie
     link = params.link
     neighbors = corpus.neighbors[d]
     if link is not None and neighbors.size:
-        if link.kind == "gaussian":
-            nb = phi_bar_view[neighbors]
-            vals = linkfn.expected_log_link_batch(
-                link, mean_a=np.broadcast_to(state.phi_bar[d], nb.shape),
-                mean_b=nb,
-                var_a=np.broadcast_to(state.var_bar[d], nb.shape),
-                var_b=var_bar_view[neighbors], count=False)
-        else:
-            vals = linkfn.expected_log_link_batch(
-                link, pi_bar=state.phi_bar[d] * phi_bar_view[neighbors],
-                count=False)
+        vals = linkfn.expected_log_link_batch(
+            link, state.phi_bar[d], state.phi_bar[neighbors],
+            state.var_bar[d], state.var_bar[neighbors], count=False)
         value += float(vals.sum())
     return value
 
@@ -288,16 +266,15 @@ def _set_doc_phi(state, d, phi_block):
     state.refresh_doc_caches(d)
 
 
-def _visit_doc(corpus, params, state, d, tol, log_beta, phi_bar_view, var_bar_view):
+def _visit_doc(corpus, params, state, d, tol, log_beta):
     """Run the document-local phi/gamma iteration for one document."""
     n_d = float(corpus.lengths[d])
     for _ in range(_DOC_MAX_ITERS):
         elog_theta_d = psi(state.gamma[d]) - psi(state.gamma[d].sum())
         for t in range(corpus.doc_terms[d].shape[0]):
-            new = _phi_update(d, t, state, params, log_beta, elog_theta_d,
-                              phi_bar_view, var_bar_view)
+            new = _phi_update(d, t, state, params, log_beta, elog_theta_d)
             state.set_phi(d, t, new)
-        new_gamma = params.alpha + n_d * state.phi_bar[d]
+        new_gamma = update_gamma(d, state, params.alpha)
         change = float(np.abs(new_gamma - state.gamma[d]).mean()) / n_d
         state.gamma[d] = new_gamma
         if change < tol:
@@ -305,7 +282,7 @@ def _visit_doc(corpus, params, state, d, tol, log_beta, phi_bar_view, var_bar_vi
     state.refresh_doc_caches(d)
 
 
-def _sweep(corpus, params, state, tol, mode):
+def _sweep(corpus, params, state, tol):
     """One full coordinate-ascent pass over all documents, in index order.
 
     For the sigmoid, probit, and gaussian kinds the per-term updates
@@ -317,29 +294,19 @@ def _sweep(corpus, params, state, tol, mode):
     needs no safeguard.
     """
     log_beta = _log_beta_matrix(params.beta)
-    if mode == "jacobi":
-        phi_bar_view = state.phi_bar.copy()
-        var_bar_view = state.var_bar.copy()
-    else:
-        phi_bar_view = state.phi_bar
-        var_bar_view = state.var_bar
-
     guarded = (params.link is not None and params.link.kind != "exponential"
                and corpus.num_links > 0)
 
     for d in range(corpus.num_docs):
         guard = guarded and corpus.neighbors[d].size
         if guard:
-            before = _doc_objective(corpus, params, state, d, log_beta,
-                                    phi_bar_view, var_bar_view)
+            before = _doc_objective(corpus, params, state, d, log_beta)
             old_phi = state.phi[d].copy()
-        _visit_doc(corpus, params, state, d, tol, log_beta,
-                   phi_bar_view, var_bar_view)
+        _visit_doc(corpus, params, state, d, tol, log_beta)
         if not guard:
             continue
         slack = 1e-12 * (1.0 + abs(before))
-        after = _doc_objective(corpus, params, state, d, log_beta,
-                               phi_bar_view, var_bar_view)
+        after = _doc_objective(corpus, params, state, d, log_beta)
         if after >= before - slack:
             continue
         new_phi = state.phi[d].copy()
@@ -349,34 +316,27 @@ def _sweep(corpus, params, state, tol, mode):
             mix = old_phi ** (1.0 - lam) * new_phi ** lam
             mix /= mix.sum(axis=1, keepdims=True)
             _set_doc_phi(state, d, mix)
-            state.gamma[d] = params.alpha + corpus.lengths[d] * state.phi_bar[d]
-            value = _doc_objective(corpus, params, state, d, log_beta,
-                                   phi_bar_view, var_bar_view)
+            state.gamma[d] = update_gamma(d, state, params.alpha)
+            value = _doc_objective(corpus, params, state, d, log_beta)
             if value >= before - slack:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
             _set_doc_phi(state, d, old_phi)
-            state.gamma[d] = params.alpha + corpus.lengths[d] * state.phi_bar[d]
+            state.gamma[d] = update_gamma(d, state, params.alpha)
 
 
-def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, mode="sequential",
-               trace_stream=None):
+def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, trace_stream=None):
     """Coordinate ascent to convergence; returns (state, elbo trace).
 
     Terminates when the relative bound change between sweeps drops below
     tol or max_sweeps is reached.  The trace holds the bound before any
-    update followed by one value per sweep.  mode="jacobi" updates every
-    document against a snapshot of the previous sweep's per-document
-    means (results may differ from sequential mode within the
-    convergence tolerance); both modes are deterministic, with fixed
+    update followed by one value per sweep.  Deterministic, with fixed
     summation order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if mode not in ("sequential", "jacobi"):
-        raise ValueError(f"unknown sweep mode: {mode!r}")
 
     def record(value):
         if trace_stream is not None:
@@ -388,7 +348,7 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, mode="sequential
     trace = [current]
     record(current)
     for _ in range(max_sweeps):
-        _sweep(corpus, params, state, tol, mode)
+        _sweep(corpus, params, state, tol)
         value = elbo(corpus, params, state).total
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")

@@ -13,7 +13,10 @@ where `o` is the elementwise product and Phi the standard normal CDF.
 Under the mean-field variational distribution, the expected log link
 probability is exact for the exponential and gaussian kinds and a
 first-order approximation (evaluated at pi_bar = phibar_d o phibar_dp)
-for sigmoid and probit.
+for sigmoid and probit.  `expected_log_link_batch` is the one
+evaluation of that expectation: it takes the two sides' mean vectors
+(and, for gaussian, their variances) for a batch of pairs, so that a
+single pair is a one-row batch.
 """
 
 from dataclasses import dataclass
@@ -47,7 +50,7 @@ class PairEvalCounter:
         self.count = 0
 
 
-#: global counter incremented by expected_log_link / expected_log_link_batch
+#: global counter incremented by expected_log_link_batch
 pair_evals = PairEvalCounter()
 
 
@@ -95,46 +98,6 @@ class LinkParams:
         return self.eta.shape[0]
 
 
-@dataclass
-class PairStat:
-    """Variational statistics of a document pair.
-
-    pi_bar is the elementwise product of the two documents' mean
-    assignment vectors.  The gaussian kind additionally needs the means
-    themselves and the per-component variances of each document's mean
-    assignment, Var(zbar_{d,i}) = (1/N_d^2) sum_n phi_{d,n,i} (1 - phi_{d,n,i}).
-    """
-
-    pi_bar: np.ndarray
-    mean_d: np.ndarray | None = None
-    mean_dp: np.ndarray | None = None
-    var_d: np.ndarray | None = None
-    var_dp: np.ndarray | None = None
-
-
-def pair_stat(phi_d, counts_d, phi_dp, counts_dp, with_variance=False):
-    """Build a PairStat from two documents' per-term phi matrices.
-
-    phi_* are (T, K) arrays over distinct terms, counts_* the matching
-    token counts; tokens of the same term share a phi row.
-    """
-    phi_d = np.asarray(phi_d, dtype=np.float64)
-    phi_dp = np.asarray(phi_dp, dtype=np.float64)
-    counts_d = np.asarray(counts_d, dtype=np.float64)
-    counts_dp = np.asarray(counts_dp, dtype=np.float64)
-    n_d = counts_d.sum()
-    n_dp = counts_dp.sum()
-    mean_d = counts_d @ phi_d / n_d
-    mean_dp = counts_dp @ phi_dp / n_dp
-    stat = PairStat(pi_bar=mean_d * mean_dp)
-    if with_variance:
-        stat.mean_d = mean_d
-        stat.mean_dp = mean_dp
-        stat.var_d = counts_d @ (phi_d * (1.0 - phi_d)) / n_d**2
-        stat.var_dp = counts_dp @ (phi_dp * (1.0 - phi_dp)) / n_dp**2
-    return stat
-
-
 def log_sigmoid(x):
     """Numerically stable log(sigma(x)) = -log(1 + exp(-x))."""
     return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
@@ -162,54 +125,37 @@ def link_probability(params, zbar_d, zbar_dp):
     return float(np.exp(x))
 
 
-def expected_log_link_batch(params, pi_bar=None, mean_a=None, mean_b=None,
-                            var_a=None, var_b=None, count=True):
+def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None,
+                            count=True):
     """Expected log link probability for a batch of pairs.
 
-    For sigmoid/probit/exponential, `pi_bar` is an (L, K) array of pair
-    covariates.  For gaussian, the four mean/variance arrays are (L, K).
-    Returns an (L,) array and counts L pair evaluations; count=False
-    suppresses the counter for internal document-local backtracking
-    checks, which are not corpus-level link scans.
+    mean_a and mean_b are the two sides' mean assignment vectors, (L, K)
+    arrays or K-vectors that broadcast against each other; one row is
+    one pair.  The sigmoid, probit and exponential kinds use the pair
+    covariate pi_bar = mean_a o mean_b.  The gaussian kind also needs
+    var_a and var_b, the per-component variances Var(zbar_i) of each
+    side.  Returns an (L,) array and counts L pair evaluations;
+    count=False suppresses the counter for internal document-local
+    backtracking checks, which are not corpus-level link scans.
     """
+    mean_a = np.asarray(mean_a, dtype=np.float64)
+    mean_b = np.asarray(mean_b, dtype=np.float64)
     if params.kind == "gaussian":
-        if mean_a is None or mean_b is None or var_a is None or var_b is None:
-            raise ValueError("gaussian expected log link requires means and variances")
-        mean_a = np.atleast_2d(np.asarray(mean_a, dtype=np.float64))
-        mean_b = np.atleast_2d(np.asarray(mean_b, dtype=np.float64))
-        var_a = np.atleast_2d(np.asarray(var_a, dtype=np.float64))
-        var_b = np.atleast_2d(np.asarray(var_b, dtype=np.float64))
+        if var_a is None or var_b is None:
+            raise ValueError("gaussian expected log link requires variances")
         diff = mean_a - mean_b
-        out = -params.nu - (diff * diff + var_a + var_b) @ params.eta
-        if count:
-            pair_evals.add(out.shape[0])
-        return out
-    if pi_bar is None:
-        raise ValueError(f"{params.kind} expected log link requires pi_bar")
-    pi_bar = np.atleast_2d(np.asarray(pi_bar, dtype=np.float64))
-    x = pi_bar @ params.eta + params.nu
+        out = -params.nu - np.atleast_2d(diff * diff + var_a + var_b) @ params.eta
+    else:
+        x = np.atleast_2d(mean_a * mean_b) @ params.eta + params.nu
+        if params.kind == "sigmoid":
+            out = log_sigmoid(x)
+        elif params.kind == "probit":
+            out = log_ndtr(x)
+        else:
+            out = x
     if count:
-        pair_evals.add(x.shape[0])
-    if params.kind == "sigmoid":
-        return log_sigmoid(x)
-    if params.kind == "probit":
-        return log_ndtr(x)
-    return x
-
-
-def expected_log_link(params, pair):
-    """Expected log link probability of one pair under the variational fit.
-
-    Exact for the exponential and gaussian kinds; first-order in pi_bar
-    for sigmoid and probit.
-    """
-    if params.kind == "gaussian":
-        if pair.var_d is None or pair.var_dp is None:
-            raise ValueError("gaussian expected log link requires variance data")
-        return float(expected_log_link_batch(
-            params, mean_a=pair.mean_d, mean_b=pair.mean_dp,
-            var_a=pair.var_d, var_b=pair.var_dp)[0])
-    return float(expected_log_link_batch(params, pi_bar=pair.pi_bar)[0])
+        pair_evals.add(out.shape[0])
+    return out
 
 
 def gradient_coefficient(params, x):
@@ -225,14 +171,6 @@ def gradient_coefficient(params, x):
     if params.kind == "exponential":
         return np.ones_like(np.asarray(x, dtype=np.float64))
     raise ValueError("gradient_coefficient is undefined for the gaussian kind")
-
-
-def grad_pi(params, pair):
-    """Gradient of the expected log link probability with respect to pi_bar."""
-    if params.kind == "gaussian":
-        raise ValueError("grad_pi is undefined for the gaussian kind")
-    x = params.eta @ pair.pi_bar + params.nu
-    return float(gradient_coefficient(params, x)) * params.eta
 
 
 def grad_phi_gaussian(params, mean_dp, mean_d_minus_n, n_d):

@@ -44,13 +44,20 @@ def _softmax(v):
     return e / e.sum()
 
 
+def _check_ids(what, ids, size):
+    bad = ids[(ids < 0) | (ids >= size)]
+    if bad.size:
+        raise ValueError(f"{what} id {bad[0]} out of range [0, {size})")
+
+
 def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     """Posterior for a new document from words only or links only.
 
-    words is a sequence of (term_id, count) pairs.  links is a sequence
-    of training-document indices into train_phi_bar, the fixed posterior
-    means of the training documents.  Exactly one evidence type must be
-    given and it must be nonempty.
+    words is a sequence of (term_id, count) pairs with term ids in the
+    model's vocabulary.  links is a sequence of training-document
+    indices into train_phi_bar, the fixed posterior means of the
+    training documents.  Exactly one evidence type must be given and it
+    must be nonempty.
     """
     if (words is None) == (links is None):
         raise ValueError("provide exactly one of words= or links=")
@@ -65,6 +72,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         counts = np.array([float(c) for _, c in words])
         if np.any(counts < 1):
             raise ValueError("word counts must be >= 1")
+        _check_ids("term", terms, model.params.num_terms)
         n = counts.sum()
         log_beta = inference._log_beta_matrix(model.params.beta)[:, terms].T
         gamma = alpha + n / k
@@ -87,6 +95,8 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     links = np.asarray(list(links), dtype=np.int64)
     if links.size == 0:
         raise ValueError("empty link evidence")
+    if train_phi_bar is not None:
+        _check_ids("training document", links, len(train_phi_bar))
     # baseline kinds condition on words alone: lda_regression's link stage
     # scores links but never feeds back into topic posteriors
     link = model.params.link if model.kind in linkfn.KINDS else None
@@ -120,49 +130,23 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
                             var=phi * (1.0 - phi))
 
 
-def _mean_and_var(posterior):
-    if isinstance(posterior, HeldoutPosterior):
-        mean = posterior.phi_bar
-        var = posterior.var if posterior.var is not None else np.zeros_like(mean)
-        return mean, var
-    mean = np.asarray(posterior, dtype=np.float64)
-    return mean, np.zeros_like(mean)
-
-
-def predict_link_prob(model, heldout, train_doc_posterior):
-    """Predicted probability of a link between a held-out and a training doc.
+def score_train_docs(model, heldout, train_phi_bar, train_var=None):
+    """Predicted link probability between a held-out doc and each training doc.
 
     Evaluates exp of the expected log link probability, which plugs the
     posterior means into the link function (exact for the exponential
     kind, first-order for sigmoid/probit, variance-corrected for
-    gaussian).
+    gaussian).  train_phi_bar holds one training document's posterior
+    mean per row, train_var the matching variances (zero if omitted).
     """
     if model.params.link is None:
         raise ValueError(f"model kind {model.kind!r} does not score links")
-    mean_h, var_h = _mean_and_var(heldout)
-    mean_t, var_t = _mean_and_var(train_doc_posterior)
-    pair = linkfn.PairStat(pi_bar=mean_h * mean_t, mean_d=mean_h, mean_dp=mean_t,
-                           var_d=var_h, var_dp=var_t)
-    return float(np.exp(linkfn.expected_log_link(model.params.link, pair)))
-
-
-def score_train_docs(model, heldout, train_phi_bar, train_var=None):
-    """Vectorized predict_link_prob against every training document."""
-    if model.params.link is None:
-        raise ValueError(f"model kind {model.kind!r} does not score links")
-    link = model.params.link
-    mean_h, var_h = _mean_and_var(heldout)
     train_phi_bar = np.asarray(train_phi_bar, dtype=np.float64)
-    if link.kind == "gaussian":
-        if train_var is None:
-            train_var = np.zeros_like(train_phi_bar)
-        vals = linkfn.expected_log_link_batch(
-            link, mean_a=np.broadcast_to(mean_h, train_phi_bar.shape),
-            mean_b=train_phi_bar,
-            var_a=np.broadcast_to(var_h, train_phi_bar.shape), var_b=train_var)
-    else:
-        vals = linkfn.expected_log_link_batch(link, pi_bar=mean_h * train_phi_bar)
-    return np.exp(vals)
+    var_h = heldout.var if heldout.var is not None else np.zeros_like(heldout.phi_bar)
+    if train_var is None:
+        train_var = np.zeros_like(train_phi_bar)
+    return np.exp(linkfn.expected_log_link_batch(
+        model.params.link, heldout.phi_bar, train_phi_bar, var_h, train_var))
 
 
 def predict_word_dist(model, heldout):
@@ -254,13 +238,10 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6,
     precisions = []
     rows = []
     skipped = 0
-    link_set = corpus.link_set()
 
     for doc in test_ids:
         doc = int(doc)
-        true_train = sorted(train_pos[other]
-                            for a, b in link_set if doc in (a, b)
-                            for other in ((b if a == doc else a),)
+        true_train = sorted(train_pos[other] for other in corpus.neighbors[doc].tolist()
                             if other in train_pos)
         terms, counts = corpus.doc(doc)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtm import baselines, estimation
-from rtm.baselines import BaselineModel, fit_lda, fit_lda_regression, unigram
+from rtm.baselines import fit_lda, fit_lda_regression, fit_link_regression, unigram
 from rtm.corpus import Corpus, generate_synthetic, split_folds, training_view
 from rtm.prediction import average_ranks, evaluate_fold
 
@@ -22,7 +22,7 @@ class TestFitLda:
         lda = fit_lda(linked_corpus, 2, seed=3, em_iters=4)
         direct = estimation.fit(linked_corpus, 2, kind=None, seed=3, em_iters=4)
         np.testing.assert_array_equal(lda.params.beta, direct.params.beta)
-        assert isinstance(lda, BaselineModel)
+        assert isinstance(lda, estimation.FittedModel)
         assert lda.kind == "lda"
         assert lda.params.link is None
 
@@ -47,6 +47,21 @@ class TestFitLdaRegression:
         assert two_stage.kind == "lda_regression"
         assert two_stage.params.link.kind == "sigmoid"
 
+    def test_regression_stage_on_fitted_lda_equals_two_stage_fit(self):
+        # the eval command fits LDA once and passes it to the regression stage
+        corpus, _ = generate_synthetic(2, 8, 12, 12, np.array([0.5, 0.5]),
+                                       np.array([-2.0, -2.0]), -1.0,
+                                       "exponential", seed=5)
+        assert corpus.num_links > 0
+        reg = estimation.RegularizationConfig(lam=0.1)
+        lda = fit_lda(corpus, 2, seed=3, em_iters=2, reg=reg)
+        staged = fit_link_regression(corpus, lda)
+        direct = fit_lda_regression(corpus, 2, seed=3, em_iters=2, reg=reg)
+        np.testing.assert_array_equal(staged.params.link.eta, direct.params.link.eta)
+        assert staged.params.link.nu == direct.params.link.nu
+        assert staged.config == direct.config
+        assert staged.kind == direct.kind == "lda_regression"
+
     def test_word_predictions_identical_to_lda(self, linked_corpus):
         # the regression stage never alters beta or the posteriors used
         # for word prediction
@@ -65,7 +80,7 @@ class TestFitLdaRegression:
         plan = split_folds(linked_corpus, 3, seed=2)
         train_corpus, train_ids = training_view(linked_corpus, plan, 0)
         model = fit_lda(train_corpus, 2, seed=3, em_iters=4)
-        flat = BaselineModel(
+        flat = estimation.FittedModel(
             params=estimation.ModelParams(
                 beta=model.params.beta, alpha=model.params.alpha,
                 link=LinkParams(eta=np.zeros(2), nu=0.3, kind="sigmoid")),

@@ -153,6 +153,23 @@ class TestSuggestLinks:
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert {int(rows[0][1]), int(rows[1][1])} == {0, 1}
 
+    @pytest.mark.parametrize("new_doc", ["-1:2", "99:2"])
+    def test_out_of_range_term_rejected(self, tmp_path, capsys, new_doc):
+        # -1 must not wrap to the last term, 99 must not end in a traceback
+        docs, vocab, links = self.make_planted(tmp_path)
+        model_path = str(tmp_path / "m.txt")
+        main(["fit", "--docs", docs, "--vocab", vocab, "--links", links,
+              "--out", model_path, "--topics", "2", "--em-iters", "2"])
+        capsys.readouterr()
+        code = main(["suggest-links", "--docs", docs, "--vocab", vocab,
+                     "--links", links, "--model", model_path,
+                     f"--new-doc={new_doc}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: term id {new_doc.split(':')[0]} out of range")
+
     def test_empty_new_doc_rejected(self, tmp_path, capsys):
         docs, vocab, links = self.make_planted(tmp_path)
         model_path = str(tmp_path / "m.txt")

@@ -76,6 +76,14 @@ class TestLoader:
         assert dropped.num_docs == 2
         assert dropped.link_set() == {(0, 1)}
 
+    def test_blank_vocab_line_inside_keeps_its_id(self, tmp_path):
+        # only the trailing blank lines are dropped; ids after an inner
+        # blank line keep their line numbers
+        docs, vocab, links = write_files(tmp_path, "1 2:1\n", "a\n\nb\n\n", "")
+        c = load_corpus(docs, vocab, links)
+        assert c.vocab == ["a", "", "b"]
+        np.testing.assert_array_equal(c.doc_terms[0], [2])
+
     def test_links_optional(self, tmp_path):
         docs, vocab, _ = write_files(tmp_path, "1 0:1\n", "a\n", "")
         c = load_corpus(docs, vocab, None)

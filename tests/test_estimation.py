@@ -6,8 +6,8 @@ from scipy.special import expit
 
 from rtm import baselines, estimation, inference
 from rtm.corpus import Corpus, generate_synthetic
-from rtm.estimation import (RegularizationConfig, SufficientStats, collect_stats,
-                            em_objective, fit, fit_link_exponential,
+from rtm.estimation import (FittedModel, RegularizationConfig, SufficientStats,
+                            collect_stats, em_objective, fit, fit_link_exponential,
                             fit_link_gaussian, fit_link_sigmoid_probit,
                             link_regularizer, load_model,
                             regularized_link_gradient,
@@ -323,6 +323,34 @@ class TestModelFile:
         save_model(model, str(path))
         assert path.exists()
         assert not (tmp_path / "model.txt.tmp").exists()
+
+
+    def test_other_writers_temp_file_untouched(self, tmp_path):
+        # a concurrent writer's <path>.tmp must be neither overwritten nor
+        # renamed over the model file
+        model = FittedModel(params=ModelParams(beta=np.full((1, 2), 0.5),
+                                               alpha=np.ones(1)),
+                            kind="lda", config={"smoothing": 0.01})
+        path = tmp_path / "model.txt"
+        other = tmp_path / "model.txt.tmp"
+        other.write_text("another writer's partial output\n")
+        save_model(model, str(path))
+        assert other.read_text() == "another writer's partial output\n"
+        assert load_model(str(path)).kind == "lda"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.txt", "model.txt.tmp"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
+        model = FittedModel(params=ModelParams(beta=np.full((1, 2), 0.5),
+                                               alpha=np.ones(1)),
+                            kind="lda", config={"smoothing": 0.01})
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(estimation.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, str(tmp_path / "model.txt"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRegularizationConfig:

@@ -4,12 +4,46 @@ import numpy as np
 import pytest
 
 from rtm import linkfn
-from rtm.linkfn import LinkParams, PairStat, pair_stat
+from rtm.linkfn import LinkParams
 
 
 def random_simplex_rows(rng, n, k):
     g = rng.gamma(1.0, size=(n, k))
     return g / g.sum(axis=1, keepdims=True)
+
+
+def doc_moments(phi, counts):
+    """Mean assignment vector of a document and the variance of each component.
+
+    phi is (T, K) over distinct terms, counts the matching token counts;
+    Var(zbar_i) = (1/N^2) sum_n phi_{n,i} (1 - phi_{n,i}).
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    n = counts.sum()
+    return counts @ phi / n, counts @ (phi * (1.0 - phi)) / n**2
+
+
+def pair_value(params, phi_d, counts_d, phi_dp, counts_dp):
+    """Expected log link of one document pair, as a one-row batch."""
+    mean_d, var_d = doc_moments(phi_d, counts_d)
+    mean_dp, var_dp = doc_moments(phi_dp, counts_dp)
+    out = linkfn.expected_log_link_batch(params, mean_d[None], mean_dp[None],
+                                         var_d[None], var_dp[None])
+    assert out.shape == (1,)
+    return float(out[0])
+
+
+def covariate_value(params, pi_bar):
+    """Expected log link at pair covariate pi_bar (sigmoid/probit/exponential)."""
+    pi_bar = np.asarray(pi_bar, dtype=np.float64)
+    return float(linkfn.expected_log_link_batch(params, pi_bar, np.ones_like(pi_bar))[0])
+
+
+def covariate_gradient(params, pi_bar):
+    """d/d(pi_bar) of the expected log link: gradient_coefficient(x) * eta."""
+    x = params.eta @ np.asarray(pi_bar, dtype=np.float64) + params.nu
+    return float(linkfn.gradient_coefficient(params, x)) * params.eta
 
 
 def sample_zbar(phi, draws, rng):
@@ -24,7 +58,7 @@ def sample_zbar(phi, draws, rng):
     return counts / n
 
 
-def mc_expected_log_link(params, phi_d, phi_dp, draws, rng):
+def monte_carlo_log_link(params, phi_d, phi_dp, draws, rng):
     """Monte-Carlo estimate of E[log psi] plus its standard error."""
     z1 = sample_zbar(phi_d, draws, rng)
     z2 = sample_zbar(phi_dp, draws, rng)
@@ -110,32 +144,45 @@ class TestExpectedLogLink:
     def test_exponential_ignores_pi_bar_when_eta_zero(self):
         params = LinkParams(eta=np.zeros(3), nu=-0.5, kind="exponential")
         for pi in ([0.1, 0.1, 0.1], [0.0, 0.0, 0.0], [0.3, 0.3, 0.3]):
-            pair = PairStat(pi_bar=np.array(pi))
-            assert linkfn.expected_log_link(params, pair) == -0.5
+            assert covariate_value(params, pi) == -0.5
 
     def test_sigmoid_at_zero(self):
         params = LinkParams(eta=np.zeros(2), nu=0.0, kind="sigmoid")
-        pair = PairStat(pi_bar=np.array([0.25, 0.25]))
-        np.testing.assert_allclose(linkfn.expected_log_link(params, pair),
+        np.testing.assert_allclose(covariate_value(params, [0.25, 0.25]),
                                    -np.log(2.0), rtol=1e-12)
 
     def test_gaussian_single_token_example(self):
         # equal means, one uniform token each: each variance component is
         # 0.5 * 0.5 = 0.25, so the expectation is -(0 + 0.25 + 0.25) * 2
         params = LinkParams(eta=np.array([1.0, 1.0]), nu=0.0, kind="gaussian")
-        pair = pair_stat([[0.5, 0.5]], [1], [[0.5, 0.5]], [1], with_variance=True)
-        np.testing.assert_allclose(pair.var_d, [0.25, 0.25])
-        np.testing.assert_allclose(linkfn.expected_log_link(params, pair), -1.0)
+        np.testing.assert_allclose(doc_moments([[0.5, 0.5]], [1])[1], [0.25, 0.25])
+        np.testing.assert_allclose(
+            pair_value(params, [[0.5, 0.5]], [1], [[0.5, 0.5]], [1]), -1.0)
 
     def test_gaussian_requires_variances(self):
         params = LinkParams(eta=np.array([1.0]), nu=0.0, kind="gaussian")
         with pytest.raises(ValueError, match="variance"):
-            linkfn.expected_log_link(params, PairStat(pi_bar=np.array([0.5])))
+            linkfn.expected_log_link_batch(params, np.array([0.5]), np.array([0.5]))
+
+    def test_single_mean_broadcasts_over_rows(self):
+        # one document against its neighbors: a K-vector side gives the same
+        # values as that vector repeated on every row
+        rng = np.random.default_rng(2)
+        a, var_a = random_simplex_rows(rng, 1, 3)[0], rng.random(3) * 0.1
+        b, var_b = random_simplex_rows(rng, 4, 3), rng.random((4, 3)) * 0.1
+        for params in (LinkParams(eta=np.array([1.0, -2.0, 0.5]), nu=0.3, kind="sigmoid"),
+                       LinkParams(eta=np.array([1.0, -2.0, 0.5]), nu=0.3, kind="probit"),
+                       LinkParams(eta=np.full(3, -0.5), nu=-0.2, kind="exponential"),
+                       LinkParams(eta=np.array([1.0, 2.0, 0.5]), nu=0.3, kind="gaussian")):
+            rows = linkfn.expected_log_link_batch(params, np.tile(a, (4, 1)), b,
+                                                  np.tile(var_a, (4, 1)), var_b)
+            np.testing.assert_array_equal(
+                linkfn.expected_log_link_batch(params, a, b, var_a, var_b), rows)
 
     def test_counter_counts_pairs(self):
         params = LinkParams(eta=np.zeros(2), nu=0.0, kind="sigmoid")
         linkfn.pair_evals.reset()
-        linkfn.expected_log_link_batch(params, pi_bar=np.zeros((7, 2)))
+        linkfn.expected_log_link_batch(params, np.zeros((7, 2)), np.zeros((7, 2)))
         assert linkfn.pair_evals.count == 7
 
     @pytest.mark.parametrize("kind", ["exponential", "gaussian"])
@@ -155,10 +202,8 @@ class TestExpectedLogLink:
                 eta = rng.exponential(1.0, size=k)
                 nu = rng.exponential(0.5)
             params = LinkParams(eta=eta, nu=nu, kind=kind)
-            pair = pair_stat(phi_d, np.ones(n_d), phi_dp, np.ones(n_dp),
-                             with_variance=True)
-            analytic = linkfn.expected_log_link(params, pair)
-            estimate, se = mc_expected_log_link(params, phi_d, phi_dp, 100_000, rng)
+            analytic = pair_value(params, phi_d, np.ones(n_d), phi_dp, np.ones(n_dp))
+            estimate, se = monte_carlo_log_link(params, phi_d, phi_dp, 100_000, rng)
             assert abs(analytic - estimate) < 3.0 * se + 1e-12
 
     @pytest.mark.parametrize("kind", ["sigmoid", "probit"])
@@ -173,9 +218,8 @@ class TestExpectedLogLink:
         for n in (2, 20, 200):
             phi_d = random_simplex_rows(rng, n, k)
             phi_dp = random_simplex_rows(rng, n, k)
-            pair = pair_stat(phi_d, np.ones(n), phi_dp, np.ones(n))
-            analytic = linkfn.expected_log_link(params, pair)
-            estimate, se = mc_expected_log_link(params, phi_d, phi_dp, 100_000, rng)
+            analytic = pair_value(params, phi_d, np.ones(n), phi_dp, np.ones(n))
+            estimate, se = monte_carlo_log_link(params, phi_d, phi_dp, 100_000, rng)
             gaps.append(abs(analytic - estimate))
             ses.append(se)
         assert gaps[1] <= gaps[0] + 3 * (ses[0] + ses[1])
@@ -183,30 +227,28 @@ class TestExpectedLogLink:
 
 
 class TestGradients:
-    def test_grad_pi_sigmoid_at_zero(self):
+    def test_covariate_gradient_sigmoid_at_zero(self):
         params = LinkParams(eta=np.array([2.0, -1.0]), nu=0.0, kind="sigmoid")
-        pair = PairStat(pi_bar=np.array([0.25, 0.5]))  # eta . pi_bar = 0
-        np.testing.assert_allclose(linkfn.grad_pi(params, pair), [1.0, -0.5])
+        # eta . pi_bar = 0
+        np.testing.assert_allclose(covariate_gradient(params, [0.25, 0.5]), [1.0, -0.5])
 
-    def test_grad_pi_exponential_is_eta(self):
+    def test_covariate_gradient_exponential_is_eta(self):
         params = LinkParams(eta=np.array([2.0, -1.0]), nu=0.0, kind="exponential")
         for pi in ([0.0, 0.0], [0.25, 0.5], [1.0, 1.0]):
-            np.testing.assert_allclose(
-                linkfn.grad_pi(params, PairStat(pi_bar=np.array(pi))), [2.0, -1.0])
+            np.testing.assert_allclose(covariate_gradient(params, pi), [2.0, -1.0])
 
-    def test_grad_pi_probit_at_zero(self):
+    def test_covariate_gradient_probit_at_zero(self):
         params = LinkParams(eta=np.array([1.0, 0.0]), nu=0.0, kind="probit")
-        pair = PairStat(pi_bar=np.array([0.0, 0.7]))
-        grad = linkfn.grad_pi(params, pair)
+        grad = covariate_gradient(params, [0.0, 0.7])
         np.testing.assert_allclose(grad, [0.7978845608, 0.0], atol=1e-9)
 
-    def test_grad_pi_rejects_gaussian(self):
+    def test_gradient_coefficient_rejects_gaussian(self):
         params = LinkParams(eta=np.ones(2), nu=0.0, kind="gaussian")
         with pytest.raises(ValueError):
-            linkfn.grad_pi(params, PairStat(pi_bar=np.zeros(2)))
+            linkfn.gradient_coefficient(params, 0.0)
 
     @pytest.mark.parametrize("kind", ["sigmoid", "probit", "exponential"])
-    def test_grad_pi_matches_finite_differences(self, kind):
+    def test_covariate_gradient_matches_finite_differences(self, kind):
         rng = np.random.default_rng(23)
         k = 4
         h = 1e-6
@@ -215,13 +257,12 @@ class TestGradients:
             nu = rng.normal(0, 1.0)
             params = LinkParams(eta=eta, nu=nu, kind=kind)
             pi = rng.random(k) * 0.5
-            grad = linkfn.grad_pi(params, PairStat(pi_bar=pi))
+            grad = covariate_gradient(params, pi)
             for i in range(k):
                 up, dn = pi.copy(), pi.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (linkfn.expected_log_link(params, PairStat(pi_bar=up))
-                      - linkfn.expected_log_link(params, PairStat(pi_bar=dn))) / (2 * h)
+                fd = (covariate_value(params, up) - covariate_value(params, dn)) / (2 * h)
                 denom = max(abs(fd), 1e-8)
                 assert abs(grad[i] - fd) / denom < 1e-5
 
@@ -269,9 +310,7 @@ class TestGradients:
             def value(phi_token):
                 p = phi_d.copy()
                 p[token] = phi_token
-                pair = pair_stat(p, np.ones(n_d), phi_dp, np.ones(n_dp),
-                                 with_variance=True)
-                return linkfn.expected_log_link(params, pair)
+                return pair_value(params, p, np.ones(n_d), phi_dp, np.ones(n_dp))
 
             for i in range(k):
                 up, dn = phi_d[token].copy(), phi_d[token].copy()

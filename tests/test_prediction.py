@@ -1,16 +1,20 @@
 """Tests for held-out inference, prediction, and rank metrics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import psi
 
-from rtm import estimation, prediction
+from rtm import estimation, linkfn, prediction
 from rtm.corpus import Corpus, generate_synthetic, split_folds, training_view
 from rtm.estimation import FittedModel, fit
 from rtm.inference import ModelParams, init_state, run_e_step
 from rtm.linkfn import LinkParams
 from rtm.prediction import (HeldoutPosterior, average_ranks, evaluate_fold,
-                            infer_heldout, predict_link_prob, predict_word_dist,
+                            infer_heldout, predict_word_dist,
                             retrieval_order, score_train_docs)
 
 
@@ -20,6 +24,29 @@ def model_of(beta, alpha, link=None, kind=None):
     if kind is None:
         kind = link.kind if link is not None else "lda"
     return FittedModel(params=params, kind=kind, config={"smoothing": 0.01})
+
+
+def score_one(model, heldout, train):
+    """Link probability between two posteriors: score_train_docs on one row."""
+    var = train.var if train.var is not None else np.zeros_like(train.phi_bar)
+    scores = score_train_docs(model, heldout, train.phi_bar[None], var[None])
+    assert scores.shape == (1,)
+    return float(scores[0])
+
+
+def literal_link_prob(link, mean_h, var_h, mean_t, var_t):
+    """exp E[log psi] of one pair, written out from the link function definitions."""
+    k = len(link.eta)
+    if link.kind == "gaussian":
+        return math.exp(-link.nu - sum(
+            link.eta[i] * ((mean_h[i] - mean_t[i]) ** 2 + var_h[i] + var_t[i])
+            for i in range(k)))
+    x = sum(link.eta[i] * mean_h[i] * mean_t[i] for i in range(k)) + link.nu
+    if link.kind == "sigmoid":
+        return 1.0 / (1.0 + math.exp(-x))
+    if link.kind == "probit":
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return math.exp(x)
 
 
 class TestInferHeldout:
@@ -62,6 +89,20 @@ class TestInferHeldout:
         np.testing.assert_allclose(post.phi_bar, expected, atol=1e-4)
         assert post.evidence == "links"
 
+    @pytest.mark.parametrize("term", [-1, 2, 99])
+    def test_out_of_range_term_rejected(self, term):
+        # a negative id must not wrap around to the last vocabulary term
+        model = model_of([[0.5, 0.5]], [1.0])
+        with pytest.raises(ValueError, match=f"term id {term} out of range"):
+            infer_heldout(model, words=[(0, 1), (term, 2)])
+
+    @pytest.mark.parametrize("doc", [-1, 1])
+    def test_out_of_range_link_rejected(self, doc):
+        link = LinkParams(eta=np.array([-1.0]), nu=0.0, kind="exponential")
+        model = model_of([[0.5, 0.5]], [1.0], link=link)
+        with pytest.raises(ValueError, match=f"document id {doc} out of range"):
+            infer_heldout(model, links=[0, doc], train_phi_bar=np.ones((1, 1)))
+
     def test_empty_evidence_rejected(self):
         model = model_of([[0.5, 0.5]], [1.0])
         with pytest.raises(ValueError, match="empty word"):
@@ -93,33 +134,60 @@ class TestPredict:
                              gamma=np.ones(2), evidence="words")
         t = HeldoutPosterior(phi_bar=np.array([0.5, 0.5]),
                              gamma=np.ones(2), evidence="words")
-        assert predict_link_prob(model, h, t) == 0.5
+        assert score_one(model, h, t) == 0.5
 
     def test_gaussian_identical_posteriors(self):
         link = LinkParams(eta=np.array([1.0, 1.0]), nu=0.0, kind="gaussian")
         model = model_of([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], link=link)
         h = HeldoutPosterior(phi_bar=np.array([0.3, 0.7]), gamma=np.ones(2),
                              evidence="words", var=np.zeros(2))
-        np.testing.assert_allclose(predict_link_prob(model, h, h), 1.0)
+        np.testing.assert_allclose(score_one(model, h, h), 1.0)
 
     def test_exponential_matches_exp_of_expectation(self):
-        from rtm import linkfn
         link = LinkParams(eta=np.array([-0.5, -0.9]), nu=-0.3, kind="exponential")
         model = model_of([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], link=link)
         h = HeldoutPosterior(phi_bar=np.array([0.4, 0.6]), gamma=np.ones(2),
                              evidence="words")
         t = HeldoutPosterior(phi_bar=np.array([0.8, 0.2]), gamma=np.ones(2),
                              evidence="words")
-        pair = linkfn.PairStat(pi_bar=h.phi_bar * t.phi_bar)
-        expected = np.exp(linkfn.expected_log_link(link, pair))
-        np.testing.assert_allclose(predict_link_prob(model, h, t), expected,
-                                   rtol=1e-15)
+        expected = np.exp(link.eta @ (h.phi_bar * t.phi_bar) + link.nu)
+        np.testing.assert_allclose(score_one(model, h, t), expected, rtol=1e-15)
 
     def test_link_scores_rejected_without_link_model(self):
         model = model_of([[0.5, 0.5]], [1.0], kind="unigram")
         h = HeldoutPosterior(phi_bar=np.ones(1), gamma=np.ones(1), evidence="words")
         with pytest.raises(ValueError, match="does not score links"):
-            predict_link_prob(model, h, h)
+            score_one(model, h, h)
+
+    @pytest.mark.parametrize("kind", linkfn.KINDS)
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data(), num_topics=st.integers(1, 4), num_train=st.integers(1, 6))
+    def test_scores_match_literal_formula(self, kind, data, num_topics, num_train):
+        unit = st.floats(0.0, 1.0)
+        simplex = st.lists(st.floats(0.01, 1.0), min_size=num_topics,
+                           max_size=num_topics).map(lambda w: np.array(w) / sum(w))
+        if kind == "exponential":
+            nu = data.draw(st.floats(-3.0, 0.0))
+            eta = [-nu - data.draw(st.floats(0.0, 3.0)) for _ in range(num_topics)]
+        elif kind == "gaussian":
+            nu = data.draw(st.floats(0.0, 2.0))
+            eta = [data.draw(st.floats(0.0, 3.0)) for _ in range(num_topics)]
+        else:
+            nu = data.draw(st.floats(-3.0, 3.0))
+            eta = [data.draw(st.floats(-3.0, 3.0)) for _ in range(num_topics)]
+        link = LinkParams(eta=np.array(eta), nu=nu, kind=kind)
+        model = model_of(np.full((num_topics, 2), 0.5), np.ones(num_topics), link=link)
+        h = HeldoutPosterior(phi_bar=data.draw(simplex), gamma=np.ones(num_topics),
+                             evidence="words",
+                             var=0.25 * np.array([data.draw(unit) for _ in range(num_topics)]))
+        train = np.array([data.draw(simplex) for _ in range(num_train)])
+        train_var = 0.25 * np.array([[data.draw(unit) for _ in range(num_topics)]
+                                     for _ in range(num_train)])
+        scores = score_train_docs(model, h, train, train_var)
+        assert scores.shape == (num_train,)
+        for i in range(num_train):
+            expected = literal_link_prob(link, h.phi_bar, h.var, train[i], train_var[i])
+            np.testing.assert_allclose(scores[i], expected, rtol=1e-12)
 
     def test_word_dist_single_topic(self):
         model = model_of([[0.2, 0.3, 0.5]], [1.0])
@@ -185,11 +253,9 @@ def brute_force_fold_metrics(model, corpus, plan, fold, top_k):
             continue
         terms, counts = corpus.doc(doc)
         heldout = infer_heldout(model, words=list(zip(terms, counts)))
-        scores = [predict_link_prob(
-            model, heldout,
-            HeldoutPosterior(phi_bar=state.phi_bar[i], gamma=state.gamma[i],
-                             evidence="words", var=state.var_bar[i]))
-            for i in range(train_corpus.num_docs)]
+        scores = [literal_link_prob(model.params.link, heldout.phi_bar, heldout.var,
+                                    state.phi_bar[i], state.var_bar[i])
+                  for i in range(train_corpus.num_docs)]
         for t in true:
             higher = sum(1 for s in scores if s > scores[t])
             equal = sum(1 for s in scores if s == scores[t]) - 1

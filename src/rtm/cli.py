@@ -113,6 +113,11 @@ def _fit(corpus, args, kind=None):
         trace_stream=sys.stderr if args.verbose else None)
 
 
+def _check_top_k(args):
+    if args.top_k < 1:
+        raise ValueError(f"--top-k must be at least 1, got {args.top_k}")
+
+
 def cmd_fit(args):
     corpus = _load(args)
     model = _fit(corpus, args)
@@ -134,6 +139,7 @@ def _baseline_suite(corpus, args):
 
 
 def cmd_eval(args):
+    _check_top_k(args)
     corpus = _load(args)
     plan = split_folds(corpus, args.folds, args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -178,8 +184,12 @@ def topic_word_scores(beta):
 
 
 def cmd_report_topics(args):
+    _check_top_k(args)
     model = estimation.load_model(args.model)
     vocab = read_vocab(args.vocab) if args.vocab else None
+    if vocab is not None and len(vocab) < model.params.num_terms:
+        raise ValueError(f"vocab file {args.vocab} has {len(vocab)} tokens, fewer than "
+                         f"the model's {model.params.num_terms} terms")
     scores = topic_word_scores(model.params.beta)
     for k in range(scores.shape[0]):
         order = prediction.retrieval_order(scores[k])[:args.top_k]
@@ -202,6 +212,7 @@ def _parse_new_doc(text):
 
 
 def cmd_suggest_links(args):
+    _check_top_k(args)
     corpus = _load(args)
     model = estimation.load_model(args.model)
     heldout = prediction.infer_heldout(model, words=_parse_new_doc(args.new_doc))

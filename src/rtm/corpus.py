@@ -35,7 +35,8 @@ class Corpus:
 
     Construction validates all invariants: term ids within the
     vocabulary, link endpoints within range, no self-links, each
-    document nonempty.  Instances are safe to share across threads.
+    document nonempty.  Its arrays are read-only, so instances are safe
+    to share across threads.
     """
 
     def __init__(self, vocab, docs, links=()):
@@ -79,6 +80,9 @@ class Corpus:
             neighbors[d1].append(d2)
             neighbors[d2].append(d1)
         self.neighbors = [np.array(sorted(ns), dtype=np.int64) for ns in neighbors]
+        for array in (self.links, self.lengths, *self.doc_terms, *self.doc_counts,
+                      *self.neighbors):
+            array.flags.writeable = False
 
     @property
     def num_docs(self):

@@ -3,7 +3,8 @@
 The variational family factorizes over per-document Dirichlet parameters
 gamma and per-term topic simplexes phi (tokens of the same term share
 one phi vector).  Coordinate ascent sweeps documents in index order;
-within a document, phi vectors are updated in term-id order followed by
+within a document, all phi rows are updated at once from the current
+state (one row-wise softmax over the document's terms) followed by
 gamma, repeating until the document stabilizes.  The objective is the
 evidence lower bound with the expected log link probability summed over
 observed links only, so per-sweep link work scales with the number of
@@ -11,10 +12,13 @@ links rather than the number of document pairs.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
-bound.  For the exponential and gaussian kinds the expectation is exact
-and each per-term update is an exact coordinate maximization.  There is
-one sweep order: every update reads the live per-document means, so a
-document visit sees the neighbors already updated in the same sweep.
+bound.  For the exponential kind the link gradient does not read the
+document's own phi, so the whole-document update is an exact block
+coordinate maximization.  For the other kinds it is a Jacobi update
+over the document's rows, damped within each visit wherever it would
+lower the document's block objective.  There is one sweep order: every
+update reads the live per-document means, so a document visit sees the
+neighbors already updated in the same sweep.
 """
 
 from dataclasses import dataclass
@@ -71,6 +75,9 @@ class VariationalState:
     phi         list of (T_d, K) simplex rows, aligned with corpus.doc_terms[d]
     phi_bar     (D, K) cached per-document means (1/N_d) sum_n phi_{d,n}
     var_bar     (D, K) cached Var(zbar_{d,i}) = (1/N_d^2) sum_n phi (1 - phi)
+
+    The caches are recomputed from a document's phi rows by
+    `refresh_doc_caches` after every write to them.
     """
 
     def __init__(self, corpus, gamma, phi):
@@ -94,14 +101,9 @@ class VariationalState:
         self.var_bar[d] = counts @ (p * (1.0 - p)) / n**2
 
     def set_phi(self, d, term_index, new_phi):
-        """Replace one term's phi row and update the document caches."""
-        counts = self.corpus.doc_counts[d]
-        n = float(self.corpus.lengths[d])
-        c = float(counts[term_index])
-        old = self.phi[d][term_index]
-        self.phi_bar[d] += (c / n) * (new_phi - old)
-        self.var_bar[d] += (c / n**2) * (new_phi * (1.0 - new_phi) - old * (1.0 - old))
+        """Replace one term's phi row and recompute the document caches."""
         self.phi[d][term_index] = new_phi
+        self.refresh_doc_caches(d)
 
 
 def init_state(corpus, num_topics, alpha, seed, noise=0.01):
@@ -128,21 +130,28 @@ def _log_beta_matrix(beta):
         return np.where(beta > 0, np.log(np.maximum(beta, 1e-300)), -np.inf)
 
 
-def _phi_update(d, term_index, state, params, log_beta, elog_theta_d):
-    """New simplex vector for one term of one document.
+def _doc_log_beta(log_beta, terms):
+    """(T_d, K) rows of log beta for a document's terms; rejects zero columns."""
+    lb = log_beta[:, terms].T
+    dead = np.isneginf(lb).all(axis=1)
+    if dead.any():
+        raise ValueError(
+            f"beta column {terms[np.argmax(dead)]} is entirely zero (unsmoothed model)")
+    return lb
 
-    Combines the expected log topic proportions, the word evidence, and
-    the gradient of each observed link's expected log probability; the
-    link sum ranges over the document's observed links only.  Returns
-    the new simplex vector without mutating the state.
+
+def _phi_update(d, state, params, lb, elog_theta_d):
+    """New phi rows for every term of one document, from the current state.
+
+    lb is `_doc_log_beta` of the document's terms.  Each row combines the
+    expected log topic proportions, the word evidence, and the gradient
+    of each observed link's expected log probability; the link sum
+    ranges over the document's observed links only.  Every row reads the
+    same state, so the rows are a Jacobi update within the document.
+    Returns the new (T_d, K) block without mutating the state.
     """
     corpus = state.corpus
-    term = corpus.doc_terms[d][term_index]
-    col = log_beta[:, term]
-    if np.isneginf(col).all():
-        raise ValueError(
-            f"beta column {term} is entirely zero (unsmoothed model)")
-    exponent = elog_theta_d + col
+    exponent = elog_theta_d + lb
 
     link = params.link
     neighbors = corpus.neighbors[d]
@@ -150,7 +159,8 @@ def _phi_update(d, term_index, state, params, log_beta, elog_theta_d):
         n_d = float(corpus.lengths[d])
         nb_means = state.phi_bar[neighbors]
         if link.kind == "gaussian":
-            phi_minus = state.phi_bar[d] - state.phi[d][term_index] / n_d
+            # per row: the document mean without one token of that term
+            phi_minus = state.phi_bar[d] - state.phi[d] / n_d
             total = nb_means.sum(axis=0) - neighbors.size * (phi_minus + 0.5 / n_d)
             exponent = exponent + (2.0 / n_d) * link.eta * total
         else:
@@ -158,9 +168,9 @@ def _phi_update(d, term_index, state, params, log_beta, elog_theta_d):
             coeff = linkfn.gradient_coefficient(link, x)
             exponent = exponent + (coeff @ nb_means) * link.eta / n_d
 
-    exponent = exponent - exponent.max()
+    exponent = exponent - exponent.max(axis=1, keepdims=True)
     out = np.exp(exponent)
-    return out / out.sum()
+    return out / out.sum(axis=1, keepdims=True)
 
 
 def update_gamma(d, state, alpha):
@@ -266,65 +276,66 @@ def _set_doc_phi(state, d, phi_block):
     state.refresh_doc_caches(d)
 
 
-def _visit_doc(corpus, params, state, d, tol, log_beta):
-    """Run the document-local phi/gamma iteration for one document."""
+def _visit_doc(corpus, params, state, d, tol, log_beta, guard):
+    """Run the document-local phi/gamma iteration for one document.
+
+    Each iteration replaces every phi row by the whole-document update,
+    then gamma.  With guard set, an iteration that would lower the
+    document's block objective is geometrically damped toward the rows
+    it started from, halving the step until the objective is no worse;
+    the step then stays that small for the rest of the visit, and the
+    visit ends, keeping the last accepted block, if no step of at least
+    1e-4 is.  Damping does not move fixed points.
+    """
     n_d = float(corpus.lengths[d])
+    lb = _doc_log_beta(log_beta, corpus.doc_terms[d])
+    if guard:
+        current = _doc_objective(corpus, params, state, d, log_beta)
+        slack = 1e-12 * (1.0 + abs(current))
+    lam = 1.0
     for _ in range(_DOC_MAX_ITERS):
-        elog_theta_d = psi(state.gamma[d]) - psi(state.gamma[d].sum())
-        for t in range(corpus.doc_terms[d].shape[0]):
-            new = _phi_update(d, t, state, params, log_beta, elog_theta_d)
-            state.set_phi(d, t, new)
-        new_gamma = update_gamma(d, state, params.alpha)
-        change = float(np.abs(new_gamma - state.gamma[d]).mean()) / n_d
-        state.gamma[d] = new_gamma
+        old_gamma = state.gamma[d].copy()
+        elog_theta_d = psi(old_gamma) - psi(old_gamma.sum())
+        new_phi = _phi_update(d, state, params, lb, elog_theta_d)
+        if not guard:
+            _set_doc_phi(state, d, new_phi)
+            state.gamma[d] = update_gamma(d, state, params.alpha)
+        else:
+            old_phi = state.phi[d].copy()
+            while True:
+                mix = old_phi ** (1.0 - lam) * new_phi ** lam
+                _set_doc_phi(state, d, mix / mix.sum(axis=1, keepdims=True))
+                state.gamma[d] = update_gamma(d, state, params.alpha)
+                value = _doc_objective(corpus, params, state, d, log_beta)
+                if value >= current - slack:
+                    break
+                lam *= 0.5
+                if lam < 1e-4:
+                    _set_doc_phi(state, d, old_phi)
+                    state.gamma[d] = old_gamma
+                    return
+            current = value
+        change = float(np.abs(state.gamma[d] - old_gamma).mean()) / n_d
         if change < tol:
             break
-    state.refresh_doc_caches(d)
 
 
 def _sweep(corpus, params, state, tol):
     """One full coordinate-ascent pass over all documents, in index order.
 
-    For the sigmoid, probit, and gaussian kinds the per-term updates
-    linearize the link contribution, so a document visit can overshoot.
-    Those visits are safeguarded: if the document's block objective
-    drops, the move is geometrically damped toward the previous block
-    until the objective is no worse (fixed points are unaffected).  The
-    exponential kind is an exact per-term coordinate maximization and
-    needs no safeguard.
+    For the sigmoid, probit, and gaussian kinds the link gradient reads
+    the document's own mean, which the whole-document update takes from
+    the start of each iteration (and sigmoid and probit also linearize
+    the link), so an iteration can overshoot.  Those visits are
+    safeguarded iteration by iteration (see `_visit_doc`), so a visit
+    never lowers the document's block objective.  The exponential kind
+    is an exact block coordinate maximization and needs no safeguard.
     """
     log_beta = _log_beta_matrix(params.beta)
-    guarded = (params.link is not None and params.link.kind != "exponential"
-               and corpus.num_links > 0)
-
+    guarded = params.link is not None and params.link.kind != "exponential"
     for d in range(corpus.num_docs):
-        guard = guarded and corpus.neighbors[d].size
-        if guard:
-            before = _doc_objective(corpus, params, state, d, log_beta)
-            old_phi = state.phi[d].copy()
-        _visit_doc(corpus, params, state, d, tol, log_beta)
-        if not guard:
-            continue
-        slack = 1e-12 * (1.0 + abs(before))
-        after = _doc_objective(corpus, params, state, d, log_beta)
-        if after >= before - slack:
-            continue
-        new_phi = state.phi[d].copy()
-        lam = 0.5
-        accepted = False
-        while lam > 1e-4:
-            mix = old_phi ** (1.0 - lam) * new_phi ** lam
-            mix /= mix.sum(axis=1, keepdims=True)
-            _set_doc_phi(state, d, mix)
-            state.gamma[d] = update_gamma(d, state, params.alpha)
-            value = _doc_objective(corpus, params, state, d, log_beta)
-            if value >= before - slack:
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            _set_doc_phi(state, d, old_phi)
-            state.gamma[d] = update_gamma(d, state, params.alpha)
+        _visit_doc(corpus, params, state, d, tol, log_beta,
+                   guard=guarded and corpus.neighbors[d].size > 0)
 
 
 def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, trace_stream=None):

@@ -205,6 +205,10 @@ def train_posteriors(model, train_corpus, seed=0, tol=1e-6, max_sweeps=100):
     alone (the regression stage of lda_regression never feeds back into
     its topic posteriors).
     """
+    if train_corpus.num_terms > model.params.num_terms:
+        raise ValueError(
+            f"corpus has {train_corpus.num_terms} terms, more than the model's "
+            f"{model.params.num_terms}")
     link = model.params.link if model.kind in linkfn.KINDS else None
     params = inference.ModelParams(beta=model.params.beta,
                                    alpha=model.params.alpha, link=link)

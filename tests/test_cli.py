@@ -94,7 +94,54 @@ class TestEvalCommand:
         np.testing.assert_allclose(summary_value, np.mean(fold_means), atol=5e-7)
 
 
+def assert_one_line_error(capsys, code, starts):
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(starts)
+
+
+class TestTopKRejected:
+    def test_eval(self, corpus_files, tmp_path, capsys):
+        docs, vocab, links = corpus_files
+        code = main(["eval", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--out", str(tmp_path / "reports"), "--top-k", "0"])
+        assert_one_line_error(capsys, code, "error: --top-k must be at least 1")
+        assert not (tmp_path / "reports").exists()
+
+    def test_report_topics(self, tmp_path, capsys):
+        model = FittedModel(params=ModelParams(beta=np.full((2, 2), 0.5),
+                                               alpha=np.full(2, 0.5)),
+                            kind="lda", config={"smoothing": 0.01})
+        path = str(tmp_path / "m.txt")
+        save_model(model, path)
+        code = main(["report-topics", "--model", path, "--top-k", "0"])
+        assert_one_line_error(capsys, code, "error: --top-k must be at least 1")
+
+    def test_suggest_links(self, corpus_files, tmp_path, capsys):
+        docs, vocab, links = corpus_files
+        model_path = str(tmp_path / "m.txt")
+        assert main(fit_args(docs, vocab, links, model_path, em_iters=1)) == 0
+        capsys.readouterr()
+        code = main(["suggest-links", "--docs", docs, "--vocab", vocab,
+                     "--links", links, "--model", model_path,
+                     "--new-doc", "0:2", "--top-k=-1"])
+        assert_one_line_error(capsys, code, "error: --top-k must be at least 1")
+
+
 class TestReportTopics:
+    def test_short_vocab_rejected(self, tmp_path, capsys):
+        model = FittedModel(params=ModelParams(beta=np.full((2, 20), 0.05),
+                                               alpha=np.full(2, 0.5)),
+                            kind="lda", config={"smoothing": 0.01})
+        path = str(tmp_path / "m.txt")
+        save_model(model, path)
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n")
+        code = main(["report-topics", "--model", path, "--vocab", str(vocab)])
+        assert_one_line_error(capsys, code, f"error: vocab file {vocab} has 2 tokens")
+
     def test_hand_computed_scores(self, tmp_path, capsys):
         beta = np.array([[0.9, 0.1], [0.1, 0.9]])
         model = FittedModel(params=ModelParams(beta=beta, alpha=np.full(2, 0.5)),
@@ -169,6 +216,24 @@ class TestSuggestLinks:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: term id {new_doc.split(':')[0]} out of range")
+
+    def test_model_vocabulary_smaller_than_corpus_rejected(self, tmp_path, capsys):
+        small, _ = generate_synthetic(2, 20, 10, 15, np.array([0.5, 0.5]),
+                                      np.array([-2.0, -2.0]), -1.5, "exponential", seed=3)
+        large, _ = generate_synthetic(2, 30, 10, 15, np.array([0.5, 0.5]),
+                                      np.array([-2.0, -2.0]), -1.5, "exponential", seed=4)
+        paths = {}
+        for name, corpus in (("small", small), ("large", large)):
+            paths[name] = [str(tmp_path / f"{name}_{n}.txt")
+                           for n in ("docs", "vocab", "links")]
+            write_corpus(corpus, *paths[name])
+        model_path = str(tmp_path / "m.txt")
+        assert main(fit_args(*paths["small"], model_path, em_iters=1)) == 0
+        capsys.readouterr()
+        docs, vocab, links = paths["large"]
+        code = main(["suggest-links", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--model", model_path, "--new-doc", "0:2"])
+        assert_one_line_error(capsys, code, "error: corpus has 30 terms, more than the model's 20")
 
     def test_empty_new_doc_rejected(self, tmp_path, capsys):
         docs, vocab, links = self.make_planted(tmp_path)

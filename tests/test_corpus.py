@@ -65,6 +65,13 @@ class TestLoader:
         assert c.lengths[0] == 4
         np.testing.assert_array_equal(c.doc_counts[0], [3, 1])
 
+    def test_arrays_are_read_only(self):
+        c = Corpus(["a", "b"], [[(0, 1), (1, 2)], [(1, 1)]], links=[(0, 1)])
+        for array in (c.links, c.lengths, c.doc_terms[0], c.doc_counts[1],
+                      c.neighbors[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5
+
     def test_isolated_warning_and_drop(self, tmp_path, caplog):
         docs, vocab, links = write_files(
             tmp_path, "1 0:1\n1 1:1\n1 0:2\n", "a\nb\n", "0 1\n")

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, log_ndtr, psi
 from scipy.stats import beta as beta_dist
+from scipy.stats import norm
 
 from rtm import inference, linkfn
 from rtm.corpus import Corpus, generate_synthetic
@@ -22,12 +23,51 @@ def make_params(beta, alpha, link=None):
 
 
 def new_phi_row(d, term, state, params):
-    """The E-step's new phi row for term of document d, from the current state."""
-    term_index = int(np.searchsorted(state.corpus.doc_terms[d], term))
-    assert state.corpus.doc_terms[d][term_index] == term
+    """Row of term in the E-step's whole-document phi update of document d."""
+    terms = state.corpus.doc_terms[d]
+    term_index = int(np.searchsorted(terms, term))
+    assert terms[term_index] == term
     elog_theta_d = psi(state.gamma[d]) - psi(state.gamma[d].sum())
-    return inference._phi_update(d, term_index, state, params,
-                                 inference._log_beta_matrix(params.beta), elog_theta_d)
+    lb = inference._doc_log_beta(inference._log_beta_matrix(params.beta), terms)
+    return inference._phi_update(d, state, params, lb, elog_theta_d)[term_index]
+
+
+def sequential_visit(corpus, params, state, d, tol):
+    """Reference per-term visit: rows in term-id order, each from the live mean.
+
+    This is the document iteration the whole-document update replaced:
+    one term's row at a time, the document mean updated by the row's
+    increment before the next term reads it, then gamma.
+    """
+    log_beta = inference._log_beta_matrix(params.beta)
+    link = params.link
+    neighbors = corpus.neighbors[d]
+    terms, counts = corpus.doc(d)
+    n_d = float(corpus.lengths[d])
+    for _ in range(inference._DOC_MAX_ITERS):
+        elog = psi(state.gamma[d]) - psi(state.gamma[d].sum())
+        for t, term in enumerate(terms):
+            exponent = elog + log_beta[:, term]
+            if link is not None and neighbors.size:
+                nb_means = state.phi_bar[neighbors]
+                if link.kind == "gaussian":
+                    minus = state.phi_bar[d] - state.phi[d][t] / n_d
+                    total = nb_means.sum(axis=0) - neighbors.size * (minus + 0.5 / n_d)
+                    exponent = exponent + (2.0 / n_d) * link.eta * total
+                else:
+                    x = nb_means @ (link.eta * state.phi_bar[d]) + link.nu
+                    coeff = linkfn.gradient_coefficient(link, x)
+                    exponent = exponent + (coeff @ nb_means) * link.eta / n_d
+            row = np.exp(exponent - exponent.max())
+            row /= row.sum()
+            state.phi_bar[d] += (counts[t] / n_d) * (row - state.phi[d][t])
+            state.phi[d][t] = row
+        new_gamma = params.alpha + corpus.lengths[d] * state.phi_bar[d]
+        change = float(np.abs(new_gamma - state.gamma[d]).mean()) / n_d
+        state.gamma[d] = new_gamma
+        if change < tol:
+            break
+    state.refresh_doc_caches(d)
 
 
 def two_doc_corpus():
@@ -123,6 +163,52 @@ class TestUpdatePhi:
         params = make_params(beta, [0.5, 0.5])
         with pytest.raises(ValueError, match="column"):
             new_phi_row(0, 1, state, params)
+
+
+class TestWholeDocumentVisit:
+    def test_exponential_visit_matches_sequential_reference(self):
+        # the exponential link gradient does not read the document's own
+        # phi, so updating every row at once is the per-term iteration
+        corpus, _ = generate_synthetic(3, 30, 25, 30, np.full(3, 0.3),
+                                       np.full(3, -2.0), -1.0, "exponential", seed=17)
+        assert corpus.num_links > 0
+        beta = np.random.default_rng(4).dirichlet(np.ones(30), size=3)
+        link = LinkParams(eta=np.array([-1.5, -2.5, -3.0]), nu=-0.5, kind="exponential")
+        params = make_params(beta, np.full(3, 0.3), link)
+        log_beta = inference._log_beta_matrix(beta)
+        whole = init_state(corpus, 3, params.alpha, seed=8)
+        reference = init_state(corpus, 3, params.alpha, seed=8)
+        for d in range(corpus.num_docs):
+            inference._visit_doc(corpus, params, whole, d, 1e-6, log_beta, guard=False)
+            sequential_visit(corpus, params, reference, d, 1e-6)
+            np.testing.assert_allclose(whole.phi[d], reference.phi[d], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(whole.gamma[d], reference.gamma[d], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(whole.phi_bar[d], reference.phi_bar[d],
+                                       rtol=0, atol=1e-12)
+
+    def test_strongly_coupled_gaussian_reaches_sequential_bound(self):
+        # with a large gaussian coefficient the undamped whole-document
+        # update oscillates; the damped visits must still reach the bound
+        # that exact per-term coordinate ascent reaches
+        corpus, _ = generate_synthetic(3, 30, 20, 20, np.full(3, 0.3), np.full(3, 2.0),
+                                       0.5, "gaussian", seed=5)
+        beta = np.random.default_rng(2).dirichlet(np.ones(30), size=3)
+        link = LinkParams(eta=np.full(3, 20.0), nu=0.0, kind="gaussian")
+        params = make_params(beta, np.full(3, 0.3), link)
+        state = init_state(corpus, 3, params.alpha, seed=1)
+        _, trace = run_e_step(corpus, params, state, tol=1e-10, max_sweeps=100)
+
+        reference = init_state(corpus, 3, params.alpha, seed=1)
+        previous = elbo(corpus, params, reference).total
+        for _ in range(100):
+            for d in range(corpus.num_docs):
+                sequential_visit(corpus, params, reference, d, 1e-10)
+            value = elbo(corpus, params, reference).total
+            assert value >= previous - 1e-8 * abs(previous)
+            if abs(value - previous) <= 1e-10 * abs(previous):
+                break
+            previous = value
+        assert abs(trace[-1] - value) <= 1e-6 * abs(value)
 
 
 class TestUpdateGamma:
@@ -399,6 +485,13 @@ def test_e_step_trace_nondecreasing_for_every_kind(kind, data, num_topics, doc_l
     assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
+def literal_gradient_coefficient(kind, x):
+    """c(x) = d log psi / dx, from the sigmoid and probit link definitions."""
+    if kind == "sigmoid":
+        return 1.0 / (1.0 + np.exp(x))
+    return norm.pdf(x) / norm.cdf(x)
+
+
 def uncollapsed_fixed_point(tokens_by_doc, links, beta, alpha, link, sweeps=400):
     """Per-token reference implementation (no same-term sharing)."""
     log_beta = np.log(beta)
@@ -424,10 +517,14 @@ def uncollapsed_fixed_point(tokens_by_doc, links, beta, alpha, link, sweeps=400)
                     for dp in neighbor[d]:
                         if link.kind == "exponential":
                             g += link.eta * phibar(dp) / n_d
-                        else:
+                        elif link.kind == "gaussian":
                             minus = phibar(d) - phis[d][n] / n_d
                             g += (2.0 / n_d) * link.eta * (
                                 phibar(dp) - minus - 0.5 / n_d)
+                        else:
+                            x = link.eta @ (phibar(d) * phibar(dp)) + link.nu
+                            c = literal_gradient_coefficient(link.kind, x)
+                            g += c * link.eta * phibar(dp) / n_d
                     expo = elog + log_beta[:, w] + g
                     expo -= expo.max()
                     phis[d][n] = np.exp(expo) / np.exp(expo).sum()
@@ -439,7 +536,7 @@ def uncollapsed_fixed_point(tokens_by_doc, links, beta, alpha, link, sweeps=400)
     return phis, gammas
 
 
-@pytest.mark.parametrize("kind", ["exponential", "gaussian"])
+@pytest.mark.parametrize("kind", linkfn.KINDS)
 def test_collapsed_matches_uncollapsed_fixed_point(kind):
     # same-term tokens share one phi in the production path; a per-token
     # reference must reach the same fixed point with equal rows for
@@ -448,8 +545,10 @@ def test_collapsed_matches_uncollapsed_fixed_point(kind):
     alpha = np.array([0.5, 0.5])
     if kind == "exponential":
         link = LinkParams(eta=np.array([-0.4, -0.7]), nu=-0.2, kind=kind)
-    else:
+    elif kind == "gaussian":
         link = LinkParams(eta=np.array([0.5, 0.8]), nu=0.1, kind=kind)
+    else:
+        link = LinkParams(eta=np.array([1.5, -0.8]), nu=0.3, kind=kind)
     corpus = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(2, 2)]], links=[(0, 1)])
     params = make_params(beta, alpha, link)
     state = init_state(corpus, 2, alpha, seed=0, noise=0.0)

@@ -11,7 +11,7 @@ distribution (word prediction only; it assigns no link scores).
 
 import numpy as np
 
-from . import estimation, inference, linkfn
+from . import estimation, linkfn, prediction
 from .estimation import FittedModel
 from .inference import ModelParams
 
@@ -38,8 +38,7 @@ def fit_link_regression(corpus, lda):
     num_topics = lda.params.num_topics
     link = linkfn.LinkParams(eta=np.zeros(num_topics), nu=0.0, kind="sigmoid")
     if corpus.num_links:
-        state = inference.init_state(corpus, num_topics, lda.params.alpha, lda.seed)
-        state, _ = inference.run_e_step(corpus, lda.params, state, tol=config["tol"])
+        state = prediction.train_posteriors(lda, corpus, seed=lda.seed, tol=config["tol"])
         l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
         pi_bar_links = state.phi_bar[l1] * state.phi_bar[l2]
         link = estimation.fit_link_sigmoid_probit("sigmoid", pi_bar_links, reg,
@@ -61,8 +60,7 @@ def fit_lda_regression(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,
 def unigram(corpus, smoothing=0.01):
     """Smoothed corpus-wide term frequencies as a one-topic model."""
     counts = np.full(corpus.num_terms, float(smoothing))
-    for terms, doc_counts in zip(corpus.doc_terms, corpus.doc_counts):
-        counts[terms] += doc_counts
+    np.add.at(counts, corpus.terms, corpus.counts)
     dist = counts / counts.sum()
     params = ModelParams(beta=dist[None, :], alpha=np.array([1.0]), link=None)
     return FittedModel(params=params, kind="unigram",

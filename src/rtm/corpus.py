@@ -1,8 +1,9 @@
 """Document-network corpora: loading, validation, folds, and synthesis.
 
 A corpus is a set of documents over a shared vocabulary plus an
-undirected link set.  Documents are sparse term-count vectors; links are
-unordered index pairs with no self-links.  File formats:
+undirected link set.  Documents are sparse term-count vectors, stored as
+the rows of one CSR matrix (see `Corpus`); links are unordered index
+pairs with no self-links.  File formats:
 
   docs file    one document per line: `M term:count [term:count ...]`
                where M is the number of entries on the line, ids 0-based
@@ -33,6 +34,10 @@ class CorpusFormatError(ValueError):
 class Corpus:
     """Immutable bag-of-words corpus with an undirected link set.
 
+    Documents are the rows of a D x V count matrix in CSR form: indptr,
+    terms (increasing within each document) and counts.  `rows(d)` slices
+    d's entries in them and in aligned arrays; `doc(d)` returns views.
+
     Construction validates all invariants: term ids within the
     vocabulary, link endpoints within range, no self-links, each
     document nonempty.  Its arrays are read-only, so instances are safe
@@ -43,8 +48,8 @@ class Corpus:
         self.vocab = list(vocab)
         if not docs:
             raise ValueError("corpus must contain at least one document")
-        self.doc_terms = []
-        self.doc_counts = []
+        indptr = [0]
+        entries = []
         num_terms = len(self.vocab)
         for d, doc in enumerate(docs):
             merged = {}
@@ -59,11 +64,12 @@ class Corpus:
                 merged[term] = merged.get(term, 0) + count
             if not merged:
                 raise ValueError(f"doc {d} has no tokens")
-            terms = np.array(sorted(merged), dtype=np.int64)
-            self.doc_terms.append(terms)
-            self.doc_counts.append(np.array([merged[t] for t in terms], dtype=np.int64))
+            entries.extend(sorted(merged.items()))
+            indptr.append(len(entries))
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.terms, self.counts = np.array(entries, dtype=np.int64).T.copy()
 
-        num_docs = len(self.doc_terms)
+        num_docs = self.num_docs
         pairs = set()
         for d1, d2 in links:
             d1, d2 = int(d1), int(d2)
@@ -74,19 +80,19 @@ class Corpus:
             pairs.add((min(d1, d2), max(d1, d2)))
         self.links = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
-        self.lengths = np.array([c.sum() for c in self.doc_counts], dtype=np.int64)
+        self.lengths = np.add.reduceat(self.counts, self.indptr[:-1])
         neighbors = [[] for _ in range(num_docs)]
         for d1, d2 in self.links:
             neighbors[d1].append(d2)
             neighbors[d2].append(d1)
         self.neighbors = [np.array(sorted(ns), dtype=np.int64) for ns in neighbors]
-        for array in (self.links, self.lengths, *self.doc_terms, *self.doc_counts,
+        for array in (self.indptr, self.terms, self.counts, self.links, self.lengths,
                       *self.neighbors):
             array.flags.writeable = False
 
     @property
     def num_docs(self):
-        return len(self.doc_terms)
+        return self.indptr.shape[0] - 1
 
     @property
     def num_terms(self):
@@ -96,9 +102,14 @@ class Corpus:
     def num_links(self):
         return self.links.shape[0]
 
+    def rows(self, d):
+        """Slice of document d's positions in terms, counts and phi."""
+        return slice(int(self.indptr[d]), int(self.indptr[d + 1]))
+
     def doc(self, d):
-        """(terms, counts) arrays for document d."""
-        return self.doc_terms[d], self.doc_counts[d]
+        """(terms, counts) views for document d."""
+        rows = self.rows(d)
+        return self.terms[rows], self.counts[rows]
 
     def link_set(self):
         return {(int(a), int(b)) for a, b in self.links}
@@ -205,7 +216,7 @@ def write_corpus(corpus, docs_path, vocab_path, links_path):
         for token in corpus.vocab:
             fh.write(token + "\n")
     with open(docs_path, "w", encoding="utf-8") as fh:
-        for terms, counts in zip(corpus.doc_terms, corpus.doc_counts):
+        for terms, counts in map(corpus.doc, range(corpus.num_docs)):
             entries = " ".join(f"{t}:{c}" for t, c in zip(terms, counts))
             fh.write(f"{len(terms)} {entries}\n")
     with open(links_path, "w", encoding="utf-8") as fh:
@@ -227,7 +238,7 @@ def subcorpus(corpus, doc_ids):
     """
     doc_ids = [int(d) for d in doc_ids]
     remap = {d: i for i, d in enumerate(doc_ids)}
-    docs = [list(zip(corpus.doc_terms[d], corpus.doc_counts[d])) for d in doc_ids]
+    docs = [list(zip(*corpus.doc(d))) for d in doc_ids]
     links = [(remap[a], remap[b]) for a, b in corpus.link_set()
              if a in remap and b in remap]
     return Corpus(corpus.vocab, docs, links)

@@ -97,11 +97,8 @@ def collect_stats(corpus, state, alpha):
 
 def update_beta(corpus, state, smoothing):
     """Smoothed topic update: beta_{k,w} proportional to s + expected counts."""
-    k = state.num_topics
-    beta = np.full((k, corpus.num_terms), float(smoothing))
-    for d in range(corpus.num_docs):
-        terms, counts = corpus.doc(d)
-        beta[:, terms] += (counts[:, None] * state.phi[d]).T
+    beta = np.full((state.num_topics, corpus.num_terms), float(smoothing))
+    np.add.at(beta.T, corpus.terms, corpus.counts[:, None] * state.phi)
     return beta / beta.sum(axis=1, keepdims=True)
 
 

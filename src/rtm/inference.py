@@ -2,7 +2,8 @@
 
 The variational family factorizes over per-document Dirichlet parameters
 gamma and per-term topic simplexes phi (tokens of the same term share
-one phi vector).  Coordinate ascent sweeps documents in index order;
+one phi vector), stored as one (nnz, K) array aligned with the
+corpus's CSR terms.  Coordinate ascent sweeps documents in index order;
 within a document, all phi rows are updated at once from the current
 state (one row-wise softmax over the document's terms) followed by
 gamma, repeating until the document stabilizes.  The objective is the
@@ -72,38 +73,48 @@ class VariationalState:
     """Variational parameters for one corpus.
 
     gamma       (D, K) positive Dirichlet parameters
-    phi         list of (T_d, K) simplex rows, aligned with corpus.doc_terms[d]
+    phi         (nnz, K) simplex rows aligned with corpus.terms
     phi_bar     (D, K) cached per-document means (1/N_d) sum_n phi_{d,n}
     var_bar     (D, K) cached Var(zbar_{d,i}) = (1/N_d^2) sum_n phi (1 - phi)
 
-    The caches are recomputed from a document's phi rows by
-    `refresh_doc_caches` after every write to them.
+    Both caches are filled at construction.  An E-step visit updates
+    phi_bar[d] in `set_doc_phi` and var_bar[d] once, when it ends.
     """
 
     def __init__(self, corpus, gamma, phi):
         self.corpus = corpus
         self.gamma = gamma
         self.phi = phi
-        self.phi_bar = np.empty((corpus.num_docs, gamma.shape[1]))
-        self.var_bar = np.empty_like(self.phi_bar)
-        for d in range(corpus.num_docs):
-            self.refresh_doc_caches(d)
+        starts = corpus.indptr[:-1]
+        n = corpus.lengths[:, None]
+        weighted = corpus.counts[:, None] * phi
+        self.phi_bar = np.add.reduceat(weighted, starts, axis=0) / n
+        self.var_bar = np.add.reduceat(weighted * (1.0 - phi), starts, axis=0) / n**2
 
     @property
     def num_topics(self):
         return self.gamma.shape[1]
 
-    def refresh_doc_caches(self, d):
-        counts = self.corpus.doc_counts[d].astype(np.float64)
-        n = counts.sum()
-        p = self.phi[d]
-        self.phi_bar[d] = counts @ p / n
-        self.var_bar[d] = counts @ (p * (1.0 - p)) / n**2
+    def set_doc_phi(self, d, phi_block):
+        """Write document d's phi rows and recompute phi_bar[d] from them."""
+        rows = self.corpus.rows(d)
+        self.phi[rows] = phi_block
+        counts = self.corpus.counts[rows].astype(np.float64)
+        self.phi_bar[d] = counts @ self.phi[rows] / self.corpus.lengths[d]
+
+    def doc_variance(self, d):
+        """Document d's var_bar, computed from its current phi rows."""
+        rows = self.corpus.rows(d)
+        p = self.phi[rows]
+        return (self.corpus.counts[rows].astype(np.float64) @ (p * (1.0 - p))
+                / self.corpus.lengths[d] ** 2)
 
     def set_phi(self, d, term_index, new_phi):
         """Replace one term's phi row and recompute the document caches."""
-        self.phi[d][term_index] = new_phi
-        self.refresh_doc_caches(d)
+        phi_block = self.phi[self.corpus.rows(d)].copy()
+        phi_block[term_index] = new_phi
+        self.set_doc_phi(d, phi_block)
+        self.var_bar[d] = self.doc_variance(d)
 
 
 def init_state(corpus, num_topics, alpha, seed, noise=0.01):
@@ -113,15 +124,11 @@ def init_state(corpus, num_topics, alpha, seed, noise=0.01):
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    d = corpus.num_docs
-    gamma = np.tile(alpha, (d, 1)) + corpus.lengths[:, None] / num_topics
-    phi = []
-    for terms in corpus.doc_terms:
-        p = np.full((terms.shape[0], num_topics), 1.0 / num_topics)
-        if noise:
-            p += noise * rng.random((terms.shape[0], num_topics)) / num_topics
-            p /= p.sum(axis=1, keepdims=True)
-        phi.append(p)
+    gamma = np.tile(alpha, (corpus.num_docs, 1)) + corpus.lengths[:, None] / num_topics
+    phi = np.full((corpus.terms.shape[0], num_topics), 1.0 / num_topics)
+    if noise:
+        phi += noise * rng.random(phi.shape) / num_topics
+        phi /= phi.sum(axis=1, keepdims=True)
     return VariationalState(corpus, gamma, phi)
 
 
@@ -160,9 +167,8 @@ def _phi_update(d, state, params, lb, elog_theta_d):
         nb_means = state.phi_bar[neighbors]
         if link.kind == "gaussian":
             # per row: the document mean without one token of that term
-            phi_minus = state.phi_bar[d] - state.phi[d] / n_d
-            total = nb_means.sum(axis=0) - neighbors.size * (phi_minus + 0.5 / n_d)
-            exponent = exponent + (2.0 / n_d) * link.eta * total
+            phi_minus = state.phi_bar[d] - state.phi[corpus.rows(d)] / n_d
+            exponent = exponent + linkfn.grad_phi_gaussian(link, nb_means, phi_minus, n_d)
         else:
             x = nb_means @ (link.eta * state.phi_bar[d]) + link.nu
             coeff = linkfn.gradient_coefficient(link, x)
@@ -191,13 +197,31 @@ class ElboBreakdown:
     total: float
 
 
-def _doc_word_and_entropy(corpus, state, d, log_beta):
-    """Document d's word term and the entropy of its phi rows."""
-    terms, counts = corpus.doc(d)
-    p = state.phi[d]
-    lb = log_beta[:, terms].T
-    word = float((counts * np.where(p > 0, p * lb, 0.0).sum(axis=1)).sum())
-    return word, -float((counts * xlogy(p, p).sum(axis=1)).sum())
+def _bound_parts(corpus, params, state, log_beta, docs):
+    """z|theta, word and theta-prior terms and the entropy, over docs.
+
+    docs is a slice [start, stop) of document indices: every document
+    for `elbo`, [d, d + 1) for the visit safeguard.
+    """
+    rows = slice(corpus.indptr[docs.start], corpus.indptr[docs.stop])
+    counts = corpus.counts[rows]
+    p = state.phi[rows]
+    lb = log_beta[:, corpus.terms[rows]].T
+    gamma = state.gamma[docs]
+    gamma_total = gamma.sum(axis=1)
+    elog_theta = psi(gamma) - psi(gamma_total)[:, None]
+
+    z_term = float((corpus.lengths[docs, None] * state.phi_bar[docs] * elog_theta).sum())
+    word_term = float((counts * np.where(p > 0, p * lb, 0.0).sum(axis=1)).sum())
+    alpha = params.alpha
+    theta_prior = float(
+        gamma.shape[0] * (gammaln(alpha.sum()) - gammaln(alpha).sum())
+        + ((alpha - 1.0) * elog_theta).sum())
+    dir_entropy = float(
+        (gammaln(gamma).sum(axis=1) - gammaln(gamma_total)).sum()
+        - ((gamma - 1.0) * elog_theta).sum())
+    mult_entropy = -float((counts * xlogy(p, p).sum(axis=1)).sum())
+    return z_term, word_term, theta_prior, dir_entropy + mult_entropy
 
 
 def elbo(corpus, params, state):
@@ -207,10 +231,6 @@ def elbo(corpus, params, state):
     links only.  The entropy enters with its standard positive sign so
     the total is a genuine lower bound.
     """
-    gamma = state.gamma
-    alpha = params.alpha
-    elog_theta = psi(gamma) - psi(gamma.sum(axis=1))[:, None]
-
     link_term = 0.0
     if params.link is not None and corpus.num_links:
         l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
@@ -219,26 +239,9 @@ def elbo(corpus, params, state):
             state.var_bar[l1], state.var_bar[l2])
         link_term = float(vals.sum())
 
-    z_term = float((corpus.lengths[:, None] * state.phi_bar * elog_theta).sum())
-
-    log_beta = _log_beta_matrix(params.beta)
-    word_term = 0.0
-    mult_entropy = 0.0
-    for d in range(corpus.num_docs):
-        word, entropy = _doc_word_and_entropy(corpus, state, d, log_beta)
-        word_term += word
-        mult_entropy += entropy
-
-    theta_prior = float(
-        corpus.num_docs * (gammaln(alpha.sum()) - gammaln(alpha).sum())
-        + ((alpha - 1.0) * elog_theta).sum())
-
-    gamma_total = gamma.sum(axis=1)
-    dir_entropy = float(
-        (gammaln(gamma).sum(axis=1) - gammaln(gamma_total)).sum()
-        - ((gamma - 1.0) * elog_theta).sum())
-    entropy_term = dir_entropy + mult_entropy
-
+    z_term, word_term, theta_prior, entropy_term = _bound_parts(
+        corpus, params, state, _log_beta_matrix(params.beta),
+        slice(0, corpus.num_docs))
     total = link_term + z_term + word_term + theta_prior + entropy_term
     return ElboBreakdown(link_term=link_term, z_given_theta_term=z_term,
                          word_term=word_term, theta_prior_term=theta_prior,
@@ -251,29 +254,15 @@ def _doc_objective(corpus, params, state, d, log_beta):
     This is the document's contribution to the global objective being
     ascended, with the neighbors' means held at their current values.
     """
-    gamma_d = state.gamma[d]
-    elog = psi(gamma_d) - psi(gamma_d.sum())
-    word, entropy = _doc_word_and_entropy(corpus, state, d, log_beta)
-    value = word
-    value += float(corpus.lengths[d] * (state.phi_bar[d] @ elog))
-    value += entropy
-    alpha = params.alpha
-    value += float((alpha - 1.0) @ elog)
-    value += float(gammaln(gamma_d).sum() - gammaln(gamma_d.sum())
-                   - (gamma_d - 1.0) @ elog)
+    value = sum(_bound_parts(corpus, params, state, log_beta, slice(d, d + 1)))
     link = params.link
     neighbors = corpus.neighbors[d]
     if link is not None and neighbors.size:
         vals = linkfn.expected_log_link_batch(
             link, state.phi_bar[d], state.phi_bar[neighbors],
-            state.var_bar[d], state.var_bar[neighbors], count=False)
+            state.doc_variance(d), state.var_bar[neighbors], count=False)
         value += float(vals.sum())
     return value
-
-
-def _set_doc_phi(state, d, phi_block):
-    state.phi[d][:, :] = phi_block
-    state.refresh_doc_caches(d)
 
 
 def _visit_doc(corpus, params, state, d, tol, log_beta, guard):
@@ -287,8 +276,9 @@ def _visit_doc(corpus, params, state, d, tol, log_beta, guard):
     visit ends, keeping the last accepted block, if no step of at least
     1e-4 is.  Damping does not move fixed points.
     """
+    rows = corpus.rows(d)
     n_d = float(corpus.lengths[d])
-    lb = _doc_log_beta(log_beta, corpus.doc_terms[d])
+    lb = _doc_log_beta(log_beta, corpus.terms[rows])
     if guard:
         current = _doc_objective(corpus, params, state, d, log_beta)
         slack = 1e-12 * (1.0 + abs(current))
@@ -298,26 +288,27 @@ def _visit_doc(corpus, params, state, d, tol, log_beta, guard):
         elog_theta_d = psi(old_gamma) - psi(old_gamma.sum())
         new_phi = _phi_update(d, state, params, lb, elog_theta_d)
         if not guard:
-            _set_doc_phi(state, d, new_phi)
+            state.set_doc_phi(d, new_phi)
             state.gamma[d] = update_gamma(d, state, params.alpha)
         else:
-            old_phi = state.phi[d].copy()
-            while True:
+            old_phi = state.phi[rows].copy()
+            while lam >= 1e-4:
                 mix = old_phi ** (1.0 - lam) * new_phi ** lam
-                _set_doc_phi(state, d, mix / mix.sum(axis=1, keepdims=True))
+                state.set_doc_phi(d, mix / mix.sum(axis=1, keepdims=True))
                 state.gamma[d] = update_gamma(d, state, params.alpha)
                 value = _doc_objective(corpus, params, state, d, log_beta)
                 if value >= current - slack:
                     break
                 lam *= 0.5
-                if lam < 1e-4:
-                    _set_doc_phi(state, d, old_phi)
-                    state.gamma[d] = old_gamma
-                    return
+            else:
+                state.set_doc_phi(d, old_phi)
+                state.gamma[d] = old_gamma
+                break
             current = value
         change = float(np.abs(state.gamma[d] - old_gamma).mean()) / n_d
         if change < tol:
             break
+    state.var_bar[d] = state.doc_variance(d)
 
 
 def _sweep(corpus, params, state, tol):

@@ -174,12 +174,14 @@ def gradient_coefficient(params, x):
 
 
 def grad_phi_gaussian(params, mean_dp, mean_d_minus_n, n_d):
-    """Gradient of the gaussian expected log link w.r.t. one token's phi.
+    """Gradient of the gaussian expected log links w.r.t. one token's phi.
 
-    mean_d_minus_n = phibar_d - phi_{d,n} / N_d is the document mean with
-    token n's contribution removed.  The gradient is
+    mean_dp holds the neighbors' means, one per row (a K-vector is one
+    neighbor).  mean_d_minus_n = phibar_d - phi_{d,n} / N_d is the
+    document mean without token n, or (T, K) such rows.  The summed
+    gradient is
 
-        (2 / N_d) * eta o (phibar_dp - mean_d_minus_n - 1 / (2 N_d))
+        sum_dp (2 / N_d) * eta o (phibar_dp - mean_d_minus_n - 1 / (2 N_d))
 
     which matches central finite differences of the exact expectation.
     """
@@ -187,6 +189,7 @@ def grad_phi_gaussian(params, mean_dp, mean_d_minus_n, n_d):
         raise ValueError("grad_phi_gaussian requires the gaussian kind")
     if n_d <= 0:
         raise ValueError("document must contain at least one token")
-    mean_dp = np.asarray(mean_dp, dtype=np.float64)
+    mean_dp = np.atleast_2d(np.asarray(mean_dp, dtype=np.float64))
     mean_d_minus_n = np.asarray(mean_d_minus_n, dtype=np.float64)
-    return (2.0 / n_d) * params.eta * (mean_dp - mean_d_minus_n - 0.5 / n_d)
+    total = mean_dp.sum(axis=0) - mean_dp.shape[0] * (mean_d_minus_n + 0.5 / n_d)
+    return (2.0 / n_d) * params.eta * total

@@ -114,8 +114,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         if link is not None:
             if link.kind == "gaussian":
                 # single pseudo-token: the leave-one-out mean is zero
-                g = 2.0 * link.eta * (neighbor_means.sum(axis=0)
-                                      - links.shape[0] * 0.5)
+                g = linkfn.grad_phi_gaussian(link, neighbor_means, np.zeros(k), 1)
             else:
                 x = neighbor_means @ (link.eta * phi) + link.nu
                 coeff = linkfn.gradient_coefficient(link, x)

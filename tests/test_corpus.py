@@ -1,7 +1,12 @@
 """Tests for corpus loading, folds, and the synthetic sampler."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtm import corpus as corpus_mod
 from rtm.corpus import (Corpus, CorpusFormatError, block_topics, drop_isolated_docs,
@@ -63,11 +68,11 @@ class TestLoader:
     def test_duplicate_terms_summed(self):
         c = Corpus(["a", "b"], [[(0, 1), (0, 2), (1, 1)]])
         assert c.lengths[0] == 4
-        np.testing.assert_array_equal(c.doc_counts[0], [3, 1])
+        np.testing.assert_array_equal(c.doc(0)[1], [3, 1])
 
     def test_arrays_are_read_only(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 2)], [(1, 1)]], links=[(0, 1)])
-        for array in (c.links, c.lengths, c.doc_terms[0], c.doc_counts[1],
+        for array in (c.links, c.lengths, c.indptr, c.terms, c.counts, *c.doc(1),
                       c.neighbors[0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 5
@@ -89,7 +94,7 @@ class TestLoader:
         docs, vocab, links = write_files(tmp_path, "1 2:1\n", "a\n\nb\n\n", "")
         c = load_corpus(docs, vocab, links)
         assert c.vocab == ["a", "", "b"]
-        np.testing.assert_array_equal(c.doc_terms[0], [2])
+        np.testing.assert_array_equal(c.doc(0)[0], [2])
 
     def test_links_optional(self, tmp_path):
         docs, vocab, _ = write_files(tmp_path, "1 0:1\n", "a\n", "")
@@ -105,9 +110,53 @@ class TestLoader:
         loaded = load_corpus(d1, v1, l1)
         assert loaded.vocab == original.vocab
         assert loaded.link_set() == original.link_set()
-        for d in range(original.num_docs):
-            np.testing.assert_array_equal(loaded.doc_terms[d], original.doc_terms[d])
-            np.testing.assert_array_equal(loaded.doc_counts[d], original.doc_counts[d])
+        for name in ("indptr", "terms", "counts"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(original, name))
+
+
+#: up to six documents of up to eight (term, count) entries over six terms,
+#: so that most documents repeat a term
+DOCS = st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)),
+                         min_size=1, max_size=8), min_size=1, max_size=6)
+VOCAB = [f"w{j}" for j in range(6)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(docs=DOCS)
+def test_csr_arrays_match_dict_merge(docs):
+    indptr, terms, counts = [0], [], []
+    for doc in docs:
+        merged = {}
+        for term, count in doc:
+            merged[term] = merged.get(term, 0) + count
+        terms.extend(sorted(merged))
+        counts.extend(merged[term] for term in sorted(merged))
+        indptr.append(len(terms))
+    c = Corpus(VOCAB, docs)
+    np.testing.assert_array_equal(c.indptr, indptr)
+    np.testing.assert_array_equal(c.terms, terms)
+    np.testing.assert_array_equal(c.counts, counts)
+    np.testing.assert_array_equal(c.lengths, [sum(n for _, n in doc) for doc in docs])
+    for d in range(len(docs)):
+        doc_terms, doc_counts = c.doc(d)
+        np.testing.assert_array_equal(doc_terms, terms[indptr[d]:indptr[d + 1]])
+        np.testing.assert_array_equal(doc_counts, counts[indptr[d]:indptr[d + 1]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data(), docs=DOCS)
+def test_write_load_round_trip_keeps_documents_and_links(data, docs):
+    ends = st.integers(0, len(docs) - 1)
+    links = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                               max_size=8)) if len(docs) > 1 else []
+    original = Corpus(VOCAB, docs, links)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("docs", "vocab", "links")]
+        write_corpus(original, *paths)
+        loaded = load_corpus(*paths)
+    assert loaded.vocab == original.vocab
+    for name in ("indptr", "terms", "counts", "links"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(original, name))
 
 
 class TestSubcorpus:
@@ -129,7 +178,7 @@ class TestSubcorpus:
         sub = subcorpus(c, [2, 0])
         assert sub.num_docs == 2
         assert sub.link_set() == {(0, 1)}
-        np.testing.assert_array_equal(sub.doc_counts[0], [3])
+        np.testing.assert_array_equal(sub.doc(0)[1], [3])
 
 
 class TestFolds:
@@ -169,7 +218,7 @@ class TestSynthetic:
         corpus, truth = generate_synthetic(
             3, 3, 20, 30, alpha=np.array([1e-6, 1e6, 1e-6]),
             eta=np.zeros(3), nu=-1.0, link_fn="exponential", seed=4, beta=beta)
-        for terms, counts in zip(corpus.doc_terms, corpus.doc_counts):
+        for terms, counts in map(corpus.doc, range(corpus.num_docs)):
             assert terms[np.argmax(counts)] == 1
 
     def test_sigmoid_saturation_gives_complete_graph(self):

@@ -1,10 +1,15 @@
 """Tests for the M-step updates and the EM driver."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from rtm import baselines, estimation, inference
+from rtm import baselines, estimation, inference, linkfn
 from rtm.corpus import Corpus, generate_synthetic
 from rtm.estimation import (FittedModel, RegularizationConfig, SufficientStats,
                             collect_stats, em_objective, fit, fit_link_exponential,
@@ -29,7 +34,7 @@ class TestUpdateBeta:
         hard = {0: np.array([1.0, 0.0]), 1: np.array([1.0, 0.0]),
                 2: np.array([0.0, 1.0])}
         for d in range(c.num_docs):
-            for i, t in enumerate(c.doc_terms[d]):
+            for i, t in enumerate(c.doc(d)[0]):
                 state.set_phi(d, i, hard[int(t)].copy())
         beta = update_beta(c, state, smoothing=1e-12)
         # topic 0 saw a:2 b:2, topic 1 saw c:3
@@ -280,6 +285,30 @@ class TestFit:
             assert np.all(beta > 0)
             if kind in ("exponential", "gaussian"):
                 model.params.link.check_admissible()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), kind=st.sampled_from(linkfn.KINDS), num_topics=st.integers(1, 4),
+       num_terms=st.integers(1, 6))
+def test_model_file_round_trip_keeps_parameters(data, kind, num_topics, num_terms):
+    size = num_topics * num_terms
+    beta = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=size, max_size=size)))
+    beta = beta.reshape(num_topics, num_terms)
+    beta /= beta.sum(axis=1, keepdims=True)
+    eta = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=num_topics,
+                             max_size=num_topics))
+    link = LinkParams(eta=eta, nu=data.draw(st.floats(-10.0, 10.0)), kind=kind)
+    model = FittedModel(params=ModelParams(beta=beta, alpha=np.full(num_topics, 0.1),
+                                           link=link),
+                        kind=kind, config={"smoothing": 0.01})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.kind == kind
+    np.testing.assert_array_equal(loaded.params.link.eta, link.eta)
+    assert loaded.params.link.nu == link.nu
+    np.testing.assert_allclose(loaded.params.beta, beta, rtol=1e-9, atol=0)
 
 
 class TestModelFile:

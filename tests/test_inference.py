@@ -24,7 +24,7 @@ def make_params(beta, alpha, link=None):
 
 def new_phi_row(d, term, state, params):
     """Row of term in the E-step's whole-document phi update of document d."""
-    terms = state.corpus.doc_terms[d]
+    terms = state.corpus.doc(d)[0]
     term_index = int(np.searchsorted(terms, term))
     assert terms[term_index] == term
     elog_theta_d = psi(state.gamma[d]) - psi(state.gamma[d].sum())
@@ -43,6 +43,7 @@ def sequential_visit(corpus, params, state, d, tol):
     link = params.link
     neighbors = corpus.neighbors[d]
     terms, counts = corpus.doc(d)
+    phi_d = state.phi[corpus.rows(d)]
     n_d = float(corpus.lengths[d])
     for _ in range(inference._DOC_MAX_ITERS):
         elog = psi(state.gamma[d]) - psi(state.gamma[d].sum())
@@ -51,7 +52,7 @@ def sequential_visit(corpus, params, state, d, tol):
             if link is not None and neighbors.size:
                 nb_means = state.phi_bar[neighbors]
                 if link.kind == "gaussian":
-                    minus = state.phi_bar[d] - state.phi[d][t] / n_d
+                    minus = state.phi_bar[d] - phi_d[t] / n_d
                     total = nb_means.sum(axis=0) - neighbors.size * (minus + 0.5 / n_d)
                     exponent = exponent + (2.0 / n_d) * link.eta * total
                 else:
@@ -60,14 +61,15 @@ def sequential_visit(corpus, params, state, d, tol):
                     exponent = exponent + (coeff @ nb_means) * link.eta / n_d
             row = np.exp(exponent - exponent.max())
             row /= row.sum()
-            state.phi_bar[d] += (counts[t] / n_d) * (row - state.phi[d][t])
-            state.phi[d][t] = row
+            state.phi_bar[d] += (counts[t] / n_d) * (row - phi_d[t])
+            phi_d[t] = row
         new_gamma = params.alpha + corpus.lengths[d] * state.phi_bar[d]
         change = float(np.abs(new_gamma - state.gamma[d]).mean()) / n_d
         state.gamma[d] = new_gamma
         if change < tol:
             break
-    state.refresh_doc_caches(d)
+    state.set_doc_phi(d, phi_d.copy())
+    state.var_bar[d] = state.doc_variance(d)
 
 
 def two_doc_corpus():
@@ -83,21 +85,21 @@ class TestInitState:
     def test_zero_noise_uniform(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 3)]])
         state = init_state(c, 4, np.full(4, 0.25), seed=0, noise=0.0)
-        np.testing.assert_array_equal(state.phi[0], np.full((2, 4), 0.25))
+        np.testing.assert_array_equal(state.phi[c.rows(0)], np.full((2, 4), 0.25))
 
     def test_deterministic(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 3)], [(1, 2)]])
         s1 = init_state(c, 3, np.full(3, 1 / 3), seed=5)
         s2 = init_state(c, 3, np.full(3, 1 / 3), seed=5)
-        for d in range(2):
-            np.testing.assert_array_equal(s1.phi[d], s2.phi[d])
+        np.testing.assert_array_equal(s1.phi, s2.phi)
 
     def test_caches_consistent(self):
-        c = Corpus(["a", "b"], [[(0, 2), (1, 1)]])
+        c = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(2, 4)], [(0, 1), (1, 3), (2, 1)]])
         state = init_state(c, 3, np.full(3, 1 / 3), seed=1)
-        counts = c.doc_counts[0]
-        np.testing.assert_allclose(state.phi_bar[0],
-                                   counts @ state.phi[0] / counts.sum())
+        for d in range(c.num_docs):
+            mean, var = doc_moments(state, c, d)
+            np.testing.assert_allclose(state.phi_bar[d], mean, rtol=1e-12)
+            np.testing.assert_allclose(state.var_bar[d], var, rtol=1e-12)
 
 
 class TestUpdatePhi:
@@ -181,7 +183,8 @@ class TestWholeDocumentVisit:
         for d in range(corpus.num_docs):
             inference._visit_doc(corpus, params, whole, d, 1e-6, log_beta, guard=False)
             sequential_visit(corpus, params, reference, d, 1e-6)
-            np.testing.assert_allclose(whole.phi[d], reference.phi[d], rtol=0, atol=1e-12)
+            rows = corpus.rows(d)
+            np.testing.assert_allclose(whole.phi[rows], reference.phi[rows], rtol=0, atol=1e-12)
             np.testing.assert_allclose(whole.gamma[d], reference.gamma[d], rtol=0, atol=1e-12)
             np.testing.assert_allclose(whole.phi_bar[d], reference.phi_bar[d],
                                        rtol=0, atol=1e-12)
@@ -209,6 +212,30 @@ class TestWholeDocumentVisit:
                 break
             previous = value
         assert abs(trace[-1] - value) <= 1e-6 * abs(value)
+
+    def test_rejected_visit_restores_its_rows_and_writes_var_bar(self, monkeypatch):
+        # a step that puts every row on one topic lowers the block objective
+        # at every damping, so the visit must keep the rows it started from;
+        # var_bar[d] is written on that exit path too
+        corpus, _ = generate_synthetic(3, 30, 20, 20, np.full(3, 0.3), np.full(3, 2.0),
+                                       0.5, "gaussian", seed=5)
+        beta = np.random.default_rng(2).dirichlet(np.ones(30), size=3)
+        link = LinkParams(eta=np.full(3, 2.0), nu=0.0, kind="gaussian")
+        params = make_params(beta, np.full(3, 0.3), link)
+        state = init_state(corpus, 3, params.alpha, seed=1)
+        run_e_step(corpus, params, state, tol=1e-10, max_sweeps=100)
+        d = int(np.argmax([ns.size for ns in corpus.neighbors]))
+        rows = corpus.rows(d)
+        start = state.phi[rows].copy(), state.gamma[d].copy(), state.phi_bar[d].copy()
+        worst = np.eye(3)[np.argmin(state.phi_bar[d])]
+        monkeypatch.setattr(inference, "_phi_update",
+                            lambda *args: np.tile(worst, (rows.stop - rows.start, 1)))
+        state.var_bar[d] = np.nan
+        inference._visit_doc(corpus, params, state, d, 1e-6,
+                             inference._log_beta_matrix(beta), guard=True)
+        for got, expected in zip((state.phi[rows], state.gamma[d], state.phi_bar[d]), start):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(state.var_bar[d], doc_moments(state, corpus, d)[1])
 
 
 class TestUpdateGamma:
@@ -265,9 +292,9 @@ def oracle_tiny_elbo(alpha, beta, link, gamma, phi_docs, words, links):
 
 def doc_moments(state, corpus, d):
     """Mean assignment vector of document d and the variance of each component."""
-    counts = corpus.doc_counts[d].astype(float)
+    counts = corpus.doc(d)[1].astype(float)
     n = counts.sum()
-    p = state.phi[d]
+    p = state.phi[corpus.rows(d)]
     return counts @ p / n, counts @ (p * (1.0 - p)) / n**2
 
 
@@ -315,7 +342,7 @@ class TestElbo:
                          + (alpha - 1) @ elog)
             terms, counts = c.doc(d)
             for t, cnt in zip(terms, counts):
-                phi = state.phi[d][np.searchsorted(terms, t)]
+                phi = state.phi[c.rows(d)][np.searchsorted(terms, t)]
                 expected += cnt * (phi @ elog + phi @ np.log(beta[:, t])
                                    - phi @ np.log(phi))
             expected += (gammaln(g).sum() - gammaln(g.sum())
@@ -335,7 +362,7 @@ class TestElbo:
 
         analytic = elbo(corpus, params, state).total
         oracle = oracle_tiny_elbo(alpha, beta, link, state.gamma,
-                                  [state.phi[0][0], state.phi[1][0]],
+                                  [state.phi[corpus.rows(0)][0], state.phi[corpus.rows(1)][0]],
                                   words=[0, 1], links=[(0, 1)])
         assert abs(analytic - oracle) < 1e-6
 
@@ -409,7 +436,7 @@ class TestEStep:
         state = init_state(c, 1, np.array([1.0]), seed=0)
         state, trace = run_e_step(c, params, state, tol=1e-8)
         assert len(trace) == 2
-        np.testing.assert_allclose(state.phi[0], 1.0)
+        np.testing.assert_allclose(state.phi[c.rows(0)], 1.0)
         np.testing.assert_allclose(state.gamma[0], [1.0 + 3.0])
 
     def test_non_finite_bound_raises(self):
@@ -558,7 +585,8 @@ def test_collapsed_matches_uncollapsed_fixed_point(kind):
         [[0, 0, 1], [2, 2]], [(0, 1)], beta, alpha, link)
     # tokens of the same term agree with each other and with the shared row
     np.testing.assert_allclose(phis[0][0], phis[0][1], atol=1e-9)
-    np.testing.assert_allclose(phis[0][0], state.phi[0][0], atol=1e-7)
-    np.testing.assert_allclose(phis[0][2], state.phi[0][1], atol=1e-7)
+    doc0 = state.phi[corpus.rows(0)]
+    np.testing.assert_allclose(phis[0][0], doc0[0], atol=1e-7)
+    np.testing.assert_allclose(phis[0][2], doc0[1], atol=1e-7)
     np.testing.assert_allclose(gammas[0], state.gamma[0], atol=1e-7)
     np.testing.assert_allclose(gammas[1], state.gamma[1], atol=1e-7)

@@ -295,22 +295,26 @@ class TestGradients:
         rng = np.random.default_rng(29)
         k = 3
         h = 1e-6
-        for _ in range(20):
+        for trial in range(40):
             n_d = int(rng.integers(1, 6))
-            n_dp = int(rng.integers(1, 6))
             phi_d = random_simplex_rows(rng, n_d, k)
-            phi_dp = random_simplex_rows(rng, n_dp, k)
+            # even trials: one neighbor, given as a K-vector; odd: 2-4 as rows
+            num_neighbors = 1 if trial % 2 == 0 else int(rng.integers(2, 5))
+            phi_dps = [random_simplex_rows(rng, int(rng.integers(1, 6)), k)
+                       for _ in range(num_neighbors)]
+            means = np.array([phi_dp.mean(axis=0) for phi_dp in phi_dps])
             eta = rng.exponential(1.0, size=k)
             params = LinkParams(eta=eta, nu=rng.exponential(0.5), kind="gaussian")
             token = int(rng.integers(n_d))
             mean_minus = phi_d.mean(axis=0) - phi_d[token] / n_d
-            grad = linkfn.grad_phi_gaussian(params, phi_dp.mean(axis=0),
+            grad = linkfn.grad_phi_gaussian(params, means[0] if num_neighbors == 1 else means,
                                             mean_minus, n_d)
 
             def value(phi_token):
                 p = phi_d.copy()
                 p[token] = phi_token
-                return pair_value(params, p, np.ones(n_d), phi_dp, np.ones(n_dp))
+                return sum(pair_value(params, p, np.ones(n_d), phi_dp, np.ones(len(phi_dp)))
+                           for phi_dp in phi_dps)
 
             for i in range(k):
                 up, dn = phi_d[token].copy(), phi_d[token].copy()

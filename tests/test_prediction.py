@@ -320,8 +320,7 @@ class TestEvaluateFold:
             if a != b:
                 fake.add((min(a, b), max(a, b)))
         shuffled = Corpus(corpus.vocab,
-                          [list(zip(t, c)) for t, c in
-                           zip(corpus.doc_terms, corpus.doc_counts)],
+                          [list(zip(*corpus.doc(d))) for d in range(corpus.num_docs)],
                           links=sorted(fake))
         plan = split_folds(corpus, 3, seed=11)
         ranks = {}

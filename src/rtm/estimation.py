@@ -106,7 +106,8 @@ def link_regularizer(link, rho, lam, pi_alpha):
     """Additive regularization term of the link M-step objective.
 
     For the exponential kind this is the linearized non-link penalty,
-    which is -inf at the admissibility boundary nu = 0.  The gaussian
+    which is -inf on the admissibility boundary (nu = 0 or some
+    eta_i + nu = 0) and beyond it, unless rho = 0.  The gaussian
     kind has no additive penalty (rho enters through its intercept
     update), so 0 is returned.
     """
@@ -119,11 +120,10 @@ def link_regularizer(link, rho, lam, pi_alpha):
     if link.kind == "probit":
         return penalty + rho * float(log_ndtr(-x_alpha))
     # exponential: exact-at-the-extremes linear surrogate of log(1 - psi)
-    with np.errstate(divide="ignore"):
-        nu_lin = np.log1p(-np.exp(link.nu)) if link.nu < 0 else -np.inf
-        eta_lin = np.where(link.eta + link.nu < 0,
-                           np.log1p(-np.exp(link.eta + link.nu)) - nu_lin,
-                           -np.inf)
+    if link.nu >= 0 or np.any(link.eta + link.nu >= 0):
+        return penalty - np.inf if rho > 0 else penalty
+    nu_lin = np.log1p(-np.exp(link.nu))
+    eta_lin = np.log1p(-np.exp(link.eta + link.nu)) - nu_lin
     return penalty + rho * float(pi_alpha @ eta_lin + nu_lin)
 
 
@@ -355,7 +355,6 @@ def save_model(model, path):
     else:
         nu = 0.0
         eta = np.zeros(k)
-    log_beta = inference._log_beta_matrix(params.beta)
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
                                dir=os.path.dirname(os.path.abspath(path)))
     try:
@@ -364,7 +363,7 @@ def save_model(model, path):
             fh.write(f"{k} {v} {model.kind} {alpha_total:.17g} {smoothing:.17g}\n")
             fh.write(f"{nu:.17g}\n")
             fh.write(" ".join(f"{x:.17g}" for x in eta) + "\n")
-            for row in log_beta:
+            for row in params.log_beta:
                 fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
             fh.flush()
             os.fsync(fh.fileno())

@@ -173,13 +173,14 @@ def gradient_coefficient(params, x):
     raise ValueError("gradient_coefficient is undefined for the gaussian kind")
 
 
-def grad_phi_gaussian(params, mean_dp, mean_d_minus_n, n_d):
+def grad_phi_gaussian(params, neighbor_sum, num_neighbors, mean_d_minus_n, n_d):
     """Gradient of the gaussian expected log links w.r.t. one token's phi.
 
-    mean_dp holds the neighbors' means, one per row (a K-vector is one
-    neighbor).  mean_d_minus_n = phibar_d - phi_{d,n} / N_d is the
-    document mean without token n, or (T, K) such rows.  The summed
-    gradient is
+    neighbor_sum is the sum of the document's neighbors' means and
+    num_neighbors their number.  mean_d_minus_n = phibar_d - phi_{d,n} / N_d
+    is the document mean without token n.  The arguments broadcast
+    against each other, so (T, K) rows of them give T gradients.  The
+    summed gradient is
 
         sum_dp (2 / N_d) * eta o (phibar_dp - mean_d_minus_n - 1 / (2 N_d))
 
@@ -187,9 +188,8 @@ def grad_phi_gaussian(params, mean_dp, mean_d_minus_n, n_d):
     """
     if params.kind != "gaussian":
         raise ValueError("grad_phi_gaussian requires the gaussian kind")
-    if n_d <= 0:
+    if np.any(np.asarray(n_d) <= 0):
         raise ValueError("document must contain at least one token")
-    mean_dp = np.atleast_2d(np.asarray(mean_dp, dtype=np.float64))
     mean_d_minus_n = np.asarray(mean_d_minus_n, dtype=np.float64)
-    total = mean_dp.sum(axis=0) - mean_dp.shape[0] * (mean_d_minus_n + 0.5 / n_d)
+    total = neighbor_sum - num_neighbors * (mean_d_minus_n + 0.5 / n_d)
     return (2.0 / n_d) * params.eta * total

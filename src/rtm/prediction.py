@@ -74,7 +74,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
             raise ValueError("word counts must be >= 1")
         _check_ids("term", terms, model.params.num_terms)
         n = counts.sum()
-        log_beta = inference._log_beta_matrix(model.params.beta)[:, terms].T
+        log_beta = model.params.log_beta[:, terms].T
         gamma = alpha + n / k
         phi = np.full((terms.shape[0], k), 1.0 / k)
         for _ in range(_MAX_ITERS):
@@ -114,7 +114,8 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         if link is not None:
             if link.kind == "gaussian":
                 # single pseudo-token: the leave-one-out mean is zero
-                g = linkfn.grad_phi_gaussian(link, neighbor_means, np.zeros(k), 1)
+                g = linkfn.grad_phi_gaussian(link, neighbor_means.sum(axis=0),
+                                             neighbor_means.shape[0], np.zeros(k), 1)
             else:
                 x = neighbor_means @ (link.eta * phi) + link.nu
                 coeff = linkfn.gradient_coefficient(link, x)

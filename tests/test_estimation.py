@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,26 @@ class TestFit:
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(values[:-1])))
 
+    def test_em_objective_at_boundary_is_minus_inf_without_warnings(self):
+        # the exponential fit starts at eta = 0, nu = 0, on the boundary
+        # where the linearized non-link penalty is -inf
+        corpus, _ = generate_synthetic(2, 8, 10, 10, np.array([0.5, 0.5]),
+                                       np.array([-1.0, -1.0]), -0.5, "exponential", seed=3)
+        reg = RegularizationConfig().resolved(corpus.num_links)
+        alpha = np.full(2, 0.5)
+        link = LinkParams(eta=np.zeros(2), nu=0.0, kind="exponential")
+        params = ModelParams(beta=np.full((2, 8), 1 / 8), alpha=alpha, link=link)
+        state = init_state(corpus, 2, alpha, seed=0)
+        pi_alpha = estimation.prior_pair_covariate(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert link_regularizer(link, reg.rho, 0.0, pi_alpha) == -np.inf
+            boundary = LinkParams(eta=np.array([0.5, -1.0]), nu=-0.5, kind="exponential")
+            assert link_regularizer(boundary, reg.rho, 0.0, pi_alpha) == -np.inf
+            # without pseudo non-links the penalty has no weight
+            assert link_regularizer(link, 0.0, 0.0, pi_alpha) == 0.0
+            assert em_objective(corpus, params, state, reg) == -np.inf
+
     def test_recovers_one_hot_topics(self):
         beta_true = np.eye(2)
         corpus, truth = generate_synthetic(
@@ -285,6 +306,35 @@ class TestFit:
             assert np.all(beta > 0)
             if kind in ("exponential", "gaussian"):
                 model.params.link.check_admissible()
+
+
+@pytest.mark.parametrize("kind", ["exponential", "sigmoid", "probit", None])
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(num_topics=st.integers(2, 4), num_docs=st.integers(4, 16), seed=st.integers(0, 2**16))
+def test_em_objective_nondecreasing_across_em_iterations(kind, num_topics, num_docs, seed):
+    # the E-step and both M-step updates ascend em_objective; gaussian is
+    # left out because its moment-matching link update is not an ascent
+    # step (see CHANGES.md)
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    corpus, _ = generate_synthetic(num_topics, 10, num_docs, 12, alpha,
+                                   np.full(num_topics, 2.0), -2.0, "exponential", seed=seed)
+    reg = RegularizationConfig().resolved(corpus.num_links)
+    beta = 1.0 + np.random.default_rng(seed).random((num_topics, 10))
+    beta /= beta.sum(axis=1, keepdims=True)
+    link = None if kind is None else LinkParams(eta=np.zeros(num_topics), nu=0.0, kind=kind)
+    params = ModelParams(beta=beta, alpha=alpha, link=link)
+    state = init_state(corpus, num_topics, alpha, seed=seed)
+    values = []
+    for _ in range(5):
+        state, _ = run_e_step(corpus, params, state, tol=1e-8)
+        beta = update_beta(corpus, state, reg.smoothing)
+        if kind is not None:
+            link = estimation._fit_link(kind, corpus, state, alpha, reg, link)
+        params = ModelParams(beta=beta, alpha=alpha, link=link)
+        values.append(em_objective(corpus, params, state, reg))
+    assert np.all(np.isfinite(values))
+    diffs = np.diff(values)
+    assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(values[:-1])))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -1,5 +1,7 @@
 """Tests for variational state, coordinate updates, and the bound."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,20 @@ def make_params(beta, alpha, link=None):
                        alpha=np.asarray(alpha, dtype=float), link=link)
 
 
+def one_doc_block(state, params, d):
+    """Document d alone as a loaded level block of the E-step."""
+    block = inference._corpus_block(state.corpus, params)
+    return inference._load(params, state, block.take(block.docs == d))
+
+
 def new_phi_row(d, term, state, params):
     """Row of term in the E-step's whole-document phi update of document d."""
     terms = state.corpus.doc(d)[0]
     term_index = int(np.searchsorted(terms, term))
     assert terms[term_index] == term
-    elog_theta_d = psi(state.gamma[d]) - psi(state.gamma[d].sum())
-    lb = inference._doc_log_beta(inference._log_beta_matrix(params.beta), terms)
-    return inference._phi_update(d, state, params, lb, elog_theta_d)[term_index]
+    block = one_doc_block(state, params, d)
+    elog_theta = psi(block.gamma) - psi(block.gamma.sum(axis=1))[:, None]
+    return inference._phi_update(params, block, elog_theta)[term_index]
 
 
 def sequential_visit(corpus, params, state, d, tol):
@@ -39,7 +47,7 @@ def sequential_visit(corpus, params, state, d, tol):
     one term's row at a time, the document mean updated by the row's
     increment before the next term reads it, then gamma.
     """
-    log_beta = inference._log_beta_matrix(params.beta)
+    log_beta = params.log_beta
     link = params.link
     neighbors = corpus.neighbors[d]
     terms, counts = corpus.doc(d)
@@ -68,12 +76,25 @@ def sequential_visit(corpus, params, state, d, tol):
         state.gamma[d] = new_gamma
         if change < tol:
             break
-    state.set_doc_phi(d, phi_d.copy())
-    state.var_bar[d] = state.doc_variance(d)
+    state.phi_bar[d], state.var_bar[d] = doc_moments(state, corpus, d)
 
 
 def two_doc_corpus():
     return Corpus(["a", "b"], [[(0, 1)], [(1, 1)]], links=[(0, 1)])
+
+
+class TestModelParams:
+    def test_log_beta_comes_from_its_own_read_only_copy(self):
+        beta = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        params = make_params(beta, [1.0, 1.0])
+        beta[0] = [1.0, 0.0, 0.0]
+        assert beta.flags.writeable
+        np.testing.assert_array_equal(params.beta[0], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(params.log_beta[0], [np.log(0.5), np.log(0.5), -np.inf])
+        np.testing.assert_array_equal(params.log_beta[1], np.log([0.2, 0.3, 0.5]))
+        for array in (params.beta, params.log_beta):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.1
 
 
 class TestInitState:
@@ -170,19 +191,20 @@ class TestUpdatePhi:
 class TestWholeDocumentVisit:
     def test_exponential_visit_matches_sequential_reference(self):
         # the exponential link gradient does not read the document's own
-        # phi, so updating every row at once is the per-term iteration
+        # phi, so updating every row at once, and every document of a
+        # level at once, is the per-term iteration in index order
         corpus, _ = generate_synthetic(3, 30, 25, 30, np.full(3, 0.3),
                                        np.full(3, -2.0), -1.0, "exponential", seed=17)
         assert corpus.num_links > 0
         beta = np.random.default_rng(4).dirichlet(np.ones(30), size=3)
         link = LinkParams(eta=np.array([-1.5, -2.5, -3.0]), nu=-0.5, kind="exponential")
         params = make_params(beta, np.full(3, 0.3), link)
-        log_beta = inference._log_beta_matrix(beta)
         whole = init_state(corpus, 3, params.alpha, seed=8)
         reference = init_state(corpus, 3, params.alpha, seed=8)
+        inference._sweep(params, whole, inference._level_blocks(corpus, params), 1e-6)
         for d in range(corpus.num_docs):
-            inference._visit_doc(corpus, params, whole, d, 1e-6, log_beta, guard=False)
             sequential_visit(corpus, params, reference, d, 1e-6)
+        for d in range(corpus.num_docs):
             rows = corpus.rows(d)
             np.testing.assert_allclose(whole.phi[rows], reference.phi[rows], rtol=0, atol=1e-12)
             np.testing.assert_allclose(whole.gamma[d], reference.gamma[d], rtol=0, atol=1e-12)
@@ -231,8 +253,7 @@ class TestWholeDocumentVisit:
         monkeypatch.setattr(inference, "_phi_update",
                             lambda *args: np.tile(worst, (rows.stop - rows.start, 1)))
         state.var_bar[d] = np.nan
-        inference._visit_doc(corpus, params, state, d, 1e-6,
-                             inference._log_beta_matrix(beta), guard=True)
+        inference._visit_level(params, state, one_doc_block(state, params, d), 1e-6)
         for got, expected in zip((state.phi[rows], state.gamma[d], state.phi_bar[d]), start):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(state.var_bar[d], doc_moments(state, corpus, d)[1])
@@ -291,11 +312,16 @@ def oracle_tiny_elbo(alpha, beta, link, gamma, phi_docs, words, links):
 
 
 def doc_moments(state, corpus, d):
-    """Mean assignment vector of document d and the variance of each component."""
-    counts = corpus.doc(d)[1].astype(float)
+    """Mean assignment vector of document d and the variance of each component.
+
+    Sums over the document's rows with np.add.reduceat, in the E-step's
+    summation order, so a state the E-step wrote matches exactly.
+    """
+    counts = corpus.doc(d)[1].astype(float)[:, None]
     n = counts.sum()
     p = state.phi[corpus.rows(d)]
-    return counts @ p / n, counts @ (p * (1.0 - p)) / n**2
+    return (np.add.reduceat(counts * p, [0])[0] / n,
+            np.add.reduceat(counts * (p * (1.0 - p)), [0])[0] / n**2)
 
 
 def literal_log_link(link, mean_a, var_a, mean_b, var_b):
@@ -462,6 +488,30 @@ class TestEStep:
         # the initial value plus exactly one per sweep
         assert linkfn.pair_evals.count == len(trace) * corpus.num_links
 
+    def test_sweep_cap_is_logged_once(self, caplog):
+        corpus, _ = generate_synthetic(2, 8, 20, 12, np.array([0.5, 0.5]),
+                                       np.array([-0.6, -0.6]), -0.8, "exponential", seed=11)
+        link = LinkParams(eta=np.array([-0.6, -0.6]), nu=-0.8, kind="exponential")
+        params = make_params(np.full((2, 8), 1 / 8), [0.5, 0.5], link)
+        state = init_state(corpus, 2, params.alpha, seed=4)
+        with caplog.at_level(logging.WARNING, logger="rtm.inference"):
+            _, trace = run_e_step(corpus, params, state, tol=1e-14, max_sweeps=2)
+        assert len(trace) == 3
+        records = [r for r in caplog.records if r.name == "rtm.inference"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert "max_sweeps=2" in records[0].getMessage()
+
+    def test_converged_e_step_logs_nothing(self, caplog):
+        corpus = two_doc_corpus()
+        link = LinkParams(eta=np.array([-0.2, -0.2]), nu=-0.2, kind="exponential")
+        params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5], link)
+        state = init_state(corpus, 2, params.alpha, seed=0)
+        with caplog.at_level(logging.WARNING, logger="rtm.inference"):
+            _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=100)
+        assert len(trace) < 101
+        assert not [r for r in caplog.records if r.name == "rtm.inference"]
+
     def test_invalid_tol_rejected(self):
         corpus = two_doc_corpus()
         params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
@@ -510,6 +560,129 @@ def test_e_step_trace_nondecreasing_for_every_kind(kind, data, num_topics, doc_l
     _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=10)
     diffs = np.diff(trace)
     assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def reference_visit(corpus, params, state, d, tol):
+    """Document d's visit in the per-document sweep that the wavefront replaced.
+
+    Each iteration computes the whole-document update from the live
+    state, then gamma.  A safeguarded document (a linked one, for every
+    kind but exponential) damps the step geometrically, halving lam
+    until its block objective is no lower, and keeps the rows it started
+    from if no lam >= 1e-4 is; lam stays small for the rest of the visit.
+    """
+    rows = corpus.rows(d)
+    terms, counts = corpus.doc(d)
+    counts = counts.astype(float)
+    n_d = float(corpus.lengths[d])
+    lb = params.log_beta[:, terms].T
+    link = params.link
+    neighbors = corpus.neighbors[d] if link is not None else corpus.neighbors[d][:0]
+
+    def write(phi_d, gamma_d):
+        state.phi[rows] = phi_d
+        state.phi_bar[d] = np.add.reduceat(counts[:, None] * phi_d, [0])[0] / n_d
+        state.gamma[d] = gamma_d
+
+    def phi_update():
+        exponent = psi(state.gamma[d]) - psi(state.gamma[d].sum()) + lb
+        if neighbors.size:
+            nb_means = state.phi_bar[neighbors]
+            if link.kind == "gaussian":
+                minus = state.phi_bar[d] - state.phi[rows] / n_d
+                exponent = exponent + linkfn.grad_phi_gaussian(
+                    link, nb_means.sum(axis=0), neighbors.size, minus, n_d)
+            else:
+                x = nb_means @ (link.eta * state.phi_bar[d]) + link.nu
+                coeff = linkfn.gradient_coefficient(link, x)
+                exponent = exponent + (coeff @ nb_means) * link.eta / n_d
+        out = np.exp(exponent - exponent.max(axis=1, keepdims=True))
+        return out / out.sum(axis=1, keepdims=True)
+
+    def objective():
+        parts = inference._bound_parts(params.alpha, counts, lb, [0], np.array([n_d]),
+                                       state.phi[rows], state.gamma[d:d + 1],
+                                       state.phi_bar[d:d + 1])
+        value = float(sum(parts)[0])
+        if neighbors.size:
+            value += float(linkfn.expected_log_link_batch(
+                link, state.phi_bar[d], state.phi_bar[neighbors],
+                doc_moments(state, corpus, d)[1], state.var_bar[neighbors],
+                count=False).sum())
+        return value
+
+    guard = neighbors.size > 0 and link.kind != "exponential"
+    if guard:
+        current = objective()
+        slack = 1e-12 * (1.0 + abs(current))
+    lam = 1.0
+    for _ in range(inference._DOC_MAX_ITERS):
+        old_phi, old_gamma = state.phi[rows].copy(), state.gamma[d].copy()
+        new_phi = phi_update()
+        if not guard:
+            write(new_phi, old_gamma)
+            state.gamma[d] = params.alpha + n_d * state.phi_bar[d]
+        else:
+            while lam >= 1e-4:
+                mix = old_phi ** (1.0 - lam) * new_phi ** lam
+                write(mix / mix.sum(axis=1, keepdims=True), old_gamma)
+                state.gamma[d] = params.alpha + n_d * state.phi_bar[d]
+                value = objective()
+                if value >= current - slack:
+                    break
+                lam *= 0.5
+            else:
+                write(old_phi, old_gamma)
+                break
+            current = value
+        if float(np.abs(state.gamma[d] - old_gamma).mean()) / n_d < tol:
+            break
+    state.phi_bar[d], state.var_bar[d] = doc_moments(state, corpus, d)
+
+
+@st.composite
+def mixed_level_corpora(draw, num_terms=6):
+    """Small linked corpora with an isolated document, so level 0 mixes both."""
+    num_docs = draw(st.integers(3, 10))
+    entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 3))
+    docs = [draw(st.lists(entry, min_size=1, max_size=4)) for _ in range(num_docs)]
+    isolated = draw(st.integers(1, num_docs - 1))
+    others = [d for d in range(num_docs) if d != isolated]
+    pairs = [(a, b) for i, a in enumerate(others) for b in others[i + 1:]]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) + [(0, others[1])]
+    return Corpus([f"w{i}" for i in range(num_terms)], docs, links)
+
+
+@pytest.mark.parametrize("kind", linkfn.KINDS)
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       seed=st.integers(0, 2**16))
+def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topics, seed):
+    level = inference._levels(corpus)
+    # every link joins a lower level to a higher one, so no level holds
+    # both ends of a link; each document sits just above its highest
+    # lower-indexed neighbor
+    for a, b in corpus.links:
+        assert level[a] < level[b]
+    for d, ns in enumerate(corpus.neighbors):
+        lower = ns[ns < d]
+        assert level[d] == (level[lower].max() + 1 if lower.size else 0)
+    assert level[0] == 0 and corpus.neighbors[0].size
+    assert np.all(level[corpus.isolated_docs()] == 0)
+
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
+    params = make_params(beta, alpha, data.draw(link_params(kind, num_topics)))
+    wavefront = init_state(corpus, num_topics, alpha, seed=seed)
+    reference = init_state(corpus, num_topics, alpha, seed=seed)
+    levels = inference._level_blocks(corpus, params)
+    for _ in range(2):
+        inference._sweep(params, wavefront, levels, 1e-6)
+        for d in range(corpus.num_docs):
+            reference_visit(corpus, params, reference, d, 1e-6)
+    for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        np.testing.assert_allclose(getattr(wavefront, name), getattr(reference, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
 
 
 def literal_gradient_coefficient(kind, x):

@@ -268,14 +268,14 @@ class TestGradients:
 
     def test_grad_phi_gaussian_zero_eta(self):
         params = LinkParams(eta=np.zeros(3), nu=0.0, kind="gaussian")
-        grad = linkfn.grad_phi_gaussian(params, np.ones(3) / 3, np.zeros(3), 5)
+        grad = linkfn.grad_phi_gaussian(params, np.ones(3) / 3, 1, np.zeros(3), 5)
         np.testing.assert_allclose(grad, np.zeros(3))
 
     def test_grad_phi_gaussian_single_token(self):
         # N_d = 1, leave-one-out mean 0, neighbor mean (1, 0):
         # 2 * (1 - 0 - 1/2, 0 - 0 - 1/2) = (1, -1)
         params = LinkParams(eta=np.array([1.0, 1.0]), nu=0.0, kind="gaussian")
-        grad = linkfn.grad_phi_gaussian(params, np.array([1.0, 0.0]),
+        grad = linkfn.grad_phi_gaussian(params, np.array([1.0, 0.0]), 1,
                                         np.zeros(2), 1)
         np.testing.assert_allclose(grad, [1.0, -1.0])
 
@@ -284,10 +284,10 @@ class TestGradients:
         eta = rng.exponential(1.0, size=3)
         one = linkfn.grad_phi_gaussian(
             LinkParams(eta=eta, nu=0.0, kind="gaussian"),
-            np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.1, 0.1]), 4)
+            np.array([0.2, 0.3, 0.5]), 1, np.array([0.1, 0.1, 0.1]), 4)
         two = linkfn.grad_phi_gaussian(
             LinkParams(eta=2 * eta, nu=0.0, kind="gaussian"),
-            np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.1, 0.1]), 4)
+            np.array([0.2, 0.3, 0.5]), 1, np.array([0.1, 0.1, 0.1]), 4)
         np.testing.assert_allclose(two, 2 * one)
 
     def test_grad_phi_gaussian_matches_finite_differences(self):
@@ -298,7 +298,7 @@ class TestGradients:
         for trial in range(40):
             n_d = int(rng.integers(1, 6))
             phi_d = random_simplex_rows(rng, n_d, k)
-            # even trials: one neighbor, given as a K-vector; odd: 2-4 as rows
+            # even trials: one neighbor; odd: 2-4
             num_neighbors = 1 if trial % 2 == 0 else int(rng.integers(2, 5))
             phi_dps = [random_simplex_rows(rng, int(rng.integers(1, 6)), k)
                        for _ in range(num_neighbors)]
@@ -307,7 +307,7 @@ class TestGradients:
             params = LinkParams(eta=eta, nu=rng.exponential(0.5), kind="gaussian")
             token = int(rng.integers(n_d))
             mean_minus = phi_d.mean(axis=0) - phi_d[token] / n_d
-            grad = linkfn.grad_phi_gaussian(params, means[0] if num_neighbors == 1 else means,
+            grad = linkfn.grad_phi_gaussian(params, means.sum(axis=0), num_neighbors,
                                             mean_minus, n_d)
 
             def value(phi_token):
@@ -327,4 +327,4 @@ class TestGradients:
     def test_grad_phi_gaussian_rejects_empty_doc(self):
         params = LinkParams(eta=np.ones(2), nu=0.0, kind="gaussian")
         with pytest.raises(ValueError):
-            linkfn.grad_phi_gaussian(params, np.zeros(2), np.zeros(2), 0)
+            linkfn.grad_phi_gaussian(params, np.zeros(2), 1, np.zeros(2), 0)

@@ -122,8 +122,8 @@ def cmd_fit(args):
     corpus = _load(args)
     model = _fit(corpus, args)
     estimation.save_model(model, args.out)
-    final = model.elbo_trace[-1] if model.elbo_trace else float("nan")
-    print(f"fit: {len(model.elbo_trace)} EM iterations, final bound {final:.6f}")
+    print(f"fit: {len(model.elbo_trace)} EM iterations, "
+          f"final bound {model.elbo_trace[-1]:.6f}")
     print(f"model written to {args.out}")
     return 0
 
@@ -232,7 +232,8 @@ def cmd_synth(args):
     eta = np.full(k, eta_parts[0]) if len(eta_parts) == 1 else np.array(eta_parts)
     if eta.shape != (k,):
         raise ValueError(f"--eta needs 1 or {k} values")
-    alpha = np.full(k, args.alpha_total / k)
+    # an elementwise division, so that K = 0 reaches generate_synthetic's check
+    alpha = np.full(k, args.alpha_total) / k
     corpus, _ = generate_synthetic(k, args.num_terms, args.num_docs,
                                    args.doc_length, alpha, eta, args.nu,
                                    args.link_fn, args.seed)

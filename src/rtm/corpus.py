@@ -325,6 +325,8 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
     two empirical mean assignment vectors.  Only positive links are
     recorded.  Deterministic given the seed.
     """
+    if num_topics < 1:
+        raise ValueError(f"num_topics must be at least 1, got {num_topics}")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim == 0:
         alpha = np.full(num_topics, float(alpha))

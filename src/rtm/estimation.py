@@ -287,9 +287,14 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     drops below tol or em_iters is reached.  Deterministic given seed.
 
     alpha is symmetric with total mass alpha_total; it is held fixed.
+    num_topics and em_iters must be at least 1.
     """
     if kind is not None and kind not in linkfn.KINDS:
         raise ValueError(f"unknown link function kind: {kind!r}")
+    if num_topics < 1:
+        raise ValueError(f"num_topics must be at least 1, got {num_topics}")
+    if em_iters < 1:
+        raise ValueError(f"em_iters must be at least 1, got {em_iters}")
     reg = (reg or RegularizationConfig()).resolved(corpus.num_links)
     alpha = np.full(num_topics, alpha_total / num_topics)
 

@@ -21,6 +21,9 @@ documents of a level together, therefore gives each document exactly
 the values that the index-order sweep gives it.  Each iteration of a
 level is one array step over the level's still-active documents; every
 document keeps its own convergence test, iteration cap and damping step.
+Every kind's link gradient is proportional to eta, so at eta = 0 (where
+each fit starts) no document reads another: the sweep is then one level
+of all documents, unguarded, as it is without a link component.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
@@ -232,10 +235,11 @@ def _levels(corpus):
 def _corpus_block(corpus, params):
     """Every document as one _Block; rejects all-zero beta columns.
 
-    Without a link component no document reads another, so the block has
-    no pairs.  A document is safeguarded (guard) when the link gradient
-    reads its own mean, that is for every kind but exponential, and it
-    has links.
+    Without a link component, or with an all-zero eta, no document reads
+    another, so the block has no pairs: every kind's link gradient is
+    proportional to eta.  A document is safeguarded (guard) when the link
+    gradient reads its own mean, that is for every kind but exponential,
+    and it has pairs.
     """
     lb = params.log_beta[:, corpus.terms].T
     dead = np.isneginf(lb).all(axis=1)
@@ -243,20 +247,21 @@ def _corpus_block(corpus, params):
         raise ValueError(
             f"beta column {corpus.terms[np.argmax(dead)]} is entirely zero (unsmoothed model)")
     link = params.link
-    neighbors = corpus.neighbors if link is not None else [np.zeros(0, np.int64)] * corpus.num_docs
+    coupled = link is not None and link.eta.any()
+    neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
     num_pairs = np.array([ns.size for ns in neighbors], dtype=np.int64)
     return _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
                   num_rows=np.diff(corpus.indptr), num_pairs=num_pairs,
-                  guard=(link is not None and link.kind != "exponential") & (num_pairs > 0),
+                  guard=(coupled and link.kind != "exponential") & (num_pairs > 0),
                   rows=np.arange(corpus.terms.shape[0]),
                   counts=corpus.counts.astype(np.float64), lb=lb,
                   neighbors=np.concatenate(neighbors))
 
 
 def _level_blocks(corpus, params):
-    """One _Block per wavefront level, in level order; one level without links."""
+    """One _Block per wavefront level, in level order; one level without pairs."""
     whole = _corpus_block(corpus, params)
-    if params.link is None:
+    if not whole.neighbors.size:
         return [whole]
     level = _levels(corpus)
     return [whole.take(level == i) for i in range(int(level.max()) + 1)]
@@ -275,7 +280,7 @@ def _load(params, state, block):
                           phi=state.phi[block.rows], nb_means=nb_means,
                           nb_sum=block.pair_sum(nb_means))
     link = params.link
-    if link is not None and link.kind == "exponential":
+    if link is not None and link.kind == "exponential" and block.pair_doc.size:
         grad = block.nb_sum * link.eta / block.n[:, None]
         block = block.replace(link_rows=grad[block.row_doc])
     if block.guarded:

@@ -130,6 +130,28 @@ class TestTopKRejected:
         assert_one_line_error(capsys, code, "error: --top-k must be at least 1")
 
 
+class TestSizeFlagsRejected:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("topics", 0, "num_topics"), ("em_iters", 0, "em_iters"), ("em_iters", -1, "em_iters")])
+    def test_fit(self, corpus_files, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "m.txt"
+        code = main(fit_args(*corpus_files, str(out), **{flag: value}))
+        assert_one_line_error(capsys, code, f"error: {message} must be at least 1")
+        assert not out.exists()
+
+    def test_eval(self, corpus_files, tmp_path, capsys):
+        docs, vocab, links = corpus_files
+        code = main(["eval", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--out", str(tmp_path / "reports"), "--topics", "0"])
+        assert_one_line_error(capsys, code, "error: num_topics must be at least 1")
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "synthetic"
+        code = main(["synth", "--out", str(out), "--topics", "0"])
+        assert_one_line_error(capsys, code, "error: num_topics must be at least 1")
+        assert not out.exists()
+
+
 class TestReportTopics:
     def test_short_vocab_rejected(self, tmp_path, capsys):
         model = FittedModel(params=ModelParams(beta=np.full((2, 20), 0.05),

@@ -672,17 +672,48 @@ def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topic
 
     alpha = np.full(num_topics, 1.0 / num_topics)
     beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
-    params = make_params(beta, alpha, data.draw(link_params(kind, num_topics)))
-    wavefront = init_state(corpus, num_topics, alpha, seed=seed)
-    reference = init_state(corpus, num_topics, alpha, seed=seed)
-    levels = inference._level_blocks(corpus, params)
-    for _ in range(2):
-        inference._sweep(params, wavefront, levels, 1e-6)
-        for d in range(corpus.num_docs):
-            reference_visit(corpus, params, reference, d, 1e-6)
-    for name in ("phi", "gamma", "phi_bar", "var_bar"):
-        np.testing.assert_allclose(getattr(wavefront, name), getattr(reference, name),
-                                   rtol=0, atol=1e-12, err_msg=name)
+    drawn = data.draw(link_params(kind, num_topics))
+    # the drawn link, then eta = 0: one level of all documents, unguarded,
+    # against the damped reference
+    for link in (drawn, LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)):
+        params = make_params(beta, alpha, link)
+        wavefront = init_state(corpus, num_topics, alpha, seed=seed)
+        reference = init_state(corpus, num_topics, alpha, seed=seed)
+        levels = inference._level_blocks(corpus, params)
+        assert (len(levels) == 1) == (not link.eta.any())
+        for _ in range(2):
+            inference._sweep(params, wavefront, levels, 1e-6)
+            for d in range(corpus.num_docs):
+                reference_visit(corpus, params, reference, d, 1e-6)
+        for name in ("phi", "gamma", "phi_bar", "var_bar"):
+            np.testing.assert_allclose(getattr(wavefront, name), getattr(reference, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", linkfn.KINDS)
+def test_zero_eta_sweeps_every_document_in_one_level(kind):
+    # a chain 0-1-2-3 and an isolated document 4
+    corpus = Corpus(["a", "b"], [[(0, 1)], [(1, 2)], [(0, 1), (1, 1)], [(1, 1)], [(0, 3)]],
+                    [(0, 1), (1, 2), (2, 3)])
+    beta = np.array([[0.6, 0.4], [0.3, 0.7]])
+    nu = -1.0 if kind == "exponential" else 0.5
+
+    def blocks(eta):
+        link = LinkParams(eta=np.array(eta), nu=nu, kind=kind)
+        return inference._level_blocks(corpus, make_params(beta, [0.5, 0.5], link))
+
+    # the link gradient is proportional to eta: at eta = 0 no document
+    # reads another, so there are no pairs and no safeguard
+    (whole,) = blocks([0.0, 0.0])
+    np.testing.assert_array_equal(whole.docs, np.arange(5))
+    assert whole.neighbors.size == 0 and not whole.num_pairs.any()
+    assert not whole.guard.any() and not whole.guarded
+
+    # one nonzero component couples the documents again
+    eta = -0.5 if kind == "exponential" else 2.0
+    levels = blocks([0.0, eta])
+    assert [block.docs.tolist() for block in levels] == [[0, 4], [1], [2], [3]]
+    assert [block.guarded for block in levels] == [kind != "exponential"] * 4
 
 
 def literal_gradient_coefficient(kind, x):

@@ -225,12 +225,21 @@ class TestRanks:
         ranks = average_ranks(np.full(c, 0.25))
         np.testing.assert_allclose(ranks, (c + 1) / 2)
 
-    def test_invariant_under_monotone_transform(self):
-        rng = np.random.default_rng(8)
-        scores = rng.random(50)
-        base = average_ranks(scores)
-        np.testing.assert_array_equal(base, average_ranks(np.exp(scores)))
-        np.testing.assert_array_equal(base, average_ranks(3 * scores - 7))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), scores=st.lists(st.integers(-4, 4), min_size=1, max_size=25))
+    def test_invariant_under_monotone_transform(self, data, scores):
+        # integer scores tie often; a strictly increasing map keeps every
+        # tie and every order between distinct scores
+        scores = np.array(scores, dtype=np.float64)
+        values = np.unique(scores)
+        steps = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=values.size,
+                                   max_size=values.size))
+        offset = data.draw(st.floats(-1e3, 1e3))
+        mapped = (offset + np.cumsum(steps))[np.searchsorted(values, scores)]
+        base_ranks, base_order = average_ranks(scores), retrieval_order(scores)
+        for transformed in (mapped, np.exp(scores), 3 * scores - 7):
+            np.testing.assert_array_equal(average_ranks(transformed), base_ranks)
+            np.testing.assert_array_equal(retrieval_order(transformed), base_order)
 
     def test_retrieval_order_breaks_ties_by_index(self):
         order = retrieval_order(np.array([0.5, 0.9, 0.5]))

@@ -13,7 +13,7 @@ from .corpus import (Corpus, FoldPlan, SyntheticTruth, generate_synthetic,
 from .linkfn import (LinkParams, expected_log_link_batch, gradient_coefficient,
                      grad_phi_gaussian, link_probability)
 from .inference import (ElboBreakdown, ModelParams, VariationalState, elbo,
-                        init_state, run_e_step, update_gamma)
+                        init_state, run_e_step)
 from .estimation import (FittedModel, RegularizationConfig, SufficientStats,
                          fit, fit_link_exponential, fit_link_gaussian,
                          fit_link_sigmoid_probit, load_model, save_model,

@@ -17,11 +17,11 @@ from .inference import ModelParams
 
 
 def fit_lda(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,
-            em_iters=30, tol=1e-6, **kwargs):
+            em_iters=30, tol=1e-6):
     """LDA via the shared EM pipeline with zero link contribution."""
     return estimation.fit(corpus, num_topics, kind=None,
                           alpha_total=alpha_total, reg=reg, seed=seed,
-                          em_iters=em_iters, tol=tol, **kwargs)
+                          em_iters=em_iters, tol=tol)
 
 
 def fit_link_regression(corpus, lda):
@@ -50,10 +50,10 @@ def fit_link_regression(corpus, lda):
 
 
 def fit_lda_regression(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,
-                       em_iters=30, tol=1e-6, **kwargs):
+                       em_iters=30, tol=1e-6):
     """Two-stage baseline: fit_lda, then fit_link_regression on its output."""
     lda = fit_lda(corpus, num_topics, alpha_total=alpha_total, reg=reg,
-                  seed=seed, em_iters=em_iters, tol=tol, **kwargs)
+                  seed=seed, em_iters=em_iters, tol=tol)
     return fit_link_regression(corpus, lda)
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, estimation, prediction
+from . import baselines, estimation, linkfn, prediction
 from .corpus import (CorpusFormatError, generate_synthetic, load_corpus,
                      read_vocab, split_folds, training_view, write_corpus)
 
@@ -31,7 +31,7 @@ def _add_fit_flags(p):
     p.add_argument("--topics", type=int, default=10, metavar="K")
     p.add_argument("--alpha-total", type=float, default=1.0)
     p.add_argument("--link-fn", default="exponential",
-                   choices=["sigmoid", "exponential", "probit", "gaussian"])
+                   choices=linkfn.KINDS)
     p.add_argument("--rho", type=float, default=None,
                    help="pseudo non-link count (default: number of links)")
     p.add_argument("--l2", type=float, default=0.0, dest="lam")
@@ -92,7 +92,7 @@ def build_parser():
                         "comma-separated floats")
     p.add_argument("--nu", type=float, default=0.0)
     p.add_argument("--link-fn", default="exponential",
-                   choices=["sigmoid", "exponential", "probit", "gaussian"])
+                   choices=linkfn.KINDS)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_synth)
     return parser
@@ -103,11 +103,11 @@ def _load(args):
                        drop_isolated=args.drop_isolated)
 
 
-def _fit(corpus, args, kind=None):
+def _fit(corpus, args):
     reg = estimation.RegularizationConfig(rho=args.rho, lam=args.lam,
                                           smoothing=args.smoothing)
     return estimation.fit(
-        corpus, args.topics, kind=kind if kind is not None else args.link_fn,
+        corpus, args.topics, kind=args.link_fn,
         alpha_total=args.alpha_total, reg=reg, seed=args.seed,
         em_iters=args.em_iters, tol=args.tol,
         trace_stream=sys.stderr if args.verbose else None)

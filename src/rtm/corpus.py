@@ -38,50 +38,45 @@ class Corpus:
     terms (increasing within each document) and counts.  `rows(d)` slices
     d's entries in them and in aligned arrays; `doc(d)` returns views.
 
-    Construction validates all invariants: term ids within the
-    vocabulary, link endpoints within range, no self-links, each
-    document nonempty.  Its arrays are read-only, so instances are safe
-    to share across threads.
+    Construction checks every input rule (see `_merged_doc` and
+    `_link_pair`), naming the faulty document.  Its arrays are read-only,
+    so instances are safe to share across threads.
     """
 
     def __init__(self, vocab, docs, links=()):
-        self.vocab = list(vocab)
+        vocab = list(vocab)
         if not docs:
             raise ValueError("corpus must contain at least one document")
+        merged = []
+        for d, doc in enumerate(docs):
+            try:
+                merged.append(_merged_doc(doc, len(vocab)))
+            except ValueError as exc:
+                raise ValueError(f"doc {d}: {exc}") from None
+        self._fill(vocab, merged, {_link_pair(d1, d2, len(docs)) for d1, d2 in links})
+
+    @classmethod
+    def _from_checked(cls, vocab, merged, pairs):
+        """A corpus from inputs that already passed the rules: one `_merged_doc`
+        dict per document and a set of `_link_pair` pairs."""
+        corpus = object.__new__(cls)
+        corpus._fill(vocab, merged, pairs)
+        return corpus
+
+    def _fill(self, vocab, merged, pairs):
+        """Build the read-only arrays from checked documents and links."""
+        self.vocab = vocab
         indptr = [0]
         entries = []
-        num_terms = len(self.vocab)
-        for d, doc in enumerate(docs):
-            merged = {}
-            for term, count in doc:
-                term = int(term)
-                count = int(count)
-                if not 0 <= term < num_terms:
-                    raise ValueError(
-                        f"doc {d}: term id {term} out of range [0, {num_terms})")
-                if count < 1:
-                    raise ValueError(f"doc {d}: term {term} has count {count} < 1")
-                merged[term] = merged.get(term, 0) + count
-            if not merged:
-                raise ValueError(f"doc {d} has no tokens")
-            entries.extend(sorted(merged.items()))
+        for doc in merged:
+            entries.extend(sorted(doc.items()))
             indptr.append(len(entries))
         self.indptr = np.array(indptr, dtype=np.int64)
         self.terms, self.counts = np.array(entries, dtype=np.int64).T.copy()
-
-        num_docs = self.num_docs
-        pairs = set()
-        for d1, d2 in links:
-            d1, d2 = int(d1), int(d2)
-            if d1 == d2:
-                raise ValueError(f"self-link on document {d1}")
-            if not (0 <= d1 < num_docs and 0 <= d2 < num_docs):
-                raise ValueError(f"link ({d1}, {d2}) out of range [0, {num_docs})")
-            pairs.add((min(d1, d2), max(d1, d2)))
         self.links = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
         self.lengths = np.add.reduceat(self.counts, self.indptr[:-1])
-        neighbors = [[] for _ in range(num_docs)]
+        neighbors = [[] for _ in range(self.num_docs)]
         for d1, d2 in self.links:
             neighbors[d1].append(d2)
             neighbors[d2].append(d1)
@@ -118,6 +113,40 @@ class Corpus:
         return np.flatnonzero([ns.size == 0 for ns in self.neighbors])
 
 
+# --- input rules: each raises ValueError with an unprefixed message, which
+# Corpus prefixes with the document and load_corpus with the file line
+
+
+def _merged_doc(doc, num_terms):
+    """{term: summed count} of one document's (term, count) entries.
+
+    Rejects a term id outside [0, num_terms), a count below 1, and a
+    document without entries.
+    """
+    merged = {}
+    for term, count in doc:
+        term, count = int(term), int(count)
+        if not 0 <= term < num_terms:
+            raise ValueError(f"term id {term} out of range [0, {num_terms})")
+        if count < 1:
+            raise ValueError(f"term {term} has count {count} < 1")
+        merged[term] = merged.get(term, 0) + count
+    if not merged:
+        raise ValueError("zero-length document")
+    return merged
+
+
+def _link_pair(d1, d2, num_docs):
+    """(lower, higher) endpoint of one link; rejects self-links and endpoints
+    outside [0, num_docs)."""
+    d1, d2 = int(d1), int(d2)
+    if d1 == d2:
+        raise ValueError(f"self-link on document {d1}")
+    if not (0 <= d1 < num_docs and 0 <= d2 < num_docs):
+        raise ValueError(f"link ({d1}, {d2}) out of range [0, {num_docs})")
+    return min(d1, d2), max(d1, d2)
+
+
 def _parse_doc_line(line, lineno, num_terms):
     parts = line.split()
     try:
@@ -128,8 +157,6 @@ def _parse_doc_line(line, lineno, num_terms):
     if len(entries) != declared:
         raise CorpusFormatError(
             f"docs line {lineno}: declares {declared} entries, found {len(entries)}")
-    if declared == 0:
-        raise CorpusFormatError(f"docs line {lineno}: zero-length document")
     doc = []
     for entry in entries:
         term_s, sep, count_s = entry.partition(":")
@@ -141,13 +168,11 @@ def _parse_doc_line(line, lineno, num_terms):
         except ValueError:
             raise CorpusFormatError(
                 f"docs line {lineno}: malformed entry {entry!r}") from None
-        if not 0 <= term < num_terms:
-            raise CorpusFormatError(
-                f"docs line {lineno}: term id {term} out of range [0, {num_terms})")
-        if count < 1:
-            raise CorpusFormatError(f"docs line {lineno}: count must be >= 1")
         doc.append((term, count))
-    return doc
+    try:
+        return _merged_doc(doc, num_terms)
+    except ValueError as exc:
+        raise CorpusFormatError(f"docs line {lineno}: {exc}") from None
 
 
 def read_vocab(path):
@@ -178,7 +203,7 @@ def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
     if not docs:
         raise CorpusFormatError(f"no documents found in {docs_path}")
 
-    links = []
+    pairs = set()
     if links_path is not None:
         with open(links_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -194,14 +219,12 @@ def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
                     raise CorpusFormatError(
                         f"links line {lineno}: non-integer index in {line.strip()!r}"
                     ) from None
-                if d1 == d2:
-                    raise CorpusFormatError(f"links line {lineno}: self-link on {d1}")
-                if not (0 <= d1 < len(docs) and 0 <= d2 < len(docs)):
-                    raise CorpusFormatError(
-                        f"links line {lineno}: index out of range [0, {len(docs)})")
-                links.append((d1, d2))
+                try:
+                    pairs.add(_link_pair(d1, d2, len(docs)))
+                except ValueError as exc:
+                    raise CorpusFormatError(f"links line {lineno}: {exc}") from None
 
-    corpus = Corpus(vocab, docs, links)
+    corpus = Corpus._from_checked(vocab, docs, pairs)
     isolated = corpus.isolated_docs()
     if drop_isolated and isolated.size:
         corpus, _ = drop_isolated_docs(corpus)
@@ -306,27 +329,21 @@ def block_topics(num_topics, num_terms):
     return beta
 
 
-def sample_pair_links(zbar_left, zbar_right, params, rng):
-    """Bernoulli link indicators for rows of paired mean-assignment vectors."""
-    zbar_left = np.atleast_2d(zbar_left)
-    zbar_right = np.atleast_2d(zbar_right)
-    probs = np.array([link_probability(params, a, b)
-                      for a, b in zip(zbar_left, zbar_right)])
-    return rng.random(probs.shape[0]) < probs
-
-
 def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
-                       eta, nu, link_fn, seed, beta=None):
+                       eta, nu, link_fn, seed):
     """Sample a document network from the generative model.
 
-    Each document draws topic proportions from Dirichlet(alpha), then
-    doc_length topic assignments and words; each unordered document pair
-    draws a link indicator from the chosen link function evaluated at the
-    two empirical mean assignment vectors.  Only positive links are
-    recorded.  Deterministic given the seed.
+    The topics are `block_topics`.  Each document draws topic
+    proportions from Dirichlet(alpha), then doc_length topic assignments
+    and words; each unordered document pair draws a link indicator from
+    the chosen link function evaluated at the two empirical mean
+    assignment vectors.  Only positive links are recorded.
+    Deterministic given the seed.
     """
     if num_topics < 1:
         raise ValueError(f"num_topics must be at least 1, got {num_topics}")
+    if doc_length < 1:
+        raise ValueError(f"doc_length must be at least 1, got {doc_length}")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim == 0:
         alpha = np.full(num_topics, float(alpha))
@@ -334,10 +351,7 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
         raise ValueError("alpha must be a positive vector of length num_topics")
     params = LinkParams(eta=eta, nu=nu, kind=link_fn)
     params.check_admissible()
-    if beta is None:
-        beta = block_topics(num_topics, num_terms)
-    else:
-        beta = np.asarray(beta, dtype=np.float64)
+    beta = block_topics(num_topics, num_terms)
 
     rng = np.random.default_rng(seed)
     theta = rng.dirichlet(alpha, size=num_docs)
@@ -353,7 +367,8 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
         docs.append([(int(t), int(word_counts[t])) for t in terms])
 
     left, right = np.triu_indices(num_docs, k=1)
-    linked = sample_pair_links(zbar[left], zbar[right], params, rng)
+    probs = link_probability(params, zbar[left], zbar[right])
+    linked = rng.random(probs.shape[0]) < probs
     links = list(zip(left[linked], right[linked]))
 
     truth = SyntheticTruth(beta=beta, alpha=alpha, eta=params.eta, nu=params.nu,

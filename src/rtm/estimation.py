@@ -277,14 +277,14 @@ def em_objective(corpus, params, state, reg):
 
 
 def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
-        reg=None, seed=42, em_iters=30, tol=1e-6, e_step_tol=1e-6,
-        max_sweeps=100, init_noise=0.01, trace_stream=None):
+        reg=None, seed=42, em_iters=30, tol=1e-6, trace_stream=None):
     """Variational EM: alternate the E-step with the M-step updates.
 
     kind selects the link probability function, or None for a pure topic
     model that ignores links entirely.  The bound after every full EM
     iteration is recorded; iteration stops when its relative change
-    drops below tol or em_iters is reached.  Deterministic given seed.
+    drops below tol or em_iters is reached.  trace_stream, if given, gets
+    each bound as a line.  Deterministic given seed.
 
     alpha is symmetric with total mass alpha_total; it is held fixed.
     num_topics and em_iters must be at least 1.
@@ -305,18 +305,16 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     if kind is not None:
         link = linkfn.LinkParams(eta=np.zeros(num_topics), nu=0.0, kind=kind)
     params = ModelParams(beta=beta, alpha=alpha, link=link)
-    state = inference.init_state(corpus, num_topics, alpha, seed, noise=init_noise)
+    state = inference.init_state(corpus, num_topics, alpha, seed)
 
     config = {"num_topics": num_topics, "kind": kind, "alpha_total": alpha_total,
               "rho": reg.rho, "lam": reg.lam, "smoothing": reg.smoothing,
-              "em_iters": em_iters, "tol": tol, "e_step_tol": e_step_tol,
-              "max_sweeps": max_sweeps}
+              "em_iters": em_iters, "tol": tol}
 
     trace = []
     previous = None
     for _ in range(em_iters):
-        state, _ = inference.run_e_step(corpus, params, state, tol=e_step_tol,
-                                        max_sweeps=max_sweeps)
+        state, _ = inference.run_e_step(corpus, params, state)
         beta = update_beta(corpus, state, reg.smoothing)
         link = params.link
         if kind is not None:
@@ -344,6 +342,11 @@ _BASELINE_KINDS = ("lda", "lda_regression", "unigram")
 
 def save_model(model, path):
     """Write the plain-text model file atomically.
+
+    The file has 4 + K lines: `rtm-model v1`; `K V kind alpha_total
+    smoothing`; nu; the K link coefficients eta; then one line of V
+    log topic-word probabilities per topic.  Kinds without a link
+    component write nu = 0 and eta = 0.
 
     The text goes to a uniquely named temp file in the target directory
     (created by tempfile.mkstemp, so readable by its owner only), which
@@ -384,6 +387,8 @@ def load_model(path):
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a model file (missing '{_MAGIC}' header)")
+    if len(lines) < 4:
+        raise ValueError(f"{path}: truncated model file: fewer than 4 lines")
     header = lines[1].split()
     if len(header) != 5:
         raise ValueError(f"{path}: malformed model header")
@@ -396,7 +401,8 @@ def load_model(path):
     if eta.shape != (k,):
         raise ValueError(f"{path}: expected {k} link coefficients")
     if len(lines) < 4 + k:
-        raise ValueError(f"{path}: expected {k} topic rows")
+        raise ValueError(f"{path}: truncated model file: fewer than {4 + k} lines "
+                         f"for {k} topic rows")
     log_beta = np.array([[float(x) for x in lines[4 + i].split()] for i in range(k)])
     if log_beta.shape != (k, v):
         raise ValueError(f"{path}: topic matrix shape mismatch")

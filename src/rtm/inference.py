@@ -150,12 +150,6 @@ def _log_beta_matrix(beta):
         return np.where(beta > 0, np.log(np.maximum(beta, 1e-300)), -np.inf)
 
 
-def update_gamma(d, state, alpha):
-    """gamma_d = alpha + token-weighted sum of the document's phi vectors."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return alpha + state.corpus.lengths[d] * state.phi_bar[d]
-
-
 # --- documents updated together -------------------------------------------
 
 #: the arrays of a _Block, by what they have one entry for
@@ -494,7 +488,7 @@ def _sweep(params, state, levels, tol):
         _visit_level(params, state, _load(params, state, block), tol)
 
 
-def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, trace_stream=None):
+def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100):
     """Coordinate ascent to convergence; returns (state, elbo trace).
 
     Terminates when the relative bound change between sweeps drops below
@@ -505,23 +499,17 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, trace_stream=Non
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def record(value):
-        if trace_stream is not None:
-            trace_stream.write(f"{value:.10f}\n")
-
     levels = _level_blocks(corpus, params)
     current = elbo(corpus, params, state).total
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")
     trace = [current]
-    record(current)
     for _ in range(max_sweeps):
         _sweep(params, state, levels, tol)
         value = elbo(corpus, params, state).total
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")
         trace.append(value)
-        record(value)
         if abs(value - current) <= tol * max(1.0, abs(current)):
             break
         current = value

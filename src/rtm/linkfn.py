@@ -14,9 +14,9 @@ Under the mean-field variational distribution, the expected log link
 probability is exact for the exponential and gaussian kinds and a
 first-order approximation (evaluated at pi_bar = phibar_d o phibar_dp)
 for sigmoid and probit.  `expected_log_link_batch` is the one
-evaluation of that expectation: it takes the two sides' mean vectors
-(and, for gaussian, their variances) for a batch of pairs, so that a
-single pair is a one-row batch.
+evaluation of that expectation and `link_probability` the one
+evaluation of the probability itself: both take the two sides' mean
+vectors for a batch of pairs, so that a single pair is a one-row batch.
 """
 
 from dataclasses import dataclass
@@ -109,20 +109,29 @@ def inverse_mills_ratio(x):
     return np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x))
 
 
-def link_probability(params, zbar_d, zbar_dp):
-    """Probability of a link given the two mean assignment vectors."""
-    params.check_admissible()
-    zbar_d = np.asarray(zbar_d, dtype=np.float64)
-    zbar_dp = np.asarray(zbar_dp, dtype=np.float64)
+def _predictor(params, mean_a, mean_b, var_a, var_b):
+    """The link function's argument per pair: eta . (mean_a o mean_b) + nu,
+    or -nu - eta . ((mean_a - mean_b)**2 + var_a + var_b) for gaussian."""
+    mean_a = np.asarray(mean_a, dtype=np.float64)
+    mean_b = np.asarray(mean_b, dtype=np.float64)
     if params.kind == "gaussian":
-        diff = zbar_d - zbar_dp
-        return float(np.exp(-params.eta @ (diff * diff) - params.nu))
-    x = params.eta @ (zbar_d * zbar_dp) + params.nu
+        if var_a is None or var_b is None:
+            raise ValueError("gaussian expected log link requires variances")
+        diff = mean_a - mean_b
+        return -params.nu - np.atleast_2d(diff * diff + var_a + var_b) @ params.eta
+    return np.atleast_2d(mean_a * mean_b) @ params.eta + params.nu
+
+
+def link_probability(params, mean_a, mean_b):
+    """Link probability of each pair, from the two sides' mean assignment
+    vectors given as in `expected_log_link_batch`; returns an (L,) array."""
+    params.check_admissible()
+    x = _predictor(params, mean_a, mean_b, 0.0, 0.0)
     if params.kind == "sigmoid":
-        return float(expit(x))
+        return expit(x)
     if params.kind == "probit":
-        return float(ndtr(x))
-    return float(np.exp(x))
+        return ndtr(x)
+    return np.exp(x)
 
 
 def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None,
@@ -138,21 +147,11 @@ def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None,
     count=False suppresses the counter for internal document-local
     backtracking checks, which are not corpus-level link scans.
     """
-    mean_a = np.asarray(mean_a, dtype=np.float64)
-    mean_b = np.asarray(mean_b, dtype=np.float64)
-    if params.kind == "gaussian":
-        if var_a is None or var_b is None:
-            raise ValueError("gaussian expected log link requires variances")
-        diff = mean_a - mean_b
-        out = -params.nu - np.atleast_2d(diff * diff + var_a + var_b) @ params.eta
-    else:
-        x = np.atleast_2d(mean_a * mean_b) @ params.eta + params.nu
-        if params.kind == "sigmoid":
-            out = log_sigmoid(x)
-        elif params.kind == "probit":
-            out = log_ndtr(x)
-        else:
-            out = x
+    out = _predictor(params, mean_a, mean_b, var_a, var_b)
+    if params.kind == "sigmoid":
+        out = log_sigmoid(out)
+    elif params.kind == "probit":
+        out = log_ndtr(out)
     if count:
         pair_evals.add(out.shape[0])
     return out

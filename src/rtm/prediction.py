@@ -29,14 +29,12 @@ _MAX_ITERS = 100
 class HeldoutPosterior:
     """Variational posterior of a held-out document.
 
-    evidence is "words" or "links".  var caches Var(zbar_i), needed when
-    scoring links under the gaussian kind.
+    var caches Var(zbar_i), needed when scoring links under the gaussian kind.
     """
 
     phi_bar: np.ndarray
     gamma: np.ndarray
-    evidence: str
-    var: np.ndarray | None = None
+    var: np.ndarray
 
 
 def _softmax(v):
@@ -90,7 +88,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
                 break
         phi_bar = counts @ phi / n
         var = counts @ (phi * (1.0 - phi)) / n**2
-        return HeldoutPosterior(phi_bar=phi_bar, gamma=gamma, evidence="words", var=var)
+        return HeldoutPosterior(phi_bar=phi_bar, gamma=gamma, var=var)
 
     links = np.asarray(list(links), dtype=np.int64)
     if links.size == 0:
@@ -126,27 +124,22 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         gamma = alpha + phi
         if change < tol:
             break
-    return HeldoutPosterior(phi_bar=phi, gamma=gamma, evidence="links",
-                            var=phi * (1.0 - phi))
+    return HeldoutPosterior(phi_bar=phi, gamma=gamma, var=phi * (1.0 - phi))
 
 
-def score_train_docs(model, heldout, train_phi_bar, train_var=None):
+def score_train_docs(model, heldout, train_phi_bar, train_var):
     """Predicted link probability between a held-out doc and each training doc.
 
     Evaluates exp of the expected log link probability, which plugs the
     posterior means into the link function (exact for the exponential
     kind, first-order for sigmoid/probit, variance-corrected for
     gaussian).  train_phi_bar holds one training document's posterior
-    mean per row, train_var the matching variances (zero if omitted).
+    mean per row, train_var the matching variances.
     """
     if model.params.link is None:
         raise ValueError(f"model kind {model.kind!r} does not score links")
-    train_phi_bar = np.asarray(train_phi_bar, dtype=np.float64)
-    var_h = heldout.var if heldout.var is not None else np.zeros_like(heldout.phi_bar)
-    if train_var is None:
-        train_var = np.zeros_like(train_phi_bar)
     return np.exp(linkfn.expected_log_link_batch(
-        model.params.link, heldout.phi_bar, train_phi_bar, var_h, train_var))
+        model.params.link, heldout.phi_bar, train_phi_bar, heldout.var, train_var))
 
 
 def predict_word_dist(model, heldout):
@@ -198,7 +191,7 @@ def _fmt(value):
     return "nan" if value is None or not np.isfinite(value) else f"{value:.6f}"
 
 
-def train_posteriors(model, train_corpus, seed=0, tol=1e-6, max_sweeps=100):
+def train_posteriors(model, train_corpus, seed=0, tol=1e-6):
     """Variational posteriors of the training documents under a frozen model.
 
     RTM kinds use their link terms; baseline kinds condition on words
@@ -214,22 +207,19 @@ def train_posteriors(model, train_corpus, seed=0, tol=1e-6, max_sweeps=100):
                                    alpha=model.params.alpha, link=link)
     state = inference.init_state(train_corpus, params.num_topics,
                                  params.alpha, seed)
-    state, _ = inference.run_e_step(train_corpus, params, state,
-                                    tol=tol, max_sweeps=max_sweeps)
+    state, _ = inference.run_e_step(train_corpus, params, state, tol=tol)
     return state
 
 
-def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6,
-                  rank_distinct_terms=False):
+def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6):
     """Held-out link and word rank for one fold's test documents.
 
     The model must have been trained on the fold's training view (test
     documents and their links removed).  Link rank averages the rank of
     every true (test doc, training doc) link among all training
     candidates; word rank averages the rank of each held-out token
-    occurrence in the links-only predictive word distribution (or each
-    distinct term with rank_distinct_terms=True).  Test documents with
-    no surviving links are skipped and counted.
+    occurrence in the links-only predictive word distribution.  Test
+    documents with no surviving links are skipped and counted.
     """
     train_corpus, train_ids = training_view(corpus, plan, fold)
     test_ids = plan.test_docs(fold)
@@ -271,9 +261,8 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6,
                                   train_phi_bar=state.phi_bar, tol=tol)
         word_dist = predict_word_dist(model, heldout_l)
         vocab_ranks = average_ranks(word_dist)
-        weights = np.ones_like(counts) if rank_distinct_terms else counts
-        doc_word_rank = float((vocab_ranks[terms] * weights).sum() / weights.sum())
-        word_ranks.extend(np.repeat(vocab_ranks[terms], weights))
+        doc_word_rank = float((vocab_ranks[terms] * counts).sum() / counts.sum())
+        word_ranks.extend(np.repeat(vocab_ranks[terms], counts))
         rows.append((doc, "word_rank", doc_word_rank))
 
     return RankReport(

@@ -151,6 +151,49 @@ class TestSizeFlagsRejected:
         assert_one_line_error(capsys, code, "error: num_topics must be at least 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_synth_doc_length(self, tmp_path, capsys, length):
+        # rejected before sampling, so no numpy warning precedes the error
+        out = tmp_path / "synthetic"
+        code = main(["synth", "--out", str(out), "--topics", "4", "--doc-length", str(length)])
+        assert_one_line_error(capsys, code, "error: doc_length must be at least 1")
+        assert not out.exists()
+
+
+class TestTruncatedModelRejected:
+    """A model file cut short: 4 lines of header and link coefficients, then K rows."""
+
+    @pytest.fixture
+    def truncated(self, tmp_path):
+        model = FittedModel(params=ModelParams(beta=np.full((3, 8), 0.125),
+                                               alpha=np.full(3, 0.5)),
+                            kind="lda", config={"smoothing": 0.01})
+        path = tmp_path / "m.txt"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 4 + 3
+
+        def cut(num_lines):
+            path.write_text("".join(lines[:num_lines]))
+            return str(path)
+        return cut
+
+    @pytest.mark.parametrize("num_lines, message", [
+        (1, "fewer than 4 lines"), (2, "fewer than 4 lines"), (3, "fewer than 4 lines"),
+        (6, "fewer than 7 lines for 3 topic rows")])
+    def test_report_topics(self, truncated, capsys, num_lines, message):
+        path = truncated(num_lines)
+        code = main(["report-topics", "--model", path])
+        assert_one_line_error(capsys, code, f"error: {path}: truncated model file: {message}")
+
+    @pytest.mark.parametrize("num_lines", [1, 2, 6])
+    def test_suggest_links(self, truncated, corpus_files, capsys, num_lines):
+        docs, vocab, links = corpus_files
+        path = truncated(num_lines)
+        code = main(["suggest-links", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--model", path, "--new-doc", "0:2 1:1"])
+        assert_one_line_error(capsys, code, f"error: {path}: truncated model file")
+
 
 class TestReportTopics:
     def test_short_vocab_rejected(self, tmp_path, capsys):

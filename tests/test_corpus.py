@@ -1,5 +1,6 @@
 """Tests for corpus loading, folds, and the synthetic sampler."""
 
+import math
 import os
 import tempfile
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from rtm import corpus as corpus_mod
 from rtm.corpus import (Corpus, CorpusFormatError, block_topics, drop_isolated_docs,
-                        generate_synthetic, load_corpus, sample_pair_links,
-                        split_folds, subcorpus, training_view, write_corpus)
-from rtm.linkfn import LinkParams, link_probability
+                        generate_synthetic, load_corpus, split_folds, subcorpus,
+                        training_view, write_corpus)
+from rtm.linkfn import link_probability
 
 
 def write_files(tmp_path, docs, vocab, links):
@@ -159,6 +160,68 @@ def test_write_load_round_trip_keeps_documents_and_links(data, docs):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(original, name))
 
 
+def inject_fault(data, docs, links, fault):
+    """Break one input rule in place; returns (Corpus's, load_corpus's) message prefix."""
+    doc_ids = st.integers(0, len(docs) - 1)
+    d = data.draw(doc_ids)
+    if fault == "empty":
+        docs[d] = []
+    elif fault in ("term", "count"):
+        i = data.draw(st.integers(0, len(docs[d]) - 1))
+        term, count = docs[d][i]
+        if fault == "term":
+            docs[d][i] = (data.draw(st.sampled_from([-1, len(VOCAB), 99])), count)
+        else:
+            docs[d][i] = (term, data.draw(st.integers(-2, 0)))
+    else:
+        i = data.draw(st.integers(0, len(links)))
+        other = d if fault == "self-link" else data.draw(
+            st.sampled_from([-1, len(docs), len(docs) + 3]))
+        links.insert(i, data.draw(st.sampled_from([(d, other), (other, d)])))
+        return "", f"links line {i + 1}: "
+    return f"doc {d}: ", f"docs line {d + 1}: "
+
+
+@pytest.mark.parametrize("fault", [None, "term", "count", "empty", "self-link", "link range"])
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data(), docs=DOCS)
+def test_loader_and_corpus_apply_the_same_rules(fault, data, docs):
+    # Corpus on the lists and load_corpus on the same lists written out fail
+    # together, on the same rule, each naming the faulty document or line
+    docs = [list(doc) for doc in docs]
+    ends = st.integers(0, len(docs) - 1)
+    links = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                               max_size=6)) if len(docs) > 1 else []
+    prefixes = inject_fault(data, docs, links, fault) if fault else None
+    errors = []
+    try:
+        built = Corpus(VOCAB, docs, links)
+    except ValueError as exc:
+        errors.append(str(exc))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("docs", "vocab", "links")]
+        texts = ["".join(f"{len(doc)}" + "".join(f" {t}:{c}" for t, c in doc) + "\n"
+                         for doc in docs),
+                 "".join(f"{token}\n" for token in VOCAB),
+                 "".join(f"{a} {b}\n" for a, b in links)]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        try:
+            loaded = load_corpus(*paths)
+        except CorpusFormatError as exc:
+            errors.append(str(exc))
+    if fault is None:
+        assert errors == []
+        for name in ("indptr", "terms", "counts", "links"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
+        return
+    corpus_error, load_error = errors
+    corpus_prefix, line_prefix = prefixes
+    assert corpus_error.startswith(corpus_prefix)
+    assert load_error == line_prefix + corpus_error[len(corpus_prefix):]
+
+
 class TestSubcorpus:
     def test_training_view_removes_attendant_links(self):
         c = Corpus(["a"], [[(0, 1)]] * 4, links=[(0, 1), (1, 2), (2, 3)])
@@ -212,12 +275,12 @@ class TestFolds:
 
 class TestSynthetic:
     def test_degenerate_dirichlet_modal_term(self):
-        # alpha concentrated on topic 1 and one-hot topics: every document's
-        # modal term is topic 1's single term
-        beta = np.eye(3)
+        # alpha concentrated on topic 1 and one-hot topics (block topics with
+        # one term each): every document's modal term is topic 1's single term
         corpus, truth = generate_synthetic(
             3, 3, 20, 30, alpha=np.array([1e-6, 1e6, 1e-6]),
-            eta=np.zeros(3), nu=-1.0, link_fn="exponential", seed=4, beta=beta)
+            eta=np.zeros(3), nu=-1.0, link_fn="exponential", seed=4)
+        np.testing.assert_array_equal(truth.beta, np.eye(3))
         for terms, counts in map(corpus.doc, range(corpus.num_docs)):
             assert terms[np.argmax(counts)] == 1
 
@@ -257,20 +320,61 @@ class TestSynthetic:
         assert all(n == 20 for n in corpus.lengths)
 
     def test_linkage_rate_matches_probability(self):
-        # resample one fixed pair many times: the empirical link frequency
-        # must sit within 3 standard errors of the link probability
-        rng = np.random.default_rng(13)
-        z1 = np.array([0.7, 0.2, 0.1])
-        z2 = np.array([0.5, 0.4, 0.1])
-        params = LinkParams(eta=np.array([-0.2, -0.4, -0.1]), nu=-0.6,
-                            kind="exponential")
-        p = link_probability(params, z1, z2)
-        draws = 1000
-        hits = sample_pair_links(np.tile(z1, (draws, 1)), np.tile(z2, (draws, 1)),
-                                 params, rng)
-        freq = hits.mean()
-        se = np.sqrt(p * (1 - p) / draws)
+        # one topic, so every one of the 1035 pairs has the same mean vectors
+        # [1] and links with probability exp(-0.4 - 0.6): the empirical link
+        # frequency must sit within 3 standard errors of it
+        corpus, truth = generate_synthetic(1, 5, 46, 10, alpha=np.ones(1),
+                                           eta=np.array([-0.4]), nu=-0.6,
+                                           link_fn="exponential", seed=13)
+        np.testing.assert_array_equal(truth.zbar, 1.0)
+        (p,) = link_probability(truth.link_params, [1.0], [1.0])
+        np.testing.assert_allclose(p, np.exp(-1.0), rtol=1e-15)
+        pairs = 46 * 45 // 2
+        freq = corpus.num_links / pairs
+        se = np.sqrt(p * (1 - p) / pairs)
         assert abs(freq - p) <= 3 * se
+
+    @pytest.mark.parametrize("kind, eta, nu", [
+        ("sigmoid", 3.0, -3.0), ("exponential", 2.5, -2.5), ("probit", 3.0, -2.0),
+        ("gaussian", 4.0, 0.5)])
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), num_docs=st.integers(1, 30),
+           num_topics=st.integers(1, 4))
+    def test_batched_draw_matches_per_pair_reference(self, kind, eta, nu, seed,
+                                                     num_docs, num_topics):
+        # the reference replays the sampler and then scores and draws pair by
+        # pair, with each kind's formula written out
+        alpha = np.full(num_topics, 0.5)
+        corpus, truth = generate_synthetic(num_topics, 12, num_docs, 8, alpha,
+                                           np.full(num_topics, eta), nu, kind, seed)
+        rng = np.random.default_rng(seed)
+        theta = rng.dirichlet(alpha, size=num_docs)
+        zbar = np.empty((num_docs, num_topics))
+        for d in range(num_docs):
+            topic_counts = rng.multinomial(8, theta[d])
+            zbar[d] = topic_counts / 8
+            for k in np.flatnonzero(topic_counts):
+                rng.multinomial(topic_counts[k], truth.beta[k])
+        np.testing.assert_array_equal(zbar, truth.zbar)
+
+        def formula(a, b):
+            if kind == "gaussian":
+                return math.exp(-truth.eta @ ((a - b) ** 2) - nu)
+            x = truth.eta @ (a * b) + nu
+            if kind == "sigmoid":
+                return 1.0 / (1.0 + math.exp(-x))
+            if kind == "probit":
+                return 0.5 * math.erfc(-x / math.sqrt(2.0))
+            return math.exp(x)
+
+        left, right = np.triu_indices(num_docs, k=1)
+        reference = np.array([formula(zbar[a], zbar[b]) for a, b in zip(left, right)])
+        linked = rng.random(reference.shape[0]) < reference
+        assert corpus.link_set() == {(int(a), int(b))
+                                     for a, b in zip(left[linked], right[linked])}
+        np.testing.assert_allclose(
+            link_probability(truth.link_params, zbar[left], zbar[right]), reference,
+            rtol=1e-13, atol=0)
 
     def test_block_topics(self):
         beta = block_topics(2, 6)

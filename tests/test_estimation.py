@@ -285,7 +285,8 @@ class TestFit:
         beta_true = np.eye(2)
         corpus, truth = generate_synthetic(
             2, 2, 40, 30, np.array([0.5, 0.5]), np.array([-2.0, -2.0]), -2.0,
-            "exponential", seed=13, beta=beta_true)
+            "exponential", seed=13)
+        np.testing.assert_array_equal(truth.beta, beta_true)
         model = fit(corpus, 2, kind="exponential", seed=3, em_iters=10)
         assert permuted_tv(model.params.beta, beta_true) < 0.1
 

@@ -14,8 +14,7 @@ from scipy.stats import norm
 
 from rtm import inference, linkfn
 from rtm.corpus import Corpus, generate_synthetic
-from rtm.inference import (ElboBreakdown, ModelParams, elbo, init_state,
-                           run_e_step, update_gamma)
+from rtm.inference import ElboBreakdown, ModelParams, elbo, init_state, run_e_step
 from rtm.linkfn import LinkParams
 
 
@@ -260,25 +259,27 @@ class TestWholeDocumentVisit:
 
 
 class TestUpdateGamma:
+    """A visit's gamma_d = alpha + the token-weighted sum of d's phi rows."""
+
+    @staticmethod
+    def visited_gamma(doc):
+        # one term per topic, so every phi row of the visit is one-hot:
+        # term 0's row is [1, 0] and term 1's [0, 1]
+        c = Corpus(["a", "b"], [doc])
+        params = make_params(np.eye(2), [0.5, 0.5])
+        state = init_state(c, 2, params.alpha, seed=0, noise=0.0)
+        inference._visit_level(params, state, one_doc_block(state, params, 0), 1e-6)
+        np.testing.assert_array_equal(state.phi, np.eye(2))
+        return state.gamma[0]
+
     def test_two_token_example(self):
-        c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0, noise=0.0)
-        state.set_phi(0, 0, np.array([1.0, 0.0]))
-        state.set_phi(0, 1, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(update_gamma(0, state, [0.5, 0.5]), [1.5, 1.5])
+        np.testing.assert_allclose(self.visited_gamma([(0, 1), (1, 1)]), [1.5, 1.5])
 
     def test_count_weighting(self):
-        single = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
-        double = Corpus(["a", "b"], [[(0, 2), (1, 1)]])
-        phi_a = np.array([0.9, 0.1])
-        phi_b = np.array([0.2, 0.8])
-        states = []
-        for c in (single, double):
-            s = init_state(c, 2, np.array([0.5, 0.5]), seed=0, noise=0.0)
-            s.set_phi(0, 0, phi_a.copy())
-            s.set_phi(0, 1, phi_b.copy())
-            states.append(update_gamma(0, s, [0.5, 0.5]))
-        np.testing.assert_allclose(states[1] - states[0], phi_a)
+        # a second token of term 0 adds term 0's phi row once more
+        single = self.visited_gamma([(0, 1), (1, 1)])
+        double = self.visited_gamma([(0, 2), (1, 1)])
+        np.testing.assert_allclose(double - single, [1.0, 0.0])
 
 
 def oracle_tiny_elbo(alpha, beta, link, gamma, phi_docs, words, links):

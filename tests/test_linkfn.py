@@ -79,15 +79,18 @@ def monte_carlo_log_link(params, phi_d, phi_dp, draws, rng):
 class TestLinkProbability:
     def test_sigmoid_at_zero(self):
         params = LinkParams(eta=np.zeros(2), nu=0.0, kind="sigmoid")
-        assert linkfn.link_probability(params, [0.5, 0.5], [0.5, 0.5]) == 0.5
+        np.testing.assert_array_equal(
+            linkfn.link_probability(params, [0.5, 0.5], [0.5, 0.5]), [0.5])
 
     def test_exponential_at_zero(self):
         params = LinkParams(eta=np.zeros(2), nu=0.0, kind="exponential")
-        assert linkfn.link_probability(params, [0.5, 0.5], [0.2, 0.8]) == 1.0
+        np.testing.assert_array_equal(
+            linkfn.link_probability(params, [0.5, 0.5], [0.2, 0.8]), [1.0])
 
     def test_gaussian_zero_distance(self):
         params = LinkParams(eta=np.array([1.0, 2.0]), nu=0.0, kind="gaussian")
-        assert linkfn.link_probability(params, [0.3, 0.7], [0.3, 0.7]) == 1.0
+        np.testing.assert_array_equal(
+            linkfn.link_probability(params, [0.3, 0.7], [0.3, 0.7]), [1.0])
 
     def test_probit_at_zero(self):
         params = LinkParams(eta=np.zeros(3), nu=0.0, kind="probit")
@@ -112,7 +115,7 @@ class TestLinkProbability:
                 params = LinkParams(eta=eta, nu=nu, kind=kind)
                 z1 = random_simplex_rows(rng, 1, k)[0]
                 z2 = random_simplex_rows(rng, 1, k)[0]
-                p = linkfn.link_probability(params, z1, z2)
+                (p,) = linkfn.link_probability(params, z1, z2)
                 assert 0.0 <= p <= 1.0
 
     def test_monotone_in_linear_predictor(self):
@@ -122,7 +125,7 @@ class TestLinkProbability:
             probs = []
             for nu in np.linspace(-6, 0, 25):
                 params = LinkParams(eta=np.zeros(2), nu=nu, kind=kind)
-                probs.append(linkfn.link_probability(params, [0.5, 0.5], [0.5, 0.5]))
+                probs.extend(linkfn.link_probability(params, [0.5, 0.5], [0.5, 0.5]))
             assert np.all(np.diff(probs) >= 0)
 
     def test_inadmissible_exponential_rejected(self):

@@ -28,8 +28,7 @@ def model_of(beta, alpha, link=None, kind=None):
 
 def score_one(model, heldout, train):
     """Link probability between two posteriors: score_train_docs on one row."""
-    var = train.var if train.var is not None else np.zeros_like(train.phi_bar)
-    scores = score_train_docs(model, heldout, train.phi_bar[None], var[None])
+    scores = score_train_docs(model, heldout, train.phi_bar[None], train.var[None])
     assert scores.shape == (1,)
     return float(scores[0])
 
@@ -54,7 +53,8 @@ class TestInferHeldout:
         model = model_of([[0.4, 0.6]], [1.0])
         post = infer_heldout(model, words=[(0, 2), (1, 1)])
         np.testing.assert_allclose(post.phi_bar, [1.0])
-        assert post.evidence == "words"
+        # three word tokens enter gamma
+        np.testing.assert_allclose(post.gamma, [4.0])
 
     def test_words_only_equals_lda_inference(self):
         beta = np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
@@ -87,7 +87,9 @@ class TestInferHeldout:
         expected = np.exp([0.9, 0.1])
         expected /= expected.sum()
         np.testing.assert_allclose(post.phi_bar, expected, atol=1e-4)
-        assert post.evidence == "links"
+        # a single pseudo-token enters gamma and the variance
+        np.testing.assert_array_equal(post.gamma, model.params.alpha + post.phi_bar)
+        np.testing.assert_array_equal(post.var, post.phi_bar * (1.0 - post.phi_bar))
 
     @pytest.mark.parametrize("term", [-1, 2, 99])
     def test_out_of_range_term_rejected(self, term):
@@ -131,31 +133,31 @@ class TestPredict:
         link = LinkParams(eta=np.zeros(2), nu=0.0, kind="sigmoid")
         model = model_of([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], link=link)
         h = HeldoutPosterior(phi_bar=np.array([0.5, 0.5]),
-                             gamma=np.ones(2), evidence="words")
+                             gamma=np.ones(2), var=np.zeros(2))
         t = HeldoutPosterior(phi_bar=np.array([0.5, 0.5]),
-                             gamma=np.ones(2), evidence="words")
+                             gamma=np.ones(2), var=np.zeros(2))
         assert score_one(model, h, t) == 0.5
 
     def test_gaussian_identical_posteriors(self):
         link = LinkParams(eta=np.array([1.0, 1.0]), nu=0.0, kind="gaussian")
         model = model_of([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], link=link)
         h = HeldoutPosterior(phi_bar=np.array([0.3, 0.7]), gamma=np.ones(2),
-                             evidence="words", var=np.zeros(2))
+                             var=np.zeros(2))
         np.testing.assert_allclose(score_one(model, h, h), 1.0)
 
     def test_exponential_matches_exp_of_expectation(self):
         link = LinkParams(eta=np.array([-0.5, -0.9]), nu=-0.3, kind="exponential")
         model = model_of([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5], link=link)
         h = HeldoutPosterior(phi_bar=np.array([0.4, 0.6]), gamma=np.ones(2),
-                             evidence="words")
+                             var=np.zeros(2))
         t = HeldoutPosterior(phi_bar=np.array([0.8, 0.2]), gamma=np.ones(2),
-                             evidence="words")
+                             var=np.zeros(2))
         expected = np.exp(link.eta @ (h.phi_bar * t.phi_bar) + link.nu)
         np.testing.assert_allclose(score_one(model, h, t), expected, rtol=1e-15)
 
     def test_link_scores_rejected_without_link_model(self):
         model = model_of([[0.5, 0.5]], [1.0], kind="unigram")
-        h = HeldoutPosterior(phi_bar=np.ones(1), gamma=np.ones(1), evidence="words")
+        h = HeldoutPosterior(phi_bar=np.ones(1), gamma=np.ones(1), var=np.zeros(1))
         with pytest.raises(ValueError, match="does not score links"):
             score_one(model, h, h)
 
@@ -178,7 +180,6 @@ class TestPredict:
         link = LinkParams(eta=np.array(eta), nu=nu, kind=kind)
         model = model_of(np.full((num_topics, 2), 0.5), np.ones(num_topics), link=link)
         h = HeldoutPosterior(phi_bar=data.draw(simplex), gamma=np.ones(num_topics),
-                             evidence="words",
                              var=0.25 * np.array([data.draw(unit) for _ in range(num_topics)]))
         train = np.array([data.draw(simplex) for _ in range(num_train)])
         train_var = 0.25 * np.array([[data.draw(unit) for _ in range(num_topics)]
@@ -191,17 +192,17 @@ class TestPredict:
 
     def test_word_dist_single_topic(self):
         model = model_of([[0.2, 0.3, 0.5]], [1.0])
-        h = HeldoutPosterior(phi_bar=np.ones(1), gamma=np.ones(1), evidence="links")
+        h = HeldoutPosterior(phi_bar=np.ones(1), gamma=np.ones(1), var=np.zeros(1))
         np.testing.assert_allclose(predict_word_dist(model, h), [0.2, 0.3, 0.5])
 
     def test_word_dist_one_hot_and_uniform(self):
         beta = np.array([[0.6, 0.3, 0.1], [0.1, 0.2, 0.7]])
         model = model_of(beta, [0.5, 0.5])
         one_hot = HeldoutPosterior(phi_bar=np.array([0.0, 1.0]),
-                                   gamma=np.ones(2), evidence="links")
+                                   gamma=np.ones(2), var=np.zeros(2))
         np.testing.assert_allclose(predict_word_dist(model, one_hot), beta[1])
         uniform = HeldoutPosterior(phi_bar=np.array([0.5, 0.5]),
-                                   gamma=np.ones(2), evidence="links")
+                                   gamma=np.ones(2), var=np.full(2, 0.25))
         np.testing.assert_allclose(predict_word_dist(model, uniform),
                                    beta.mean(axis=0))
 
@@ -211,7 +212,7 @@ class TestPredict:
         beta /= beta.sum(axis=1, keepdims=True)
         model = model_of(beta, np.full(4, 0.25))
         phi = rng.dirichlet(np.ones(4))
-        h = HeldoutPosterior(phi_bar=phi, gamma=np.ones(4), evidence="links")
+        h = HeldoutPosterior(phi_bar=phi, gamma=np.ones(4), var=phi * (1.0 - phi))
         assert abs(predict_word_dist(model, h).sum() - 1.0) < 1e-10
 
 
@@ -338,9 +339,3 @@ class TestEvaluateFold:
             model = fit(train_corpus, 2, kind="exponential", seed=7, em_iters=8)
             ranks[name] = evaluate_fold(model, corp, plan, 0).mean_link_rank
         assert ranks["planted"] < ranks["shuffled"]
-
-    def test_distinct_terms_flag_changes_weighting(self, planted):
-        corpus, plan, model = planted
-        by_occurrence = evaluate_fold(model, corpus, plan, 0)
-        by_term = evaluate_fold(model, corpus, plan, 0, rank_distinct_terms=True)
-        assert by_occurrence.mean_word_rank != by_term.mean_word_rank

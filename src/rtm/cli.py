@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from . import baselines, estimation, linkfn, prediction
-from .corpus import (CorpusFormatError, generate_synthetic, load_corpus,
-                     read_vocab, split_folds, training_view, write_corpus)
+from .corpus import (CorpusFormatError, _parse_entries, generate_synthetic,
+                     load_corpus, read_vocab, split_folds, training_view,
+                     write_corpus)
 
 
 def _add_corpus_flags(p, links_required=False):
@@ -199,23 +200,11 @@ def cmd_report_topics(args):
     return 0
 
 
-def _parse_new_doc(text):
-    words = []
-    for entry in text.split():
-        term_s, sep, count_s = entry.partition(":")
-        if not sep:
-            raise ValueError(f"malformed term:count entry {entry!r}")
-        words.append((int(term_s), int(count_s)))
-    if not words:
-        raise ValueError("new document has no words")
-    return words
-
-
 def cmd_suggest_links(args):
     _check_top_k(args)
     corpus = _load(args)
     model = estimation.load_model(args.model)
-    heldout = prediction.infer_heldout(model, words=_parse_new_doc(args.new_doc))
+    heldout = prediction.infer_heldout(model, words=_parse_entries(args.new_doc.split()))
     state = prediction.train_posteriors(model, corpus, seed=args.seed)
     scores = prediction.score_train_docs(model, heldout,
                                          state.phi_bar, state.var_bar)

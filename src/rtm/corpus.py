@@ -147,6 +147,21 @@ def _link_pair(d1, d2, num_docs):
     return min(d1, d2), max(d1, d2)
 
 
+def _parse_entries(entries):
+    """(term, count) pairs of `term:count` strings, not yet checked against
+    the input rules; ValueError names the malformed entry."""
+    doc = []
+    for entry in entries:
+        term_s, sep, count_s = entry.partition(":")
+        if not sep:
+            raise ValueError(f"malformed entry {entry!r} (expected term:count)")
+        try:
+            doc.append((int(term_s), int(count_s)))
+        except ValueError:
+            raise ValueError(f"malformed entry {entry!r}") from None
+    return doc
+
+
 def _parse_doc_line(line, lineno, num_terms):
     parts = line.split()
     try:
@@ -157,20 +172,8 @@ def _parse_doc_line(line, lineno, num_terms):
     if len(entries) != declared:
         raise CorpusFormatError(
             f"docs line {lineno}: declares {declared} entries, found {len(entries)}")
-    doc = []
-    for entry in entries:
-        term_s, sep, count_s = entry.partition(":")
-        if not sep:
-            raise CorpusFormatError(
-                f"docs line {lineno}: malformed entry {entry!r} (expected term:count)")
-        try:
-            term, count = int(term_s), int(count_s)
-        except ValueError:
-            raise CorpusFormatError(
-                f"docs line {lineno}: malformed entry {entry!r}") from None
-        doc.append((term, count))
     try:
-        return _merged_doc(doc, num_terms)
+        return _merged_doc(_parse_entries(entries), num_terms)
     except ValueError as exc:
         raise CorpusFormatError(f"docs line {lineno}: {exc}") from None
 
@@ -342,13 +345,15 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
     """
     if num_topics < 1:
         raise ValueError(f"num_topics must be at least 1, got {num_topics}")
+    if num_docs < 1:
+        raise ValueError(f"num_docs must be at least 1, got {num_docs}")
     if doc_length < 1:
         raise ValueError(f"doc_length must be at least 1, got {doc_length}")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim == 0:
         alpha = np.full(num_topics, float(alpha))
-    if alpha.shape != (num_topics,) or np.any(alpha <= 0):
-        raise ValueError("alpha must be a positive vector of length num_topics")
+    if alpha.shape != (num_topics,) or not np.all((0 < alpha) & (alpha < np.inf)):
+        raise ValueError("alpha must be a positive finite vector of length num_topics")
     params = LinkParams(eta=eta, nu=nu, kind=link_fn)
     params.check_admissible()
     beta = block_topics(num_topics, num_terms)
@@ -366,8 +371,11 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
         terms = np.flatnonzero(word_counts)
         docs.append([(int(t), int(word_counts[t])) for t in terms])
 
+    # one anchor document at a time, in the pair order of triu_indices, so that
+    # no (pairs, K) array is ever held
     left, right = np.triu_indices(num_docs, k=1)
-    probs = link_probability(params, zbar[left], zbar[right])
+    probs = np.concatenate([link_probability(params, zbar[i], zbar[i + 1:])
+                            for i in range(num_docs)])
     linked = rng.random(probs.shape[0]) < probs
     links = list(zip(left[linked], right[linked]))
 

@@ -50,12 +50,12 @@ class RegularizationConfig:
     smoothing: float = 0.01
 
     def __post_init__(self):
-        if self.rho is not None and self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.smoothing <= 0:
-            raise ValueError("smoothing must be > 0")
+        if self.rho is not None and not 0 <= self.rho < np.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.smoothing < np.inf:
+            raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
 
     def resolved(self, num_links):
         rho = float(num_links) if self.rho is None else float(self.rho)
@@ -287,7 +287,8 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     each bound as a line.  Deterministic given seed.
 
     alpha is symmetric with total mass alpha_total; it is held fixed.
-    num_topics and em_iters must be at least 1.
+    num_topics and em_iters must be at least 1, alpha_total positive and
+    finite, and tol finite.
     """
     if kind is not None and kind not in linkfn.KINDS:
         raise ValueError(f"unknown link function kind: {kind!r}")
@@ -295,6 +296,10 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         raise ValueError(f"num_topics must be at least 1, got {num_topics}")
     if em_iters < 1:
         raise ValueError(f"em_iters must be at least 1, got {em_iters}")
+    if not 0 < alpha_total < np.inf:
+        raise ValueError(f"alpha_total must be finite and > 0, got {alpha_total}")
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     reg = (reg or RegularizationConfig()).resolved(corpus.num_links)
     alpha = np.full(num_topics, alpha_total / num_topics)
 

@@ -73,6 +73,8 @@ class LinkParams:
         self.nu = float(self.nu)
         if self.eta.ndim != 1:
             raise ValueError("eta must be a 1-D coefficient vector")
+        if not (np.all(np.isfinite(self.eta)) and np.isfinite(self.nu)):
+            raise ValueError("link coefficients eta and nu must be finite")
         if self.kind not in KINDS:
             raise ValueError(f"unknown link function kind: {self.kind!r}")
 

@@ -159,6 +159,35 @@ class TestSizeFlagsRejected:
         assert_one_line_error(capsys, code, "error: doc_length must be at least 1")
         assert not out.exists()
 
+    def test_synth_num_docs(self, tmp_path, capsys):
+        out = tmp_path / "synthetic"
+        code = main(["synth", "--out", str(out), "--num-docs", "0"])
+        assert_one_line_error(capsys, code, "error: num_docs must be at least 1")
+        assert not out.exists()
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("flags, message", [
+        (["--eta", "nan"], "link coefficients eta and nu must be finite"),
+        (["--nu", "nan"], "link coefficients eta and nu must be finite"),
+        (["--eta=-inf"], "link coefficients eta and nu must be finite"),
+        (["--alpha-total", "nan"], "alpha must be a positive finite vector")])
+    def test_synth(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "synthetic"
+        code = main(["synth", "--out", str(out), "--topics", "2", *flags])
+        assert_one_line_error(capsys, code, f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("l2", "nan", "lam must be finite"), ("tol", "nan", "tol must be finite"),
+        ("smoothing", "inf", "smoothing must be finite"), ("rho", "inf", "rho must be finite"),
+        ("alpha_total", "inf", "alpha_total must be finite")])
+    def test_fit(self, corpus_files, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "m.txt"
+        code = main(fit_args(*corpus_files, str(out), **{flag: value}))
+        assert_one_line_error(capsys, code, f"error: {message}")
+        assert not out.exists()
+
 
 class TestTruncatedModelRejected:
     """A model file cut short: 4 lines of header and link coefficients, then K rows."""

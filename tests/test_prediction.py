@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import psi
 
-from rtm import estimation, linkfn, prediction
+from rtm import baselines, estimation, linkfn, prediction
 from rtm.corpus import Corpus, generate_synthetic, split_folds, training_view
 from rtm.estimation import FittedModel, fit
 from rtm.inference import ModelParams, init_state, run_e_step
@@ -46,6 +46,58 @@ def literal_link_prob(link, mean_h, var_h, mean_t, var_t):
     if link.kind == "probit":
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
     return math.exp(x)
+
+
+def parent_links_loop(model, links, train_phi_bar, tol):
+    """Every phi iterate of the links-only loop that infer_heldout ran before
+    words and links shared one loop.  It stopped when sum |change in phi|
+    fell below tol."""
+    alpha = model.params.alpha
+    k = alpha.shape[0]
+    link = model.params.link if model.kind in linkfn.KINDS else None
+    neighbor_means = train_phi_bar[links]
+    phi = np.full(k, 1.0 / k)
+    gamma = alpha + phi
+    iterates = [phi]
+    for _ in range(prediction._MAX_ITERS):
+        elog_theta = psi(gamma) - psi(gamma.sum())
+        g = np.zeros(k)
+        if link is not None:
+            if link.kind == "gaussian":
+                g = linkfn.grad_phi_gaussian(link, neighbor_means.sum(axis=0),
+                                             neighbor_means.shape[0], np.zeros(k), 1)
+            else:
+                x = neighbor_means @ (link.eta * phi) + link.nu
+                g = (linkfn.gradient_coefficient(link, x) @ neighbor_means) * link.eta
+        v = elog_theta + g
+        new_phi = np.exp(v - v.max())
+        new_phi /= new_phi.sum()
+        change = float(np.abs(new_phi - phi).sum())
+        phi = new_phi
+        gamma = alpha + phi
+        iterates.append(phi)
+        if change < tol:
+            break
+    return iterates
+
+
+def draw_link(data, kind, num_topics):
+    """Hypothesis-drawn admissible coefficients of one link kind."""
+    if kind == "exponential":
+        nu = data.draw(st.floats(-3.0, 0.0))
+        eta = [-nu - data.draw(st.floats(0.0, 3.0)) for _ in range(num_topics)]
+    elif kind == "gaussian":
+        nu = data.draw(st.floats(0.0, 2.0))
+        eta = [data.draw(st.floats(0.0, 3.0)) for _ in range(num_topics)]
+    else:
+        nu = data.draw(st.floats(-3.0, 3.0))
+        eta = [data.draw(st.floats(-3.0, 3.0)) for _ in range(num_topics)]
+    return LinkParams(eta=np.array(eta), nu=nu, kind=kind)
+
+
+def simplex(num_topics):
+    return st.lists(st.floats(0.01, 1.0), min_size=num_topics,
+                    max_size=num_topics).map(lambda w: np.array(w) / sum(w))
 
 
 class TestInferHeldout:
@@ -114,6 +166,55 @@ class TestInferHeldout:
         with pytest.raises(ValueError, match="exactly one"):
             infer_heldout(model)
 
+    @pytest.mark.parametrize("kind", (*linkfn.KINDS, "lda", "lda_regression", "unigram"))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), num_topics=st.integers(1, 4), num_train=st.integers(1, 6),
+           tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
+    def test_links_only_matches_parent_loop(self, kind, data, num_topics, num_train, tol):
+        link = None
+        if kind in linkfn.KINDS:
+            link = draw_link(data, kind, num_topics)
+        elif kind == "lda_regression":
+            link = draw_link(data, "sigmoid", num_topics)
+        alpha = np.array([data.draw(st.floats(0.05, 2.0)) for _ in range(num_topics)])
+        model = model_of(np.full((num_topics, 2), 0.5), alpha, link=link, kind=kind)
+        train_phi_bar = np.array([data.draw(simplex(num_topics)) for _ in range(num_train)])
+        links = data.draw(st.lists(st.integers(0, num_train - 1), min_size=1, max_size=5))
+
+        post = infer_heldout(model, links=links, train_phi_bar=train_phi_bar, tol=tol)
+        iterates = parent_links_loop(model, np.array(links), train_phi_bar, tol)
+        # Both loops take the same steps from the same start.  The shared loop
+        # stops after the first step whose mean |change in gamma| = sum |change
+        # in phi| / K is below tol, the parent's after the first whose sum is
+        # below tol, so the two results differ by at most the steps in between.
+        steps = [float(np.abs(b - a).sum()) for a, b in zip(iterates, iterates[1:])]
+        first = next((i for i, step in enumerate(steps) if step < num_topics * tol),
+                     len(steps) - 1)
+        bound = sum(steps[first + 1:]) + 1e-12
+        phi = iterates[-1]
+        assert np.abs(post.phi_bar - phi).sum() <= bound
+        assert np.abs(post.gamma - (alpha + phi)).sum() <= bound
+        assert np.abs(post.var - phi * (1.0 - phi)).sum() <= bound
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data(), num_topics=st.integers(1, 4), num_terms=st.integers(1, 8))
+    def test_repeated_terms_give_the_merged_posterior(self, data, num_topics, num_terms):
+        beta = np.array([data.draw(simplex(num_terms)) for _ in range(num_topics)])
+        model = model_of(beta, np.full(num_topics, 0.5))
+        terms = data.draw(st.lists(st.integers(0, num_terms - 1), min_size=1,
+                                   max_size=num_terms, unique=True))
+        merged = [(t, data.draw(st.integers(1, 5))) for t in terms]
+        # one term's count split over its entry and extra entries after it
+        i = data.draw(st.integers(0, len(terms) - 1))
+        split = list(merged)
+        for part in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            split.insert(data.draw(st.integers(i + 1, len(split))), (terms[i], part))
+            merged[i] = (terms[i], merged[i][1] + part)
+        want = infer_heldout(model, words=merged)
+        got = infer_heldout(model, words=split)
+        for name in ("phi_bar", "gamma", "var"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_baseline_kind_ignores_links(self):
         # identical beta: the lda_regression links-only posterior must not
         # be tilted by its regression stage
@@ -166,22 +267,11 @@ class TestPredict:
     @given(data=st.data(), num_topics=st.integers(1, 4), num_train=st.integers(1, 6))
     def test_scores_match_literal_formula(self, kind, data, num_topics, num_train):
         unit = st.floats(0.0, 1.0)
-        simplex = st.lists(st.floats(0.01, 1.0), min_size=num_topics,
-                           max_size=num_topics).map(lambda w: np.array(w) / sum(w))
-        if kind == "exponential":
-            nu = data.draw(st.floats(-3.0, 0.0))
-            eta = [-nu - data.draw(st.floats(0.0, 3.0)) for _ in range(num_topics)]
-        elif kind == "gaussian":
-            nu = data.draw(st.floats(0.0, 2.0))
-            eta = [data.draw(st.floats(0.0, 3.0)) for _ in range(num_topics)]
-        else:
-            nu = data.draw(st.floats(-3.0, 3.0))
-            eta = [data.draw(st.floats(-3.0, 3.0)) for _ in range(num_topics)]
-        link = LinkParams(eta=np.array(eta), nu=nu, kind=kind)
+        link = draw_link(data, kind, num_topics)
         model = model_of(np.full((num_topics, 2), 0.5), np.ones(num_topics), link=link)
-        h = HeldoutPosterior(phi_bar=data.draw(simplex), gamma=np.ones(num_topics),
+        h = HeldoutPosterior(phi_bar=data.draw(simplex(num_topics)), gamma=np.ones(num_topics),
                              var=0.25 * np.array([data.draw(unit) for _ in range(num_topics)]))
-        train = np.array([data.draw(simplex) for _ in range(num_train)])
+        train = np.array([data.draw(simplex(num_topics)) for _ in range(num_train)])
         train_var = 0.25 * np.array([[data.draw(unit) for _ in range(num_topics)]
                                      for _ in range(num_train)])
         scores = score_train_docs(model, h, train, train_var)
@@ -262,21 +352,23 @@ def brute_force_fold_metrics(model, corpus, plan, fold, top_k):
         if not true:
             continue
         terms, counts = corpus.doc(doc)
-        heldout = infer_heldout(model, words=list(zip(terms, counts)))
-        scores = [literal_link_prob(model.params.link, heldout.phi_bar, heldout.var,
-                                    state.phi_bar[i], state.var_bar[i])
-                  for i in range(train_corpus.num_docs)]
-        for t in true:
-            higher = sum(1 for s in scores if s > scores[t])
-            equal = sum(1 for s in scores if s == scores[t]) - 1
-            link_ranks.append(1 + higher + equal / 2)
+        if model.params.link is not None:
+            heldout = infer_heldout(model, words=list(zip(terms, counts)))
+            scores = [literal_link_prob(model.params.link, heldout.phi_bar, heldout.var,
+                                        state.phi_bar[i], state.var_bar[i])
+                      for i in range(train_corpus.num_docs)]
+            for t in true:
+                higher = sum(1 for s in scores if s > scores[t])
+                equal = sum(1 for s in scores if s == scores[t]) - 1
+                link_ranks.append(1 + higher + equal / 2)
         heldout_l = infer_heldout(model, links=true, train_phi_bar=state.phi_bar)
         dist = predict_word_dist(model, heldout_l)
         for t, cnt in zip(terms, counts):
             higher = sum(1 for v in dist if v > dist[t])
             equal = sum(1 for v in dist if v == dist[t]) - 1
             word_ranks.extend([1 + higher + equal / 2] * int(cnt))
-    return float(np.mean(link_ranks)), float(np.mean(word_ranks))
+    return (float(np.mean(link_ranks)) if link_ranks else float("nan"),
+            float(np.mean(word_ranks)))
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +389,25 @@ class TestEvaluateFold:
         link_rank, word_rank = brute_force_fold_metrics(model, corpus, plan, 0, 5)
         np.testing.assert_allclose(report.mean_link_rank, link_rank, rtol=1e-9)
         np.testing.assert_allclose(report.mean_word_rank, word_rank, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["lda", "unigram"])
+    def test_word_only_models_skip_training_posteriors(self, planted, monkeypatch, name):
+        corpus, plan, _ = planted
+        train_corpus, _ = training_view(corpus, plan, 0)
+        model = (baselines.fit_lda(train_corpus, 2, seed=5, em_iters=8) if name == "lda"
+                 else baselines.unigram(train_corpus))
+        # the reference passes training posteriors to every links-only query
+        link_rank, word_rank = brute_force_fold_metrics(model, corpus, plan, 0, 5)
+        assert math.isnan(link_rank)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a model that scores no links needs no training posteriors")
+        monkeypatch.setattr(prediction, "training_view", unused)
+        monkeypatch.setattr(prediction, "train_posteriors", unused)
+        report = evaluate_fold(model, corpus, plan, 0, top_k=5)
+        np.testing.assert_allclose(report.mean_word_rank, word_rank, rtol=1e-12)
+        assert math.isnan(report.mean_link_rank) and math.isnan(report.precision_at_k)
+        assert report.num_test_docs == plan.test_docs(0).size
 
     def test_report_fields(self, planted):
         corpus, plan, model = planted

@@ -15,7 +15,7 @@ from .linkfn import (LinkParams, expected_log_link_batch, gradient_coefficient,
 from .inference import (ElboBreakdown, ModelParams, VariationalState, elbo,
                         init_state, run_e_step)
 from .estimation import (FittedModel, RegularizationConfig, SufficientStats,
-                         fit, fit_link_exponential, fit_link_gaussian,
+                         fit, fit_link, fit_link_exponential, fit_link_gaussian,
                          fit_link_sigmoid_probit, load_model, save_model,
                          update_beta)
 from .prediction import (HeldoutPosterior, RankReport, evaluate_fold,

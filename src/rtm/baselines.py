@@ -29,20 +29,17 @@ def fit_link_regression(corpus, lda):
 
     lda must come from fit_lda on corpus.  The stage infers corpus's
     LDA posteriors with lda's seed and tolerance, then fits the sigmoid
-    link parameters to their pair covariates with the pseudo non-link /
-    l2 regularization lda was fitted with.  lda's topics are unchanged.
+    link parameters to their pair covariates by the RTM's link M-step,
+    `estimation.fit_link`, with the pseudo non-link / l2 regularization
+    lda was fitted with.  lda's topics are unchanged.
     """
     config = lda.config
     reg = estimation.RegularizationConfig(rho=config["rho"], lam=config["lam"],
                                           smoothing=config["smoothing"])
-    num_topics = lda.params.num_topics
-    link = linkfn.LinkParams(eta=np.zeros(num_topics), nu=0.0, kind="sigmoid")
+    link = linkfn.LinkParams(eta=np.zeros(lda.params.num_topics), nu=0.0, kind="sigmoid")
     if corpus.num_links:
         state = prediction.train_posteriors(lda, corpus, seed=lda.seed, tol=config["tol"])
-        l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
-        pi_bar_links = state.phi_bar[l1] * state.phi_bar[l2]
-        link = estimation.fit_link_sigmoid_probit("sigmoid", pi_bar_links, reg,
-                                                  lda.params.alpha)
+        link = estimation.fit_link(corpus, state, lda.params.alpha, reg, link)
     params = ModelParams(beta=lda.params.beta, alpha=lda.params.alpha, link=link)
     return FittedModel(params=params, kind="lda_regression",
                        config=dict(config, kind="lda_regression"),

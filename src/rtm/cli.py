@@ -3,7 +3,8 @@
 All corpus and model file formats are documented in the corpus and
 estimation modules.  Reports are tab-separated; diagnostics go to
 stderr.  Commands exit 0 on success and nonzero with a single-line
-message on failure; model files are written atomically (a uniquely
+message on failure, or with status 1 and no message when the reader of
+stdout goes away early; model files are written atomically (a uniquely
 named temp file in the target directory, flushed to disk, then renamed
 over the target).
 """
@@ -240,7 +241,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `rtm eval ... | head -1`);
+        # send what is still buffered to devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FileNotFoundError as exc:
         path = exc.filename if exc.filename else exc
         print(f"error: file not found: {path}", file=sys.stderr)

@@ -14,8 +14,11 @@ links are observed), so each kind carries its own regularization:
                   differences, with the intercept set from the
                   probability mass budget and floored at zero
 
-The EM driver alternates the coordinate-ascent E-step with these
-updates until the bound stabilizes.
+`fit_link` is the one link M-step: the EM driver `fit` calls it after
+each E-step, and LDA+regression (`baselines.fit_link_regression`) calls
+it once on frozen LDA posteriors.  The per-kind link formulas it needs
+come from `linkfn`.  The EM driver alternates the coordinate-ascent
+E-step with these updates until the bound stabilizes.
 """
 
 import os
@@ -24,7 +27,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from . import inference, linkfn
 from .inference import ModelParams
@@ -105,20 +107,19 @@ def update_beta(corpus, state, smoothing):
 def link_regularizer(link, rho, lam, pi_alpha):
     """Additive regularization term of the link M-step objective.
 
-    For the exponential kind this is the linearized non-link penalty,
-    which is -inf on the admissibility boundary (nu = 0 or some
-    eta_i + nu = 0) and beyond it, unless rho = 0.  The gaussian
-    kind has no additive penalty (rho enters through its intercept
-    update), so 0 is returned.
+    For sigmoid and probit this is rho pseudo non-links at the prior
+    covariate, rho log(1 - F(x_alpha)) = rho log F(-x_alpha).  For the
+    exponential kind it is the linearized non-link penalty, which is
+    -inf on the admissibility boundary (nu = 0 or some eta_i + nu = 0)
+    and beyond it, unless rho = 0.  The gaussian kind has no additive
+    penalty (rho enters through its intercept update), so 0 is returned.
     """
     if link is None or link.kind == "gaussian":
         return 0.0
     penalty = -lam * float(link.eta @ link.eta)
     x_alpha = float(link.eta @ pi_alpha + link.nu)
-    if link.kind == "sigmoid":
-        return penalty + rho * float(linkfn.log_sigmoid(-x_alpha))
-    if link.kind == "probit":
-        return penalty + rho * float(log_ndtr(-x_alpha))
+    if link.kind in ("sigmoid", "probit"):
+        return penalty + rho * float(linkfn.log_link(link, -x_alpha))
     # exponential: exact-at-the-extremes linear surrogate of log(1 - psi)
     if link.nu >= 0 or np.any(link.eta + link.nu >= 0):
         return penalty - np.inf if rho > 0 else penalty
@@ -127,42 +128,38 @@ def link_regularizer(link, rho, lam, pi_alpha):
     return penalty + rho * float(pi_alpha @ eta_lin + nu_lin)
 
 
-def regularized_link_objective(kind, pi_bar_links, eta, nu, rho, lam, pi_alpha):
-    """One-class M-step objective for the sigmoid and probit kinds."""
-    x = pi_bar_links @ eta + nu
-    if kind == "sigmoid":
-        loglik = float(linkfn.log_sigmoid(x).sum())
-    else:
-        loglik = float(log_ndtr(x).sum())
-    link = linkfn.LinkParams(eta=eta, nu=nu, kind=kind)
-    return loglik + link_regularizer(link, rho, lam, pi_alpha)
+def regularized_link_objective(link, pi_bar_links, rho, lam, pi_alpha):
+    """One-class M-step objective: the observed links' log probabilities
+    at covariates pi_bar_links plus the link regularizer."""
+    x = pi_bar_links @ link.eta + link.nu
+    return float(linkfn.log_link(link, x).sum()) + link_regularizer(link, rho, lam, pi_alpha)
 
 
-def regularized_link_gradient(kind, pi_bar_links, eta, nu, rho, lam, pi_alpha):
-    """Gradient of the objective above with respect to (eta, nu)."""
-    x = pi_bar_links @ eta + nu
-    x_alpha = float(eta @ pi_alpha + nu)
-    if kind == "sigmoid":
-        coeff = 1.0 - expit(x)
-        reg_coeff = -rho * float(expit(x_alpha))
-    else:
-        coeff = linkfn.inverse_mills_ratio(x)
-        reg_coeff = -rho * float(linkfn.inverse_mills_ratio(-x_alpha))
-    grad_eta = coeff @ pi_bar_links + reg_coeff * pi_alpha - 2.0 * lam * eta
+def regularized_link_gradient(link, pi_bar_links, rho, lam, pi_alpha):
+    """Gradient of the objective above with respect to (eta, nu), for the
+    sigmoid and probit kinds."""
+    x = pi_bar_links @ link.eta + link.nu
+    x_alpha = float(link.eta @ pi_alpha + link.nu)
+    coeff = linkfn.gradient_coefficient(link, x)
+    reg_coeff = -rho * float(linkfn.gradient_coefficient(link, -x_alpha))
+    grad_eta = coeff @ pi_bar_links + reg_coeff * pi_alpha - 2.0 * lam * link.eta
     grad_nu = float(coeff.sum()) + reg_coeff
     return grad_eta, grad_nu
 
 
-def fit_link_sigmoid_probit(kind, pi_bar_links, reg, alpha, init=None):
+def fit_link_sigmoid_probit(link, pi_bar_links, reg, alpha):
     """Maximize the regularized one-class objective by backtracking ascent.
 
-    Stops when the gradient infinity norm drops below 1e-6 or after 500
-    iterations.  init parameters warm-start the search, which also makes
-    each EM iteration's M-step an ascent step from the previous
-    parameters.
+    Ascends from link, whose kind (sigmoid or probit) it keeps, so each
+    EM iteration's M-step is an ascent step from the previous
+    parameters.  Stops when the gradient infinity norm drops below 1e-6
+    or after 500 iterations.  The cap binds: on 32-document training
+    views of sigmoid draws (K=10), every sigmoid and probit M-step of a
+    30-iteration fit, and every LDA+regression fit, ran all 500
+    iterations without reaching the gradient test.
     """
-    if kind not in ("sigmoid", "probit"):
-        raise ValueError(f"kind must be sigmoid or probit, got {kind!r}")
+    if link.kind not in ("sigmoid", "probit"):
+        raise ValueError(f"kind must be sigmoid or probit, got {link.kind!r}")
     if reg.rho is None:
         raise ValueError("rho must be resolved before fitting")
     if reg.rho <= 0 and reg.lam <= 0:
@@ -170,38 +167,29 @@ def fit_link_sigmoid_probit(kind, pi_bar_links, reg, alpha, init=None):
             "one-class estimation requires rho > 0 or lam > 0; the "
             "unregularized objective is unbounded above")
     pi_alpha = prior_pair_covariate(alpha)
-    k = pi_alpha.shape[0]
-    pi_bar_links = np.asarray(pi_bar_links, dtype=np.float64).reshape(-1, k)
-    if init is None:
-        eta = np.zeros(k)
-        nu = 0.0
-    else:
-        eta, nu = init.eta.copy(), init.nu
+    pi_bar_links = np.asarray(pi_bar_links, dtype=np.float64).reshape(-1, pi_alpha.shape[0])
 
-    current = regularized_link_objective(kind, pi_bar_links, eta, nu,
-                                         reg.rho, reg.lam, pi_alpha)
+    current = regularized_link_objective(link, pi_bar_links, reg.rho, reg.lam, pi_alpha)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite link objective at start")
     for _ in range(_MAX_ASCENT_ITERS):
-        g_eta, g_nu = regularized_link_gradient(kind, pi_bar_links, eta, nu,
-                                                reg.rho, reg.lam, pi_alpha)
+        g_eta, g_nu = regularized_link_gradient(link, pi_bar_links, reg.rho, reg.lam,
+                                                pi_alpha)
         if max(np.abs(g_eta).max(initial=0.0), abs(g_nu)) < _GRAD_TOL:
             break
         step = _INITIAL_STEP
-        improved = False
         while step >= 1e-16:
-            cand_eta = eta + step * g_eta
-            cand_nu = nu + step * g_nu
-            value = regularized_link_objective(kind, pi_bar_links, cand_eta,
-                                               cand_nu, reg.rho, reg.lam, pi_alpha)
+            cand = linkfn.LinkParams(eta=link.eta + step * g_eta,
+                                     nu=link.nu + step * g_nu, kind=link.kind)
+            value = regularized_link_objective(cand, pi_bar_links, reg.rho, reg.lam,
+                                               pi_alpha)
             if np.isfinite(value) and value >= current:
-                eta, nu, current = cand_eta, cand_nu, value
-                improved = True
+                link, current = cand, value
                 break
             step *= 0.5
-        if not improved:
-            break
-    return linkfn.LinkParams(eta=eta, nu=nu, kind=kind)
+        else:
+            break   # no step size improves the objective
+    return link
 
 
 def fit_link_exponential(stats, rho):
@@ -221,7 +209,7 @@ def fit_link_exponential(stats, rho):
     return linkfn.LinkParams(eta=eta, nu=float(nu), kind="exponential")
 
 
-def fit_link_gaussian(stats, rho, num_topics):
+def fit_link_gaussian(stats, rho):
     """Moment-matching gaussian-kind update.
 
     eta matches the per-component observed squared differences; nu
@@ -233,22 +221,27 @@ def fit_link_gaussian(stats, rho, num_topics):
     m = float(stats.num_links)
     sq = np.maximum(stats.sq_diff_sum, _LOG_CLAMP)
     eta = np.maximum(m / (2.0 * sq), 1e-8)
-    nu = (np.log(0.5) + 0.5 * num_topics * np.log(np.pi)
+    nu = (np.log(0.5) + 0.5 * eta.shape[0] * np.log(np.pi)
           + np.log(rho + m) - np.log(m) - 0.5 * float(np.log(eta).sum()))
     return linkfn.LinkParams(eta=eta, nu=max(0.0, float(nu)), kind="gaussian")
 
 
-def _fit_link(kind, corpus, state, alpha, reg, previous):
+def fit_link(corpus, state, alpha, reg, link):
+    """Link M-step from the variational state, for the kind of link.
+
+    Serves both the RTM's EM iterations and LDA+regression.  Sigmoid and
+    probit ascend from link; without observed links, link is returned.
+    reg must be resolved.
+    """
     stats = collect_stats(corpus, state, alpha)
     if stats.num_links == 0:
-        return previous
-    if kind == "exponential":
+        return link
+    if link.kind == "exponential":
         return fit_link_exponential(stats, reg.rho)
-    if kind == "gaussian":
-        return fit_link_gaussian(stats, reg.rho, state.num_topics)
+    if link.kind == "gaussian":
+        return fit_link_gaussian(stats, reg.rho)
     l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
-    pi_bar_links = state.phi_bar[l1] * state.phi_bar[l2]
-    return fit_link_sigmoid_probit(kind, pi_bar_links, reg, alpha, init=previous)
+    return fit_link_sigmoid_probit(link, state.phi_bar[l1] * state.phi_bar[l2], reg, alpha)
 
 
 @dataclass
@@ -322,8 +315,8 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         state, _ = inference.run_e_step(corpus, params, state)
         beta = update_beta(corpus, state, reg.smoothing)
         link = params.link
-        if kind is not None:
-            link = _fit_link(kind, corpus, state, alpha, reg, link)
+        if link is not None:
+            link = fit_link(corpus, state, alpha, reg, link)
         params = ModelParams(beta=beta, alpha=alpha, link=link)
         value = inference.elbo(corpus, params, state).total
         if not np.isfinite(value):
@@ -387,42 +380,56 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Read a model file back; validates the header and row normalization."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a model file back.
+
+    Validates the header, the link coefficients for the file's kind
+    (finite, and admissible for the exponential and gaussian kinds) and
+    the row normalization.  Every parse or validation error is one
+    ValueError line that starts with path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_model(fh.read().splitlines())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_model(lines):
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"{path}: not a model file (missing '{_MAGIC}' header)")
+        raise ValueError(f"not a model file (missing '{_MAGIC}' header)")
     if len(lines) < 4:
-        raise ValueError(f"{path}: truncated model file: fewer than 4 lines")
+        raise ValueError("truncated model file: fewer than 4 lines")
     header = lines[1].split()
     if len(header) != 5:
-        raise ValueError(f"{path}: malformed model header")
+        raise ValueError("malformed model header")
     k, v, kind = int(header[0]), int(header[1]), header[2]
     alpha_total, smoothing = float(header[3]), float(header[4])
     if kind not in linkfn.KINDS + _BASELINE_KINDS:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
+        raise ValueError(f"unknown model kind {kind!r}")
+    for name, value in (("alpha_total", alpha_total), ("smoothing", smoothing)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     nu = float(lines[2])
     eta = np.array([float(x) for x in lines[3].split()])
     if eta.shape != (k,):
-        raise ValueError(f"{path}: expected {k} link coefficients")
+        raise ValueError(f"expected {k} link coefficients")
     if len(lines) < 4 + k:
-        raise ValueError(f"{path}: truncated model file: fewer than {4 + k} lines "
+        raise ValueError(f"truncated model file: fewer than {4 + k} lines "
                          f"for {k} topic rows")
     log_beta = np.array([[float(x) for x in lines[4 + i].split()] for i in range(k)])
     if log_beta.shape != (k, v):
-        raise ValueError(f"{path}: topic matrix shape mismatch")
+        raise ValueError("topic matrix shape mismatch")
     beta = np.exp(log_beta)
     rows = beta.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-8):
-        raise ValueError(f"{path}: topic rows not normalized within 1e-8")
+    if not np.all(np.abs(rows - 1.0) <= 1e-8):
+        raise ValueError("topic rows not normalized within 1e-8")
     beta /= rows[:, None]
 
-    if kind in linkfn.KINDS:
-        link = linkfn.LinkParams(eta=eta, nu=nu, kind=kind)
-    elif kind == "lda_regression":
-        link = linkfn.LinkParams(eta=eta, nu=nu, kind="sigmoid")
-    else:
-        link = None
+    link = None
+    if kind in linkfn.KINDS or kind == "lda_regression":
+        link = linkfn.LinkParams(eta=eta, nu=nu,
+                                 kind="sigmoid" if kind == "lda_regression" else kind)
+        link.check_admissible()
     alpha = np.full(k, alpha_total / k)
     params = ModelParams(beta=beta, alpha=alpha, link=link)
     return FittedModel(params=params, kind=kind,

@@ -399,7 +399,7 @@ def _block_objective(params, block, phi, gamma, phi_bar):
     var = block.variance(phi)
     vals = linkfn.expected_log_link_batch(
         params.link, phi_bar[block.pair_doc], block.nb_means,
-        var[block.pair_doc], block.nb_var, count=False)
+        var[block.pair_doc], block.nb_var)
     return value + block.pair_sum(vals)
 
 

@@ -1,4 +1,5 @@
-"""Link probability functions for document pairs.
+"""Link probability functions for document pairs: the one place for
+each kind's formulas.
 
 A link between two documents is a Bernoulli variable whose probability
 depends on the documents' mean topic-assignment vectors zbar_d, zbar_dp.
@@ -10,19 +11,23 @@ Four families are supported:
   gaussian      exp(-eta . (zbar_d - zbar_dp)**2 - nu)
 
 where `o` is the elementwise product and Phi the standard normal CDF.
-Under the mean-field variational distribution, the expected log link
-probability is exact for the exponential and gaussian kinds and a
-first-order approximation (evaluated at pi_bar = phibar_d o phibar_dp)
-for sigmoid and probit.  `expected_log_link_batch` is the one
-evaluation of that expectation and `link_probability` the one
-evaluation of the probability itself: both take the two sides' mean
-vectors for a batch of pairs, so that a single pair is a one-row batch.
+Every per-kind formula lives here: `log_link` is log F(x) of the link
+function F at the predictor x, and `gradient_coefficient` its slope
+d log F / dx.  sigma and Phi are symmetric, 1 - F(x) = F(-x), so the
+log probability of a non-link is `log_link` at -x.  Under the mean-field
+variational distribution, the expected log link probability is exact
+for the exponential and gaussian kinds and a first-order approximation
+(evaluated at pi_bar = phibar_d o phibar_dp) for sigmoid and probit.
+`expected_log_link_batch` is the one evaluation of that expectation and
+`link_probability` the one evaluation of the probability itself: both
+take the two sides' mean vectors for a batch of pairs, so that a single
+pair is a one-row batch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr
+from scipy.special import expit, log_ndtr
 
 KINDS = ("sigmoid", "exponential", "probit", "gaussian")
 
@@ -100,15 +105,15 @@ class LinkParams:
         return self.eta.shape[0]
 
 
-def log_sigmoid(x):
-    """Numerically stable log(sigma(x)) = -log(1 + exp(-x))."""
-    return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
-
-
-def inverse_mills_ratio(x):
-    """pdf(x) / Phi(x) for the standard normal, stable for large negative x."""
+def log_link(params, x):
+    """log F(x) of the link function at predictor x: log sigma(x),
+    log Phi(x), or x itself for the exponential and gaussian kinds."""
     x = np.asarray(x, dtype=np.float64)
-    return np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x))
+    if params.kind == "sigmoid":
+        return -np.logaddexp(0.0, -x)
+    if params.kind == "probit":
+        return log_ndtr(x)
+    return x
 
 
 def _predictor(params, mean_a, mean_b, var_a, var_b):
@@ -128,16 +133,10 @@ def link_probability(params, mean_a, mean_b):
     """Link probability of each pair, from the two sides' mean assignment
     vectors given as in `expected_log_link_batch`; returns an (L,) array."""
     params.check_admissible()
-    x = _predictor(params, mean_a, mean_b, 0.0, 0.0)
-    if params.kind == "sigmoid":
-        return expit(x)
-    if params.kind == "probit":
-        return ndtr(x)
-    return np.exp(x)
+    return np.exp(log_link(params, _predictor(params, mean_a, mean_b, 0.0, 0.0)))
 
 
-def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None,
-                            count=True):
+def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None):
     """Expected log link probability for a batch of pairs.
 
     mean_a and mean_b are the two sides' mean assignment vectors, (L, K)
@@ -145,32 +144,28 @@ def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None,
     one pair.  The sigmoid, probit and exponential kinds use the pair
     covariate pi_bar = mean_a o mean_b.  The gaussian kind also needs
     var_a and var_b, the per-component variances Var(zbar_i) of each
-    side.  Returns an (L,) array and counts L pair evaluations;
-    count=False suppresses the counter for internal document-local
-    backtracking checks, which are not corpus-level link scans.
+    side.  Returns an (L,) array and counts L pair evaluations.
     """
-    out = _predictor(params, mean_a, mean_b, var_a, var_b)
-    if params.kind == "sigmoid":
-        out = log_sigmoid(out)
-    elif params.kind == "probit":
-        out = log_ndtr(out)
-    if count:
-        pair_evals.add(out.shape[0])
+    out = log_link(params, _predictor(params, mean_a, mean_b, var_a, var_b))
+    pair_evals.add(out.shape[0])
     return out
 
 
 def gradient_coefficient(params, x):
     """Scalar factor c(x) such that d/d(pi_bar) E[log psi] = c(x) * eta.
 
-    x is eta . pi_bar + nu; vectorized over x.  Not defined for the
-    gaussian kind, whose gradient is not a function of pi_bar.
+    x is eta . pi_bar + nu; vectorized over x.  c is the slope of
+    `log_link`: sigma(-x), the inverse Mills ratio pdf(x) / Phi(x), or 1
+    for the exponential kind.  Not defined for the gaussian kind, whose
+    gradient is not a function of pi_bar.
     """
+    x = np.asarray(x, dtype=np.float64)
     if params.kind == "sigmoid":
-        return 1.0 - expit(x)
+        return expit(-x)
     if params.kind == "probit":
-        return inverse_mills_ratio(x)
+        return np.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x))
     if params.kind == "exponential":
-        return np.ones_like(np.asarray(x, dtype=np.float64))
+        return np.ones_like(x)
     raise ValueError("gradient_coefficient is undefined for the gaussian kind")
 
 

@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,9 @@ from rtm.cli import main, topic_word_scores
 from rtm.corpus import generate_synthetic, load_corpus, write_corpus
 from rtm.estimation import FittedModel, save_model
 from rtm.inference import ModelParams
+from rtm.linkfn import LinkParams
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +230,84 @@ class TestTruncatedModelRejected:
         code = main(["suggest-links", "--docs", docs, "--vocab", vocab, "--links", links,
                      "--model", path, "--new-doc", "0:2 1:1"])
         assert_one_line_error(capsys, code, f"error: {path}: truncated model file")
+
+
+def replace_field(line_no, field, text):
+    """Edit of a model file's lines: field `field` of line `line_no` becomes text."""
+    def edit(lines):
+        fields = lines[line_no].split()
+        fields[field] = text
+        lines[line_no] = " ".join(fields)
+    return edit
+
+
+class TestCorruptModelRejected:
+    """Model files that parse badly or hold inadmissible values: one line naming the file."""
+
+    CASES = {
+        "inadmissible_nu": (replace_field(2, 0, "5"), "inadmissible exponential link"),
+        "nan_alpha_total": (replace_field(1, 3, "nan"), "alpha_total must be finite and > 0"),
+        "negative_alpha_total": (replace_field(1, 3, "-1"),
+                                 "alpha_total must be finite and > 0"),
+        "nan_smoothing": (replace_field(1, 4, "nan"), "smoothing must be finite and > 0"),
+        "negative_smoothing": (replace_field(1, 4, "-2"), "smoothing must be finite and > 0"),
+        "infinite_nu": (replace_field(2, 0, "inf"), "link coefficients eta and nu must be finite"),
+        "text_num_topics": (replace_field(1, 0, "two"), "invalid literal for int()"),
+        "text_eta": (replace_field(3, 1, "abc"), "could not convert string to float"),
+        "text_topic_row": (replace_field(5, 3, "abc"), "could not convert string to float"),
+        "nan_topic_row": (replace_field(5, 3, "nan"), "topic rows not normalized"),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def corrupt(self, request, tmp_path):
+        link = LinkParams(eta=np.array([-1.0, -1.0]), nu=-1.0, kind="exponential")
+        model = FittedModel(params=ModelParams(beta=np.full((2, 8), 0.125),
+                                               alpha=np.full(2, 0.5), link=link),
+                            kind="exponential", config={"smoothing": 0.01})
+        path = tmp_path / "m.txt"
+        save_model(model, str(path))
+        edit, message = self.CASES[request.param]
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return str(path), message
+
+    def test_report_topics(self, corrupt, capsys):
+        path, message = corrupt
+        code = main(["report-topics", "--model", path])
+        assert_one_line_error(capsys, code, f"error: {path}: {message}")
+
+    def test_suggest_links(self, corrupt, corpus_files, capsys):
+        docs, vocab, links = corpus_files
+        path, message = corrupt
+        code = main(["suggest-links", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--model", path, "--new-doc", "0:2 1:1"])
+        assert_one_line_error(capsys, code, f"error: {path}: {message}")
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # the pipe's read end is closed before the command starts, so its first
+    # write of stdout fails; the report is larger than stdout's buffer, so
+    # that write happens inside the command rather than at interpreter exit
+    model = FittedModel(params=ModelParams(beta=np.full((40, 200), 1 / 200),
+                                           alpha=np.full(40, 0.5)),
+                        kind="lda", config={"smoothing": 0.01})
+    path = str(tmp_path / "m.txt")
+    save_model(model, path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "rtm.cli", "report-topics", "--model", path,
+             "--top-k", "200"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr
+    assert "BrokenPipeError" not in result.stderr
+    assert result.returncode == 1
 
 
 class TestReportTopics:

@@ -1,6 +1,8 @@
 """Tests for the M-step updates and the EM driver."""
 
+import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -63,7 +65,7 @@ class TestSigmoidProbitFit:
             eta = rng.normal(0, 1.0, size=k)
             nu = rng.normal(0, 1.0)
             rho, lam = 5.0, 0.3
-            g_eta, g_nu = regularized_link_gradient(kind, pi, eta, nu, rho,
+            g_eta, g_nu = regularized_link_gradient(LinkParams(eta, nu, kind), pi, rho,
                                                     lam, pi_alpha)
             grad = np.concatenate([g_eta, [g_nu]])
             theta = np.concatenate([eta, [nu]])
@@ -71,17 +73,18 @@ class TestSigmoidProbitFit:
                 up, dn = theta.copy(), theta.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (regularized_link_objective(kind, pi, up[:k], up[k], rho,
-                                                 lam, pi_alpha)
-                      - regularized_link_objective(kind, pi, dn[:k], dn[k], rho,
-                                                   lam, pi_alpha)) / (2 * h)
+                fd = (regularized_link_objective(LinkParams(up[:k], up[k], kind), pi,
+                                                 rho, lam, pi_alpha)
+                      - regularized_link_objective(LinkParams(dn[:k], dn[k], kind), pi,
+                                                   rho, lam, pi_alpha)) / (2 * h)
                 assert abs(grad[i] - fd) / max(abs(fd), 1e-8) < 1e-5
 
     def test_unregularized_config_rejected(self):
         reg = RegularizationConfig(rho=0.0, lam=0.0)
         alpha = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="rho > 0 or lam > 0"):
-            fit_link_sigmoid_probit("sigmoid", np.full((4, 2), 0.2), reg, alpha)
+            fit_link_sigmoid_probit(LinkParams(np.zeros(2), 0.0, "sigmoid"),
+                                    np.full((4, 2), 0.2), reg, alpha)
 
     def test_symmetric_data_fits_to_half(self):
         # every link covariate equals the prior covariate and rho = M:
@@ -92,7 +95,7 @@ class TestSigmoidProbitFit:
         pi = np.tile(pi_alpha, (m, 1))
         reg = RegularizationConfig(rho=float(m), lam=0.0)
         init = LinkParams(eta=np.array([1.0, -2.0]), nu=0.7, kind="sigmoid")
-        params = fit_link_sigmoid_probit("sigmoid", pi, reg, alpha, init=init)
+        params = fit_link_sigmoid_probit(init, pi, reg, alpha)
         prob = expit(params.eta @ pi_alpha + params.nu)
         assert abs(prob - 0.5) < 1e-6
 
@@ -105,12 +108,52 @@ class TestSigmoidProbitFit:
         pi = rng.random((10, k)) * 0.5
         reg = RegularizationConfig(rho=10.0, lam=0.1)
         init = LinkParams(eta=rng.normal(size=k), nu=0.5, kind=kind)
-        fitted = fit_link_sigmoid_probit(kind, pi, reg, alpha, init=init)
-        before = regularized_link_objective(kind, pi, init.eta, init.nu,
-                                            reg.rho, reg.lam, pi_alpha)
-        after = regularized_link_objective(kind, pi, fitted.eta, fitted.nu,
-                                           reg.rho, reg.lam, pi_alpha)
+        fitted = fit_link_sigmoid_probit(init, pi, reg, alpha)
+        before = regularized_link_objective(init, pi, reg.rho, reg.lam, pi_alpha)
+        after = regularized_link_objective(fitted, pi, reg.rho, reg.lam, pi_alpha)
         assert after >= before
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "probit", "exponential"])
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(data=st.data(), num_topics=st.integers(1, 4), num_links=st.integers(0, 6))
+def test_objective_is_the_literal_sum_plus_regularizer(kind, data, num_topics, num_links):
+    unit = st.floats(0.0, 1.0)
+    if kind == "exponential":
+        # admissible: nu < 0 and eta_i + nu < 0, so the regularizer is finite
+        nu = -data.draw(st.floats(0.1, 3.0))
+        eta = [-nu - data.draw(st.floats(0.1, 3.0)) for _ in range(num_topics)]
+    else:
+        # |x_alpha| <= 4 keeps the literal 1 - F(x_alpha) free of cancellation
+        nu = data.draw(st.floats(-2.0, 2.0))
+        eta = [data.draw(st.floats(-2.0, 2.0)) for _ in range(num_topics)]
+    link = LinkParams(eta=eta, nu=nu, kind=kind)
+    pi = np.array([[data.draw(unit) for _ in range(num_topics)] for _ in range(num_links)])
+    pi = pi.reshape(num_links, num_topics)
+    alpha = np.array([data.draw(st.floats(0.05, 2.0)) for _ in range(num_topics)])
+    rho, lam = data.draw(st.floats(0.0, 20.0)), data.draw(st.floats(0.0, 2.0))
+    pi_alpha = (alpha / alpha.sum()) ** 2
+
+    def log_f(x):
+        if kind == "sigmoid":
+            return -math.log1p(math.exp(-x))
+        if kind == "probit":
+            return math.log(0.5 * math.erfc(-x / math.sqrt(2.0)))
+        return x
+
+    loglik = sum(log_f(sum(e * p for e, p in zip(eta, row)) + nu) for row in pi)
+    x_alpha = sum(e * p for e, p in zip(eta, pi_alpha)) + nu
+    if kind == "exponential":
+        nu_lin = math.log(1.0 - math.exp(nu))
+        non_link = nu_lin + sum(p * (math.log(1.0 - math.exp(e + nu)) - nu_lin)
+                                for e, p in zip(eta, pi_alpha))
+    elif kind == "sigmoid":
+        non_link = math.log(1.0 - 1.0 / (1.0 + math.exp(-x_alpha)))
+    else:
+        non_link = math.log(1.0 - 0.5 * math.erfc(-x_alpha / math.sqrt(2.0)))
+    expected = loglik + rho * non_link - lam * sum(e * e for e in eta)
+    value = regularized_link_objective(link, pi, rho, lam, pi_alpha)
+    assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestExponentialFit:
@@ -185,7 +228,7 @@ class TestGaussianFit:
         stats = SufficientStats(num_links=2, pi_bar_sum=np.zeros(1),
                                 pi_alpha=np.ones(1),
                                 sq_diff_sum=np.array([0.5]))
-        params = fit_link_gaussian(stats, rho=2.0, num_topics=1)
+        params = fit_link_gaussian(stats, rho=2.0)
         np.testing.assert_allclose(params.eta, [2.0])
 
     def test_nu_clamped_at_zero(self):
@@ -194,7 +237,7 @@ class TestGaussianFit:
         stats = SufficientStats(num_links=4, pi_bar_sum=np.zeros(2),
                                 pi_alpha=np.full(2, 0.25),
                                 sq_diff_sum=np.full(2, 1.0))
-        params = fit_link_gaussian(stats, rho=0.0, num_topics=2)
+        params = fit_link_gaussian(stats, rho=0.0)
         np.testing.assert_allclose(params.eta, [2.0, 2.0])
         assert params.nu == 0.0
         z = np.array([0.5, 0.5])
@@ -204,14 +247,14 @@ class TestGaussianFit:
         stats = SufficientStats(num_links=1, pi_bar_sum=np.zeros(1),
                                 pi_alpha=np.ones(1),
                                 sq_diff_sum=np.array([1e12]))
-        params = fit_link_gaussian(stats, rho=1.0, num_topics=1)
+        params = fit_link_gaussian(stats, rho=1.0)
         assert params.eta[0] >= 1e-8
 
     def test_no_links_rejected(self):
         stats = SufficientStats(num_links=0, pi_bar_sum=np.zeros(1),
                                 pi_alpha=np.ones(1), sq_diff_sum=np.ones(1))
         with pytest.raises(ValueError):
-            fit_link_gaussian(stats, rho=1.0, num_topics=1)
+            fit_link_gaussian(stats, rho=1.0)
 
 
 def permuted_tv(beta_hat, beta_true):
@@ -330,7 +373,7 @@ def test_em_objective_nondecreasing_across_em_iterations(kind, num_topics, num_d
         state, _ = run_e_step(corpus, params, state, tol=1e-8)
         beta = update_beta(corpus, state, reg.smoothing)
         if kind is not None:
-            link = estimation._fit_link(kind, corpus, state, alpha, reg, link)
+            link = estimation.fit_link(corpus, state, alpha, reg, link)
         params = ModelParams(beta=beta, alpha=alpha, link=link)
         values.append(em_objective(corpus, params, state, reg))
     assert np.all(np.isfinite(values))
@@ -346,9 +389,16 @@ def test_model_file_round_trip_keeps_parameters(data, kind, num_topics, num_term
     beta = np.array(data.draw(st.lists(st.floats(1e-6, 1.0), min_size=size, max_size=size)))
     beta = beta.reshape(num_topics, num_terms)
     beta /= beta.sum(axis=1, keepdims=True)
-    eta = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=num_topics,
-                             max_size=num_topics))
-    link = LinkParams(eta=eta, nu=data.draw(st.floats(-10.0, 10.0)), kind=kind)
+    eta = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=num_topics,
+                                      max_size=num_topics)))
+    nu = data.draw(st.floats(-10.0, 10.0))
+    # load_model accepts admissible links only
+    if kind == "exponential":
+        nu = -abs(nu)
+        eta = -np.abs(eta) - nu
+    elif kind == "gaussian":
+        eta, nu = np.abs(eta), abs(nu)
+    link = LinkParams(eta=eta, nu=nu, kind=kind)
     model = FittedModel(params=ModelParams(beta=beta, alpha=np.full(num_topics, 0.1),
                                            link=link),
                         kind=kind, config={"smoothing": 0.01})
@@ -392,6 +442,19 @@ class TestModelFile:
         p.write_text("rtm-model v1\n1 2 lda 1 0.01\n0\n0\n" + log_row + "\n")
         with pytest.raises(ValueError, match="not normalized"):
             load_model(str(p))
+
+    @pytest.mark.parametrize("kind, eta, nu", [
+        ("exponential", [-1.0, -1.0], 0.5), ("exponential", [2.0, -1.0], -1.0),
+        ("gaussian", [-1.0, 1.0], 0.0), ("gaussian", [1.0, 1.0], -0.5)])
+    def test_inadmissible_link_rejected(self, tmp_path, kind, eta, nu):
+        model = FittedModel(params=ModelParams(beta=np.full((2, 2), 0.5),
+                                               alpha=np.full(2, 0.5),
+                                               link=LinkParams(eta, nu, kind)),
+                            kind=kind, config={"smoothing": 0.01})
+        path = str(tmp_path / "model.txt")
+        save_model(model, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: inadmissible {kind} link"):
+            load_model(path)
 
     def test_no_partial_files(self, tmp_path):
         # the writer goes through a temp file and renames at the end

@@ -608,8 +608,7 @@ def reference_visit(corpus, params, state, d, tol):
         if neighbors.size:
             value += float(linkfn.expected_log_link_batch(
                 link, state.phi_bar[d], state.phi_bar[neighbors],
-                doc_moments(state, corpus, d)[1], state.var_bar[neighbors],
-                count=False).sum())
+                doc_moments(state, corpus, d)[1], state.var_bar[neighbors]).sum())
         return value
 
     guard = neighbors.size > 0 and link.kind != "exponential"

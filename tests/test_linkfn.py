@@ -1,7 +1,11 @@
 """Tests for the link probability functions and their expectations."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtm import linkfn
 from rtm.linkfn import LinkParams
@@ -67,7 +71,7 @@ def monte_carlo_log_link(params, phi_d, phi_dp, draws, rng):
     else:
         x = (z1 * z2) @ params.eta + params.nu
         if params.kind == "sigmoid":
-            vals = linkfn.log_sigmoid(x)
+            vals = -np.logaddexp(0.0, -x)
         elif params.kind == "probit":
             from scipy.special import log_ndtr
             vals = log_ndtr(x)
@@ -331,3 +335,41 @@ class TestGradients:
         params = LinkParams(eta=np.ones(2), nu=0.0, kind="gaussian")
         with pytest.raises(ValueError):
             linkfn.grad_phi_gaussian(params, np.zeros(2), 1, np.zeros(2), 0)
+
+
+def literal_link(kind, x):
+    """The link function F written out: sigma, Phi, or exp of the predictor."""
+    if kind == "sigmoid":
+        return 1.0 / (1.0 + math.exp(-x))
+    if kind == "probit":
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return math.exp(x)
+
+
+class TestSingleDefinitions:
+    """log_link and gradient_coefficient against the formulas written out."""
+
+    @pytest.mark.parametrize("kind", linkfn.KINDS)
+    @settings(derandomize=True, deadline=None)
+    @given(x=st.floats(-20.0, 20.0))
+    def test_exp_log_link_is_the_link_function(self, kind, x):
+        params = LinkParams(eta=np.zeros(1), nu=0.0, kind=kind)
+        assert math.isclose(math.exp(linkfn.log_link(params, x)), literal_link(kind, x),
+                            rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "probit", "exponential"])
+    @settings(derandomize=True, deadline=None)
+    @given(x=st.floats(-20.0, 20.0))
+    def test_gradient_coefficient_is_the_slope_of_log_link(self, kind, x):
+        params = LinkParams(eta=np.zeros(1), nu=0.0, kind=kind)
+        h = 1e-5
+        fd = (linkfn.log_link(params, x + h) - linkfn.log_link(params, x - h)) / (2 * h)
+        assert math.isclose(linkfn.gradient_coefficient(params, x), fd,
+                            rel_tol=1e-6, abs_tol=1e-8)
+
+    def test_sigmoid_coefficient_keeps_its_tail(self):
+        # 1 - sigma(40) rounds to 0.0; sigma(-40) keeps the value
+        params = LinkParams(eta=np.zeros(1), nu=0.0, kind="sigmoid")
+        expected = math.exp(-40.0) / (1.0 + math.exp(-40.0))
+        assert math.isclose(linkfn.gradient_coefficient(params, 40.0), expected,
+                            rel_tol=1e-12)

@@ -28,7 +28,7 @@ def fit_link_regression(corpus, lda):
     """Stage two of LDA+regression: regress links on a fitted LDA's covariates.
 
     lda must come from fit_lda on corpus.  The stage infers corpus's
-    LDA posteriors with lda's seed and tolerance, then fits the sigmoid
+    LDA posteriors with lda's seed, then fits the sigmoid
     link parameters to their pair covariates by the RTM's link M-step,
     `estimation.fit_link`, with the pseudo non-link / l2 regularization
     lda was fitted with.  lda's topics are unchanged.
@@ -38,7 +38,7 @@ def fit_link_regression(corpus, lda):
                                           smoothing=config["smoothing"])
     link = linkfn.LinkParams(eta=np.zeros(lda.params.num_topics), nu=0.0, kind="sigmoid")
     if corpus.num_links:
-        state = prediction.train_posteriors(lda, corpus, seed=lda.seed, tol=config["tol"])
+        state = prediction.train_posteriors(lda, corpus, seed=lda.seed)
         link = estimation.fit_link(corpus, state, lda.params.alpha, reg, link)
     params = ModelParams(beta=lda.params.beta, alpha=lda.params.alpha, link=link)
     return FittedModel(params=params, kind="lda_regression",

@@ -35,12 +35,20 @@ def _add_fit_flags(p):
     p.add_argument("--link-fn", default="exponential",
                    choices=linkfn.KINDS)
     p.add_argument("--rho", type=float, default=None,
-                   help="pseudo non-link count (default: number of links)")
-    p.add_argument("--l2", type=float, default=0.0, dest="lam")
-    p.add_argument("--smoothing", type=float, default=0.01)
+                   help="pseudo non-link count of every link M-step, LDA+regression's "
+                        "too (default: number of links)")
+    p.add_argument("--l2", type=float, default=0.0, dest="lam",
+                   help="l2 penalty on eta in the sigmoid and probit link ascent and "
+                        "LDA+regression; the exponential and gaussian M-steps ignore it")
+    p.add_argument("--smoothing", type=float, default=0.01,
+                   help="pseudocount of every topic-word count in the topic update "
+                        "(and of the unigram baseline)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--em-iters", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="EM stopping tolerance on the bound's relative change (0 "
+                        "stops only on an unchanged bound); posteriors under a "
+                        "fitted model use their own loops' tolerance")
     p.add_argument("--verbose", action="store_true",
                    help="write bound traces to stderr")
 
@@ -152,8 +160,7 @@ def cmd_eval(args):
         models = {"rtm": _fit(train_corpus, args)}
         models.update(_baseline_suite(train_corpus, args))
         for name, model in models.items():
-            report = prediction.evaluate_fold(model, corpus, plan, fold,
-                                              top_k=args.top_k, tol=args.tol)
+            report = prediction.evaluate_fold(model, corpus, plan, fold, top_k=args.top_k)
             path = os.path.join(args.out, f"fold{fold}_{name}.tsv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(report.to_tsv())
@@ -253,6 +260,11 @@ def main(argv=None):
         path = exc.filename if exc.filename else exc
         print(f"error: file not found: {path}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # e.g. a directory given as a file, or an existing file as --out
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
     except (CorpusFormatError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

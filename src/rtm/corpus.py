@@ -178,10 +178,19 @@ def _parse_doc_line(line, lineno, num_terms):
         raise CorpusFormatError(f"docs line {lineno}: {exc}") from None
 
 
+def _read_lines(path):
+    """Lines of a UTF-8 text file, without their newlines; a byte that does
+    not decode fails with one error that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
+
+
 def read_vocab(path):
     """Tokens of a vocab file, one per line, without its trailing blank lines."""
-    with open(path, encoding="utf-8") as fh:
-        vocab = [line.rstrip("\n") for line in fh]
+    vocab = _read_lines(path)
     while vocab and vocab[-1] == "":
         vocab.pop()
     return vocab
@@ -198,34 +207,32 @@ def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
     num_terms = len(vocab)
 
     docs = []
-    with open(docs_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            docs.append(_parse_doc_line(line, lineno, num_terms))
+    for lineno, line in enumerate(_read_lines(docs_path), start=1):
+        if not line.strip():
+            continue
+        docs.append(_parse_doc_line(line, lineno, num_terms))
     if not docs:
         raise CorpusFormatError(f"no documents found in {docs_path}")
 
     pairs = set()
     if links_path is not None:
-        with open(links_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise CorpusFormatError(
-                        f"links line {lineno}: expected two indices, got {line.strip()!r}")
-                try:
-                    d1, d2 = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"links line {lineno}: non-integer index in {line.strip()!r}"
-                    ) from None
-                try:
-                    pairs.add(_link_pair(d1, d2, len(docs)))
-                except ValueError as exc:
-                    raise CorpusFormatError(f"links line {lineno}: {exc}") from None
+        for lineno, line in enumerate(_read_lines(links_path), start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise CorpusFormatError(
+                    f"links line {lineno}: expected two indices, got {line.strip()!r}")
+            try:
+                d1, d2 = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise CorpusFormatError(
+                    f"links line {lineno}: non-integer index in {line.strip()!r}"
+                ) from None
+            try:
+                pairs.add(_link_pair(d1, d2, len(docs)))
+            except ValueError as exc:
+                raise CorpusFormatError(f"links line {lineno}: {exc}") from None
 
     corpus = Corpus._from_checked(vocab, docs, pairs)
     isolated = corpus.isolated_docs()

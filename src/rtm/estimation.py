@@ -44,7 +44,9 @@ class RegularizationConfig:
     rho=None defaults to the number of observed links at fit time, which
     keeps positive and pseudo-negative evidence balanced across corpus
     sizes.  Sigmoid/probit fits require rho > 0 or lam > 0; without
-    either the one-class gradients diverge.
+    either the one-class gradients diverge.  lam reaches only their
+    ascent (and so LDA+regression's); the exponential and gaussian
+    updates do not read it.
     """
 
     rho: float | None = None
@@ -108,24 +110,26 @@ def link_regularizer(link, rho, lam, pi_alpha):
     """Additive regularization term of the link M-step objective.
 
     For sigmoid and probit this is rho pseudo non-links at the prior
-    covariate, rho log(1 - F(x_alpha)) = rho log F(-x_alpha).  For the
+    covariate, rho log(1 - F(x_alpha)) = rho log F(-x_alpha), minus the
+    l2 penalty lam ||eta||^2.  Only their ascent reads lam.  For the
     exponential kind it is the linearized non-link penalty, which is
     -inf on the admissibility boundary (nu = 0 or some eta_i + nu = 0)
-    and beyond it, unless rho = 0.  The gaussian kind has no additive
-    penalty (rho enters through its intercept update), so 0 is returned.
+    and beyond it, unless rho = 0; its closed-form update maximizes this
+    term plus the links' log probabilities.  The gaussian kind has no
+    additive penalty (rho enters through its intercept update), so 0 is
+    returned.
     """
     if link is None or link.kind == "gaussian":
         return 0.0
-    penalty = -lam * float(link.eta @ link.eta)
-    x_alpha = float(link.eta @ pi_alpha + link.nu)
     if link.kind in ("sigmoid", "probit"):
-        return penalty + rho * float(linkfn.log_link(link, -x_alpha))
+        x_alpha = float(link.eta @ pi_alpha + link.nu)
+        return -lam * float(link.eta @ link.eta) + rho * float(linkfn.log_link(link, -x_alpha))
     # exponential: exact-at-the-extremes linear surrogate of log(1 - psi)
     if link.nu >= 0 or np.any(link.eta + link.nu >= 0):
-        return penalty - np.inf if rho > 0 else penalty
+        return -np.inf if rho > 0 else 0.0
     nu_lin = np.log1p(-np.exp(link.nu))
     eta_lin = np.log1p(-np.exp(link.eta + link.nu)) - nu_lin
-    return penalty + rho * float(pi_alpha @ eta_lin + nu_lin)
+    return rho * float(pi_alpha @ eta_lin + nu_lin)
 
 
 def regularized_link_objective(link, pi_bar_links, rho, lam, pi_alpha):
@@ -281,7 +285,8 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
 
     alpha is symmetric with total mass alpha_total; it is held fixed.
     num_topics and em_iters must be at least 1, alpha_total positive and
-    finite, and tol finite.
+    finite, and tol finite and >= 0; at tol = 0 only an unchanged bound
+    stops EM before em_iters.
     """
     if kind is not None and kind not in linkfn.KINDS:
         raise ValueError(f"unknown link function kind: {kind!r}")
@@ -291,8 +296,8 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         raise ValueError(f"em_iters must be at least 1, got {em_iters}")
     if not 0 < alpha_total < np.inf:
         raise ValueError(f"alpha_total must be finite and > 0, got {alpha_total}")
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     reg = (reg or RegularizationConfig()).resolved(corpus.num_links)
     alpha = np.full(num_topics, alpha_total / num_topics)
 
@@ -350,6 +355,7 @@ def save_model(model, path):
     (created by tempfile.mkstemp, so readable by its owner only), which
     is flushed to disk and then renamed over path.  Concurrent writers
     never share a temp file, and on failure the temp file is removed.
+    An OSError names path, not the temp file.
     """
     params = model.params
     k, v = params.beta.shape
@@ -361,22 +367,26 @@ def save_model(model, path):
     else:
         nu = 0.0
         eta = np.zeros(k)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_MAGIC + "\n")
-            fh.write(f"{k} {v} {model.kind} {alpha_total:.17g} {smoothing:.17g}\n")
-            fh.write(f"{nu:.17g}\n")
-            fh.write(" ".join(f"{x:.17g}" for x in eta) + "\n")
-            for row in params.log_beta:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(_MAGIC + "\n")
+                fh.write(f"{k} {v} {model.kind} {alpha_total:.17g} {smoothing:.17g}\n")
+                fh.write(f"{nu:.17g}\n")
+                fh.write(" ".join(f"{x:.17g}" for x in eta) + "\n")
+                for row in params.log_beta:
+                    fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # mkstemp and os.replace name the temp file; the error is about path
+        raise OSError(exc.errno, exc.strerror or str(exc), path) from None
 
 
 def load_model(path):

@@ -191,9 +191,10 @@ def _fmt(value):
     return "nan" if value is None or not np.isfinite(value) else f"{value:.6f}"
 
 
-def train_posteriors(model, train_corpus, seed=0, tol=1e-6):
+def train_posteriors(model, train_corpus, seed=0):
     """Variational posteriors of the training documents under a frozen model,
-    with the link terms that `_topic_link` gives its kind."""
+    with the link terms that `_topic_link` gives its kind, at `run_e_step`'s
+    own tolerance (as inside `fit`; no fit's EM tolerance reaches it)."""
     if train_corpus.num_terms > model.params.num_terms:
         raise ValueError(
             f"corpus has {train_corpus.num_terms} terms, more than the model's "
@@ -202,11 +203,11 @@ def train_posteriors(model, train_corpus, seed=0, tol=1e-6):
                                    alpha=model.params.alpha, link=_topic_link(model))
     state = inference.init_state(train_corpus, params.num_topics,
                                  params.alpha, seed)
-    state, _ = inference.run_e_step(train_corpus, params, state, tol=tol)
+    state, _ = inference.run_e_step(train_corpus, params, state)
     return state
 
 
-def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6):
+def evaluate_fold(model, corpus, plan, fold, top_k=20):
     """Held-out link and word rank for one fold's test documents.
 
     The model must have been trained on the fold's training view (test
@@ -215,14 +216,15 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6):
     candidates; word rank averages the rank of each held-out token
     occurrence in the links-only predictive word distribution.  Test
     documents with no surviving links are skipped and counted.  Only
-    models that score links need the training documents' posteriors.
+    models that score links need the training documents' posteriors.  They
+    and every held-out query run at their loops' own tolerances.
     """
     train_ids, test_ids = plan.train_docs(fold), plan.test_docs(fold)
     train_pos = {int(orig): i for i, orig in enumerate(train_ids)}
     scores_links = model.params.link is not None
     if scores_links:
         train_corpus, _ = training_view(corpus, plan, fold)
-        state = train_posteriors(model, train_corpus, seed=plan.seed, tol=tol)
+        state = train_posteriors(model, train_corpus, seed=plan.seed)
     link_ranks = []
     word_ranks = []
     precisions = []
@@ -241,7 +243,7 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6):
             continue
 
         if scores_links:
-            heldout_w = infer_heldout(model, words=zip(terms, counts), tol=tol)
+            heldout_w = infer_heldout(model, words=zip(terms, counts))
             scores = score_train_docs(model, heldout_w, state.phi_bar, state.var_bar)
             ranks = average_ranks(scores)
             doc_link_ranks = ranks[true_train]
@@ -253,7 +255,7 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20, tol=1e-6):
             precisions.append(precision)
             rows.append((doc, "precision_at_k", float(precision)))
 
-        heldout_l = infer_heldout(model, links=true_train, tol=tol,
+        heldout_l = infer_heldout(model, links=true_train,
                                   train_phi_bar=state.phi_bar if scores_links else None)
         word_dist = predict_word_dist(model, heldout_l)
         vocab_ranks = average_ranks(word_dist)

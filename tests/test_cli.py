@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtm import cli, estimation
+from rtm import cli, estimation, inference, prediction
 from rtm.cli import main, topic_word_scores
 from rtm.corpus import generate_synthetic, load_corpus, write_corpus
 from rtm.estimation import FittedModel, save_model
@@ -101,6 +102,33 @@ class TestEvalCommand:
                              if l.startswith("rtm\tmean_link_rank"))
         np.testing.assert_allclose(summary_value, np.mean(fold_means), atol=5e-7)
 
+    def eval_args(self, corpus_files, out, tol):
+        docs, vocab, links = corpus_files
+        return ["eval", "--docs", docs, "--vocab", vocab, "--links", links,
+                "--out", str(out), "--topics", "2", "--folds", "2", "--em-iters", "2",
+                "--seed", "7", "--tol", tol]
+
+    def test_zero_tol_runs(self, corpus_files, tmp_path):
+        # --tol is the EM stopping tolerance, which accepts 0
+        out = tmp_path / "reports"
+        assert main(self.eval_args(corpus_files, out, "0")) == 0
+        assert (out / "summary.tsv").exists()
+
+    def test_tol_reaches_no_posterior_loop(self, corpus_files, tmp_path, monkeypatch):
+        # posteriors under a fitted model run at their loops' default tolerances
+        seen = {}
+        for module, name in ((inference, "run_e_step"), (prediction, "infer_heldout")):
+            original = getattr(module, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                bound = inspect.signature(_original).bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.setdefault(_name, set()).add(bound.arguments["tol"])
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        assert main(self.eval_args(corpus_files, tmp_path / "reports", "1e-2")) == 0
+        assert seen == {"run_e_step": {1e-6}, "infer_heldout": {1e-6}}
+
 
 def assert_one_line_error(capsys, code, starts):
     assert code == 1
@@ -188,6 +216,7 @@ class TestNonFiniteRejected:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("l2", "nan", "lam must be finite"), ("tol", "nan", "tol must be finite"),
+        ("tol", "-1", "tol must be finite and >= 0"),
         ("smoothing", "inf", "smoothing must be finite"), ("rho", "inf", "rho must be finite"),
         ("alpha_total", "inf", "alpha_total must be finite")])
     def test_fit(self, corpus_files, tmp_path, capsys, flag, value, message):
@@ -195,6 +224,50 @@ class TestNonFiniteRejected:
         code = main(fit_args(*corpus_files, str(out), **{flag: value}))
         assert_one_line_error(capsys, code, f"error: {message}")
         assert not out.exists()
+
+
+class TestFileErrors:
+    """A file that cannot be opened, written or decoded: one line naming it."""
+
+    FIT = "fit --docs {docs} --vocab {vocab} --links {links} --topics 2 --em-iters 1"
+    CASES = {
+        "fit_out_dir": (FIT + " --out {dir}", "dir"),
+        "fit_docs_dir": (FIT.replace("{docs}", "{dir}") + " --out {model}", "dir"),
+        "fit_links_dir": (FIT.replace("{links}", "{dir}") + " --out {model}", "dir"),
+        "report_topics_model_dir": ("report-topics --model {dir}", "dir"),
+        "eval_out_file": (FIT.replace("fit", "eval") + " --folds 2 --out {file}", "file"),
+        "synth_out_file": ("synth --topics 2 --out {file}", "file"),
+        "fit_docs_undecodable": (FIT.replace("{docs}", "{bad}") + " --out {model}", "bad"),
+        "fit_vocab_undecodable": (FIT.replace("{vocab}", "{bad}") + " --out {model}", "bad"),
+        "fit_links_undecodable": (FIT.replace("{links}", "{bad}") + " --out {model}", "bad"),
+    }
+
+    @pytest.fixture
+    def paths(self, corpus_files, tmp_path):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "a_file").write_text("x\n")
+        (tmp_path / "undecodable.txt").write_bytes(b"\xff\xfe 1 0:1\n")
+        return dict(zip(("docs", "vocab", "links"), corpus_files),
+                    dir=str(tmp_path / "a_directory"), file=str(tmp_path / "a_file"),
+                    bad=str(tmp_path / "undecodable.txt"), model=str(tmp_path / "m.txt"))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_line_naming_the_file(self, case, paths, tmp_path, capsys):
+        command, named = self.CASES[case]
+        code = main(command.format(**paths).split())
+        captured = capsys.readouterr()
+        assert code != 0
+        assert captured.err.count("\n") == 1
+        assert paths[named] in captured.err
+        assert "Traceback" not in captured.err
+        # a failed model write leaves no temp file behind
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_missing_out_directory_names_the_target(self, corpus_files, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "m.txt")
+        code = main(fit_args(*corpus_files, out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: file not found: {out}\n"
 
 
 class TestTruncatedModelRejected:

@@ -8,7 +8,9 @@ against the frozen model (`infer_heldout`).  Words enter as one row of
 phi per distinct term, with that term's log beta as evidence.  Links
 enter as a single pseudo-token with no word evidence, pulled by the
 gradient of the expected log links towards the posterior means of the
-linked training documents.
+linked training documents.  The loop iterates on K per-topic weights:
+the evidence is exponentiated once per query, as in lda-c, and the phi
+rows are formed after the loop.
 
 Evaluation reports the average rank of each true link among all scored
 training documents and of each held-out token among the vocabulary
@@ -64,21 +66,30 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     words is a sequence of (term_id, count) pairs that must pass the
     corpus rules for one document; a repeated term has its counts summed,
     so the posterior is exactly that of the merged words.  phi then has
-    one row per distinct term, with the term's log beta as its evidence.
-    links is a sequence of indices into train_phi_bar, the fixed
-    posterior means of the training documents.  The document is then one
+    one row per distinct term, with the term's log beta as its evidence;
+    a term whose beta column is zero in every topic is rejected.  links
+    is a sequence of indices into train_phi_bar, the fixed posterior
+    means of the training documents.  The document is then one
     pseudo-token (count 1) with no word evidence, which under an RTM kind
     takes the link gradient towards the linked means; baseline kinds
     ignore links and need train_phi_bar only to check the indices.
 
     phi starts uniform and gamma at alpha + N / K, for N tokens.  An
     iteration sets each phi row to the softmax of E[log theta] + evidence
-    + link gradient, then gamma to alpha + counts @ phi.  The loop stops
-    once mean |change in gamma| / N < tol, or after _MAX_ITERS (100)
-    iterations.  The cap binds: for generating-parameter models of three
-    200-document exponential draws (K = 10, 500 terms, 40 tokens, alpha
-    0.1, eta 2.5, nu -2.5), 26 of 480 word queries stop at it unconverged
-    at tol 1e-6.
+    + link gradient, then gamma to alpha + counts @ phi.  The softmax is
+    taken in factored form: with the row factor F = exp(evidence - its
+    row max), computed once, and the topic weights w = exp(d - max d) for
+    d = psi(gamma) + link gradient, phi = F * w / (F @ w) row by row.  So
+    gamma = alpha + w * ((counts / (F @ w)) @ F) takes two matrix-vector
+    products, and phi is formed after the loop (each iteration only for
+    the links-only pseudo-token, whose link gradient reads it).
+    psi(sum gamma) is left out of E[log theta], as a shift shared by
+    every topic cancels in the softmax.  The loop stops once
+    sum |change in gamma| < tol * K * N, that is mean |change| / N < tol,
+    or after _MAX_ITERS (100) iterations.  The cap binds: for
+    generating-parameter models of three 200-document exponential draws
+    (K = 10, 500 terms, 40 tokens, alpha 0.1, eta 2.5, nu -2.5), 26 of 480
+    word queries stop at it unconverged at tol 1e-6.
     """
     if (words is None) == (links is None):
         raise ValueError("provide exactly one of words= or links=")
@@ -90,7 +101,13 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         if not words:
             raise ValueError("empty word evidence")
         merged = _merged_doc(words, params.num_terms)
-        evidence = params.log_beta[:, list(merged)].T
+        terms = list(merged)
+        evidence = params.log_beta[:, terms].T
+        dead = np.isneginf(evidence).all(axis=1)
+        if dead.any():
+            raise ValueError(f"beta column of term {terms[np.argmax(dead)]} is entirely "
+                             "zero (unsmoothed model)")
+        factor = np.exp(evidence - evidence.max(axis=1, keepdims=True))
         counts = np.array(list(merged.values()), dtype=np.float64)
     else:
         links = np.asarray(list(links), dtype=np.int64)
@@ -101,28 +118,31 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
             if bad.size:
                 raise ValueError(f"training document id {bad[0]} out of range "
                                  f"[0, {len(train_phi_bar)})")
-        evidence, counts = np.zeros((1, k)), np.ones(1)
+        factor, counts = np.ones((1, k)), np.ones(1)
         link = _topic_link(model)
         if link is not None:
             if train_phi_bar is None:
                 raise ValueError("links-only inference requires train_phi_bar")
             neighbor_means = np.asarray(train_phi_bar)[links]
+            phi_row = np.full(k, 1.0 / k)
 
     n = counts.sum()
+    stop = tol * k * n
     gamma = params.alpha + n / k
-    phi = np.full(evidence.shape, 1.0 / k)
     for _ in range(_MAX_ITERS):
-        expo = psi(gamma) - psi(gamma.sum()) + evidence
+        d = psi(gamma)
         if link is not None:
-            expo += _link_gradient(link, neighbor_means, phi[0])
-        expo -= expo.max(axis=1, keepdims=True)
-        phi = np.exp(expo)
-        phi /= phi.sum(axis=1, keepdims=True)
-        new_gamma = params.alpha + counts @ phi
-        change = float(np.abs(new_gamma - gamma).mean()) / n
+            d += _link_gradient(link, neighbor_means, phi_row)
+        w = np.exp(d - d.max())
+        norm = factor @ w
+        new_gamma = params.alpha + w * ((counts / norm) @ factor)
+        if link is not None:
+            phi_row = w / norm[0]
+        change = np.abs(new_gamma - gamma).sum()
         gamma = new_gamma
-        if change < tol:
+        if change < stop:
             break
+    phi = factor * (w / norm[:, None])
     return HeldoutPosterior(phi_bar=counts @ phi / n, gamma=gamma,
                             var=counts @ (phi * (1.0 - phi)) / n**2)
 

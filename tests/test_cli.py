@@ -488,6 +488,29 @@ class TestSuggestLinks:
                      "--model", model_path, "--new-doc", "0:2"])
         assert_one_line_error(capsys, code, "error: corpus has 30 terms, more than the model's 20")
 
+    def test_zero_beta_column_rejected(self, tmp_path):
+        # term 2 has log beta -inf in both topics and no training document
+        # uses it, so only the query reaches it; it must not be scored as nan
+        docs, vocab, links = (tmp_path / f"{n}.txt" for n in ("docs", "vocab", "links"))
+        docs.write_text("2 0:2 1:1\n2 0:1 1:2\n")
+        vocab.write_text("a\nb\nc\n")
+        links.write_text("0 1\n")
+        model = tmp_path / "m.txt"
+        model.write_text("rtm-model v1\n2 3 exponential 1 0.01\n-1\n-0.5 -0.5\n"
+                         "-0.6931471805599453 -0.6931471805599453 -inf\n"
+                         "-0.6931471805599453 -0.6931471805599453 -inf\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "rtm.cli", "suggest-links",
+             "--docs", str(docs), "--vocab", str(vocab), "--links", str(links),
+             "--model", str(model), "--new-doc", "0:1 2:1"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: beta column of term 2 is entirely zero "
+                                 "(unsmoothed model)\n")
+
     def test_empty_new_doc_rejected(self, tmp_path, capsys):
         docs, vocab, links = self.make_planted(tmp_path)
         model_path = str(tmp_path / "m.txt")

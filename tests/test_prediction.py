@@ -81,6 +81,33 @@ def parent_links_loop(model, links, train_phi_bar, tol):
     return iterates
 
 
+def log_space_words_loop(model, words, tol):
+    """Every (gamma, phi_bar, var) iterate of the words-only loop that
+    infer_heldout ran before it took the softmax in factored form: a
+    max-shifted log-softmax over every term, and the same start and stop
+    rule, run for all _MAX_ITERS iterations.  Also returns the index of
+    the iterate at which that loop stopped."""
+    alpha = model.params.alpha
+    k = alpha.shape[0]
+    terms = [t for t, _ in words]
+    counts = np.array([c for _, c in words], dtype=np.float64)
+    evidence = model.params.log_beta[:, terms].T
+    n = counts.sum()
+    gamma = alpha + n / k
+    iterates, stopped = [], None
+    for i in range(prediction._MAX_ITERS):
+        expo = psi(gamma) - psi(gamma.sum()) + evidence
+        expo -= expo.max(axis=1, keepdims=True)
+        phi = np.exp(expo)
+        phi /= phi.sum(axis=1, keepdims=True)
+        new_gamma = alpha + counts @ phi
+        if stopped is None and float(np.abs(new_gamma - gamma).mean()) / n < tol:
+            stopped = i
+        gamma = new_gamma
+        iterates.append((gamma, counts @ phi / n, counts @ (phi * (1.0 - phi)) / n**2))
+    return iterates, len(iterates) - 1 if stopped is None else stopped
+
+
 def draw_link(data, kind, num_topics):
     """Hypothesis-drawn admissible coefficients of one link kind."""
     if kind == "exponential":
@@ -195,6 +222,60 @@ class TestInferHeldout:
         assert np.abs(post.phi_bar - phi).sum() <= bound
         assert np.abs(post.gamma - (alpha + phi)).sum() <= bound
         assert np.abs(post.var - phi * (1.0 - phi)).sum() <= bound
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data(), num_topics=st.integers(1, 5), num_terms=st.integers(1, 8),
+           alpha_total=st.one_of(st.sampled_from([1e-300, 1e-150, 1e-20, 1e-3]),
+                                 st.floats(1e-300, 10.0)),
+           tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
+    def test_words_only_matches_log_space_loop(self, data, num_topics, num_terms,
+                                               alpha_total, tol):
+        # log beta entries spread over 900 nats, some of them -inf (zero beta),
+        # but every column keeps one entry that survives normalization
+        entry = st.one_of(st.floats(-900.0, 0.0), st.just(-np.inf))
+        logits = np.array([[data.draw(entry) for _ in range(num_terms)]
+                           for _ in range(num_topics)])
+        for row in logits:
+            if np.isneginf(row).all():
+                row[data.draw(st.integers(0, num_terms - 1))] = 0.0
+        logits -= logits.max(axis=1, keepdims=True)
+        for term in range(num_terms):
+            if (logits[:, term] < -700.0).all():
+                logits[data.draw(st.integers(0, num_topics - 1)), term] = \
+                    data.draw(st.floats(-700.0, 0.0))
+        beta = np.exp(logits)
+        alpha = alpha_total * data.draw(simplex(num_topics))
+        model = model_of(beta / beta.sum(axis=1, keepdims=True), alpha)
+        terms = data.draw(st.lists(st.integers(0, num_terms - 1), min_size=1,
+                                   max_size=num_terms, unique=True))
+        words = [(t, data.draw(st.integers(1, 5))) for t in terms]
+
+        post = infer_heldout(model, words=words, tol=tol)
+        iterates, stopped = log_space_words_loop(model, words, tol)
+        n = sum(c for _, c in words)
+        # Both loops take the same steps from the same start and stop on the
+        # same test, which rounding can move by a step: so each result lies
+        # within the steps the log-space loop takes after its first step
+        # below twice the threshold.
+        steps = [float(np.abs(b[0] - a[0]).sum()) for a, b in zip(iterates, iterates[1:])]
+        first = next((i for i, step in enumerate(steps) if step < 2 * num_topics * n * tol),
+                     len(steps) - 1)
+        for i, name in enumerate(("gamma", "phi_bar", "var")):
+            got = getattr(post, name)
+            assert np.all(np.isfinite(got))
+            path = [it[i] for it in iterates[first:]]
+            bound = sum(float(np.abs(b - a).sum()) for a, b in zip(path, path[1:]))
+            assert np.abs(got - iterates[stopped][i]).sum() <= bound + 1e-12 * n
+
+    def test_zero_beta_column_rejected(self):
+        # term 2 has probability zero under every topic: its phi row has no
+        # finite softmax, so the query is rejected rather than scored as nan
+        model = model_of([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^beta column of term 2 is entirely zero"):
+            infer_heldout(model, words=[(0, 1), (2, 1)])
+        # zero in one topic only is fine
+        post = infer_heldout(model, words=[(0, 1), (1, 2)])
+        assert np.all(np.isfinite(post.gamma))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(data=st.data(), num_topics=st.integers(1, 4), num_terms=st.integers(1, 8))

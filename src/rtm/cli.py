@@ -248,6 +248,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         status = args.func(args)
         sys.stdout.flush()
         return status
@@ -267,6 +269,11 @@ def main(argv=None):
         return 1
     except (CorpusFormatError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. a size flag far beyond the host: numpy names the request
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,7 @@ gamma and per-term topic simplexes phi (tokens of the same term share
 one phi vector), stored as one (nnz, K) array aligned with the
 corpus's CSR terms.  Coordinate ascent sweeps documents in index order;
 within a document, all phi rows are updated at once from the current
-state (one row-wise softmax over the document's terms) followed by
+state (a softmax over topics in each of the document's rows) followed by
 gamma, repeating until the document stabilizes.  The objective is the
 evidence lower bound with the expected log link probability summed over
 observed links only, so per-sweep link work scales with the number of
@@ -18,12 +18,20 @@ d, or 0 if there is none.  No two documents of a level are linked, every
 lower-indexed neighbor of a document sits in an earlier level and every
 higher-indexed one in a later level.  Updating the levels in turn, all
 documents of a level together, therefore gives each document exactly
-the values that the index-order sweep gives it.  Each iteration of a
-level is one array step over the level's still-active documents; every
-document keeps its own convergence test, iteration cap and damping step.
-Every kind's link gradient is proportional to eta, so at eta = 0 (where
-each fit starts) no document reads another: the sweep is then one level
-of all documents, unguarded, as it is without a link component.
+the values that the index-order sweep gives it.  Every document of a
+level keeps its own convergence test and iteration cap.  Every kind's
+link gradient is proportional to eta, so at eta = 0 (where each fit
+starts) no document reads another: the sweep is then one level of all
+documents, unguarded, as it is without a link component.
+
+A level is guarded when one of its documents' link gradient reads the
+document's own mean (a coupled sigmoid, probit or gaussian level).
+Each iteration of a guarded level is one array step over its
+still-active documents, each with its own damping step, and a document
+is written to the state as it leaves.  An unguarded level (no pairs, or
+the exponential kind) iterates on per-document topic weights with
+lda-c's factored softmax, and forms its phi rows and writes the whole
+level once, after its last document leaves.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
@@ -48,6 +56,8 @@ from . import linkfn
 logger = logging.getLogger(__name__)
 
 _DOC_MAX_ITERS = 20
+#: smallest normaliser F @ w of the factored update in `_visit_unguarded`
+_MIN_NORM = 1e-200
 
 
 @dataclass
@@ -101,8 +111,9 @@ class VariationalState:
     var_bar     (D, K) cached Var(zbar_{d,i}) = (1/N_d^2) sum_n phi (1 - phi)
 
     Both caches are filled at construction.  An E-step writes a
-    document's phi rows, gamma and both caches once per sweep, when the
-    document's visit ends.
+    document's phi rows, gamma and both caches once per sweep: a guarded
+    level as each document's visit ends, an unguarded level all at once
+    when its last document's visit ends.
     """
 
     def __init__(self, corpus, gamma, phi):
@@ -155,8 +166,8 @@ def _log_beta_matrix(beta):
 #: the arrays of a _Block, by what they have one entry for
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "guard", "gamma", "phi_bar",
-                     "nb_sum", "lam", "objective", "slack"), "doc"),
-    **dict.fromkeys(("rows", "counts", "lb", "phi", "link_rows"), "row"),
+                     "nb_sum", "offset", "lam", "objective", "slack"), "doc"),
+    **dict.fromkeys(("rows", "counts", "lb", "factor", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
 
@@ -214,7 +225,12 @@ class _Block:
 
     def variance(self, phi):
         """var_bar of each document from its rows."""
-        return self.row_sum(self.counts[:, None] * (phi * (1.0 - phi))) / self.n[:, None] ** 2
+        return _variance(self.counts, phi, self.starts, self.n)
+
+
+def _variance(counts, phi, starts, n):
+    """var_bar of documents whose rows are consecutive runs beginning at starts."""
+    return np.add.reduceat(counts[:, None] * (phi * (1.0 - phi)), starts, axis=0) / n[:, None] ** 2
 
 
 def _levels(corpus):
@@ -233,10 +249,12 @@ def _corpus_block(corpus, params):
     another, so the block has no pairs: every kind's link gradient is
     proportional to eta.  A document is safeguarded (guard) when the link
     gradient reads its own mean, that is for every kind but exponential,
-    and it has pairs.
+    and it has pairs.  Next to each row's log beta lb, factor holds
+    exp(lb - its row max), for the factored update of `_visit_unguarded`.
     """
     lb = params.log_beta[:, corpus.terms].T
-    dead = np.isneginf(lb).all(axis=1)
+    top = lb.max(axis=1, keepdims=True)
+    dead = np.isneginf(top[:, 0])
     if dead.any():
         raise ValueError(
             f"beta column {corpus.terms[np.argmax(dead)]} is entirely zero (unsmoothed model)")
@@ -248,7 +266,7 @@ def _corpus_block(corpus, params):
                   num_rows=np.diff(corpus.indptr), num_pairs=num_pairs,
                   guard=(coupled and link.kind != "exponential") & (num_pairs > 0),
                   rows=np.arange(corpus.terms.shape[0]),
-                  counts=corpus.counts.astype(np.float64), lb=lb,
+                  counts=corpus.counts.astype(np.float64), lb=lb, factor=np.exp(lb - top),
                   neighbors=np.concatenate(neighbors))
 
 
@@ -266,19 +284,24 @@ def _load(params, state, block):
 
     The neighbors sit in other levels, so their means and variances stay
     fixed while the block is visited.  So does the exponential kind's
-    link gradient, link_rows, which does not read the documents' own
-    means (its coefficient c(x) is 1).
+    link gradient, which does not read the documents' own means (its
+    coefficient c(x) is 1): it is one offset per document, nb_sum * eta /
+    n, added to E[log theta] in every row of the document (zero for the
+    other kinds).  Only a guarded block reads its documents' phi rows and
+    means.
     """
     nb_means = state.phi_bar[block.neighbors]
-    block = block.replace(gamma=state.gamma[block.docs], phi_bar=state.phi_bar[block.docs],
-                          phi=state.phi[block.rows], nb_means=nb_means,
-                          nb_sum=block.pair_sum(nb_means))
+    nb_sum = block.pair_sum(nb_means)
     link = params.link
-    if link is not None and link.kind == "exponential" and block.pair_doc.size:
-        grad = block.nb_sum * link.eta / block.n[:, None]
-        block = block.replace(link_rows=grad[block.row_doc])
+    if link is not None and link.kind == "exponential":
+        offset = nb_sum * link.eta / block.n[:, None]
+    else:
+        offset = np.zeros_like(nb_sum)
+    block = block.replace(gamma=state.gamma[block.docs], nb_means=nb_means, nb_sum=nb_sum,
+                          offset=offset)
     if block.guarded:
-        block = block.replace(lam=np.ones(block.docs.shape[0]),
+        block = block.replace(phi=state.phi[block.rows], phi_bar=state.phi_bar[block.docs],
+                              lam=np.ones(block.docs.shape[0]),
                               nb_var=state.var_bar[block.neighbors])
     return block
 
@@ -287,10 +310,13 @@ def _store(state, block, done):
     """Write the phi rows, gamma, phi_bar and var_bar of the done documents."""
     rows = done[block.row_doc]
     docs = block.docs[done]
-    state.phi[block.rows[rows]] = block.phi[rows]
+    phi = block.phi[rows]
+    num_rows = block.num_rows[done]
+    state.phi[block.rows[rows]] = phi
     state.gamma[docs] = block.gamma[done]
     state.phi_bar[docs] = block.phi_bar[done]
-    state.var_bar[docs] = block.variance(block.phi)[done]
+    state.var_bar[docs] = _variance(block.counts[rows], phi, np.cumsum(num_rows) - num_rows,
+                                    block.n[done])
 
 
 def _phi_update(params, block, elog_theta):
@@ -300,18 +326,19 @@ def _phi_update(params, block, elog_theta):
     document's expected log topic proportions, the word evidence, and
     the gradient of the expected log probability of each of the
     document's observed links; the link sum ranges over the document's
-    observed links only.  Every row reads its document's state from the
-    start of the iteration, so the rows are a Jacobi update within each
-    document.  Returns the new rows without mutating the block.
+    observed links only.  The exponential kind's gradient is the
+    block's per-document offset; the other kinds' reads the document's
+    own mean, so only a guarded block has it.  Every row reads its
+    document's state from the start of the iteration, so the rows are a
+    Jacobi update within each document.  Returns the new rows without
+    mutating the block.
     """
-    exponent = elog_theta[block.row_doc] + block.lb
+    exponent = (elog_theta + block.offset)[block.row_doc] + block.lb
 
     link = params.link
-    if link is not None and block.pair_doc.size:
+    if block.guarded:
         n = block.n[:, None]
-        if link.kind == "exponential":
-            exponent = exponent + block.link_rows
-        elif link.kind == "gaussian":
+        if link.kind == "gaussian":
             # per row: the document mean without one token of that term
             n_row = n[block.row_doc]
             phi_minus = block.phi_bar[block.row_doc] - block.phi / n_row
@@ -439,7 +466,7 @@ def _damp(params, block, phi, phi_bar, gamma):
 
 
 def _visit_level(params, state, block, tol):
-    """Run the document-local phi/gamma iteration for one level's documents.
+    """Run the damped phi/gamma iteration of a guarded level's documents.
 
     Each iteration replaces every phi row of each active document by the
     whole-document update, then its gamma, in one array step.  Guarded
@@ -448,7 +475,8 @@ def _visit_level(params, state, block, tol):
     the visit.  Damping does not move fixed points.  A document leaves
     the working set when its gamma change falls below tol, when it is
     rejected, or after _DOC_MAX_ITERS iterations, and is written to the
-    state as it leaves.
+    state as it leaves.  `_visit_unguarded` hands over an unguarded block
+    whose factored update would underflow; it runs here undamped.
     """
     if block.guarded:
         block.objective = _block_objective(params, block, block.phi, block.gamma,
@@ -473,19 +501,85 @@ def _visit_level(params, state, block, tol):
     _store(state, block, np.ones(block.docs.shape[0], dtype=bool))
 
 
+def _topic_weights(gamma, offset):
+    """Topic weights w = exp(d - max d) of each document, for d = psi(gamma) + offset."""
+    d = psi(gamma) + offset
+    return np.exp(d - d.max(axis=1, keepdims=True))
+
+
+def _factored_phi(block, w):
+    """The phi rows F * w / (F @ w) of the block's documents, from their weights w."""
+    phi = block.factor * w[block.row_doc]
+    return phi / phi.sum(axis=1, keepdims=True)
+
+
+def _visit_unguarded(params, state, block, tol):
+    """Run the phi/gamma iteration of an unguarded level on topic weights.
+
+    No document of an unguarded level reads its own mean or another
+    document's, so its phi rows are lda-c's factored softmax: with the
+    row factors F (block.factor) and the document's topic weights
+    w = exp(d - max d), for d = psi(gamma) + offset, phi = F * w / (F @ w)
+    row by row, and gamma = alpha + w * sum over rows of
+    (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
+    shared by every topic cancels in the softmax.  An iteration computes
+    the new gamma of every active document; a document leaves with its
+    last w and gamma under `_visit_level`'s test and cap, and the phi
+    rows are formed once after the loop, when the whole level is written
+    to the state.  A normaliser F @ w below _MIN_NORM could be made of
+    subnormal products; the level then runs through `_visit_level`, in
+    log space, from its loaded state.
+    """
+    k = block.gamma.shape[1]
+    factor, counts, offset, n = block.factor, block.counts, block.offset, block.n
+    num_rows, row_doc, starts = block.num_rows, block.row_doc, block.starts
+    pos = np.arange(block.docs.shape[0])
+    final_w, final_gamma = np.empty_like(block.gamma), np.empty_like(block.gamma)
+    gamma = block.gamma
+    for _ in range(_DOC_MAX_ITERS):
+        w = _topic_weights(gamma, offset)
+        # take: a row gather several times faster than w[row_doc] here
+        norm = np.einsum("rk,rk->r", factor, w.take(row_doc, axis=0))
+        if norm.min() < _MIN_NORM:
+            return _visit_level(params, state, block, tol)
+        new_gamma = params.alpha + w * np.add.reduceat((counts / norm)[:, None] * factor,
+                                                       starts, axis=0)
+        # the mean absolute change per topic, per token
+        leaving = np.abs(new_gamma - gamma).sum(axis=1) / k / n < tol
+        gamma = new_gamma
+        num_leaving = np.count_nonzero(leaving)
+        if num_leaving == leaving.shape[0]:
+            break
+        if num_leaving:
+            final_w[pos[leaving]], final_gamma[pos[leaving]] = w[leaving], gamma[leaving]
+            stay = ~leaving
+            rows = stay[row_doc]
+            pos, w, gamma, offset, n = pos[stay], w[stay], gamma[stay], offset[stay], n[stay]
+            factor, counts, num_rows = factor[rows], counts[rows], num_rows[stay]
+            row_doc = np.repeat(np.arange(pos.shape[0]), num_rows)
+            starts = np.cumsum(num_rows) - num_rows
+    final_w[pos], final_gamma[pos] = w, gamma
+    phi = _factored_phi(block, final_w)
+    block = block.replace(phi=phi, gamma=final_gamma, phi_bar=block.mean(phi))
+    _store(state, block, np.ones(block.docs.shape[0], dtype=bool))
+
+
 def _sweep(params, state, levels, tol):
     """One full coordinate-ascent pass over all documents, level by level.
 
     For the sigmoid, probit, and gaussian kinds the link gradient reads
     the document's own mean, which the whole-document update takes from
     the start of each iteration (and sigmoid and probit also linearize
-    the link), so an iteration can overshoot.  Those documents are
-    safeguarded iteration by iteration (see `_visit_level`), so a visit
-    never lowers the document's block objective.  The exponential kind
-    is an exact block coordinate maximization and needs no safeguard.
+    the link), so an iteration can overshoot.  Levels with such
+    documents are guarded: safeguarded iteration by iteration (see
+    `_visit_level`), so a visit never lowers the document's block
+    objective.  The exponential kind is an exact block coordinate
+    maximization and needs no safeguard, nor does a level without
+    pairs; those levels iterate on topic weights (see `_visit_unguarded`).
     """
     for block in levels:
-        _visit_level(params, state, _load(params, state, block), tol)
+        visit = _visit_level if block.guarded else _visit_unguarded
+        visit(params, state, _load(params, state, block), tol)
 
 
 def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100):

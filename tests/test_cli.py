@@ -202,6 +202,51 @@ class TestSizeFlagsRejected:
         assert not out.exists()
 
 
+class TestSeedRejected:
+    @pytest.mark.parametrize("command", ["fit", "eval", "suggest-links", "synth"])
+    def test_negative_seed_names_the_flag(self, command, corpus_files, tmp_path, capsys):
+        docs, vocab, links = corpus_files
+        corpus = ["--docs", docs, "--vocab", vocab, "--links", links]
+        out = tmp_path / "out"
+        if command == "suggest-links":
+            model_path = str(tmp_path / "m.txt")
+            assert main(fit_args(docs, vocab, links, model_path, em_iters=1)) == 0
+            capsys.readouterr()
+            args = [command, *corpus, "--model", model_path, "--new-doc", "0:2"]
+        elif command == "synth":
+            args = [command, "--out", str(out)]
+        else:
+            args = [command, *corpus, "--out", str(out)]
+        code = main([*args, "--seed", "-5"])
+        assert_one_line_error(capsys, code, "error: --seed must be non-negative, got -5")
+        assert not out.exists()
+
+
+class TestOutOfMemory:
+    """A size beyond the host's memory ends in one line, not a traceback."""
+
+    def test_synth(self, tmp_path, capsys, monkeypatch):
+        def oversized(*args):
+            raise MemoryError("Unable to allocate 218. TiB for an array with shape "
+                              "(10000000000000, 3) and data type float64")
+
+        monkeypatch.setattr(cli, "generate_synthetic", oversized)
+        out = tmp_path / "synthetic"
+        code = main(["synth", "--out", str(out), "--num-docs", "10000000000000"])
+        assert_one_line_error(capsys, code, "error: out of memory: Unable to allocate 218. TiB")
+        assert not out.exists()
+
+    def test_fit(self, corpus_files, tmp_path, capsys, monkeypatch):
+        def oversized(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(estimation, "fit", oversized)
+        out = tmp_path / "m.txt"
+        code = main(fit_args(*corpus_files, str(out)))
+        assert_one_line_error(capsys, code, "error: out of memory")
+        assert not out.exists()
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("flags, message", [
         (["--eta", "nan"], "link coefficients eta and nu must be finite"),

@@ -271,13 +271,14 @@ def permuted_tv(beta_hat, beta_true):
 
 
 class TestFit:
-    def test_deterministic_serialization(self, tmp_path):
+    @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+    def test_deterministic_serialization(self, tmp_path, kind):
         corpus, _ = generate_synthetic(2, 6, 15, 10, np.array([0.5, 0.5]),
                                        np.array([-1.0, -1.0]), -0.5,
                                        "exponential", seed=2)
         paths = []
         for run in range(2):
-            model = fit(corpus, 2, kind="exponential", seed=9, em_iters=4)
+            model = fit(corpus, 2, kind=kind, seed=9, em_iters=4)
             p = tmp_path / f"m{run}.txt"
             save_model(model, str(p))
             paths.append(p)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, log_ndtr, psi
+from scipy.special import gammaln, log_ndtr, logsumexp, psi
 from scipy.stats import beta as beta_dist
 from scipy.stats import norm
 
@@ -30,13 +30,18 @@ def one_doc_block(state, params, d):
 
 
 def new_phi_row(d, term, state, params):
-    """Row of term in the E-step's whole-document phi update of document d."""
+    """Row of term in the E-step's whole-document phi update of document d.
+
+    The document must be unguarded (no link component, or the
+    exponential kind): its update is the factored one on topic weights.
+    """
     terms = state.corpus.doc(d)[0]
     term_index = int(np.searchsorted(terms, term))
     assert terms[term_index] == term
     block = one_doc_block(state, params, d)
-    elog_theta = psi(block.gamma) - psi(block.gamma.sum(axis=1))[:, None]
-    return inference._phi_update(params, block, elog_theta)[term_index]
+    assert not block.guarded
+    w = inference._topic_weights(block.gamma, block.offset)
+    return inference._factored_phi(block, w)[term_index]
 
 
 def sequential_visit(corpus, params, state, d, tol):
@@ -258,19 +263,45 @@ class TestWholeDocumentVisit:
         np.testing.assert_array_equal(state.var_bar[d], doc_moments(state, corpus, d)[1])
 
 
+def test_store_writes_the_done_documents_variance_only():
+    # _store sums the variance of the leaving documents' rows alone; it
+    # must equal, bit for bit, the whole block's variance at those documents
+    corpus, _ = generate_synthetic(3, 30, 20, 20, np.full(3, 0.3), np.full(3, 2.0),
+                                   0.5, "gaussian", seed=5)
+    beta = np.random.default_rng(2).dirichlet(np.ones(30), size=3)
+    params = make_params(beta, np.full(3, 0.3),
+                         LinkParams(eta=np.full(3, 2.0), nu=0.0, kind="gaussian"))
+    state = init_state(corpus, 3, params.alpha, seed=1)
+    block = inference._load(params, state, inference._corpus_block(corpus, params))
+    rng = np.random.default_rng(4)
+    block.phi = rng.dirichlet(np.ones(3), size=block.rows.shape[0])
+    block.phi_bar = block.mean(block.phi)
+    done = rng.random(corpus.num_docs) < 0.5
+    inference._store(state, block, done)
+    np.testing.assert_array_equal(state.var_bar[block.docs[done]],
+                                  block.variance(block.phi)[done])
+    np.testing.assert_array_equal(state.phi[block.rows[done[block.row_doc]]],
+                                  block.phi[done[block.row_doc]])
+
+
 class TestUpdateGamma:
     """A visit's gamma_d = alpha + the token-weighted sum of d's phi rows."""
 
     @staticmethod
     def visited_gamma(doc):
         # one term per topic, so every phi row of the visit is one-hot:
-        # term 0's row is [1, 0] and term 1's [0, 1]
+        # term 0's row is [1, 0] and term 1's [0, 1]; the factored visit
+        # of unguarded levels and the log-space one agree
         c = Corpus(["a", "b"], [doc])
         params = make_params(np.eye(2), [0.5, 0.5])
-        state = init_state(c, 2, params.alpha, seed=0, noise=0.0)
-        inference._visit_level(params, state, one_doc_block(state, params, 0), 1e-6)
-        np.testing.assert_array_equal(state.phi, np.eye(2))
-        return state.gamma[0]
+        gammas = []
+        for visit in (inference._visit_unguarded, inference._visit_level):
+            state = init_state(c, 2, params.alpha, seed=0, noise=0.0)
+            visit(params, state, one_doc_block(state, params, 0), 1e-6)
+            np.testing.assert_array_equal(state.phi, np.eye(2))
+            gammas.append(state.gamma[0])
+        np.testing.assert_allclose(gammas[0], gammas[1], rtol=1e-15)
+        return gammas[0]
 
     def test_two_token_example(self):
         np.testing.assert_allclose(self.visited_gamma([(0, 1), (1, 1)]), [1.5, 1.5])
@@ -714,6 +745,114 @@ def test_zero_eta_sweeps_every_document_in_one_level(kind):
     levels = blocks([0.0, eta])
     assert [block.docs.tolist() for block in levels] == [[0, 4], [1], [2], [3]]
     assert [block.guarded for block in levels] == [kind != "exponential"] * 4
+
+
+def zero_eta_or_drawn(data, kind, num_topics):
+    """An unguarded link: none, the exponential kind, or another kind at eta = 0."""
+    if kind is None:
+        return None
+    link = data.draw(link_params(kind, num_topics))
+    if kind == "exponential":
+        return link
+    return LinkParams(eta=np.zeros(num_topics), nu=link.nu, kind=kind)
+
+
+@pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       seed=st.integers(0, 2**16))
+def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
+    # whichever loop visited a document, the weights loop of unguarded
+    # levels or the damped row loop, its gamma, caches and rows agree
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
+    links = [None]
+    if kind is not None:
+        drawn = data.draw(link_params(kind, num_topics))
+        links = [drawn, LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)]
+    for link in links:
+        params = make_params(beta, alpha, link)
+        state = init_state(corpus, num_topics, alpha, seed=seed)
+        run_e_step(corpus, params, state, tol=1e-8, max_sweeps=5)
+        np.testing.assert_allclose(state.gamma, alpha + corpus.lengths[:, None] * state.phi_bar,
+                                   rtol=1e-12)
+        for d in range(corpus.num_docs):
+            mean, var = doc_moments(state, corpus, d)
+            np.testing.assert_array_equal(state.phi_bar[d], mean)
+            np.testing.assert_array_equal(state.var_bar[d], var)
+        assert np.all(state.phi >= 0)
+        np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, rtol=1e-12)
+
+
+@st.composite
+def extreme_topics(draw, num_topics, num_terms):
+    """Topics whose log beta entries reach ModelParams' floor, or are -inf.
+
+    ModelParams takes the log of a positive beta no smaller than 1e-300,
+    so a finite log beta is at least -690.8: a term's row of log beta
+    spans up to ~691 nats, its row factor exp(lb - max lb) reaches 1e-300,
+    and it is 0 where beta is zero or rounds to zero.  Term t keeps
+    beta > 0 in topic t mod K, so no column is zero.
+    """
+    weight = st.just(-np.inf) | st.floats(-760.0, -650.0) | st.floats(-50.0, 0.0)
+    log_w = np.array([draw(st.lists(weight, min_size=num_terms, max_size=num_terms))
+                      for _ in range(num_topics)])
+    log_w[np.arange(num_terms) % num_topics, np.arange(num_terms)] = 0.0
+    return np.exp(log_w - logsumexp(log_w, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       alpha_total=st.floats(1e-3, 10.0), seed=st.integers(0, 2**16))
+def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics,
+                                                  alpha_total, seed):
+    # unguarded levels iterate on topic weights with factored phi rows;
+    # they must give what the per-document log-space visit gives.  At
+    # eta = 0 the link gradient is zero, so the reference runs without a
+    # link, undamped: a damped one's block objective would multiply zero
+    # phi entries by log 0
+    beta = data.draw(extreme_topics(num_topics, corpus.num_terms))
+    alpha = np.full(num_topics, alpha_total / num_topics)
+    link = zero_eta_or_drawn(data, kind, num_topics)
+    params = make_params(beta, alpha, link)
+    levels = inference._level_blocks(corpus, params)
+    assert not any(block.guarded for block in levels)
+    reference_params = params if kind == "exponential" else make_params(beta, alpha)
+    weights = init_state(corpus, num_topics, alpha, seed=seed)
+    reference = init_state(corpus, num_topics, alpha, seed=seed)
+    for _ in range(2):
+        inference._sweep(params, weights, levels, 1e-6)
+        for d in range(corpus.num_docs):
+            reference_visit(corpus, reference_params, reference, d, 1e-6)
+    for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        np.testing.assert_allclose(getattr(weights, name), getattr(reference, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_underflowing_normaliser_falls_back_to_log_space(monkeypatch):
+    # term 0 has beta > 0 in topic 0 only, and the link shifts each
+    # document's topic-0 weight by about -1000 nats, to 0: the factored
+    # normaliser F @ w of term 0 is 0, so every level runs in log space
+    corpus = Corpus(["a", "b", "c"], [[(0, 1)], [(0, 1), (2, 1)]], [(0, 1)])
+    beta = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    link = LinkParams(eta=np.array([-2000.0, 0.0]), nu=-1.0, kind="exponential")
+    params = make_params(beta, [0.5, 0.5], link)
+    visits = []
+    visit_level = inference._visit_level
+    monkeypatch.setattr(inference, "_visit_level",
+                        lambda *args: visits.append(args[2].docs) or visit_level(*args))
+    state = init_state(corpus, 2, params.alpha, seed=3)
+    reference = init_state(corpus, 2, params.alpha, seed=3)
+    for _ in range(2):
+        inference._sweep(params, state, inference._level_blocks(corpus, params), 1e-6)
+        for d in range(corpus.num_docs):
+            reference_visit(corpus, params, reference, d, 1e-6)
+    assert [docs.tolist() for docs in visits] == [[0], [1], [0], [1]]
+    for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        assert np.all(np.isfinite(getattr(state, name)))
+        np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
 
 
 def literal_gradient_coefficient(kind, x):

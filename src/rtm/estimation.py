@@ -349,7 +349,9 @@ def save_model(model, path):
     The file has 4 + K lines: `rtm-model v1`; `K V kind alpha_total
     smoothing`; nu; the K link coefficients eta; then one line of V
     log topic-word probabilities per topic.  Kinds without a link
-    component write nu = 0 and eta = 0.
+    component write nu = 0 and eta = 0.  An entry may be -inf (zero beta,
+    an unsmoothed model): the E-step rejects a corpus term with zero beta
+    in some topic, a held-out query a term with zero beta in every topic.
 
     The text goes to a uniquely named temp file in the target directory
     (created by tempfile.mkstemp, so readable by its owner only), which

@@ -56,8 +56,6 @@ from . import linkfn
 logger = logging.getLogger(__name__)
 
 _DOC_MAX_ITERS = 20
-#: smallest normaliser F @ w of the factored update in `_visit_unguarded`
-_MIN_NORM = 1e-200
 
 
 @dataclass
@@ -243,21 +241,24 @@ def _levels(corpus):
 
 
 def _corpus_block(corpus, params):
-    """Every document as one _Block; rejects all-zero beta columns.
+    """Every document as one _Block; rejects a corpus term with zero beta.
 
-    Without a link component, or with an all-zero eta, no document reads
-    another, so the block has no pairs: every kind's link gradient is
-    proportional to eta.  A document is safeguarded (guard) when the link
-    gradient reads its own mean, that is for every kind but exponential,
-    and it has pairs.  Next to each row's log beta lb, factor holds
-    exp(lb - its row max), for the factored update of `_visit_unguarded`.
+    A corpus term whose beta is zero in some topic (an unsmoothed model)
+    would start the bound at -inf, as `init_state` puts mass on every
+    topic.  Without a link component, or with an all-zero eta, no
+    document reads another, so the block has no pairs: every kind's link
+    gradient is proportional to eta.  A document is safeguarded (guard)
+    when the link gradient reads its own mean, that is for every kind but
+    exponential, and it has pairs.  Next to each row's log beta lb, factor
+    holds exp(lb - its row max), for the factored update of
+    `_visit_unguarded`.
     """
     lb = params.log_beta[:, corpus.terms].T
+    zero = np.argwhere(np.isneginf(lb))
+    if zero.size:
+        raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
+                         f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
     top = lb.max(axis=1, keepdims=True)
-    dead = np.isneginf(top[:, 0])
-    if dead.any():
-        raise ValueError(
-            f"beta column {corpus.terms[np.argmax(dead)]} is entirely zero (unsmoothed model)")
     link = params.link
     coupled = link is not None and link.eta.any()
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
@@ -286,9 +287,9 @@ def _load(params, state, block):
     fixed while the block is visited.  So does the exponential kind's
     link gradient, which does not read the documents' own means (its
     coefficient c(x) is 1): it is one offset per document, nb_sum * eta /
-    n, added to E[log theta] in every row of the document (zero for the
-    other kinds).  Only a guarded block reads its documents' phi rows and
-    means.
+    n, added to E[log theta] in every row by `_visit_unguarded` (zero
+    for the other kinds).  Only a guarded block reads its documents' phi
+    rows and means.
     """
     nb_means = state.phi_bar[block.neighbors]
     nb_sum = block.pair_sum(nb_means)
@@ -320,37 +321,34 @@ def _store(state, block, done):
 
 
 def _phi_update(params, block, elog_theta):
-    """New phi rows for every term of the block's documents, from their state.
+    """New phi rows for every term of a guarded block's documents.
 
     elog_theta holds one row per document.  Each phi row combines its
     document's expected log topic proportions, the word evidence, and
     the gradient of the expected log probability of each of the
-    document's observed links; the link sum ranges over the document's
-    observed links only.  The exponential kind's gradient is the
-    block's per-document offset; the other kinds' reads the document's
-    own mean, so only a guarded block has it.  Every row reads its
-    document's state from the start of the iteration, so the rows are a
-    Jacobi update within each document.  Returns the new rows without
-    mutating the block.
+    document's observed links, which reads the document's own mean; the
+    link sum ranges over the document's observed links only.  Every row
+    reads its document's state from the start of the iteration, so the
+    rows are a Jacobi update within each document.  Returns the new rows
+    without mutating the block.
     """
-    exponent = (elog_theta + block.offset)[block.row_doc] + block.lb
+    exponent = elog_theta[block.row_doc] + block.lb
 
     link = params.link
-    if block.guarded:
-        n = block.n[:, None]
-        if link.kind == "gaussian":
-            # per row: the document mean without one token of that term
-            n_row = n[block.row_doc]
-            phi_minus = block.phi_bar[block.row_doc] - block.phi / n_row
-            exponent = exponent + linkfn.grad_phi_gaussian(
-                link, block.nb_sum[block.row_doc], block.num_pairs[block.row_doc, None],
-                phi_minus, n_row)
-        else:
-            x = np.einsum("pk,pk->p", block.nb_means,
-                          (link.eta * block.phi_bar)[block.pair_doc]) + link.nu
-            coeff = linkfn.gradient_coefficient(link, x)
-            grad = block.pair_sum(coeff[:, None] * block.nb_means) * link.eta / n
-            exponent = exponent + grad[block.row_doc]
+    n = block.n[:, None]
+    if link.kind == "gaussian":
+        # per row: the document mean without one token of that term
+        n_row = n[block.row_doc]
+        phi_minus = block.phi_bar[block.row_doc] - block.phi / n_row
+        exponent = exponent + linkfn.grad_phi_gaussian(
+            link, block.nb_sum[block.row_doc], block.num_pairs[block.row_doc, None],
+            phi_minus, n_row)
+    else:
+        x = np.einsum("pk,pk->p", block.nb_means,
+                      (link.eta * block.phi_bar)[block.pair_doc]) + link.nu
+        coeff = linkfn.gradient_coefficient(link, x)
+        grad = block.pair_sum(coeff[:, None] * block.nb_means) * link.eta / n
+        exponent = exponent + grad[block.row_doc]
 
     exponent -= exponent.max(axis=1, keepdims=True)
     out = np.exp(exponent)
@@ -381,7 +379,9 @@ def _bound_parts(alpha, counts, lb, starts, lengths, phi, gamma, phi_bar):
     elog_theta = psi(gamma) - psi(gamma_total)[:, None]
 
     z_term = (lengths[:, None] * phi_bar * elog_theta).sum(axis=1)
-    word_term = np.add.reduceat(counts * np.where(phi > 0, phi * lb, 0.0).sum(axis=1), starts)
+    # phi * lb only where phi > 0: a zero phi entry may meet a zero beta (lb = -inf)
+    word = np.multiply(phi, lb, out=np.zeros_like(phi), where=phi > 0)
+    word_term = np.add.reduceat(counts * word.sum(axis=1), starts)
     theta_prior = (gammaln(alpha.sum()) - gammaln(alpha).sum()
                    + ((alpha - 1.0) * elog_theta).sum(axis=1))
     dir_entropy = (gammaln(gamma).sum(axis=1) - gammaln(gamma_total)
@@ -475,20 +475,17 @@ def _visit_level(params, state, block, tol):
     the visit.  Damping does not move fixed points.  A document leaves
     the working set when its gamma change falls below tol, when it is
     rejected, or after _DOC_MAX_ITERS iterations, and is written to the
-    state as it leaves.  `_visit_unguarded` hands over an unguarded block
-    whose factored update would underflow; it runs here undamped.
+    state as it leaves.
     """
-    if block.guarded:
-        block.objective = _block_objective(params, block, block.phi, block.gamma,
-                                           block.phi_bar)
-        block.slack = 1e-12 * (1.0 + np.abs(block.objective))
+    block.objective = _block_objective(params, block, block.phi, block.gamma, block.phi_bar)
+    block.slack = 1e-12 * (1.0 + np.abs(block.objective))
     k = block.gamma.shape[1]
     for _ in range(_DOC_MAX_ITERS):
         elog_theta = psi(block.gamma) - psi(block.gamma.sum(axis=1))[:, None]
         phi = _phi_update(params, block, elog_theta)
         phi_bar = block.mean(phi)
         gamma = params.alpha + block.n[:, None] * phi_bar
-        rejected = _damp(params, block, phi, phi_bar, gamma) if block.guarded else False
+        rejected = _damp(params, block, phi, phi_bar, gamma)
         # the mean absolute change per topic, per token
         leaving = (np.abs(gamma - block.gamma).sum(axis=1) / k / block.n < tol) | rejected
         block.phi, block.phi_bar, block.gamma = phi, phi_bar, gamma
@@ -526,9 +523,9 @@ def _visit_unguarded(params, state, block, tol):
     the new gamma of every active document; a document leaves with its
     last w and gamma under `_visit_level`'s test and cap, and the phi
     rows are formed once after the loop, when the whole level is written
-    to the state.  A normaliser F @ w below _MIN_NORM could be made of
-    subnormal products; the level then runs through `_visit_level`, in
-    log space, from its loaded state.
+    to the state.  F @ w cannot underflow: the largest weight is exactly
+    1 and every F entry is at least 1e-300, as `_corpus_block` rejects
+    zero beta and `_log_beta_matrix` clamps positive beta at 1e-300.
     """
     k = block.gamma.shape[1]
     factor, counts, offset, n = block.factor, block.counts, block.offset, block.n
@@ -540,8 +537,6 @@ def _visit_unguarded(params, state, block, tol):
         w = _topic_weights(gamma, offset)
         # take: a row gather several times faster than w[row_doc] here
         norm = np.einsum("rk,rk->r", factor, w.take(row_doc, axis=0))
-        if norm.min() < _MIN_NORM:
-            return _visit_level(params, state, block, tol)
         new_gamma = params.alpha + w * np.add.reduceat((counts / norm)[:, None] * factor,
                                                        starts, axis=0)
         # the mean absolute change per topic, per token

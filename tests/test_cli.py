@@ -533,28 +533,46 @@ class TestSuggestLinks:
                      "--model", model_path, "--new-doc", "0:2"])
         assert_one_line_error(capsys, code, "error: corpus has 30 terms, more than the model's 20")
 
-    def test_zero_beta_column_rejected(self, tmp_path):
-        # term 2 has log beta -inf in both topics and no training document
-        # uses it, so only the query reaches it; it must not be scored as nan
+    LOG_HALF = "-0.6931471805599453"
+
+    @staticmethod
+    def suggest_with_zero_beta(tmp_path, log_beta_rows, new_doc):
+        """`python -W error -m rtm.cli suggest-links` with a 2-topic, 3-term
+        exponential model of the given log beta rows, over two linked
+        training documents that use terms 0 and 1."""
         docs, vocab, links = (tmp_path / f"{n}.txt" for n in ("docs", "vocab", "links"))
         docs.write_text("2 0:2 1:1\n2 0:1 1:2\n")
         vocab.write_text("a\nb\nc\n")
         links.write_text("0 1\n")
         model = tmp_path / "m.txt"
         model.write_text("rtm-model v1\n2 3 exponential 1 0.01\n-1\n-0.5 -0.5\n"
-                         "-0.6931471805599453 -0.6931471805599453 -inf\n"
-                         "-0.6931471805599453 -0.6931471805599453 -inf\n")
+                         + "".join(row + "\n" for row in log_beta_rows))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "rtm.cli", "suggest-links",
              "--docs", str(docs), "--vocab", str(vocab), "--links", str(links),
-             "--model", str(model), "--new-doc", "0:1 2:1"],
+             "--model", str(model), "--new-doc", new_doc],
             capture_output=True, text=True, env=env, timeout=300)
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == ("error: beta column of term 2 is entirely zero "
-                                 "(unsmoothed model)\n")
+        return result.stderr
+
+    def test_zero_beta_column_rejected(self, tmp_path):
+        # term 2 has log beta -inf in both topics and no training document
+        # uses it, so only the query reaches it; it must not be scored as nan
+        half = self.LOG_HALF
+        stderr = self.suggest_with_zero_beta(tmp_path, [f"{half} {half} -inf"] * 2, "0:1 2:1")
+        assert stderr == "error: beta column of term 2 is entirely zero (unsmoothed model)\n"
+
+    def test_training_term_zero_in_one_topic_rejected(self, tmp_path):
+        # term 1, used by the training documents, has beta 0 in topic 0: the
+        # E-step of the training posteriors rejects it before its first bound
+        half = self.LOG_HALF
+        stderr = self.suggest_with_zero_beta(
+            tmp_path, [f"{half} -inf {half}", f"{half} {half} -inf"], "0:1")
+        assert stderr == ("error: beta of topic 0 is zero for term 1 of the corpus "
+                          "(unsmoothed model)\n")
 
     def test_empty_new_doc_rejected(self, tmp_path, capsys):
         docs, vocab, links = self.make_planted(tmp_path)

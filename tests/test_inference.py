@@ -14,8 +14,10 @@ from scipy.stats import norm
 
 from rtm import inference, linkfn
 from rtm.corpus import Corpus, generate_synthetic
+from rtm.estimation import FittedModel
 from rtm.inference import ElboBreakdown, ModelParams, elbo, init_state, run_e_step
 from rtm.linkfn import LinkParams
+from rtm.prediction import train_posteriors
 
 
 def make_params(beta, alpha, link=None):
@@ -85,6 +87,13 @@ def sequential_visit(corpus, params, state, d, tol):
 
 def two_doc_corpus():
     return Corpus(["a", "b"], [[(0, 1)], [(1, 1)]], links=[(0, 1)])
+
+
+def unsmoothed_example(link=None):
+    """Two linked documents over terms 0 and 1, and a model whose beta is
+    zero for term 1 in topic 0 and for the unused term 2 in topic 1."""
+    corpus = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(0, 1), (1, 2)]], [(0, 1)])
+    return corpus, make_params([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]], [0.5, 0.5], link)
 
 
 class TestModelParams:
@@ -188,7 +197,8 @@ class TestUpdatePhi:
         state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
         beta = np.array([[1.0, 0.0], [1.0, 0.0]])
         params = make_params(beta, [0.5, 0.5])
-        with pytest.raises(ValueError, match="column"):
+        with pytest.raises(ValueError, match=r"^beta of topic 0 is zero for term 1 of the "
+                                             r"corpus \(unsmoothed model\)$"):
             new_phi_row(0, 1, state, params)
 
 
@@ -289,19 +299,20 @@ class TestUpdateGamma:
 
     @staticmethod
     def visited_gamma(doc):
-        # one term per topic, so every phi row of the visit is one-hot:
-        # term 0's row is [1, 0] and term 1's [0, 1]; the factored visit
-        # of unguarded levels and the log-space one agree
+        # each term is nearly all in one topic (beta 1e-300 in the other),
+        # so every phi row of the visit is one-hot up to 1e-300: term 0's
+        # row is [1, 0] and term 1's [0, 1]; the weights loop of unguarded
+        # levels and the log-space reference agree
         c = Corpus(["a", "b"], [doc])
-        params = make_params(np.eye(2), [0.5, 0.5])
-        gammas = []
-        for visit in (inference._visit_unguarded, inference._visit_level):
-            state = init_state(c, 2, params.alpha, seed=0, noise=0.0)
-            visit(params, state, one_doc_block(state, params, 0), 1e-6)
-            np.testing.assert_array_equal(state.phi, np.eye(2))
-            gammas.append(state.gamma[0])
-        np.testing.assert_allclose(gammas[0], gammas[1], rtol=1e-15)
-        return gammas[0]
+        params = make_params([[1.0, 1e-300], [1e-300, 1.0]], [0.5, 0.5])
+        state = init_state(c, 2, params.alpha, seed=0, noise=0.0)
+        reference = init_state(c, 2, params.alpha, seed=0, noise=0.0)
+        inference._visit_unguarded(params, state, one_doc_block(state, params, 0), 1e-6)
+        reference_visit(c, params, reference, 0, 1e-6)
+        np.testing.assert_allclose(state.phi, np.eye(2), rtol=0, atol=1e-299)
+        np.testing.assert_allclose(state.phi, reference.phi, rtol=0, atol=1e-299)
+        np.testing.assert_allclose(state.gamma[0], reference.gamma[0], rtol=1e-15)
+        return state.gamma[0]
 
     def test_two_token_example(self):
         np.testing.assert_allclose(self.visited_gamma([(0, 1), (1, 1)]), [1.5, 1.5])
@@ -424,6 +435,21 @@ class TestElbo:
                                   words=[0, 1], links=[(0, 1)])
         assert abs(analytic - oracle) < 1e-6
 
+    def test_zero_phi_where_beta_is_zero_adds_nothing(self):
+        # term 1 has beta 0 in topic 0, and its phi rows put no mass there:
+        # that entry adds 0 * log 0 = 0 to the word term, with no "invalid
+        # value" warning (the suite turns warnings into errors)
+        c, params = unsmoothed_example()
+        phi = init_state(c, 2, params.alpha, seed=0).phi
+        phi[c.terms == 1] = [0.0, 1.0]
+        state = inference.VariationalState(c, np.full((2, 2), 2.0), phi)
+        bd = elbo(c, params, state)
+        expected = sum(count * phi[row] @ np.log(params.beta[:, term])
+                       for row, (term, count) in enumerate(zip(c.terms, c.counts))
+                       if term != 1) + 3 * np.log(0.5)
+        np.testing.assert_allclose(bd.word_term, expected, rtol=1e-12)
+        assert np.isfinite(bd.total)
+
     def test_entropy_nonnegative_at_uniform(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
         params = make_params([[0.5, 0.5], [0.5, 0.5]], [1.0, 1.0])
@@ -496,6 +522,22 @@ class TestEStep:
         assert len(trace) == 2
         np.testing.assert_allclose(state.phi[c.rows(0)], 1.0)
         np.testing.assert_allclose(state.gamma[0], [1.0 + 3.0])
+
+    @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+    def test_term_zero_in_one_topic_rejected_before_any_bound(self, kind, monkeypatch):
+        # init_state puts mass on every topic, so term 1, whose beta is zero
+        # in topic 0, would start the bound at -inf; term 2 is zero in topic 1
+        # but no document uses it
+        link = None if kind is None else LinkParams(eta=np.array([-0.5, 2.0]), nu=-1.0,
+                                                    kind=kind)
+        corpus, params = unsmoothed_example(link)
+        model = FittedModel(params=params, kind=kind or "lda", config={})
+        monkeypatch.setattr(inference, "elbo", lambda *args: pytest.fail("bound computed"))
+        message = r"^beta of topic 0 is zero for term 1 of the corpus \(unsmoothed model\)$"
+        with pytest.raises(ValueError, match=message):
+            run_e_step(corpus, params, init_state(corpus, 2, params.alpha, seed=0))
+        with pytest.raises(ValueError, match=message):
+            train_posteriors(model, corpus)
 
     def test_non_finite_bound_raises(self):
         corpus = two_doc_corpus()
@@ -748,12 +790,15 @@ def test_zero_eta_sweeps_every_document_in_one_level(kind):
 
 
 def zero_eta_or_drawn(data, kind, num_topics):
-    """An unguarded link: none, the exponential kind, or another kind at eta = 0."""
+    """An unguarded link: none, the exponential kind with eta down to -2000,
+    or another kind at eta = 0."""
     if kind is None:
         return None
     link = data.draw(link_params(kind, num_topics))
     if kind == "exponential":
-        return link
+        # eta + nu stays <= 0, at up to 50 times link_params' 40
+        scale = data.draw(st.sampled_from([1.0, 50.0]))
+        return LinkParams(eta=scale * (link.eta + link.nu) - link.nu, nu=link.nu, kind=kind)
     return LinkParams(eta=np.zeros(num_topics), nu=link.nu, kind=kind)
 
 
@@ -786,15 +831,15 @@ def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
 
 @st.composite
 def extreme_topics(draw, num_topics, num_terms):
-    """Topics whose log beta entries reach ModelParams' floor, or are -inf.
+    """Positive topics whose log beta entries reach ModelParams' floor.
 
     ModelParams takes the log of a positive beta no smaller than 1e-300,
-    so a finite log beta is at least -690.8: a term's row of log beta
-    spans up to ~691 nats, its row factor exp(lb - max lb) reaches 1e-300,
-    and it is 0 where beta is zero or rounds to zero.  Term t keeps
-    beta > 0 in topic t mod K, so no column is zero.
+    so log beta is at least -690.8: a term's row of log beta spans up to
+    ~691 nats, and its row factor exp(lb - max lb) reaches 1e-300.  Log
+    weights of -700 or more keep every beta entry a positive normal
+    float after normalization (the E-step rejects a zero one).
     """
-    weight = st.just(-np.inf) | st.floats(-760.0, -650.0) | st.floats(-50.0, 0.0)
+    weight = st.floats(-700.0, -650.0) | st.floats(-50.0, 0.0)
     log_w = np.array([draw(st.lists(weight, min_size=num_terms, max_size=num_terms))
                       for _ in range(num_topics)])
     log_w[np.arange(num_terms) % num_topics, np.arange(num_terms)] = 0.0
@@ -804,14 +849,15 @@ def extreme_topics(draw, num_topics, num_terms):
 @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
-       alpha_total=st.floats(1e-3, 10.0), seed=st.integers(0, 2**16))
+       alpha_total=st.sampled_from([1e-8, 1e-4]) | st.floats(1e-8, 10.0),
+       seed=st.integers(0, 2**16))
 def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics,
                                                   alpha_total, seed):
-    # unguarded levels iterate on topic weights with factored phi rows;
-    # they must give what the per-document log-space visit gives.  At
-    # eta = 0 the link gradient is zero, so the reference runs without a
-    # link, undamped: a damped one's block objective would multiply zero
-    # phi entries by log 0
+    # unguarded levels iterate on topic weights with factored phi rows and
+    # no underflow fallback; they must give what the per-document
+    # log-space visit gives, with beta at its 1e-300 floor, a tiny alpha
+    # and exponential links far below zero.  At eta = 0 the E-step's level
+    # has no pairs, so the reference runs without a link, undamped
     beta = data.draw(extreme_topics(num_topics, corpus.num_terms))
     alpha = np.full(num_topics, alpha_total / num_topics)
     link = zero_eta_or_drawn(data, kind, num_topics)
@@ -826,29 +872,26 @@ def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics
         for d in range(corpus.num_docs):
             reference_visit(corpus, reference_params, reference, d, 1e-6)
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        assert np.all(np.isfinite(getattr(weights, name)))
         np.testing.assert_allclose(getattr(weights, name), getattr(reference, name),
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_underflowing_normaliser_falls_back_to_log_space(monkeypatch):
-    # term 0 has beta > 0 in topic 0 only, and the link shifts each
-    # document's topic-0 weight by about -1000 nats, to 0: the factored
-    # normaliser F @ w of term 0 is 0, so every level runs in log space
+def test_weights_loop_at_the_beta_floor_stays_finite():
+    # term 0 has beta 1e-300 in topic 1, and the link shifts document 0's
+    # topic-0 weight by about -1000 nats, to 0: the normaliser F @ w of its
+    # term 0 is then 1e-300, the smallest it can be, and still normal
     corpus = Corpus(["a", "b", "c"], [[(0, 1)], [(0, 1), (2, 1)]], [(0, 1)])
-    beta = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    beta = np.array([[0.5, 0.5, 1e-300], [1e-300, 0.5, 0.5]])
     link = LinkParams(eta=np.array([-2000.0, 0.0]), nu=-1.0, kind="exponential")
     params = make_params(beta, [0.5, 0.5], link)
-    visits = []
-    visit_level = inference._visit_level
-    monkeypatch.setattr(inference, "_visit_level",
-                        lambda *args: visits.append(args[2].docs) or visit_level(*args))
     state = init_state(corpus, 2, params.alpha, seed=3)
     reference = init_state(corpus, 2, params.alpha, seed=3)
     for _ in range(2):
         inference._sweep(params, state, inference._level_blocks(corpus, params), 1e-6)
         for d in range(corpus.num_docs):
             reference_visit(corpus, params, reference, d, 1e-6)
-    assert [docs.tolist() for docs in visits] == [[0], [1], [0], [1]]
+    assert state.phi_bar[0, 1] == 1.0
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         assert np.all(np.isfinite(getattr(state, name)))
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),

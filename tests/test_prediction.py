@@ -277,6 +277,67 @@ class TestInferHeldout:
         post = infer_heldout(model, words=[(0, 1), (1, 2)])
         assert np.all(np.isfinite(post.gamma))
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), num_topics=st.integers(1, 3), num_terms=st.integers(1, 5))
+    def test_zero_beta_rules_of_e_step_and_query(self, data, num_topics, num_terms):
+        # beta with zero entries, never a whole topic: the E-step rejects a
+        # corpus term that is zero in some topic, a query only a term that
+        # is zero in every topic
+        zero = np.array([data.draw(st.lists(st.booleans(), min_size=num_terms,
+                                            max_size=num_terms)) for _ in range(num_topics)])
+        for row in zero:
+            if row.all():
+                row[data.draw(st.integers(0, num_terms - 1))] = False
+        beta = np.where(zero, 0.0, 1.0)
+        model = model_of(beta / beta.sum(axis=1, keepdims=True), np.full(num_topics, 0.5))
+        entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 3))
+        docs = data.draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1,
+                                  max_size=3))
+        corpus = Corpus([f"w{i}" for i in range(num_terms)], docs)
+        state = init_state(corpus, num_topics, model.params.alpha, seed=0)
+        if zero[:, corpus.terms].any():
+            with pytest.raises(ValueError, match=r"^beta of topic \d+ is zero for term \d+ "
+                                                 r"of the corpus \(unsmoothed model\)$"):
+                run_e_step(corpus, model.params, state)
+        else:
+            _, trace = run_e_step(corpus, model.params, state)
+            assert np.all(np.isfinite(trace))
+        query = data.draw(st.lists(entry, min_size=1, max_size=3))
+        if zero[:, [t for t, _ in query]].all(axis=0).any():
+            with pytest.raises(ValueError, match=r"^beta column of term \d+ is entirely zero "
+                                                 r"\(unsmoothed model\)$"):
+                infer_heldout(model, words=query)
+        else:
+            assert np.all(np.isfinite(infer_heldout(model, words=query).gamma))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), num_topics=st.integers(2, 5), num_terms=st.integers(1, 10),
+           alpha_total=st.floats(0.01, 2.0), seed=st.integers(0, 2**16))
+    def test_words_only_posterior_is_the_e_step_posterior(self, data, num_topics, num_terms,
+                                                          alpha_total, seed):
+        # a lone document without links: infer_heldout and run_e_step take
+        # the same steps from the same start, so converged they agree.  The
+        # query's cap of 100 iterations binds on slowly converging draws
+        # (there the two differ by up to 0.10 per token), so it is lifted.
+        # The E-step stops on the bound's relative change, second order in
+        # the step, so it runs at tol 1e-15: over 300 draws of this test the
+        # two then differ by at most 1.2e-7 per token in gamma and in phi_bar
+        # (4.4e-6 at tol 1e-13).  1e-6 leaves an 8-fold margin.
+        beta = np.random.default_rng(seed).dirichlet(np.full(num_terms, 0.3), size=num_topics)
+        model = model_of(np.maximum(beta, 1e-12), np.full(num_topics, alpha_total / num_topics))
+        terms = data.draw(st.lists(st.integers(0, num_terms - 1), min_size=1,
+                                   max_size=num_terms, unique=True))
+        words = [(t, data.draw(st.integers(1, 5))) for t in terms]
+        corpus = Corpus([f"w{i}" for i in range(num_terms)], [words])
+        state = init_state(corpus, num_topics, model.params.alpha, seed=seed)
+        run_e_step(corpus, model.params, state, tol=1e-15, max_sweeps=100_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prediction, "_MAX_ITERS", 100_000)
+            post = infer_heldout(model, words=words, tol=1e-13)
+        n = corpus.lengths[0]
+        np.testing.assert_allclose(post.gamma / n, state.gamma[0] / n, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(post.phi_bar, state.phi_bar[0], rtol=0, atol=1e-6)
+
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(data=st.data(), num_topics=st.integers(1, 4), num_terms=st.integers(1, 8))
     def test_repeated_terms_give_the_merged_posterior(self, data, num_topics, num_terms):

@@ -11,27 +11,28 @@ evidence lower bound with the expected log link probability summed over
 observed links only, so per-sweep link work scales with the number of
 links rather than the number of document pairs.
 
-A document's update reads only its own rows and the means of its linked
-neighbors, so a sweep runs as a wavefront.  Documents are grouped into
-levels: level[d] is 1 + the highest level of a lower-indexed neighbor of
-d, or 0 if there is none.  No two documents of a level are linked, every
-lower-indexed neighbor of a document sits in an earlier level and every
-higher-indexed one in a later level.  Updating the levels in turn, all
-documents of a level together, therefore gives each document exactly
-the values that the index-order sweep gives it.  Every document of a
-level keeps its own convergence test and iteration cap.  Every kind's
-link gradient is proportional to eta, so at eta = 0 (where each fit
-starts) no document reads another: the sweep is then one level of all
-documents, unguarded, as it is without a link component.
+A document's update reads only its own rows and the means of the
+documents it has pairs with, its linked neighbors.  Every kind's link
+gradient is proportional to eta, so at eta = 0 (where each fit starts),
+as without a link component, no document has pairs.  A document without
+pairs reads no one's mean and no one reads its, so all such documents
+form one block, visited first.  The others run as a wavefront, grouped
+into levels: level[d] is 1 + the highest level of a lower-indexed
+neighbor of d, or 0 if there is none.  No two documents of a level are
+linked, every lower-indexed neighbor of a document sits in an earlier
+level and every higher-indexed one in a later level.  Updating the
+blocks in turn, all documents of a block together, therefore gives each
+document exactly the values that the index-order sweep gives it.  Every
+document of a block keeps its own convergence test and iteration cap.
 
-A level is guarded when one of its documents' link gradient reads the
-document's own mean (a coupled sigmoid, probit or gaussian level).
-Each iteration of a guarded level is one array step over its
-still-active documents, each with its own damping step, and a document
-is written to the state as it leaves.  An unguarded level (no pairs, or
-the exponential kind) iterates on per-document topic weights with
-lda-c's factored softmax, and forms its phi rows and writes the whole
-level once, after its last document leaves.
+A level is guarded unless the kind is exponential: the sigmoid, probit
+and gaussian link gradients read the document's own mean.  Each
+iteration of a guarded level is one array step over its still-active
+documents, each with its own damping step, and a document is written to
+the state as it leaves.  An unguarded block (the documents without
+pairs, or an exponential level) iterates on per-document topic weights
+with lda-c's factored softmax, and forms its phi rows and writes the
+whole block once, after its last document leaves.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
@@ -108,21 +109,19 @@ class VariationalState:
     phi_bar     (D, K) cached per-document means (1/N_d) sum_n phi_{d,n}
     var_bar     (D, K) cached Var(zbar_{d,i}) = (1/N_d^2) sum_n phi (1 - phi)
 
-    Both caches are filled at construction.  An E-step writes a
-    document's phi rows, gamma and both caches once per sweep: a guarded
-    level as each document's visit ends, an unguarded level all at once
-    when its last document's visit ends.
+    Both caches are filled at construction, and every writer computes
+    them with `_mean` and `_variance`.  An E-step writes a document's phi
+    rows, gamma and both caches once per sweep: a guarded level as each
+    document's visit ends, an unguarded block all at once when its last
+    document's visit ends.
     """
 
     def __init__(self, corpus, gamma, phi):
         self.corpus = corpus
         self.gamma = gamma
         self.phi = phi
-        starts = corpus.indptr[:-1]
-        n = corpus.lengths[:, None]
-        weighted = corpus.counts[:, None] * phi
-        self.phi_bar = np.add.reduceat(weighted, starts, axis=0) / n
-        self.var_bar = np.add.reduceat(weighted * (1.0 - phi), starts, axis=0) / n**2
+        moments = corpus.counts, phi, corpus.indptr[:-1], corpus.lengths
+        self.phi_bar, self.var_bar = _mean(*moments), _variance(*moments)
 
     @property
     def num_topics(self):
@@ -131,12 +130,10 @@ class VariationalState:
     def set_phi(self, d, term_index, new_phi):
         """Replace one term's phi row and recompute the document caches."""
         rows = self.corpus.rows(d)
-        p = self.phi[rows]
-        p[term_index] = new_phi
-        counts = self.corpus.counts[rows].astype(np.float64)
-        n = self.corpus.lengths[d]
-        self.phi_bar[d] = counts @ p / n
-        self.var_bar[d] = counts @ (p * (1.0 - p)) / n**2
+        self.phi[rows.start + term_index] = new_phi
+        doc = slice(d, d + 1)
+        moments = self.corpus.counts[rows], self.phi[rows], [0], self.corpus.lengths[doc]
+        self.phi_bar[doc], self.var_bar[doc] = _mean(*moments), _variance(*moments)
 
 
 def init_state(corpus, num_topics, alpha, seed, noise=0.01):
@@ -163,8 +160,8 @@ def _log_beta_matrix(beta):
 
 #: the arrays of a _Block, by what they have one entry for
 _FIELDS = {
-    **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "guard", "gamma", "phi_bar",
-                     "nb_sum", "offset", "lam", "objective", "slack"), "doc"),
+    **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
+                     "offset", "lam", "objective", "slack"), "doc"),
     **dict.fromkeys(("rows", "counts", "lb", "factor", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
@@ -176,26 +173,27 @@ class _Block:
     Each array in `_FIELDS` has one entry per document, per phi row, or
     per (document, neighbor) pair, in document order.  docs, rows and
     neighbors are corpus indices; row_doc and pair_doc give the position
-    in the block of the document that owns each row and pair, and
-    guarded whether any document is safeguarded.  `take` keeps a subset
-    of the documents with their rows and pairs.
+    in the block of the document that owns each row and pair.  guarded
+    says whether the block is a guarded level, visited by
+    `_visit_guarded`.  `pair_sum` needs a pair for every document, as in
+    a level.  `take` keeps a subset of the documents with their rows and
+    pairs.
     """
 
-    def __init__(self, **arrays):
+    def __init__(self, guarded=False, **arrays):
         self.__dict__.update(arrays)
+        self.guarded = guarded
         positions = np.arange(self.docs.shape[0])
         self.row_doc = np.repeat(positions, self.num_rows)
         self.starts = np.cumsum(self.num_rows) - self.num_rows
         self.pair_doc = np.repeat(positions, self.num_pairs)
-        self.linked = self.num_pairs > 0
-        self.pair_starts = (np.cumsum(self.num_pairs) - self.num_pairs)[self.linked]
-        self.guarded = bool(self.guard.any())
+        self.pair_starts = np.cumsum(self.num_pairs) - self.num_pairs
 
     def take(self, keep):
         """The documents where the boolean array keep is set."""
         masks = {"doc": keep, "row": keep[self.row_doc], "pair": keep[self.pair_doc]}
-        return _Block(**{name: value[masks[_FIELDS[name]]]
-                         for name, value in vars(self).items() if name in _FIELDS})
+        return _Block(self.guarded, **{name: value[masks[_FIELDS[name]]]
+                                       for name, value in vars(self).items() if name in _FIELDS})
 
     def replace(self, **arrays):
         """The same documents with the given arrays added or replaced."""
@@ -203,27 +201,22 @@ class _Block:
         block.__dict__.update(vars(self), **arrays)
         return block
 
-    def row_sum(self, values):
-        """Per-document sums of per-row values."""
-        return np.add.reduceat(values, self.starts, axis=0)
-
     def pair_sum(self, values):
-        """Per-document sums of per-pair values, 0 for a document without links.
-
-        np.add.reduceat alone would give an empty run the next element.
-        """
-        out = np.zeros(self.linked.shape + values.shape[1:])
-        if self.pair_starts.size:
-            out[self.linked] = np.add.reduceat(values, self.pair_starts, axis=0)
-        return out
+        """Per-document sums of per-pair values."""
+        return np.add.reduceat(values, self.pair_starts, axis=0)
 
     def mean(self, phi):
         """phi_bar of each document from its rows."""
-        return self.row_sum(self.counts[:, None] * phi) / self.n[:, None]
+        return _mean(self.counts, phi, self.starts, self.n)
 
     def variance(self, phi):
         """var_bar of each document from its rows."""
         return _variance(self.counts, phi, self.starts, self.n)
+
+
+def _mean(counts, phi, starts, n):
+    """phi_bar of documents whose rows are consecutive runs beginning at starts."""
+    return np.add.reduceat(counts[:, None] * phi, starts, axis=0) / n[:, None]
 
 
 def _variance(counts, phi, starts, n):
@@ -241,16 +234,14 @@ def _levels(corpus):
 
 
 def _corpus_block(corpus, params):
-    """Every document as one _Block; rejects a corpus term with zero beta.
+    """Every document as one unguarded _Block; rejects a corpus term with zero beta.
 
     A corpus term whose beta is zero in some topic (an unsmoothed model)
     would start the bound at -inf, as `init_state` puts mass on every
     topic.  Without a link component, or with an all-zero eta, no
     document reads another, so the block has no pairs: every kind's link
-    gradient is proportional to eta.  A document is safeguarded (guard)
-    when the link gradient reads its own mean, that is for every kind but
-    exponential, and it has pairs.  Next to each row's log beta lb, factor
-    holds exp(lb - its row max), for the factored update of
+    gradient is proportional to eta.  Next to each row's log beta lb,
+    factor holds exp(lb - its row max), for the factored update of
     `_visit_unguarded`.
     """
     lb = params.log_beta[:, corpus.terms].T
@@ -262,49 +253,53 @@ def _corpus_block(corpus, params):
     link = params.link
     coupled = link is not None and link.eta.any()
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
-    num_pairs = np.array([ns.size for ns in neighbors], dtype=np.int64)
     return _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
-                  num_rows=np.diff(corpus.indptr), num_pairs=num_pairs,
-                  guard=(coupled and link.kind != "exponential") & (num_pairs > 0),
+                  num_rows=np.diff(corpus.indptr),
+                  num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
                   rows=np.arange(corpus.terms.shape[0]),
                   counts=corpus.counts.astype(np.float64), lb=lb, factor=np.exp(lb - top),
                   neighbors=np.concatenate(neighbors))
 
 
 def _level_blocks(corpus, params):
-    """One _Block per wavefront level, in level order; one level without pairs."""
+    """The E-step's blocks in visit order (see the module docstring).
+
+    First the documents without pairs, as one unguarded block; then one
+    block per wavefront level of the others, guarded unless the kind is
+    exponential.  A block with no documents is left out.
+    """
     whole = _corpus_block(corpus, params)
-    if not whole.neighbors.size:
-        return [whole]
-    level = _levels(corpus)
-    return [whole.take(level == i) for i in range(int(level.max()) + 1)]
+    # -1 for the documents without pairs
+    level = np.where(whole.num_pairs > 0, _levels(corpus), -1)
+    guarded = params.link is not None and params.link.kind != "exponential"
+    blocks = [whole.take(level == i).replace(guarded=guarded and i >= 0)
+              for i in range(-1, int(level.max()) + 1)]
+    return [block for block in blocks if block.docs.size]
 
 
 def _load(params, state, block):
     """The block with its documents' current state and its neighbors' means.
 
-    The neighbors sit in other levels, so their means and variances stay
-    fixed while the block is visited.  So does the exponential kind's
-    link gradient, which does not read the documents' own means (its
-    coefficient c(x) is 1): it is one offset per document, nb_sum * eta /
-    n, added to E[log theta] in every row by `_visit_unguarded` (zero
-    for the other kinds).  Only a guarded block reads its documents' phi
-    rows and means.
+    The neighbors sit in other blocks, so their means and variances stay
+    fixed while the block is visited.  Only a guarded level reads its
+    documents' phi rows and means.  An unguarded block reads gamma and
+    one offset per document, added to E[log theta] in every row by
+    `_visit_unguarded`: zero for the documents without pairs, and
+    nb_sum * eta / n for an exponential level, whose link gradient does
+    not read the documents' own means (its coefficient c(x) is 1).
     """
-    nb_means = state.phi_bar[block.neighbors]
-    nb_sum = block.pair_sum(nb_means)
-    link = params.link
-    if link is not None and link.kind == "exponential":
-        offset = nb_sum * link.eta / block.n[:, None]
-    else:
-        offset = np.zeros_like(nb_sum)
-    block = block.replace(gamma=state.gamma[block.docs], nb_means=nb_means, nb_sum=nb_sum,
-                          offset=offset)
+    gamma = state.gamma[block.docs]
     if block.guarded:
-        block = block.replace(phi=state.phi[block.rows], phi_bar=state.phi_bar[block.docs],
-                              lam=np.ones(block.docs.shape[0]),
-                              nb_var=state.var_bar[block.neighbors])
-    return block
+        nb_means = state.phi_bar[block.neighbors]
+        return block.replace(gamma=gamma, phi=state.phi[block.rows],
+                             phi_bar=state.phi_bar[block.docs], lam=np.ones(block.docs.shape[0]),
+                             nb_means=nb_means, nb_sum=block.pair_sum(nb_means),
+                             nb_var=state.var_bar[block.neighbors])
+    offset = np.zeros_like(gamma)
+    if block.neighbors.size:
+        nb_sum = block.pair_sum(state.phi_bar[block.neighbors])
+        offset = nb_sum * params.link.eta / block.n[:, None]
+    return block.replace(gamma=gamma, offset=offset)
 
 
 def _store(state, block, done):
@@ -321,7 +316,7 @@ def _store(state, block, done):
 
 
 def _phi_update(params, block, elog_theta):
-    """New phi rows for every term of a guarded block's documents.
+    """New phi rows for every term of a guarded level's documents.
 
     elog_theta holds one row per document.  Each phi row combines its
     document's expected log topic proportions, the word evidence, and
@@ -431,17 +426,17 @@ def _block_objective(params, block, phi, gamma, phi_bar):
 
 
 def _damp(params, block, phi, phi_bar, gamma):
-    """Safeguard the step of every guarded document of the block, in place.
+    """Safeguard the step of every document of a guarded level, in place.
 
-    phi, phi_bar and gamma hold the undamped update.  Each guarded
-    document moves from its rows toward it by the geometric mix with its
-    step lam; while that would lower its block objective, lam is halved.
-    The document is rejected, keeping the rows it started from, once lam
-    falls below 1e-4.  Documents without a guard keep the update.
-    Updates block.lam and block.objective; returns the rejected mask.
+    phi, phi_bar and gamma hold the undamped update.  Each document
+    moves from its rows toward it by the geometric mix with its step
+    lam; while that would lower its block objective, lam is halved.  The
+    document is rejected, keeping the rows it started from, once lam
+    falls below 1e-4.  Updates block.lam and block.objective; returns
+    the rejected mask.
     """
     new_phi = phi.copy()
-    pending = block.guard.copy()
+    pending = np.ones(block.docs.shape[0], dtype=bool)
     rejected = np.zeros_like(pending)
     while pending.any():
         lam = block.lam[block.row_doc, None]
@@ -465,12 +460,12 @@ def _damp(params, block, phi, phi_bar, gamma):
     return rejected
 
 
-def _visit_level(params, state, block, tol):
+def _visit_guarded(params, state, block, tol):
     """Run the damped phi/gamma iteration of a guarded level's documents.
 
     Each iteration replaces every phi row of each active document by the
-    whole-document update, then its gamma, in one array step.  Guarded
-    documents are safeguarded iteration by iteration (see `_damp`); a
+    whole-document update, then its gamma, in one array step.  Every
+    document is safeguarded iteration by iteration (see `_damp`); a
     document's step stays as small as its last damping for the rest of
     the visit.  Damping does not move fixed points.  A document leaves
     the working set when its gamma change falls below tol, when it is
@@ -511,9 +506,9 @@ def _factored_phi(block, w):
 
 
 def _visit_unguarded(params, state, block, tol):
-    """Run the phi/gamma iteration of an unguarded level on topic weights.
+    """Run the phi/gamma iteration of an unguarded block on topic weights.
 
-    No document of an unguarded level reads its own mean or another
+    No document of an unguarded block reads its own mean or another
     document's, so its phi rows are lda-c's factored softmax: with the
     row factors F (block.factor) and the document's topic weights
     w = exp(d - max d), for d = psi(gamma) + offset, phi = F * w / (F @ w)
@@ -521,8 +516,8 @@ def _visit_unguarded(params, state, block, tol):
     (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
     shared by every topic cancels in the softmax.  An iteration computes
     the new gamma of every active document; a document leaves with its
-    last w and gamma under `_visit_level`'s test and cap, and the phi
-    rows are formed once after the loop, when the whole level is written
+    last w and gamma under `_visit_guarded`'s test and cap, and the phi
+    rows are formed once after the loop, when the whole block is written
     to the state.  F @ w cannot underflow: the largest weight is exactly
     1 and every F entry is at least 1e-300, as `_corpus_block` rejects
     zero beta and `_log_beta_matrix` clamps positive beta at 1e-300.
@@ -559,21 +554,21 @@ def _visit_unguarded(params, state, block, tol):
     _store(state, block, np.ones(block.docs.shape[0], dtype=bool))
 
 
-def _sweep(params, state, levels, tol):
-    """One full coordinate-ascent pass over all documents, level by level.
+def _sweep(params, state, blocks, tol):
+    """One full coordinate-ascent pass over all documents, block by block.
 
     For the sigmoid, probit, and gaussian kinds the link gradient reads
     the document's own mean, which the whole-document update takes from
     the start of each iteration (and sigmoid and probit also linearize
-    the link), so an iteration can overshoot.  Levels with such
-    documents are guarded: safeguarded iteration by iteration (see
-    `_visit_level`), so a visit never lowers the document's block
-    objective.  The exponential kind is an exact block coordinate
-    maximization and needs no safeguard, nor does a level without
-    pairs; those levels iterate on topic weights (see `_visit_unguarded`).
+    the link), so an iteration can overshoot.  Their levels are guarded:
+    safeguarded iteration by iteration (see `_visit_guarded`), so a visit
+    never lowers the document's block objective.  The exponential kind
+    is an exact block coordinate maximization and needs no safeguard,
+    nor do the documents without pairs; those blocks iterate on topic
+    weights (see `_visit_unguarded`).
     """
-    for block in levels:
-        visit = _visit_level if block.guarded else _visit_unguarded
+    for block in blocks:
+        visit = _visit_guarded if block.guarded else _visit_unguarded
         visit(params, state, _load(params, state, block), tol)
 
 
@@ -588,13 +583,13 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100):
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    levels = _level_blocks(corpus, params)
+    blocks = _level_blocks(corpus, params)
     current = elbo(corpus, params, state).total
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")
     trace = [current]
     for _ in range(max_sweeps):
-        _sweep(params, state, levels, tol)
+        _sweep(params, state, blocks, tol)
         value = elbo(corpus, params, state).total
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")

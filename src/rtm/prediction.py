@@ -72,7 +72,9 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     means of the training documents.  The document is then one
     pseudo-token (count 1) with no word evidence, which under an RTM kind
     takes the link gradient towards the linked means; baseline kinds
-    ignore links and need train_phi_bar only to check the indices.
+    ignore links.  A negative index is always rejected; an index past the
+    last training document only when train_phi_bar is given, which is
+    required under an RTM kind and optional under a baseline kind.
 
     phi starts uniform and gamma at alpha + N / K, for N tokens.  An
     iteration sets each phi row to the softmax of E[log theta] + evidence
@@ -113,11 +115,10 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         links = np.asarray(list(links), dtype=np.int64)
         if links.size == 0:
             raise ValueError("empty link evidence")
-        if train_phi_bar is not None:
-            bad = links[(links < 0) | (links >= len(train_phi_bar))]
-            if bad.size:
-                raise ValueError(f"training document id {bad[0]} out of range "
-                                 f"[0, {len(train_phi_bar)})")
+        upper = np.inf if train_phi_bar is None else len(train_phi_bar)
+        bad = links[(links < 0) | (links >= upper)]
+        if bad.size:
+            raise ValueError(f"training document id {bad[0]} out of range [0, {upper})")
         factor, counts = np.ones((1, k)), np.ones(1)
         link = _topic_link(model)
         if link is not None:

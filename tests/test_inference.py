@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -26,8 +26,9 @@ def make_params(beta, alpha, link=None):
 
 
 def one_doc_block(state, params, d):
-    """Document d alone as a loaded level block of the E-step."""
-    block = inference._corpus_block(state.corpus, params)
+    """Document d alone, taken from the E-step block that holds it, and loaded."""
+    (block,) = [block for block in inference._level_blocks(state.corpus, params)
+                if d in block.docs]
     return inference._load(params, state, block.take(block.docs == d))
 
 
@@ -267,7 +268,7 @@ class TestWholeDocumentVisit:
         monkeypatch.setattr(inference, "_phi_update",
                             lambda *args: np.tile(worst, (rows.stop - rows.start, 1)))
         state.var_bar[d] = np.nan
-        inference._visit_level(params, state, one_doc_block(state, params, d), 1e-6)
+        inference._visit_guarded(params, state, one_doc_block(state, params, d), 1e-6)
         for got, expected in zip((state.phi[rows], state.gamma[d], state.phi_bar[d]), start):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(state.var_bar[d], doc_moments(state, corpus, d)[1])
@@ -715,7 +716,8 @@ def reference_visit(corpus, params, state, d, tol):
 
 @st.composite
 def mixed_level_corpora(draw, num_terms=6):
-    """Small linked corpora with an isolated document, so level 0 mixes both."""
+    """Small linked corpora with an isolated document, so a coupled E-step has
+    a block without pairs next to its levels."""
     num_docs = draw(st.integers(3, 10))
     entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 3))
     docs = [draw(st.lists(entry, min_size=1, max_size=4)) for _ in range(num_docs)]
@@ -780,13 +782,45 @@ def test_zero_eta_sweeps_every_document_in_one_level(kind):
     (whole,) = blocks([0.0, 0.0])
     np.testing.assert_array_equal(whole.docs, np.arange(5))
     assert whole.neighbors.size == 0 and not whole.num_pairs.any()
-    assert not whole.guard.any() and not whole.guarded
+    assert not whole.guarded
 
-    # one nonzero component couples the documents again
+    # one nonzero component couples the documents again: the isolated
+    # document comes first, alone and unguarded, then the chain level by
+    # level, each document with pairs
     eta = -0.5 if kind == "exponential" else 2.0
-    levels = blocks([0.0, eta])
-    assert [block.docs.tolist() for block in levels] == [[0, 4], [1], [2], [3]]
+    isolated, *levels = blocks([0.0, eta])
+    assert isolated.docs.tolist() == [4] and not isolated.num_pairs.any()
+    assert not isolated.guarded
+    assert [block.docs.tolist() for block in levels] == [[0], [1], [2], [3]]
+    assert all(block.num_pairs.all() for block in levels)
     assert [block.guarded for block in levels] == [kind != "exponential"] * 4
+
+
+@pytest.mark.parametrize("kind", [kind for kind in linkfn.KINDS if kind != "exponential"])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       seed=st.integers(0, 2**16))
+def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics, seed):
+    # an isolated document reads no mean and no one reads its: even where
+    # the linked documents are damped, it is visited on topic weights in
+    # the first block, which holds the documents without pairs only
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
+    link = data.draw(link_params(kind, num_topics))
+    assume(link.eta.any())
+    params = make_params(beta, alpha, link)
+    linkless, *levels = inference._level_blocks(corpus, params)
+    np.testing.assert_array_equal(linkless.docs, corpus.isolated_docs())
+    assert not linkless.guarded and not linkless.num_pairs.any()
+    assert levels and all(block.guarded and block.num_pairs.all() for block in levels)
+    state = init_state(corpus, num_topics, alpha, seed=seed)
+    reference = init_state(corpus, num_topics, alpha, seed=seed)
+    inference._visit_unguarded(params, state, inference._load(params, state, linkless), 1e-6)
+    for d in linkless.docs:
+        reference_visit(corpus, params, reference, d, 1e-6)
+    for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
 
 
 def zero_eta_or_drawn(data, kind, num_topics):
@@ -808,7 +842,7 @@ def zero_eta_or_drawn(data, kind, num_topics):
        seed=st.integers(0, 2**16))
 def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
     # whichever loop visited a document, the weights loop of unguarded
-    # levels or the damped row loop, its gamma, caches and rows agree
+    # blocks or the damped row loop, its gamma, caches and rows agree
     alpha = np.full(num_topics, 1.0 / num_topics)
     beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
     links = [None]
@@ -853,7 +887,7 @@ def extreme_topics(draw, num_topics, num_terms):
        seed=st.integers(0, 2**16))
 def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics,
                                                   alpha_total, seed):
-    # unguarded levels iterate on topic weights with factored phi rows and
+    # unguarded blocks iterate on topic weights with factored phi rows and
     # no underflow fallback; they must give what the per-document
     # log-space visit gives, with beta at its 1e-300 floor, a tiny alpha
     # and exponential links far below zero.  At eta = 0 the E-step's level

@@ -184,6 +184,16 @@ class TestInferHeldout:
         with pytest.raises(ValueError, match=f"document id {doc} out of range"):
             infer_heldout(model, links=[0, doc], train_phi_bar=np.ones((1, 1)))
 
+    @pytest.mark.parametrize("kind", ["lda", "lda_regression", "unigram"])
+    def test_negative_link_rejected_without_training_means(self, kind):
+        # baseline kinds ignore links, so they need no train_phi_bar; a
+        # negative id must still not pass as a training document
+        link = LinkParams(eta=np.array([-1.0]), nu=0.0, kind="exponential")
+        model = model_of([[0.5, 0.5]], [1.0], link=link if kind == "lda_regression" else None,
+                         kind=kind)
+        with pytest.raises(ValueError, match=r"^training document id -7 out of range"):
+            infer_heldout(model, links=[-7, 10**9])
+
     def test_empty_evidence_rejected(self):
         model = model_of([[0.5, 0.5]], [1.0])
         with pytest.raises(ValueError, match="empty word"):

@@ -28,11 +28,11 @@ document of a block keeps its own convergence test and iteration cap.
 A level is guarded unless the kind is exponential: the sigmoid, probit
 and gaussian link gradients read the document's own mean.  Each
 iteration of a guarded level is one array step over its still-active
-documents, each with its own damping step, and a document is written to
-the state as it leaves.  An unguarded block (the documents without
-pairs, or an exponential level) iterates on per-document topic weights
-with lda-c's factored softmax, and forms its phi rows and writes the
-whole block once, after its last document leaves.
+documents, each with its own damping step.  An unguarded block (the
+documents without pairs, or an exponential level) iterates on
+per-document topic weights with lda-c's factored softmax.  Either visit
+reads its documents' state and its neighbors' means when it starts, and
+writes the whole block once, when its last document leaves.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
@@ -63,10 +63,10 @@ _DOC_MAX_ITERS = 20
 class ModelParams:
     """Model parameters: topics, Dirichlet prior, and link function.
 
-    beta is a K x V row-stochastic topic matrix, alpha a positive
-    K-vector, link a linkfn.LinkParams or None for a pure topic model
-    with no link component.  The instance keeps its own read-only copy
-    of beta and computes log_beta from it once.
+    beta is a K x V row-stochastic topic matrix, alpha a K-vector of
+    positive normal floats, link a linkfn.LinkParams or None for a pure
+    topic model with no link component.  The instance keeps its own
+    read-only copy of beta and computes log_beta from it once.
     """
 
     beta: np.ndarray
@@ -81,8 +81,11 @@ class ModelParams:
             raise ValueError("beta must be a K x V matrix")
         if self.alpha.shape != (self.beta.shape[0],):
             raise ValueError("alpha must have one entry per topic")
-        if np.any(self.alpha <= 0):
-            raise ValueError("alpha must be positive")
+        # psi(alpha) overflows to -inf below the smallest normal float
+        tiny = np.finfo(np.float64).tiny
+        if not np.all(self.alpha >= tiny):
+            raise ValueError(f"alpha must be at least {tiny:.4g} per topic (the smallest "
+                             f"normal float), got {self.alpha.min():.4g}")
         rows = self.beta.sum(axis=1)
         if not np.allclose(rows, 1.0, atol=1e-8):
             raise ValueError("beta rows must sum to 1")
@@ -111,9 +114,8 @@ class VariationalState:
 
     Both caches are filled at construction, and every writer computes
     them with `_mean` and `_variance`.  An E-step writes a document's phi
-    rows, gamma and both caches once per sweep: a guarded level as each
-    document's visit ends, an unguarded block all at once when its last
-    document's visit ends.
+    rows, gamma and both caches once per sweep, when the visit of its
+    block ends.
     """
 
     def __init__(self, corpus, gamma, phi):
@@ -161,7 +163,7 @@ def _log_beta_matrix(beta):
 #: the arrays of a _Block, by what they have one entry for
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
-                     "offset", "lam", "objective", "slack"), "doc"),
+                     "lam", "objective", "slack"), "doc"),
     **dict.fromkeys(("rows", "counts", "lb", "factor", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
@@ -277,42 +279,12 @@ def _level_blocks(corpus, params):
     return [block for block in blocks if block.docs.size]
 
 
-def _load(params, state, block):
-    """The block with its documents' current state and its neighbors' means.
-
-    The neighbors sit in other blocks, so their means and variances stay
-    fixed while the block is visited.  Only a guarded level reads its
-    documents' phi rows and means.  An unguarded block reads gamma and
-    one offset per document, added to E[log theta] in every row by
-    `_visit_unguarded`: zero for the documents without pairs, and
-    nb_sum * eta / n for an exponential level, whose link gradient does
-    not read the documents' own means (its coefficient c(x) is 1).
-    """
-    gamma = state.gamma[block.docs]
-    if block.guarded:
-        nb_means = state.phi_bar[block.neighbors]
-        return block.replace(gamma=gamma, phi=state.phi[block.rows],
-                             phi_bar=state.phi_bar[block.docs], lam=np.ones(block.docs.shape[0]),
-                             nb_means=nb_means, nb_sum=block.pair_sum(nb_means),
-                             nb_var=state.var_bar[block.neighbors])
-    offset = np.zeros_like(gamma)
-    if block.neighbors.size:
-        nb_sum = block.pair_sum(state.phi_bar[block.neighbors])
-        offset = nb_sum * params.link.eta / block.n[:, None]
-    return block.replace(gamma=gamma, offset=offset)
-
-
-def _store(state, block, done):
-    """Write the phi rows, gamma, phi_bar and var_bar of the done documents."""
-    rows = done[block.row_doc]
-    docs = block.docs[done]
-    phi = block.phi[rows]
-    num_rows = block.num_rows[done]
-    state.phi[block.rows[rows]] = phi
-    state.gamma[docs] = block.gamma[done]
-    state.phi_bar[docs] = block.phi_bar[done]
-    state.var_bar[docs] = _variance(block.counts[rows], phi, np.cumsum(num_rows) - num_rows,
-                                    block.n[done])
+def _store(state, block, phi, gamma):
+    """Write the block's phi rows and gamma, and its documents' phi_bar and var_bar."""
+    state.phi[block.rows] = phi
+    state.gamma[block.docs] = gamma
+    state.phi_bar[block.docs] = block.mean(phi)
+    state.var_bar[block.docs] = block.variance(phi)
 
 
 def _phi_update(params, block, elog_theta):
@@ -463,34 +435,49 @@ def _damp(params, block, phi, phi_bar, gamma):
 def _visit_guarded(params, state, block, tol):
     """Run the damped phi/gamma iteration of a guarded level's documents.
 
-    Each iteration replaces every phi row of each active document by the
-    whole-document update, then its gamma, in one array step.  Every
-    document is safeguarded iteration by iteration (see `_damp`); a
-    document's step stays as small as its last damping for the rest of
-    the visit.  Damping does not move fixed points.  A document leaves
-    the working set when its gamma change falls below tol, when it is
-    rejected, or after _DOC_MAX_ITERS iterations, and is written to the
-    state as it leaves.
+    The visit reads its documents' phi rows, gamma and means, and its
+    neighbors' means and variances, from the state; the neighbors sit in
+    other blocks, so theirs stay fixed during the visit.  Each iteration
+    replaces every phi row of each active document by the whole-document
+    update, then its gamma, in one array step.  Every document is
+    safeguarded iteration by iteration (see `_damp`); a document's step
+    stays as small as its last damping for the rest of the visit.
+    Damping does not move fixed points.  A document leaves the working
+    set when its gamma change falls below tol, when it is rejected, or
+    after _DOC_MAX_ITERS iterations; its rows and gamma are kept by
+    position in the block, which is written to the state once, when its
+    last document leaves.
     """
-    block.objective = _block_objective(params, block, block.phi, block.gamma, block.phi_bar)
-    block.slack = 1e-12 * (1.0 + np.abs(block.objective))
-    k = block.gamma.shape[1]
+    nb_means = state.phi_bar[block.neighbors]
+    active = block.replace(gamma=state.gamma[block.docs], phi=state.phi[block.rows],
+                           phi_bar=state.phi_bar[block.docs], lam=np.ones(block.docs.shape[0]),
+                           nb_means=nb_means, nb_sum=block.pair_sum(nb_means),
+                           nb_var=state.var_bar[block.neighbors])
+    active.objective = _block_objective(params, active, active.phi, active.gamma,
+                                        active.phi_bar)
+    active.slack = 1e-12 * (1.0 + np.abs(active.objective))
+    k = active.gamma.shape[1]
+    pos, row_pos = np.arange(block.docs.shape[0]), np.arange(block.rows.shape[0])
+    final_phi, final_gamma = np.empty_like(active.phi), np.empty_like(active.gamma)
     for _ in range(_DOC_MAX_ITERS):
-        elog_theta = psi(block.gamma) - psi(block.gamma.sum(axis=1))[:, None]
-        phi = _phi_update(params, block, elog_theta)
-        phi_bar = block.mean(phi)
-        gamma = params.alpha + block.n[:, None] * phi_bar
-        rejected = _damp(params, block, phi, phi_bar, gamma)
+        elog_theta = psi(active.gamma) - psi(active.gamma.sum(axis=1))[:, None]
+        phi = _phi_update(params, active, elog_theta)
+        phi_bar = active.mean(phi)
+        gamma = params.alpha + active.n[:, None] * phi_bar
+        rejected = _damp(params, active, phi, phi_bar, gamma)
         # the mean absolute change per topic, per token
-        leaving = (np.abs(gamma - block.gamma).sum(axis=1) / k / block.n < tol) | rejected
-        block.phi, block.phi_bar, block.gamma = phi, phi_bar, gamma
+        leaving = (np.abs(gamma - active.gamma).sum(axis=1) / k / active.n < tol) | rejected
+        active.phi, active.phi_bar, active.gamma = phi, phi_bar, gamma
         num_leaving = np.count_nonzero(leaving)
+        if num_leaving == leaving.shape[0]:
+            break
         if num_leaving:
-            _store(state, block, leaving)
-            if num_leaving == leaving.shape[0]:
-                return
-            block = block.take(~leaving)
-    _store(state, block, np.ones(block.docs.shape[0], dtype=bool))
+            rows = leaving[active.row_doc]
+            final_phi[row_pos[rows]], final_gamma[pos[leaving]] = phi[rows], gamma[leaving]
+            pos, row_pos = pos[~leaving], row_pos[~rows]
+            active = active.take(~leaving)
+    final_phi[row_pos], final_gamma[pos] = active.phi, active.gamma
+    _store(state, block, final_phi, final_gamma)
 
 
 def _topic_weights(gamma, offset):
@@ -521,13 +508,23 @@ def _visit_unguarded(params, state, block, tol):
     to the state.  F @ w cannot underflow: the largest weight is exactly
     1 and every F entry is at least 1e-300, as `_corpus_block` rejects
     zero beta and `_log_beta_matrix` clamps positive beta at 1e-300.
+
+    The visit reads its documents' gamma from the state, and one offset
+    per document, added to E[log theta] in every row: zero for the
+    documents without pairs, and nb_sum * eta / n for an exponential
+    level, whose link gradient does not read the documents' own means
+    (its coefficient c(x) is 1).  The neighbors sit in other blocks, so
+    their means, and the offsets, stay fixed during the visit.
     """
-    k = block.gamma.shape[1]
-    factor, counts, offset, n = block.factor, block.counts, block.offset, block.n
+    gamma = state.gamma[block.docs]
+    offset = np.zeros_like(gamma)
+    if block.neighbors.size:
+        offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / block.n[:, None]
+    k = gamma.shape[1]
+    factor, counts, n = block.factor, block.counts, block.n
     num_rows, row_doc, starts = block.num_rows, block.row_doc, block.starts
     pos = np.arange(block.docs.shape[0])
-    final_w, final_gamma = np.empty_like(block.gamma), np.empty_like(block.gamma)
-    gamma = block.gamma
+    final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):
         w = _topic_weights(gamma, offset)
         # take: a row gather several times faster than w[row_doc] here
@@ -549,9 +546,7 @@ def _visit_unguarded(params, state, block, tol):
             row_doc = np.repeat(np.arange(pos.shape[0]), num_rows)
             starts = np.cumsum(num_rows) - num_rows
     final_w[pos], final_gamma[pos] = w, gamma
-    phi = _factored_phi(block, final_w)
-    block = block.replace(phi=phi, gamma=final_gamma, phi_bar=block.mean(phi))
-    _store(state, block, np.ones(block.docs.shape[0], dtype=bool))
+    _store(state, block, _factored_phi(block, final_w), final_gamma)
 
 
 def _sweep(params, state, blocks, tol):
@@ -569,7 +564,7 @@ def _sweep(params, state, blocks, tol):
     """
     for block in blocks:
         visit = _visit_guarded if block.guarded else _visit_unguarded
-        visit(params, state, _load(params, state, block), tol)
+        visit(params, state, block, tol)
 
 
 def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100):

@@ -130,6 +130,14 @@ class TestEvalCommand:
         assert seen == {"run_e_step": {1e-6}, "infer_heldout": {1e-6}}
 
 
+def run_strict(*args):
+    """`python -W error -m rtm.cli ARGS` on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "rtm.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def assert_one_line_error(capsys, code, starts):
     assert code == 1
     captured = capsys.readouterr()
@@ -269,6 +277,43 @@ class TestNonFiniteRejected:
         code = main(fit_args(*corpus_files, str(out), **{flag: value}))
         assert_one_line_error(capsys, code, f"error: {message}")
         assert not out.exists()
+
+
+class TestSubnormalAlphaRejected:
+    """A per-topic alpha below the smallest normal float overflows psi(alpha)
+    to -inf: one error line, not a numpy warning and a nan bound."""
+
+    MESSAGE = "alpha must be at least 2.225e-308 per topic (the smallest normal float)"
+
+    @staticmethod
+    def linked_pair(tmp_path):
+        """Two linked documents over 3 terms, so no line warns of isolated ones."""
+        paths = [tmp_path / f"{n}.txt" for n in ("docs", "vocab", "links")]
+        for path, text in zip(paths, ("2 0:2 1:1\n2 0:1 2:2\n", "a\nb\nc\n", "0 1\n")):
+            path.write_text(text)
+        return paths
+
+    def assert_rejected(self, result, starts):
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"error: {starts}{self.MESSAGE}, got ")
+
+    def test_fit(self, tmp_path):
+        out = tmp_path / "m.txt"
+        result = run_strict(*fit_args(*self.linked_pair(tmp_path), out, alpha_total="1e-320"))
+        self.assert_rejected(result, "")
+        assert not out.exists()
+
+    def test_suggest_links_model_file(self, tmp_path):
+        docs, vocab, links = self.linked_pair(tmp_path)
+        model = tmp_path / "m.txt"
+        row = " ".join([repr(float(np.log(1 / 3)))] * 3)
+        model.write_text(f"rtm-model v1\n2 3 exponential 1e-320 0.01\n-1\n-0.5 -0.5\n"
+                         f"{row}\n{row}\n")
+        self.assert_rejected(run_strict("suggest-links", "--docs", docs, "--vocab", vocab,
+                                        "--links", links, "--model", model, "--new-doc", "0:2"),
+                             f"{model}: ")
 
 
 class TestFileErrors:
@@ -547,13 +592,8 @@ class TestSuggestLinks:
         model = tmp_path / "m.txt"
         model.write_text("rtm-model v1\n2 3 exponential 1 0.01\n-1\n-0.5 -0.5\n"
                          + "".join(row + "\n" for row in log_beta_rows))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "rtm.cli", "suggest-links",
-             "--docs", str(docs), "--vocab", str(vocab), "--links", str(links),
-             "--model", str(model), "--new-doc", new_doc],
-            capture_output=True, text=True, env=env, timeout=300)
+        result = run_strict("suggest-links", "--docs", docs, "--vocab", vocab,
+                            "--links", links, "--model", model, "--new-doc", new_doc)
         assert result.returncode == 1
         assert result.stdout == ""
         return result.stderr

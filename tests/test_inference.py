@@ -26,10 +26,10 @@ def make_params(beta, alpha, link=None):
 
 
 def one_doc_block(state, params, d):
-    """Document d alone, taken from the E-step block that holds it, and loaded."""
+    """Document d alone, taken from the E-step block that holds it."""
     (block,) = [block for block in inference._level_blocks(state.corpus, params)
                 if d in block.docs]
-    return inference._load(params, state, block.take(block.docs == d))
+    return block.take(block.docs == d)
 
 
 def new_phi_row(d, term, state, params):
@@ -37,14 +37,19 @@ def new_phi_row(d, term, state, params):
 
     The document must be unguarded (no link component, or the
     exponential kind): its update is the factored one on topic weights.
+    A visit capped at one iteration writes the rows formed from the
+    state's gamma; it visits a copy, so state is left as it is.
     """
     terms = state.corpus.doc(d)[0]
     term_index = int(np.searchsorted(terms, term))
     assert terms[term_index] == term
     block = one_doc_block(state, params, d)
     assert not block.guarded
-    w = inference._topic_weights(block.gamma, block.offset)
-    return inference._factored_phi(block, w)[term_index]
+    visited = inference.VariationalState(state.corpus, state.gamma.copy(), state.phi.copy())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_DOC_MAX_ITERS", 1)
+        inference._visit_unguarded(params, visited, block, 1e-6)
+    return visited.phi[state.corpus.rows(d)][term_index]
 
 
 def sequential_visit(corpus, params, state, d, tol):
@@ -272,27 +277,6 @@ class TestWholeDocumentVisit:
         for got, expected in zip((state.phi[rows], state.gamma[d], state.phi_bar[d]), start):
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(state.var_bar[d], doc_moments(state, corpus, d)[1])
-
-
-def test_store_writes_the_done_documents_variance_only():
-    # _store sums the variance of the leaving documents' rows alone; it
-    # must equal, bit for bit, the whole block's variance at those documents
-    corpus, _ = generate_synthetic(3, 30, 20, 20, np.full(3, 0.3), np.full(3, 2.0),
-                                   0.5, "gaussian", seed=5)
-    beta = np.random.default_rng(2).dirichlet(np.ones(30), size=3)
-    params = make_params(beta, np.full(3, 0.3),
-                         LinkParams(eta=np.full(3, 2.0), nu=0.0, kind="gaussian"))
-    state = init_state(corpus, 3, params.alpha, seed=1)
-    block = inference._load(params, state, inference._corpus_block(corpus, params))
-    rng = np.random.default_rng(4)
-    block.phi = rng.dirichlet(np.ones(3), size=block.rows.shape[0])
-    block.phi_bar = block.mean(block.phi)
-    done = rng.random(corpus.num_docs) < 0.5
-    inference._store(state, block, done)
-    np.testing.assert_array_equal(state.var_bar[block.docs[done]],
-                                  block.variance(block.phi)[done])
-    np.testing.assert_array_equal(state.phi[block.rows[done[block.row_doc]]],
-                                  block.phi[done[block.row_doc]])
 
 
 class TestUpdateGamma:
@@ -714,6 +698,55 @@ def reference_visit(corpus, params, state, d, tol):
     state.phi_bar[d], state.var_bar[d] = doc_moments(state, corpus, d)
 
 
+@pytest.mark.parametrize("kind", ["sigmoid", "exponential"])
+def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypatch):
+    # level 0 holds documents 0 and 1, each linked to document 2.  Documents
+    # 0 and 2 start at their fixed point, one term almost only in topic 0,
+    # so their gamma does not change and they leave on the first iteration.
+    # Document 1's two terms favour opposite topics by the same ratio, so
+    # its gamma moves slowly and it runs to the cap.  Guarded (sigmoid) or
+    # not (exponential), the sweep must give what the per-document sweep
+    # gives, with every document written once, when its block's visit ends
+    corpus = Corpus(["a", "b", "c", "d"], [[(0, 3)], [(1, 30), (2, 20)], [(0, 2)]],
+                    [(0, 2), (1, 2)])
+    eta = 2.0 if kind == "sigmoid" else -1.0
+    params = make_params([[0.4, 0.3, 0.2, 0.1], [1e-300, 0.2, 0.3, 0.5]], [0.5, 0.5],
+                         LinkParams(eta=np.full(2, eta), nu=-1.0, kind=kind))
+    start = init_state(corpus, 2, params.alpha, seed=3)
+    for d in (0, 2):
+        start.phi[corpus.rows(d)] = [1.0, 0.0]
+        start.gamma[d] = params.alpha + corpus.lengths[d] * np.array([1.0, 0.0])
+    state, reference = (inference.VariationalState(corpus, start.gamma.copy(), start.phi.copy())
+                        for _ in range(2))
+    blocks = inference._level_blocks(corpus, params)
+    assert [block.docs.tolist() for block in blocks] == [[0, 1], [2]]
+    assert [block.guarded for block in blocks] == [kind == "sigmoid"] * 2
+
+    # the last argument of either loop's per-iteration step has one row per
+    # active document
+    step = "_phi_update" if kind == "sigmoid" else "_topic_weights"
+    original, active = getattr(inference, step), []
+
+    def counted(*args):
+        active.append(args[-1].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(inference, step, counted)
+    inference._sweep(params, state, blocks, 1e-6)
+    assert active == [2] + [1] * (inference._DOC_MAX_ITERS - 1) + [1]
+    for d in (0, 2):
+        np.testing.assert_array_equal(state.gamma[d], start.gamma[d])
+    for d in range(corpus.num_docs):
+        reference_visit(corpus, params, reference, d, 1e-6)
+    for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    for d in range(corpus.num_docs):
+        mean, var = doc_moments(state, corpus, d)
+        np.testing.assert_array_equal(state.phi_bar[d], mean)
+        np.testing.assert_array_equal(state.var_bar[d], var)
+
+
 @st.composite
 def mixed_level_corpora(draw, num_terms=6):
     """Small linked corpora with an isolated document, so a coupled E-step has
@@ -815,7 +848,7 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
     assert levels and all(block.guarded and block.num_pairs.all() for block in levels)
     state = init_state(corpus, num_topics, alpha, seed=seed)
     reference = init_state(corpus, num_topics, alpha, seed=seed)
-    inference._visit_unguarded(params, state, inference._load(params, state, linkless), 1e-6)
+    inference._visit_unguarded(params, state, linkless, 1e-6)
     for d in linkless.docs:
         reference_visit(corpus, params, reference, d, 1e-6)
     for name in ("phi", "gamma", "phi_bar", "var_bar"):

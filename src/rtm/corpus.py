@@ -18,7 +18,7 @@ from the loader); `drop_isolated` reproduces pipelines that discard them.
 
 import logging
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
     corpus = Corpus._from_checked(vocab, docs, pairs)
     isolated = corpus.isolated_docs()
     if drop_isolated and isolated.size:
-        corpus, _ = drop_isolated_docs(corpus)
+        corpus = subcorpus(corpus, np.setdiff1d(np.arange(corpus.num_docs), isolated))
     elif isolated.size:
         logger.warning("corpus has %d documents with no links", isolated.size)
     return corpus
@@ -255,13 +255,6 @@ def write_corpus(corpus, docs_path, vocab_path, links_path):
     with open(links_path, "w", encoding="utf-8") as fh:
         for d1, d2 in corpus.links:
             fh.write(f"{d1} {d2}\n")
-
-
-def drop_isolated_docs(corpus):
-    """Remove documents with no links; returns (new corpus, kept indices)."""
-    isolated = set(int(d) for d in corpus.isolated_docs())
-    kept = [d for d in range(corpus.num_docs) if d not in isolated]
-    return subcorpus(corpus, kept), np.array(kept, dtype=np.int64)
 
 
 def subcorpus(corpus, doc_ids):
@@ -321,11 +314,9 @@ class SyntheticTruth:
 
     beta: np.ndarray
     alpha: np.ndarray
-    eta: np.ndarray
-    nu: float
     theta: np.ndarray
     zbar: np.ndarray
-    link_params: LinkParams = field(repr=False, default=None)
+    link_params: LinkParams
 
 
 def block_topics(num_topics, num_terms):
@@ -386,6 +377,5 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
     linked = rng.random(probs.shape[0]) < probs
     links = list(zip(left[linked], right[linked]))
 
-    truth = SyntheticTruth(beta=beta, alpha=alpha, eta=params.eta, nu=params.nu,
-                           theta=theta, zbar=zbar, link_params=params)
+    truth = SyntheticTruth(beta=beta, alpha=alpha, theta=theta, zbar=zbar, link_params=params)
     return Corpus([f"w{j}" for j in range(num_terms)], docs, links), truth

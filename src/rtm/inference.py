@@ -138,18 +138,15 @@ class VariationalState:
         self.phi_bar[doc], self.var_bar[doc] = _mean(*moments), _variance(*moments)
 
 
-def init_state(corpus, num_topics, alpha, seed, noise=0.01):
-    """Initial state: gamma_d = alpha + N_d/K, phi uniform plus seeded noise.
-
-    noise=0 gives exactly uniform phi vectors.  Deterministic given seed.
-    """
+def init_state(corpus, num_topics, alpha, seed):
+    """Initial state: gamma_d = alpha + N_d/K, phi uniform plus seeded noise
+    of up to 1% of 1/K, renormalized.  Deterministic given seed."""
     alpha = np.asarray(alpha, dtype=np.float64)
     rng = np.random.default_rng(seed)
     gamma = np.tile(alpha, (corpus.num_docs, 1)) + corpus.lengths[:, None] / num_topics
     phi = np.full((corpus.terms.shape[0], num_topics), 1.0 / num_topics)
-    if noise:
-        phi += noise * rng.random(phi.shape) / num_topics
-        phi /= phi.sum(axis=1, keepdims=True)
+    phi += 0.01 * rng.random(phi.shape) / num_topics
+    phi /= phi.sum(axis=1, keepdims=True)
     return VariationalState(corpus, gamma, phi)
 
 

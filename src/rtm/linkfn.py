@@ -25,6 +25,7 @@ pair is a one-row batch.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit, log_ndtr
@@ -38,25 +39,10 @@ _ADMISSIBLE_TOL = 1e-9
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-class PairEvalCounter:
-    """Counts pair-level expected-log-link evaluations.
-
-    Used to verify that inference work scales with the number of observed
-    links rather than with the number of document pairs.
-    """
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n=1):
-        self.count += int(n)
-
-    def reset(self):
-        self.count = 0
-
-
-#: global counter incremented by expected_log_link_batch
-pair_evals = PairEvalCounter()
+#: count of pair evaluations by expected_log_link_batch, so that tests can
+#: check that inference work scales with the observed links rather than
+#: with the document pairs; reset by assigning 0 to its count
+pair_evals = SimpleNamespace(count=0)
 
 
 @dataclass
@@ -99,10 +85,6 @@ class LinkParams:
                 raise ValueError(
                     "inadmissible gaussian link parameters: require "
                     "eta >= 0 and nu >= 0")
-
-    @property
-    def num_topics(self):
-        return self.eta.shape[0]
 
 
 def log_link(params, x):
@@ -147,7 +129,7 @@ def expected_log_link_batch(params, mean_a, mean_b, var_a=None, var_b=None):
     side.  Returns an (L,) array and counts L pair evaluations.
     """
     out = log_link(params, _predictor(params, mean_a, mean_b, var_a, var_b))
-    pair_evals.add(out.shape[0])
+    pair_evals.count += out.shape[0]
     return out
 
 

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtm import corpus as corpus_mod
-from rtm.corpus import (Corpus, CorpusFormatError, block_topics, drop_isolated_docs,
-                        generate_synthetic, load_corpus, split_folds, subcorpus,
-                        training_view, write_corpus)
+from rtm.corpus import (Corpus, CorpusFormatError, block_topics, generate_synthetic,
+                        load_corpus, split_folds, subcorpus, training_view, write_corpus)
 from rtm.linkfn import link_probability
 
 
@@ -359,8 +358,8 @@ class TestSynthetic:
 
         def formula(a, b):
             if kind == "gaussian":
-                return math.exp(-truth.eta @ ((a - b) ** 2) - nu)
-            x = truth.eta @ (a * b) + nu
+                return math.exp(-truth.link_params.eta @ ((a - b) ** 2) - nu)
+            x = truth.link_params.eta @ (a * b) + nu
             if kind == "sigmoid":
                 return 1.0 / (1.0 + math.exp(-x))
             if kind == "probit":

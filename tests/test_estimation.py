@@ -33,7 +33,7 @@ class TestUpdateBeta:
 
     def test_hard_assignments_give_topic_counts(self):
         c = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(1, 1), (2, 3)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0, noise=0.0)
+        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
         hard = {0: np.array([1.0, 0.0]), 1: np.array([1.0, 0.0]),
                 2: np.array([0.0, 1.0])}
         for d in range(c.num_docs):

@@ -25,6 +25,14 @@ def make_params(beta, alpha, link=None):
                        alpha=np.asarray(alpha, dtype=float), link=link)
 
 
+def uniform_state(corpus, alpha):
+    """init_state's gamma with exactly uniform phi rows, no seeded noise."""
+    alpha = np.asarray(alpha, dtype=float)
+    k = alpha.shape[0]
+    return inference.VariationalState(corpus, alpha + corpus.lengths[:, None] / k,
+                                      np.full((corpus.terms.shape[0], k), 1.0 / k))
+
+
 def one_doc_block(state, params, d):
     """Document d alone, taken from the E-step block that holds it."""
     (block,) = [block for block in inference._level_blocks(state.corpus, params)
@@ -121,11 +129,6 @@ class TestInitState:
         c = Corpus(["a", "b"], [[(0, 2), (1, 2)]])
         state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
         np.testing.assert_allclose(state.gamma[0], [2.5, 2.5])
-
-    def test_zero_noise_uniform(self):
-        c = Corpus(["a", "b"], [[(0, 1), (1, 3)]])
-        state = init_state(c, 4, np.full(4, 0.25), seed=0, noise=0.0)
-        np.testing.assert_array_equal(state.phi[c.rows(0)], np.full((2, 4), 0.25))
 
     def test_deterministic(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 3)], [(1, 2)]])
@@ -290,8 +293,8 @@ class TestUpdateGamma:
         # levels and the log-space reference agree
         c = Corpus(["a", "b"], [doc])
         params = make_params([[1.0, 1e-300], [1e-300, 1.0]], [0.5, 0.5])
-        state = init_state(c, 2, params.alpha, seed=0, noise=0.0)
-        reference = init_state(c, 2, params.alpha, seed=0, noise=0.0)
+        state = uniform_state(c, params.alpha)
+        reference = uniform_state(c, params.alpha)
         inference._visit_unguarded(params, state, one_doc_block(state, params, 0), 1e-6)
         reference_visit(c, params, reference, 0, 1e-6)
         np.testing.assert_allclose(state.phi, np.eye(2), rtol=0, atol=1e-299)
@@ -409,7 +412,7 @@ class TestElbo:
         beta = np.array([[0.7, 0.3], [0.2, 0.8]])
         link = LinkParams(eta=np.array([-0.4, -0.3]), nu=-0.2, kind="exponential")
         params = make_params(beta, alpha, link)
-        state = init_state(corpus, 2, alpha, seed=0, noise=0.0)
+        state = init_state(corpus, 2, alpha, seed=0)
         state.gamma = np.array([[1.4, 0.9], [1.1, 1.6]])
         state.set_phi(0, 0, np.array([0.6, 0.4]))
         state.set_phi(1, 0, np.array([0.25, 0.75]))
@@ -438,7 +441,7 @@ class TestElbo:
     def test_entropy_nonnegative_at_uniform(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
         params = make_params([[0.5, 0.5], [0.5, 0.5]], [1.0, 1.0])
-        state = init_state(c, 2, np.array([1.0, 1.0]), seed=0, noise=0.0)
+        state = uniform_state(c, np.array([1.0, 1.0]))
         state.gamma = np.array([[1.0, 1.0]])
         assert elbo(c, params, state).entropy_term >= 0.0
 
@@ -541,7 +544,7 @@ class TestEStep:
         beta = np.full((2, 8), 1 / 8)
         params = make_params(beta, [0.5, 0.5], link)
         state = init_state(corpus, 2, params.alpha, seed=0)
-        linkfn.pair_evals.reset()
+        linkfn.pair_evals.count = 0
         _, trace = run_e_step(corpus, params, state, tol=1e-10, max_sweeps=5)
         # one pair evaluation per observed link per bound evaluation:
         # the initial value plus exactly one per sweep
@@ -1031,7 +1034,7 @@ def test_collapsed_matches_uncollapsed_fixed_point(kind):
         link = LinkParams(eta=np.array([1.5, -0.8]), nu=0.3, kind=kind)
     corpus = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(2, 2)]], links=[(0, 1)])
     params = make_params(beta, alpha, link)
-    state = init_state(corpus, 2, alpha, seed=0, noise=0.0)
+    state = uniform_state(corpus, alpha)
     state, _ = run_e_step(corpus, params, state, tol=1e-12, max_sweeps=400)
 
     phis, gammas = uncollapsed_fixed_point(

@@ -188,7 +188,7 @@ class TestExpectedLogLink:
 
     def test_counter_counts_pairs(self):
         params = LinkParams(eta=np.zeros(2), nu=0.0, kind="sigmoid")
-        linkfn.pair_evals.reset()
+        linkfn.pair_evals.count = 0
         linkfn.expected_log_link_batch(params, np.zeros((7, 2)), np.zeros((7, 2)))
         assert linkfn.pair_evals.count == 7
 

@@ -321,7 +321,12 @@ def _phi_update(params, block, elog_theta):
 
 @dataclass
 class ElboBreakdown:
-    """Evidence lower bound split into its five additive parts."""
+    """Evidence lower bound split into its five additive parts.
+
+    theta_prior_term holds E[log p(theta | alpha)] together with the
+    Dirichlet entropy H[q(theta)]; entropy_term is the entropy of the
+    phi rows alone.
+    """
 
     link_term: float
     z_given_theta_term: float
@@ -332,12 +337,13 @@ class ElboBreakdown:
 
 
 def _bound_parts(alpha, counts, lb, starts, lengths, phi, gamma, phi_bar):
-    """Per-document z|theta, word and theta-prior terms and entropy.
+    """Per-document z|theta, word and theta terms and phi entropy.
 
     The documents' rows are consecutive runs beginning at starts in
     counts, lb (log beta of each row's term) and phi; lengths, gamma
     and phi_bar have one entry per document.  Returns four arrays with
-    one value per document.
+    one value per document; the theta term is E[log p(theta | alpha)]
+    plus the entropy of q(theta).
     """
     gamma_total = gamma.sum(axis=1)
     elog_theta = psi(gamma) - psi(gamma_total)[:, None]
@@ -346,12 +352,13 @@ def _bound_parts(alpha, counts, lb, starts, lengths, phi, gamma, phi_bar):
     # phi * lb only where phi > 0: a zero phi entry may meet a zero beta (lb = -inf)
     word = np.multiply(phi, lb, out=np.zeros_like(phi), where=phi > 0)
     word_term = np.add.reduceat(counts * word.sum(axis=1), starts)
-    theta_prior = (gammaln(alpha.sum()) - gammaln(alpha).sum()
-                   + ((alpha - 1.0) * elog_theta).sum(axis=1))
-    dir_entropy = (gammaln(gamma).sum(axis=1) - gammaln(gamma_total)
-                   - ((gamma - 1.0) * elog_theta).sum(axis=1))
-    mult_entropy = -np.add.reduceat(counts * xlogy(phi, phi).sum(axis=1), starts)
-    return z_term, word_term, theta_prior, dir_entropy + mult_entropy
+    # E[log p(theta)] + H[q(theta)] in one sum: apart, their (alpha - 1) and
+    # (gamma - 1) products with E[log theta] are each about 1/alpha in size
+    # and cancel only after rounding
+    theta_term = (gammaln(alpha.sum()) - gammaln(alpha).sum() + gammaln(gamma).sum(axis=1)
+                  - gammaln(gamma_total) + ((alpha - gamma) * elog_theta).sum(axis=1))
+    entropy = -np.add.reduceat(counts * xlogy(phi, phi).sum(axis=1), starts)
+    return z_term, word_term, theta_term, entropy
 
 
 def elbo(corpus, params, state):

@@ -336,11 +336,25 @@ class TestFit:
         model = fit(corpus, 2, kind="exponential", seed=3, em_iters=10)
         assert permuted_tv(model.params.beta, beta_true) < 0.1
 
-    def test_linkless_corpus_matches_lda(self):
+    @pytest.mark.parametrize("kind", linkfn.KINDS)
+    def test_linkless_corpus_matches_lda(self, kind):
+        # without links the link M-step returns its start, eta = 0 and
+        # nu = 0, and every E-step reads no link: the fit is LDA's
         c = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(2, 3)], [(0, 1), (2, 1)]])
-        with_links_off = fit(c, 2, kind=None, seed=5, em_iters=5)
+        model = fit(c, 2, kind=kind, seed=5, em_iters=5)
         lda = baselines.fit_lda(c, 2, seed=5, em_iters=5)
-        np.testing.assert_array_equal(with_links_off.params.beta, lda.params.beta)
+        np.testing.assert_array_equal(model.params.link.eta, np.zeros(2))
+        assert model.params.link.nu == 0.0
+        np.testing.assert_array_equal(model.params.beta, lda.params.beta)
+        assert model.elbo_trace == lda.elbo_trace
+
+    def test_tiny_alpha_bound_is_the_small_alpha_bound(self):
+        # the CI corpus; at alpha_total 1e-20 the theta prior's and the
+        # Dirichlet entropy's 1/alpha-sized products must cancel exactly
+        corpus, _ = generate_synthetic(3, 30, 30, 20, np.full(3, 1 / 3), np.full(3, -1.0),
+                                       -1.0, "exponential", seed=1)
+        tiny, small = (fit(corpus, 10, alpha_total=a).elbo_trace[-1] for a in (1e-20, 1e-8))
+        assert tiny == pytest.approx(small, rel=1e-6)
 
     def test_beta_stays_normalized_and_positive(self):
         corpus, _ = generate_synthetic(3, 9, 12, 8, np.full(3, 1 / 3),

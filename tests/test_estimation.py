@@ -350,7 +350,8 @@ class TestFit:
 
     def test_tiny_alpha_bound_is_the_small_alpha_bound(self):
         # the CI corpus; at alpha_total 1e-20 the theta prior's and the
-        # Dirichlet entropy's 1/alpha-sized products must cancel exactly
+        # Dirichlet entropy's 1/alpha-sized products must cancel before
+        # they are rounded, or the bound reads 0
         corpus, _ = generate_synthetic(3, 30, 30, 20, np.full(3, 1 / 3), np.full(3, -1.0),
                                        -1.0, "exponential", seed=1)
         tiny, small = (fit(corpus, 10, alpha_total=a).elbo_trace[-1] for a in (1e-20, 1e-8))

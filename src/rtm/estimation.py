@@ -317,7 +317,8 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     trace = []
     previous = None
     for _ in range(em_iters):
-        state, _ = inference.run_e_step(corpus, params, state)
+        # previous is the bound of this state under these parameters
+        state, _ = inference.run_e_step(corpus, params, state, start_bound=previous)
         beta = update_beta(corpus, state, reg.smoothing)
         link = params.link
         if link is not None:
@@ -378,8 +379,10 @@ def save_model(model, path):
                 fh.write(f"{k} {v} {model.kind} {alpha_total:.17g} {smoothing:.17g}\n")
                 fh.write(f"{nu:.17g}\n")
                 fh.write(" ".join(f"{x:.17g}" for x in eta) + "\n")
-                for row in params.log_beta:
-                    fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+                # one format per row: the same text as f"{x:.17g}" for each entry
+                row_format = " ".join(["%.17g"] * v) + "\n"
+                for row in params.log_beta.tolist():
+                    fh.write(row_format % tuple(row))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

@@ -24,6 +24,8 @@ level and every higher-indexed one in a later level.  Updating the
 blocks in turn, all documents of a block together, therefore gives each
 document exactly the values that the index-order sweep gives it.  Every
 document of a block keeps its own convergence test and iteration cap.
+The blocks depend only on the corpus and on whether eta is zero, so the
+state keeps their layout, and an E-step only gathers log beta into it.
 
 A level is guarded unless the kind is exponential: the sigmoid, probit
 and gaussian link gradients read the document's own mean.  Each
@@ -115,7 +117,8 @@ class VariationalState:
     Both caches are filled at construction, and every writer computes
     them with `_mean` and `_variance`.  An E-step writes a document's phi
     rows, gamma and both caches once per sweep, when the visit of its
-    block ends.
+    block ends.  The state also keeps the E-steps' block layouts (see
+    `layout`), so the E-steps of a fit build them once.
     """
 
     def __init__(self, corpus, gamma, phi):
@@ -124,6 +127,15 @@ class VariationalState:
         self.phi = phi
         moments = corpus.counts, phi, corpus.indptr[:-1], corpus.lengths
         self.phi_bar, self.var_bar = _mean(*moments), _variance(*moments)
+        self._layouts = {}
+
+    def layout(self, corpus, coupled):
+        """`_block_layout(corpus, coupled)`, built on first use, and again
+        for a corpus other than the one it was built for."""
+        cached = self._layouts.get(coupled)
+        if cached is None or cached[0] is not corpus:
+            cached = self._layouts[coupled] = corpus, _block_layout(corpus, coupled)
+        return cached[1]
 
     @property
     def num_topics(self):
@@ -232,48 +244,67 @@ def _levels(corpus):
     return np.array(level, dtype=np.int64)
 
 
-def _corpus_block(corpus, params):
-    """Every document as one unguarded _Block; rejects a corpus term with zero beta.
+def _coupled(params):
+    """Whether documents read their neighbors' means (see the module docstring)."""
+    return params.link is not None and bool(params.link.eta.any())
+
+
+def _block_layout(corpus, coupled):
+    """The E-step's blocks in visit order, without their log beta, and their row order.
+
+    First the documents without pairs, as one block; then, if coupled,
+    one block per wavefront level of the others (see the module
+    docstring).  Uncoupled, no document has pairs, so there is one block
+    in corpus order.  A block with no documents is left out.  Returns
+    the blocks and the corpus rows in block order, or None for a single
+    block, whose rows are in corpus order.
+    """
+    neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
+    whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
+                   num_rows=np.diff(corpus.indptr),
+                   num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
+                   rows=np.arange(corpus.terms.shape[0]),
+                   counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
+    if not coupled:
+        return [whole], None
+    # -1 for the documents without pairs
+    level = np.where(whole.num_pairs > 0, _levels(corpus), -1)
+    blocks = [whole.take(level == i) for i in range(-1, int(level.max()) + 1)]
+    blocks = [block for block in blocks if block.docs.size]
+    return blocks, None if len(blocks) == 1 else np.concatenate([block.rows for block in blocks])
+
+
+def _e_step_blocks(corpus, params, layout):
+    """The blocks of a `_block_layout`, with each row's log beta; rejects a
+    corpus term with zero beta.
 
     A corpus term whose beta is zero in some topic (an unsmoothed model)
     would start the bound at -inf, as `init_state` puts mass on every
-    topic.  Without a link component, or with an all-zero eta, no
-    document reads another, so the block has no pairs: every kind's link
-    gradient is proportional to eta.  Next to each row's log beta lb,
-    factor holds exp(lb - its row max), for the factored update of
-    `_visit_unguarded`.
+    topic.  Next to each row's log beta lb, factor holds exp(lb - its row
+    max), for the factored update of `_visit_unguarded`.  A block with
+    pairs is guarded unless the kind is exponential.
     """
+    blocks, order = layout
     lb = params.log_beta[:, corpus.terms].T
     zero = np.argwhere(np.isneginf(lb))
     if zero.size:
         raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
                          f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
-    top = lb.max(axis=1, keepdims=True)
-    link = params.link
-    coupled = link is not None and link.eta.any()
-    neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
-    return _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
-                  num_rows=np.diff(corpus.indptr),
-                  num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
-                  rows=np.arange(corpus.terms.shape[0]),
-                  counts=corpus.counts.astype(np.float64), lb=lb, factor=np.exp(lb - top),
-                  neighbors=np.concatenate(neighbors))
+    if order is not None:
+        lb = lb[order]
+    factor = np.exp(lb - lb.max(axis=1, keepdims=True))
+    guarded = params.link is not None and params.link.kind != "exponential"
+    # views of each block's run of rows
+    bounds = np.cumsum([block.rows.shape[0] for block in blocks[:-1]])
+    return [block.replace(lb=block_lb, factor=block_factor,
+                          guarded=guarded and block.neighbors.size > 0)
+            for block, block_lb, block_factor in zip(blocks, np.split(lb, bounds),
+                                                     np.split(factor, bounds))]
 
 
 def _level_blocks(corpus, params):
-    """The E-step's blocks in visit order (see the module docstring).
-
-    First the documents without pairs, as one unguarded block; then one
-    block per wavefront level of the others, guarded unless the kind is
-    exponential.  A block with no documents is left out.
-    """
-    whole = _corpus_block(corpus, params)
-    # -1 for the documents without pairs
-    level = np.where(whole.num_pairs > 0, _levels(corpus), -1)
-    guarded = params.link is not None and params.link.kind != "exponential"
-    blocks = [whole.take(level == i).replace(guarded=guarded and i >= 0)
-              for i in range(-1, int(level.max()) + 1)]
-    return [block for block in blocks if block.docs.size]
+    """The E-step's blocks in visit order, built from the corpus."""
+    return _e_step_blocks(corpus, params, _block_layout(corpus, _coupled(params)))
 
 
 def _store(state, block, phi, gamma):
@@ -484,9 +515,12 @@ def _visit_guarded(params, state, block, tol):
     _store(state, block, final_phi, final_gamma)
 
 
-def _topic_weights(gamma, offset):
-    """Topic weights w = exp(d - max d) of each document, for d = psi(gamma) + offset."""
-    d = psi(gamma) + offset
+def _topic_weights(gamma, offset=None):
+    """Topic weights w = exp(d - max d) of each document, for d = psi(gamma)
+    plus offset, if there is one."""
+    d = psi(gamma)
+    if offset is not None:
+        d += offset
     return np.exp(d - d.max(axis=1, keepdims=True))
 
 
@@ -510,18 +544,18 @@ def _visit_unguarded(params, state, block, tol):
     last w and gamma under `_visit_guarded`'s test and cap, and the phi
     rows are formed once after the loop, when the whole block is written
     to the state.  F @ w cannot underflow: the largest weight is exactly
-    1 and every F entry is at least 1e-300, as `_corpus_block` rejects
+    1 and every F entry is at least 1e-300, as `_e_step_blocks` rejects
     zero beta and `_log_beta_matrix` clamps positive beta at 1e-300.
 
-    The visit reads its documents' gamma from the state, and one offset
-    per document, added to E[log theta] in every row: zero for the
-    documents without pairs, and nb_sum * eta / n for an exponential
-    level, whose link gradient does not read the documents' own means
-    (its coefficient c(x) is 1).  The neighbors sit in other blocks, so
-    their means, and the offsets, stay fixed during the visit.
+    The visit reads its documents' gamma from the state.  The documents
+    of an exponential level also read one offset per document, added to
+    E[log theta] in every row: nb_sum * eta / n, as their link gradient
+    does not read their own means (its coefficient c(x) is 1).  The
+    neighbors sit in other blocks, so their means, and the offsets, stay
+    fixed during the visit.  The documents without pairs have no offset.
     """
     gamma = state.gamma[block.docs]
-    offset = np.zeros_like(gamma)
+    offset = None
     if block.neighbors.size:
         offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / block.n[:, None]
     k = gamma.shape[1]
@@ -530,7 +564,7 @@ def _visit_unguarded(params, state, block, tol):
     pos = np.arange(block.docs.shape[0])
     final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):
-        w = _topic_weights(gamma, offset)
+        w = _topic_weights(gamma) if offset is None else _topic_weights(gamma, offset)
         # take: a row gather several times faster than w[row_doc] here
         norm = np.einsum("rk,rk->r", factor, w.take(row_doc, axis=0))
         new_gamma = params.alpha + w * np.add.reduceat((counts / norm)[:, None] * factor,
@@ -545,7 +579,9 @@ def _visit_unguarded(params, state, block, tol):
             final_w[pos[leaving]], final_gamma[pos[leaving]] = w[leaving], gamma[leaving]
             stay = ~leaving
             rows = stay[row_doc]
-            pos, w, gamma, offset, n = pos[stay], w[stay], gamma[stay], offset[stay], n[stay]
+            pos, w, gamma, n = pos[stay], w[stay], gamma[stay], n[stay]
+            if offset is not None:
+                offset = offset[stay]
             factor, counts, num_rows = factor[rows], counts[rows], num_rows[stay]
             row_doc = np.repeat(np.arange(pos.shape[0]), num_rows)
             starts = np.cumsum(num_rows) - num_rows
@@ -571,19 +607,22 @@ def _sweep(params, state, blocks, tol):
         visit(params, state, block, tol)
 
 
-def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100):
+def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=None):
     """Coordinate ascent to convergence; returns (state, elbo trace).
 
     Terminates when the relative bound change between sweeps drops below
     tol or max_sweeps is reached; the latter is logged as a warning.
     The trace holds the bound before any update followed by one value
-    per sweep.  Deterministic, with fixed summation order.
+    per sweep.  A caller that has just computed `elbo(corpus, params,
+    state).total`, as `fit` has after an M-step, passes it as
+    start_bound, the first value.  Deterministic, with fixed summation
+    order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    blocks = _level_blocks(corpus, params)
-    current = elbo(corpus, params, state).total
+    blocks = _e_step_blocks(corpus, params, state.layout(corpus, _coupled(params)))
+    current = elbo(corpus, params, state).total if start_bound is None else start_bound
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")
     trace = [current]

@@ -357,6 +357,44 @@ class TestFit:
         tiny, small = (fit(corpus, 10, alpha_total=a).elbo_trace[-1] for a in (1e-20, 1e-8))
         assert tiny == pytest.approx(small, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["exponential", "sigmoid"])
+    def test_levels_are_computed_once_per_fit(self, kind, monkeypatch):
+        # the wavefront levels depend only on the corpus: the first coupled
+        # E-step of a fit computes them, and the later ones reuse them
+        corpus, _ = generate_synthetic(2, 8, 20, 15, np.array([0.5, 0.5]),
+                                       np.array([-1.5, -1.5]), -1.0, "exponential", seed=7)
+        calls, levels = [], inference._levels
+        monkeypatch.setattr(inference, "_levels", lambda c: calls.append(c) or levels(c))
+        model = fit(corpus, 2, kind=kind, seed=1, em_iters=4, tol=0)
+        assert len(model.elbo_trace) == 4 and model.params.link.eta.any()
+        assert calls == [corpus]
+
+    def test_bound_is_computed_once_per_state_and_parameters(self, monkeypatch):
+        # fit's bound after an M-step is the next E-step's starting bound: it
+        # is passed on, not computed again
+        corpus, _ = generate_synthetic(2, 8, 20, 15, np.array([0.5, 0.5]),
+                                       np.array([-1.5, -1.5]), -1.0, "exponential", seed=7)
+        calls, traces = [], []
+        elbo, run_e_step = inference.elbo, inference.run_e_step
+
+        def counted_elbo(*args):
+            calls.append(args)
+            return elbo(*args)
+
+        def traced_e_step(*args, **kwargs):
+            state, trace = run_e_step(*args, **kwargs)
+            traces.append(trace)
+            return state, trace
+
+        monkeypatch.setattr(inference, "elbo", counted_elbo)
+        monkeypatch.setattr(inference, "run_e_step", traced_e_step)
+        model = fit(corpus, 2, kind="exponential", seed=1, em_iters=4, tol=0)
+        assert len(traces) == len(model.elbo_trace) == 4
+        sweeps = sum(len(trace) - 1 for trace in traces)
+        assert len(calls) == 1 + sweeps + len(model.elbo_trace)
+        for trace, bound in zip(traces[1:], model.elbo_trace):
+            assert np.float64(trace[0]).tobytes() == np.float64(bound).tobytes()
+
     def test_beta_stays_normalized_and_positive(self):
         corpus, _ = generate_synthetic(3, 9, 12, 8, np.full(3, 1 / 3),
                                        np.full(3, -1.0), -0.5, "exponential",
@@ -448,6 +486,29 @@ class TestModelFile:
         np.testing.assert_allclose(loaded.params.link.nu, model.params.link.nu,
                                    rtol=1e-14)
         np.testing.assert_allclose(loaded.params.alpha, model.params.alpha)
+
+    def test_rows_are_written_as_each_entry_alone(self, tmp_path):
+        # a topic row is formatted in one call; it must give the text of
+        # formatting each entry alone, which parses back to the same bits
+        rows = np.array([[-np.inf, -0.0, 5e-324, -1e-300, 0.1],
+                         [1 / 3, -np.pi, 2 / 3 - 1, 1e300, -2.2250738585072014e-308]])
+        model = FittedModel(params=ModelParams(beta=np.full((2, 5), 0.2), alpha=np.ones(2)),
+                            kind="lda", config={"smoothing": 0.01})
+        model.params.log_beta = rows
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()[4:]
+        assert lines == [" ".join(f"{x:.17g}" for x in row) for row in rows]
+        parsed = np.array([[float(x) for x in line.split()] for line in lines])
+        assert parsed.tobytes() == rows.tobytes()
+
+        # and load_model reads a normalized model's log beta back exactly,
+        # -inf and 17-digit entries included
+        beta = np.array([[0.5, 0.25, 0.25, 0.0], [1 / 3, 1 / 3, 1 / 3, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        model = FittedModel(params=ModelParams(beta=beta, alpha=np.ones(3)), kind="lda",
+                            config={"smoothing": 0.01})
+        save_model(model, str(path))
+        assert load_model(str(path)).params.log_beta.tobytes() == model.params.log_beta.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -859,6 +859,48 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
+def assert_same_blocks(blocks, expected):
+    assert len(blocks) == len(expected)
+    for block, other in zip(blocks, expected):
+        assert vars(block).keys() == vars(other).keys()
+        for name, value in vars(other).items():
+            np.testing.assert_array_equal(getattr(block, name), value, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", linkfn.KINDS)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       seed=st.integers(0, 2**16))
+def test_e_steps_of_one_state_visit_fresh_blocks(kind, data, corpus, num_topics, seed):
+    # a state keeps the E-step's block layout, without log beta; every
+    # E-step on it must visit the blocks built afresh from its corpus and
+    # parameters: at eta = 0 and then not, under another beta, and with
+    # another corpus object of the same documents, here without one link
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    betas = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms),
+                                                  size=(2, num_topics))
+    drawn = data.draw(link_params(kind, num_topics))
+    assume(drawn.eta.any())
+    zero = LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)
+    docs = [list(zip(*(part.tolist() for part in corpus.doc(d)))) for d in range(corpus.num_docs)]
+    other = Corpus(corpus.vocab, docs, corpus.links[1:].tolist())
+    state = init_state(corpus, num_topics, alpha, seed=seed)
+    visited, sweep = [], inference._sweep
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_sweep",
+                      lambda params, state, blocks, tol: visited.append(blocks)
+                      or sweep(params, state, blocks, tol))
+        for c, beta, link in ((corpus, betas[0], zero), (corpus, betas[0], drawn),
+                              (corpus, betas[1], drawn), (corpus, betas[1], zero),
+                              (other, betas[1], drawn), (corpus, betas[0], drawn)):
+            params = make_params(beta, alpha, link)
+            visited.clear()
+            run_e_step(c, params, state, tol=1e-8, max_sweeps=2)
+            assert visited
+            for blocks in visited:
+                assert_same_blocks(blocks, inference._level_blocks(c, params))
+
+
 def zero_eta_or_drawn(data, kind, num_topics):
     """An unguarded link: none, the exponential kind with eta down to -2000,
     or another kind at eta = 0."""

@@ -116,11 +116,13 @@ def _load(args):
 def _fit(corpus, args):
     reg = estimation.RegularizationConfig(rho=args.rho, lam=args.lam,
                                           smoothing=args.smoothing)
-    return estimation.fit(
+    model = estimation.fit(
         corpus, args.topics, kind=args.link_fn,
         alpha_total=args.alpha_total, reg=reg, seed=args.seed,
-        em_iters=args.em_iters, tol=args.tol,
-        trace_stream=sys.stderr if args.verbose else None)
+        em_iters=args.em_iters, tol=args.tol)
+    if args.verbose:
+        sys.stderr.write("".join(f"{value:.10f}\n" for value in model.elbo_trace))
+    return model
 
 
 def _check_top_k(args):

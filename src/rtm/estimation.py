@@ -85,18 +85,12 @@ def prior_pair_covariate(alpha):
 
 def collect_stats(corpus, state, alpha):
     """Accumulate link sufficient statistics in fixed (sorted-link) order."""
-    k = state.num_topics
-    if corpus.num_links:
-        l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
-        pi = state.phi_bar[l1] * state.phi_bar[l2]
-        diff = state.phi_bar[l1] - state.phi_bar[l2]
-        pi_sum = pi.sum(axis=0)
-        sq_sum = (diff * diff).sum(axis=0)
-    else:
-        pi_sum = np.zeros(k)
-        sq_sum = np.zeros(k)
-    return SufficientStats(num_links=corpus.num_links, pi_bar_sum=pi_sum,
-                           pi_alpha=prior_pair_covariate(alpha), sq_diff_sum=sq_sum)
+    l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
+    diff = state.phi_bar[l1] - state.phi_bar[l2]
+    return SufficientStats(num_links=corpus.num_links,
+                           pi_bar_sum=(state.phi_bar[l1] * state.phi_bar[l2]).sum(axis=0),
+                           pi_alpha=prior_pair_covariate(alpha),
+                           sq_diff_sum=(diff * diff).sum(axis=0))
 
 
 def update_beta(corpus, state, smoothing):
@@ -274,14 +268,14 @@ def em_objective(corpus, params, state, reg):
 
 
 def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
-        reg=None, seed=42, em_iters=30, tol=1e-6, trace_stream=None):
+        reg=None, seed=42, em_iters=30, tol=1e-6):
     """Variational EM: alternate the E-step with the M-step updates.
 
     kind selects the link probability function, or None for a pure topic
     model that ignores links entirely.  The bound after every full EM
-    iteration is recorded; iteration stops when its relative change
-    drops below tol or em_iters is reached.  trace_stream, if given, gets
-    each bound as a line.  Deterministic given seed.
+    iteration is recorded in the model's elbo_trace; iteration stops when
+    its relative change drops below tol or em_iters is reached.
+    Deterministic given seed.
 
     alpha is symmetric with total mass alpha_total; it is held fixed.
     num_topics and em_iters must be at least 1, alpha_total positive and
@@ -328,8 +322,6 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite bound after EM iteration: {value}")
         trace.append(value)
-        if trace_stream is not None:
-            trace_stream.write(f"{value:.10f}\n")
         if previous is not None and abs(value - previous) <= tol * max(1.0, abs(previous)):
             break
         previous = value

@@ -88,8 +88,7 @@ class ModelParams:
         if not np.all(self.alpha >= tiny):
             raise ValueError(f"alpha must be at least {tiny:.4g} per topic (the smallest "
                              f"normal float), got {self.alpha.min():.4g}")
-        rows = self.beta.sum(axis=1)
-        if not np.allclose(rows, 1.0, atol=1e-8):
+        if not np.all(np.abs(self.beta.sum(axis=1) - 1.0) <= 1e-8):
             raise ValueError("beta rows must sum to 1")
         if self.link is not None and self.link.eta.shape[0] != self.beta.shape[0]:
             raise ValueError("link coefficient length must equal the topic count")
@@ -252,12 +251,11 @@ def _coupled(params):
 def _block_layout(corpus, coupled):
     """The E-step's blocks in visit order, without their log beta, and their row order.
 
-    First the documents without pairs, as one block; then, if coupled,
-    one block per wavefront level of the others (see the module
-    docstring).  Uncoupled, no document has pairs, so there is one block
-    in corpus order.  A block with no documents is left out.  Returns
-    the blocks and the corpus rows in block order, or None for a single
-    block, whose rows are in corpus order.
+    First the documents without pairs, as one block; then one block per
+    wavefront level of the others (see the module docstring).
+    Uncoupled, no document has pairs, so every document is in the first
+    block.  A block with no documents is left out.  Returns the blocks
+    and the corpus rows in block order.
     """
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
     whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
@@ -265,13 +263,11 @@ def _block_layout(corpus, coupled):
                    num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
                    rows=np.arange(corpus.terms.shape[0]),
                    counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
-    if not coupled:
-        return [whole], None
     # -1 for the documents without pairs
-    level = np.where(whole.num_pairs > 0, _levels(corpus), -1)
+    level = np.where(whole.num_pairs > 0, _levels(corpus) if coupled else 0, -1)
     blocks = [whole.take(level == i) for i in range(-1, int(level.max()) + 1)]
     blocks = [block for block in blocks if block.docs.size]
-    return blocks, None if len(blocks) == 1 else np.concatenate([block.rows for block in blocks])
+    return blocks, np.concatenate([block.rows for block in blocks])
 
 
 def _e_step_blocks(corpus, params, layout):
@@ -290,8 +286,7 @@ def _e_step_blocks(corpus, params, layout):
     if zero.size:
         raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
                          f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
-    if order is not None:
-        lb = lb[order]
+    lb = lb[order]
     factor = np.exp(lb - lb.max(axis=1, keepdims=True))
     guarded = params.link is not None and params.link.kind != "exponential"
     # views of each block's run of rows
@@ -300,11 +295,6 @@ def _e_step_blocks(corpus, params, layout):
                           guarded=guarded and block.neighbors.size > 0)
             for block, block_lb, block_factor in zip(blocks, np.split(lb, bounds),
                                                      np.split(factor, bounds))]
-
-
-def _level_blocks(corpus, params):
-    """The E-step's blocks in visit order, built from the corpus."""
-    return _e_step_blocks(corpus, params, _block_layout(corpus, _coupled(params)))
 
 
 def _store(state, block, phi, gamma):
@@ -515,9 +505,9 @@ def _visit_guarded(params, state, block, tol):
     _store(state, block, final_phi, final_gamma)
 
 
-def _topic_weights(gamma, offset=None):
+def _topic_weights(gamma, offset):
     """Topic weights w = exp(d - max d) of each document, for d = psi(gamma)
-    plus offset, if there is one."""
+    plus offset, unless offset is None."""
     d = psi(gamma)
     if offset is not None:
         d += offset
@@ -564,7 +554,7 @@ def _visit_unguarded(params, state, block, tol):
     pos = np.arange(block.docs.shape[0])
     final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):
-        w = _topic_weights(gamma) if offset is None else _topic_weights(gamma, offset)
+        w = _topic_weights(gamma, offset)
         # take: a row gather several times faster than w[row_doc] here
         norm = np.einsum("rk,rk->r", factor, w.take(row_doc, axis=0))
         new_gamma = params.alpha + w * np.add.reduceat((counts / norm)[:, None] * factor,

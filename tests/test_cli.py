@@ -11,7 +11,8 @@ import pytest
 
 from rtm import cli, estimation, inference, prediction
 from rtm.cli import main, topic_word_scores
-from rtm.corpus import generate_synthetic, load_corpus, write_corpus
+from rtm.corpus import (generate_synthetic, load_corpus, split_folds, training_view,
+                        write_corpus)
 from rtm.estimation import FittedModel, save_model
 from rtm.inference import ModelParams
 from rtm.linkfn import LinkParams
@@ -128,6 +129,38 @@ class TestEvalCommand:
             monkeypatch.setattr(module, name, spy)
         assert main(self.eval_args(corpus_files, tmp_path / "reports", "1e-2")) == 0
         assert seen == {"run_e_step": {1e-6}, "infer_heldout": {1e-6}}
+
+
+class TestVerbose:
+    """--verbose writes each fit's bound trace to stderr, one `%.10f` line per
+    EM iteration, as the fit's elbo_trace holds it."""
+
+    def test_fit_writes_the_trace_of_the_fit(self, corpus_files, tmp_path, capsys):
+        docs, vocab, links = corpus_files
+        assert main(fit_args(docs, vocab, links, str(tmp_path / "model.txt")) + ["--verbose"]) == 0
+        trace = estimation.fit(load_corpus(docs, vocab, links), 2, seed=7,
+                               em_iters=3).elbo_trace
+        assert len(trace) > 1
+        assert capsys.readouterr().err.splitlines() == [f"{value:.10f}" for value in trace]
+
+    def test_eval_writes_each_fold_trace_before_its_reports(self, corpus_files, tmp_path,
+                                                             capsys):
+        docs, vocab, links = corpus_files
+        assert main(["eval", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--out", str(tmp_path / "reports"), "--topics", "2", "--folds", "2",
+                     "--em-iters", "3", "--seed", "7", "--verbose"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        corpus = load_corpus(docs, vocab, links)
+        plan = split_folds(corpus, 2, 7)
+        for fold in range(2):
+            trace = estimation.fit(training_view(corpus, plan, fold)[0], 2, seed=7,
+                                   em_iters=3).elbo_trace
+            assert len(trace) > 1
+            assert lines[:len(trace)] == [f"{value:.10f}" for value in trace]
+            lines = lines[len(trace):]
+            for name in ("rtm", "lda", "lda_regression", "unigram"):
+                assert lines.pop(0).startswith(f"fold {fold} {name}: link_rank=")
+        assert lines == []
 
 
 def run_strict(*args):

@@ -9,10 +9,12 @@ then `diff -r OUT1 OUT2`.  Two runs on the same tree must give identical
 directories.  OUT holds:
 
   cli/       on the two corpora of the CI end-to-end step (`rtm synth`, nu
-             -1 and -2.5): `rtm fit --em-iters 10` model files and bound
-             traces of the four link kinds, an LDA model file,
+             -1 and -2.5): `rtm fit --em-iters 10` model files of the four
+             link kinds, an LDA model file and its bound trace,
              `report-topics`, `suggest-links --top-k 30` and `eval --folds 2
-             --em-iters 10` directories, with each command's stdout
+             --em-iters 10` directories, with each command's stdout and
+             stderr; fit and eval run with --verbose, so stderr holds their
+             bound traces
   readme/    the README walk-through's commands and their stdout
   fit/       `fit` + `save_model` of the 16 draws of the benchmark's
              fit-exponential workload for seeds 1 and 2: model files and
@@ -82,7 +84,8 @@ def cli_outputs(rtm):
             run_cli(rtm, ["suggest-links", *flags, "--model", model, "--new-doc", "0:2 11:1",
                           "--top-k", "30", "--seed", "42"], f"{work}/suggest-{kind}")
             run_cli(rtm, ["eval", *flags, "--topics", "3", "--em-iters", "10", "--folds", "2",
-                          "--link-fn", kind, "--seed", "42", "--out", f"{work}/eval-{kind}"],
+                          "--link-fn", kind, "--seed", "42", "--verbose",
+                          "--out", f"{work}/eval-{kind}"],
                     f"{work}/eval-{kind}")
         lda = rtm.baselines.fit_lda(rtm.load_corpus(*files), 3, seed=42, em_iters=10)
         rtm.save_model(lda, f"{work}/lda.model")

@@ -28,7 +28,7 @@ def fit_link_regression(corpus, lda):
     """Stage two of LDA+regression: regress links on a fitted LDA's covariates.
 
     lda must come from fit_lda on corpus.  The stage infers corpus's
-    LDA posteriors with lda's seed, then fits the sigmoid
+    LDA posteriors (`prediction.train_posteriors`), then fits the sigmoid
     link parameters to their pair covariates by the RTM's link M-step,
     `estimation.fit_link`, with the pseudo non-link / l2 regularization
     lda was fitted with.  lda's topics are unchanged.
@@ -38,12 +38,12 @@ def fit_link_regression(corpus, lda):
                                           smoothing=config["smoothing"])
     link = linkfn.LinkParams(eta=np.zeros(lda.params.num_topics), nu=0.0, kind="sigmoid")
     if corpus.num_links:
-        state = prediction.train_posteriors(lda, corpus, seed=lda.seed)
+        state = prediction.train_posteriors(lda, corpus)
         link = estimation.fit_link(corpus, state, lda.params.alpha, reg, link)
     params = ModelParams(beta=lda.params.beta, alpha=lda.params.alpha, link=link)
     return FittedModel(params=params, kind="lda_regression",
                        config=dict(config, kind="lda_regression"),
-                       elbo_trace=lda.elbo_trace, seed=lda.seed)
+                       elbo_trace=lda.elbo_trace)
 
 
 def fit_lda_regression(corpus, num_topics, alpha_total=1.0, reg=None, seed=42,

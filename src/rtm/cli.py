@@ -87,7 +87,6 @@ def build_parser():
                    help="words of the new document as term:count pairs, "
                         "e.g. '3:2 7:1'")
     p.add_argument("--top-k", type=int, default=20)
-    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_suggest_links)
 
     p = sub.add_parser("synth", help="sample a synthetic document network")
@@ -215,7 +214,7 @@ def cmd_suggest_links(args):
     corpus = _load(args)
     model = estimation.load_model(args.model)
     heldout = prediction.infer_heldout(model, words=_parse_entries(args.new_doc.split()))
-    state = prediction.train_posteriors(model, corpus, seed=args.seed)
+    state = prediction.train_posteriors(model, corpus)
     scores = prediction.score_train_docs(model, heldout,
                                          state.phi_bar, state.var_bar)
     order = prediction.retrieval_order(scores)[:args.top_k]

@@ -276,7 +276,6 @@ class FoldPlan:
 
     assignments: np.ndarray
     k: int
-    seed: int
 
     def test_docs(self, fold):
         return np.flatnonzero(self.assignments == fold)
@@ -296,7 +295,7 @@ def split_folds(corpus, k, seed):
     rng = np.random.default_rng(seed)
     assignments = np.empty(d, dtype=np.int64)
     assignments[rng.permutation(d)] = np.arange(d) % k
-    return FoldPlan(assignments=assignments, k=k, seed=seed)
+    return FoldPlan(assignments=assignments, k=k)
 
 
 def training_view(corpus, plan, fold):

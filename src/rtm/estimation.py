@@ -250,7 +250,6 @@ class FittedModel:
     kind: str
     config: dict
     elbo_trace: list = field(default_factory=list)
-    seed: int | None = None
 
 
 def em_objective(corpus, params, state, reg):
@@ -275,7 +274,7 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     model that ignores links entirely.  The bound after every full EM
     iteration is recorded in the model's elbo_trace; iteration stops when
     its relative change drops below tol or em_iters is reached.
-    Deterministic given seed.
+    Deterministic given seed, which draws the starting beta.
 
     alpha is symmetric with total mass alpha_total; it is held fixed.
     num_topics and em_iters must be at least 1, alpha_total positive and
@@ -302,7 +301,7 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     if kind is not None:
         link = linkfn.LinkParams(eta=np.zeros(num_topics), nu=0.0, kind=kind)
     params = ModelParams(beta=beta, alpha=alpha, link=link)
-    state = inference.init_state(corpus, num_topics, alpha, seed)
+    state = inference.init_state(corpus, num_topics, alpha)
 
     config = {"num_topics": num_topics, "kind": kind, "alpha_total": alpha_total,
               "rho": reg.rho, "lam": reg.lam, "smoothing": reg.smoothing,
@@ -327,7 +326,7 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         previous = value
 
     return FittedModel(params=params, kind=kind if kind is not None else "lda",
-                       config=config, elbo_trace=trace, seed=seed)
+                       config=config, elbo_trace=trace)
 
 
 # --- model persistence ----------------------------------------------------

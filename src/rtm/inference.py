@@ -149,15 +149,13 @@ class VariationalState:
         self.phi_bar[doc], self.var_bar[doc] = _mean(*moments), _variance(*moments)
 
 
-def init_state(corpus, num_topics, alpha, seed):
-    """Initial state: gamma_d = alpha + N_d/K, phi uniform plus seeded noise
-    of up to 1% of 1/K, renormalized.  Deterministic given seed."""
+def init_state(corpus, num_topics, alpha):
+    """Initial state, as lda-c starts a document: every phi row uniform,
+    1/K, and gamma_d = alpha + N_d/K, so gamma = alpha + N_d * phi_bar_d
+    holds from the start."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    rng = np.random.default_rng(seed)
     gamma = np.tile(alpha, (corpus.num_docs, 1)) + corpus.lengths[:, None] / num_topics
     phi = np.full((corpus.terms.shape[0], num_topics), 1.0 / num_topics)
-    phi += 0.01 * rng.random(phi.shape) / num_topics
-    phi /= phi.sum(axis=1, keepdims=True)
     return VariationalState(corpus, gamma, phi)
 
 
@@ -422,22 +420,22 @@ def _block_objective(params, block, phi, gamma, phi_bar):
     return value + block.pair_sum(vals)
 
 
-def _damp(params, block, phi, phi_bar, gamma):
-    """Safeguard the step of every document of a guarded level, in place.
+def _damp(params, block, proposal):
+    """Safeguard the step of every document of a guarded level.
 
-    phi, phi_bar and gamma hold the undamped update.  Each document
-    moves from its rows toward it by the geometric mix with its step
-    lam; while that would lower its block objective, lam is halved.  The
-    document is rejected, keeping the rows it started from, once lam
-    falls below 1e-4.  Updates block.lam and block.objective; returns
-    the rejected mask.
+    proposal holds the undamped phi rows.  Each document moves from its
+    rows toward them by the geometric mix with its step lam; while that
+    would lower its block objective, lam is halved.  The document is
+    rejected, keeping the rows it started from, once lam falls below
+    1e-4.  Updates block.lam and block.objective; returns the new phi
+    rows, phi_bar and gamma, in fresh arrays, and the rejected mask.
     """
-    new_phi = phi.copy()
+    phi, phi_bar, gamma = block.phi.copy(), block.phi_bar.copy(), block.gamma.copy()
     pending = np.ones(block.docs.shape[0], dtype=bool)
     rejected = np.zeros_like(pending)
     while pending.any():
         lam = block.lam[block.row_doc, None]
-        mix = block.phi ** (1.0 - lam) * new_phi ** lam
+        mix = block.phi ** (1.0 - lam) * proposal ** lam
         mix /= mix.sum(axis=1, keepdims=True)
         mix_bar = block.mean(mix)
         mix_gamma = params.alpha + block.n[:, None] * mix_bar
@@ -451,10 +449,7 @@ def _damp(params, block, phi, phi_bar, gamma):
         failed = pending & (block.lam < 1e-4)
         rejected |= failed
         pending &= ~failed
-    rows = rejected[block.row_doc]
-    phi[rows], phi_bar[rejected], gamma[rejected] = (
-        block.phi[rows], block.phi_bar[rejected], block.gamma[rejected])
-    return rejected
+    return phi, phi_bar, gamma, rejected
 
 
 def _visit_guarded(params, state, block, tol):
@@ -486,10 +481,8 @@ def _visit_guarded(params, state, block, tol):
     final_phi, final_gamma = np.empty_like(active.phi), np.empty_like(active.gamma)
     for _ in range(_DOC_MAX_ITERS):
         elog_theta = psi(active.gamma) - psi(active.gamma.sum(axis=1))[:, None]
-        phi = _phi_update(params, active, elog_theta)
-        phi_bar = active.mean(phi)
-        gamma = params.alpha + active.n[:, None] * phi_bar
-        rejected = _damp(params, active, phi, phi_bar, gamma)
+        phi, phi_bar, gamma, rejected = _damp(params, active,
+                                              _phi_update(params, active, elog_theta))
         # the mean absolute change per topic, per token
         leaving = (np.abs(gamma - active.gamma).sum(axis=1) / k / active.n < tol) | rejected
         active.phi, active.phi_bar, active.gamma = phi, phi_bar, gamma

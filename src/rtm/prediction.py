@@ -215,15 +215,19 @@ def _fmt(value):
 def train_posteriors(model, train_corpus, seed=0):
     """Variational posteriors of the training documents under a frozen model,
     with the link terms that `_topic_link` gives its kind, at `run_e_step`'s
-    own tolerance (as inside `fit`; no fit's EM tolerance reaches it)."""
+    own tolerance (as inside `fit`; no fit's EM tolerance reaches it).
+
+    The E-step starts from `init_state`'s uniform phi, so the result
+    depends only on the model and the corpus.  seed is not read; it is
+    kept only because the benchmark's workloads still pass it.
+    """
     if train_corpus.num_terms > model.params.num_terms:
         raise ValueError(
             f"corpus has {train_corpus.num_terms} terms, more than the model's "
             f"{model.params.num_terms}")
     params = inference.ModelParams(beta=model.params.beta,
                                    alpha=model.params.alpha, link=_topic_link(model))
-    state = inference.init_state(train_corpus, params.num_topics,
-                                 params.alpha, seed)
+    state = inference.init_state(train_corpus, params.num_topics, params.alpha)
     state, _ = inference.run_e_step(train_corpus, params, state)
     return state
 
@@ -237,15 +241,16 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20):
     candidates; word rank averages the rank of each held-out token
     occurrence in the links-only predictive word distribution.  Test
     documents with no surviving links are skipped and counted.  Only
-    models that score links need the training documents' posteriors.  They
-    and every held-out query run at their loops' own tolerances.
+    models that score links need the training documents' posteriors
+    (`train_posteriors`, which reads no seed).  They and every held-out
+    query run at their loops' own tolerances.
     """
     train_ids, test_ids = plan.train_docs(fold), plan.test_docs(fold)
     train_pos = {int(orig): i for i, orig in enumerate(train_ids)}
     scores_links = model.params.link is not None
     if scores_links:
         train_corpus, _ = training_view(corpus, plan, fold)
-        state = train_posteriors(model, train_corpus, seed=plan.seed)
+        state = train_posteriors(model, train_corpus)
     link_ranks = []
     word_ranks = []
     precisions = []

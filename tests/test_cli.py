@@ -244,17 +244,12 @@ class TestSizeFlagsRejected:
 
 
 class TestSeedRejected:
-    @pytest.mark.parametrize("command", ["fit", "eval", "suggest-links", "synth"])
+    @pytest.mark.parametrize("command", ["fit", "eval", "synth"])
     def test_negative_seed_names_the_flag(self, command, corpus_files, tmp_path, capsys):
         docs, vocab, links = corpus_files
         corpus = ["--docs", docs, "--vocab", vocab, "--links", links]
         out = tmp_path / "out"
-        if command == "suggest-links":
-            model_path = str(tmp_path / "m.txt")
-            assert main(fit_args(docs, vocab, links, model_path, em_iters=1)) == 0
-            capsys.readouterr()
-            args = [command, *corpus, "--model", model_path, "--new-doc", "0:2"]
-        elif command == "synth":
+        if command == "synth":
             args = [command, "--out", str(out)]
         else:
             args = [command, *corpus, "--out", str(out)]
@@ -575,6 +570,15 @@ class TestSuggestLinks:
         scores = [float(r[2]) for r in rows]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
         assert {int(rows[0][1]), int(rows[1][1])} == {0, 1}
+
+    def test_takes_no_seed(self, corpus_files, capsys):
+        # the training posteriors start from uniform phi, so no seed reaches them
+        docs, vocab, links = corpus_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["suggest-links", "--docs", docs, "--vocab", vocab, "--links", links,
+                  "--model", "m.txt", "--new-doc", "0:2", "--seed", "42"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 42" in capsys.readouterr().err
 
     @pytest.mark.parametrize("new_doc", ["-1:2", "99:2"])
     def test_out_of_range_term_rejected(self, tmp_path, capsys, new_doc):

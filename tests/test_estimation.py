@@ -27,13 +27,13 @@ from rtm.linkfn import LinkParams, link_probability
 class TestUpdateBeta:
     def test_single_topic_frequencies(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
-        state = init_state(c, 1, np.array([1.0]), seed=0)
+        state = init_state(c, 1, np.array([1.0]))
         beta = update_beta(c, state, smoothing=1e-12)
         np.testing.assert_allclose(beta, [[0.5, 0.5]], atol=1e-10)
 
     def test_hard_assignments_give_topic_counts(self):
         c = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(1, 1), (2, 3)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
+        state = init_state(c, 2, np.array([0.5, 0.5]))
         hard = {0: np.array([1.0, 0.0]), 1: np.array([1.0, 0.0]),
                 2: np.array([0.0, 1.0])}
         for d in range(c.num_docs):
@@ -46,7 +46,7 @@ class TestUpdateBeta:
 
     def test_smoothing_keeps_strictly_positive(self):
         c = Corpus(["a", "b", "c"], [[(0, 5)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
+        state = init_state(c, 2, np.array([0.5, 0.5]))
         beta = update_beta(c, state, smoothing=0.01)
         assert np.all(beta > 0)
         np.testing.assert_allclose(beta.sum(axis=1), 1.0)
@@ -295,7 +295,7 @@ class TestFit:
         beta /= beta.sum(axis=1, keepdims=True)
         link = LinkParams(eta=np.zeros(2), nu=0.0, kind="exponential")
         params = ModelParams(beta=beta, alpha=alpha, link=link)
-        state = init_state(corpus, 2, alpha, seed=1)
+        state = init_state(corpus, 2, alpha)
         values = []
         for _ in range(6):
             state, _ = run_e_step(corpus, params, state, tol=1e-8)
@@ -316,7 +316,7 @@ class TestFit:
         alpha = np.full(2, 0.5)
         link = LinkParams(eta=np.zeros(2), nu=0.0, kind="exponential")
         params = ModelParams(beta=np.full((2, 8), 1 / 8), alpha=alpha, link=link)
-        state = init_state(corpus, 2, alpha, seed=0)
+        state = init_state(corpus, 2, alpha)
         pi_alpha = estimation.prior_pair_covariate(alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -424,7 +424,7 @@ def test_em_objective_nondecreasing_across_em_iterations(kind, num_topics, num_d
     beta /= beta.sum(axis=1, keepdims=True)
     link = None if kind is None else LinkParams(eta=np.zeros(num_topics), nu=0.0, kind=kind)
     params = ModelParams(beta=beta, alpha=alpha, link=link)
-    state = init_state(corpus, num_topics, alpha, seed=seed)
+    state = init_state(corpus, num_topics, alpha)
     values = []
     for _ in range(5):
         state, _ = run_e_step(corpus, params, state, tol=1e-8)

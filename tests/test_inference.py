@@ -25,14 +25,6 @@ def make_params(beta, alpha, link=None):
                        alpha=np.asarray(alpha, dtype=float), link=link)
 
 
-def uniform_state(corpus, alpha):
-    """init_state's gamma with exactly uniform phi rows, no seeded noise."""
-    alpha = np.asarray(alpha, dtype=float)
-    k = alpha.shape[0]
-    return inference.VariationalState(corpus, alpha + corpus.lengths[:, None] / k,
-                                      np.full((corpus.terms.shape[0], k), 1.0 / k))
-
-
 def e_step_blocks(corpus, params):
     """The E-step's blocks in visit order, built as `run_e_step` builds them."""
     layout = inference._block_layout(corpus, inference._coupled(params))
@@ -141,18 +133,21 @@ class TestModelParams:
 class TestInitState:
     def test_gamma_rule(self):
         c = Corpus(["a", "b"], [[(0, 2), (1, 2)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
+        state = init_state(c, 2, np.array([0.5, 0.5]))
         np.testing.assert_allclose(state.gamma[0], [2.5, 2.5])
 
-    def test_deterministic(self):
-        c = Corpus(["a", "b"], [[(0, 1), (1, 3)], [(1, 2)]])
-        s1 = init_state(c, 3, np.full(3, 1 / 3), seed=5)
-        s2 = init_state(c, 3, np.full(3, 1 / 3), seed=5)
-        np.testing.assert_array_equal(s1.phi, s2.phi)
+    def test_uniform_phi_agrees_with_gamma(self):
+        # lda-c's start: phi exactly 1/K, and gamma = alpha + n * phi_bar
+        c = Corpus(["a", "b", "c"], [[(0, 1), (1, 3)], [(1, 2)], [(0, 4), (1, 1), (2, 7)]])
+        alpha = np.array([0.1, 0.2, 0.7])
+        state = init_state(c, 3, alpha)
+        np.testing.assert_array_equal(state.phi, np.full((c.terms.shape[0], 3), 1 / 3))
+        np.testing.assert_allclose(state.gamma, alpha + c.lengths[:, None] * state.phi_bar,
+                                   rtol=1e-12, atol=0)
 
     def test_caches_consistent(self):
         c = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(2, 4)], [(0, 1), (1, 3), (2, 1)]])
-        state = init_state(c, 3, np.full(3, 1 / 3), seed=1)
+        state = init_state(c, 3, np.full(3, 1 / 3))
         for d in range(c.num_docs):
             mean, var = doc_moments(state, c, d)
             np.testing.assert_allclose(state.phi_bar[d], mean, rtol=1e-12)
@@ -162,13 +157,13 @@ class TestInitState:
 class TestUpdatePhi:
     def test_single_topic(self):
         c = Corpus(["a"], [[(0, 1)]])
-        state = init_state(c, 1, np.array([1.0]), seed=0)
+        state = init_state(c, 1, np.array([1.0]))
         params = make_params([[1.0]], [1.0])
         np.testing.assert_allclose(new_phi_row(0, 0, state, params), [1.0])
 
     def test_no_links_equals_lda_update(self):
         c = Corpus(["a", "b", "c"], [[(0, 1), (2, 2)]])
-        state = init_state(c, 2, np.array([0.4, 0.6]), seed=3)
+        state = init_state(c, 2, np.array([0.4, 0.6]))
         beta = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
         params = make_params(beta, [0.4, 0.6])
         got = new_phi_row(0, 2, state, params)
@@ -184,8 +179,8 @@ class TestUpdatePhi:
         beta = np.array([[0.7, 0.3], [0.2, 0.8]])
         alpha = np.array([0.5, 0.5])
         link = LinkParams(eta=np.array([-0.4, -0.8]), nu=-0.1, kind="exponential")
-        state = init_state(c, 2, alpha, seed=2)
-        state_nl = init_state(no_links, 2, alpha, seed=2)
+        state = init_state(c, 2, alpha)
+        state_nl = init_state(no_links, 2, alpha)
         with_link = new_phi_row(0, 0, state, make_params(beta, alpha, link))
         without = new_phi_row(0, 0, state_nl, make_params(beta, alpha))
         shift = np.log(with_link) - np.log(without)
@@ -202,7 +197,7 @@ class TestUpdatePhi:
         alpha = np.array([0.5, 0.5])
         link = LinkParams(eta=np.array([-0.3, -0.9]), nu=-0.2, kind="exponential")
         params = make_params(beta, alpha, link)
-        state = init_state(c, 2, alpha, seed=1)
+        state = init_state(c, 2, alpha)
 
         def negative_bound(p):
             state.set_phi(0, 0, np.array([p, 1.0 - p]))
@@ -217,7 +212,7 @@ class TestUpdatePhi:
 
     def test_all_zero_beta_column_rejected(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]), seed=0)
+        state = init_state(c, 2, np.array([0.5, 0.5]))
         beta = np.array([[1.0, 0.0], [1.0, 0.0]])
         params = make_params(beta, [0.5, 0.5])
         with pytest.raises(ValueError, match=r"^beta of topic 0 is zero for term 1 of the "
@@ -236,8 +231,8 @@ class TestWholeDocumentVisit:
         beta = np.random.default_rng(4).dirichlet(np.ones(30), size=3)
         link = LinkParams(eta=np.array([-1.5, -2.5, -3.0]), nu=-0.5, kind="exponential")
         params = make_params(beta, np.full(3, 0.3), link)
-        whole = init_state(corpus, 3, params.alpha, seed=8)
-        reference = init_state(corpus, 3, params.alpha, seed=8)
+        whole = init_state(corpus, 3, params.alpha)
+        reference = init_state(corpus, 3, params.alpha)
         inference._sweep(params, whole, e_step_blocks(corpus, params), 1e-6)
         for d in range(corpus.num_docs):
             sequential_visit(corpus, params, reference, d, 1e-6)
@@ -257,10 +252,10 @@ class TestWholeDocumentVisit:
         beta = np.random.default_rng(2).dirichlet(np.ones(30), size=3)
         link = LinkParams(eta=np.full(3, 20.0), nu=0.0, kind="gaussian")
         params = make_params(beta, np.full(3, 0.3), link)
-        state = init_state(corpus, 3, params.alpha, seed=1)
+        state = init_state(corpus, 3, params.alpha)
         _, trace = run_e_step(corpus, params, state, tol=1e-10, max_sweeps=100)
 
-        reference = init_state(corpus, 3, params.alpha, seed=1)
+        reference = init_state(corpus, 3, params.alpha)
         previous = elbo(corpus, params, reference).total
         for _ in range(100):
             for d in range(corpus.num_docs):
@@ -281,7 +276,7 @@ class TestWholeDocumentVisit:
         beta = np.random.default_rng(2).dirichlet(np.ones(30), size=3)
         link = LinkParams(eta=np.full(3, 2.0), nu=0.0, kind="gaussian")
         params = make_params(beta, np.full(3, 0.3), link)
-        state = init_state(corpus, 3, params.alpha, seed=1)
+        state = init_state(corpus, 3, params.alpha)
         run_e_step(corpus, params, state, tol=1e-10, max_sweeps=100)
         d = int(np.argmax([ns.size for ns in corpus.neighbors]))
         rows = corpus.rows(d)
@@ -307,8 +302,8 @@ class TestUpdateGamma:
         # levels and the log-space reference agree
         c = Corpus(["a", "b"], [doc])
         params = make_params([[1.0, 1e-300], [1e-300, 1.0]], [0.5, 0.5])
-        state = uniform_state(c, params.alpha)
-        reference = uniform_state(c, params.alpha)
+        state = init_state(c, 2, params.alpha)
+        reference = init_state(c, 2, params.alpha)
         inference._visit_unguarded(params, state, one_doc_block(state, params, 0), 1e-6)
         reference_visit(c, params, reference, 0, 1e-6)
         np.testing.assert_allclose(state.phi, np.eye(2), rtol=0, atol=1e-299)
@@ -390,7 +385,7 @@ class TestElbo:
         link = LinkParams(eta=np.array([-0.5, -0.5]), nu=-0.5, kind="exponential")
         beta = np.full((2, 6), 1 / 6)
         params = make_params(beta, [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=0)
+        state = init_state(corpus, 2, params.alpha)
         bd = elbo(corpus, params, state)
         parts = (bd.link_term + bd.z_given_theta_term + bd.word_term
                  + bd.theta_prior_term + bd.entropy_term)
@@ -401,7 +396,7 @@ class TestElbo:
         alpha = np.array([0.6, 0.4])
         beta = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
         params = make_params(beta, alpha)
-        state = init_state(c, 2, alpha, seed=7)
+        state = init_state(c, 2, alpha)
         got = elbo(c, params, state).total
 
         # straight LDA bound computed term by term
@@ -426,7 +421,7 @@ class TestElbo:
         beta = np.array([[0.7, 0.3], [0.2, 0.8]])
         link = LinkParams(eta=np.array([-0.4, -0.3]), nu=-0.2, kind="exponential")
         params = make_params(beta, alpha, link)
-        state = init_state(corpus, 2, alpha, seed=0)
+        state = init_state(corpus, 2, alpha)
         state.gamma = np.array([[1.4, 0.9], [1.1, 1.6]])
         state.set_phi(0, 0, np.array([0.6, 0.4]))
         state.set_phi(1, 0, np.array([0.25, 0.75]))
@@ -442,7 +437,7 @@ class TestElbo:
         # that entry adds 0 * log 0 = 0 to the word term, with no "invalid
         # value" warning (the suite turns warnings into errors)
         c, params = unsmoothed_example()
-        phi = init_state(c, 2, params.alpha, seed=0).phi
+        phi = init_state(c, 2, params.alpha).phi
         phi[c.terms == 1] = [0.0, 1.0]
         state = inference.VariationalState(c, np.full((2, 2), 2.0), phi)
         bd = elbo(c, params, state)
@@ -455,7 +450,7 @@ class TestElbo:
     def test_entropy_nonnegative_at_uniform(self):
         c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
         params = make_params([[0.5, 0.5], [0.5, 0.5]], [1.0, 1.0])
-        state = uniform_state(c, np.array([1.0, 1.0]))
+        state = init_state(c, 2, np.array([1.0, 1.0]))
         state.gamma = np.array([[1.0, 1.0]])
         assert elbo(c, params, state).entropy_term >= 0.0
 
@@ -472,7 +467,7 @@ class TestElbo:
                 link = LinkParams(eta=np.array([1.0, -0.5, 0.3]), nu=0.4, kind=kind)
             beta = np.full((3, 9), 1 / 9)
             params = make_params(beta, np.full(3, 1 / 3), link)
-            state = init_state(corpus, 3, params.alpha, seed=1)
+            state = init_state(corpus, 3, params.alpha)
             bd = elbo(corpus, params, state)
             expected = 0.0
             for d1, d2 in corpus.links:
@@ -490,7 +485,7 @@ class TestEStep:
         beta = np.abs(np.random.default_rng(0).normal(size=(2, 8))) + 0.5
         beta /= beta.sum(axis=1, keepdims=True)
         params = make_params(beta, [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=4)
+        state = init_state(corpus, 2, params.alpha)
         _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=30)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -501,7 +496,7 @@ class TestEStep:
         link = LinkParams(eta=np.array([1.5, 2.0]), nu=0.1, kind="gaussian")
         beta = np.full((2, 8), 1 / 8)
         params = make_params(beta, [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=9)
+        state = init_state(corpus, 2, params.alpha)
         _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=30)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -510,7 +505,7 @@ class TestEStep:
         corpus = two_doc_corpus()
         link = LinkParams(eta=np.array([-0.2, -0.2]), nu=-0.2, kind="exponential")
         params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=0)
+        state = init_state(corpus, 2, params.alpha)
         state, _ = run_e_step(corpus, params, state, tol=1e-10, max_sweeps=100)
         state, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=100)
         assert len(trace) == 2  # initial value plus a single sweep
@@ -519,7 +514,7 @@ class TestEStep:
         c = Corpus(["a", "b"], [[(0, 1), (1, 2)], [(1, 1)]], links=[(0, 1)])
         link = LinkParams(eta=np.array([-0.5]), nu=-0.1, kind="exponential")
         params = make_params([[0.5, 0.5]], [1.0], link)
-        state = init_state(c, 1, np.array([1.0]), seed=0)
+        state = init_state(c, 1, np.array([1.0]))
         state, trace = run_e_step(c, params, state, tol=1e-8)
         assert len(trace) == 2
         np.testing.assert_allclose(state.phi[c.rows(0)], 1.0)
@@ -537,14 +532,14 @@ class TestEStep:
         monkeypatch.setattr(inference, "elbo", lambda *args: pytest.fail("bound computed"))
         message = r"^beta of topic 0 is zero for term 1 of the corpus \(unsmoothed model\)$"
         with pytest.raises(ValueError, match=message):
-            run_e_step(corpus, params, init_state(corpus, 2, params.alpha, seed=0))
+            run_e_step(corpus, params, init_state(corpus, 2, params.alpha))
         with pytest.raises(ValueError, match=message):
             train_posteriors(model, corpus)
 
     def test_non_finite_bound_raises(self):
         corpus = two_doc_corpus()
         params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
-        state = init_state(corpus, 2, params.alpha, seed=0)
+        state = init_state(corpus, 2, params.alpha)
         state.gamma[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite"):
             run_e_step(corpus, params, state, tol=1e-6)
@@ -557,7 +552,7 @@ class TestEStep:
         link = LinkParams(eta=np.array([-0.5, -0.5]), nu=-0.7, kind="exponential")
         beta = np.full((2, 8), 1 / 8)
         params = make_params(beta, [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=0)
+        state = init_state(corpus, 2, params.alpha)
         linkfn.pair_evals.count = 0
         _, trace = run_e_step(corpus, params, state, tol=1e-10, max_sweeps=5)
         # one pair evaluation per observed link per bound evaluation:
@@ -568,8 +563,11 @@ class TestEStep:
         corpus, _ = generate_synthetic(2, 8, 20, 12, np.array([0.5, 0.5]),
                                        np.array([-0.6, -0.6]), -0.8, "exponential", seed=11)
         link = LinkParams(eta=np.array([-0.6, -0.6]), nu=-0.8, kind="exponential")
-        params = make_params(np.full((2, 8), 1 / 8), [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=4)
+        # topics that tell the terms apart: under uniform beta the uniform
+        # start is already the fixed point, and one sweep would stop there
+        beta = np.arange(1.0, 9.0)
+        params = make_params(np.stack([beta, beta[::-1]]) / beta.sum(), [0.5, 0.5], link)
+        state = init_state(corpus, 2, params.alpha)
         with caplog.at_level(logging.WARNING, logger="rtm.inference"):
             _, trace = run_e_step(corpus, params, state, tol=1e-14, max_sweeps=2)
         assert len(trace) == 3
@@ -582,7 +580,7 @@ class TestEStep:
         corpus = two_doc_corpus()
         link = LinkParams(eta=np.array([-0.2, -0.2]), nu=-0.2, kind="exponential")
         params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5], link)
-        state = init_state(corpus, 2, params.alpha, seed=0)
+        state = init_state(corpus, 2, params.alpha)
         with caplog.at_level(logging.WARNING, logger="rtm.inference"):
             _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=100)
         assert len(trace) < 101
@@ -591,7 +589,7 @@ class TestEStep:
     def test_invalid_tol_rejected(self):
         corpus = two_doc_corpus()
         params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
-        state = init_state(corpus, 2, params.alpha, seed=0)
+        state = init_state(corpus, 2, params.alpha)
         with pytest.raises(ValueError):
             run_e_step(corpus, params, state, tol=0.0)
 
@@ -632,7 +630,7 @@ def test_e_step_trace_nondecreasing_for_every_kind(kind, data, num_topics, doc_l
                                    np.full(num_topics, -1.0), -0.5, "exponential", seed=seed)
     beta = np.random.default_rng(seed).dirichlet(np.ones(8), size=num_topics)
     params = make_params(beta, alpha, data.draw(link_params(kind, num_topics)))
-    state = init_state(corpus, num_topics, alpha, seed=seed)
+    state = init_state(corpus, num_topics, alpha)
     _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=10)
     diffs = np.diff(trace)
     assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -729,7 +727,7 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
     eta = 2.0 if kind == "sigmoid" else -1.0
     params = make_params([[0.4, 0.3, 0.2, 0.1], [1e-300, 0.2, 0.3, 0.5]], [0.5, 0.5],
                          LinkParams(eta=np.full(2, eta), nu=-1.0, kind=kind))
-    start = init_state(corpus, 2, params.alpha, seed=3)
+    start = init_state(corpus, 2, params.alpha)
     for d in (0, 2):
         start.phi[corpus.rows(d)] = [1.0, 0.0]
         start.gamma[d] = params.alpha + corpus.lengths[d] * np.array([1.0, 0.0])
@@ -808,8 +806,8 @@ def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topic
     # against the damped reference
     for link in (drawn, LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)):
         params = make_params(beta, alpha, link)
-        wavefront = init_state(corpus, num_topics, alpha, seed=seed)
-        reference = init_state(corpus, num_topics, alpha, seed=seed)
+        wavefront = init_state(corpus, num_topics, alpha)
+        reference = init_state(corpus, num_topics, alpha)
         levels = e_step_blocks(corpus, params)
         assert (len(levels) == 1) == (not link.eta.any())
         for _ in range(2):
@@ -869,8 +867,8 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
     np.testing.assert_array_equal(linkless.docs, corpus.isolated_docs())
     assert not linkless.guarded and not linkless.num_pairs.any()
     assert levels and all(block.guarded and block.num_pairs.all() for block in levels)
-    state = init_state(corpus, num_topics, alpha, seed=seed)
-    reference = init_state(corpus, num_topics, alpha, seed=seed)
+    state = init_state(corpus, num_topics, alpha)
+    reference = init_state(corpus, num_topics, alpha)
     inference._visit_unguarded(params, state, linkless, 1e-6)
     for d in linkless.docs:
         reference_visit(corpus, params, reference, d, 1e-6)
@@ -904,7 +902,7 @@ def test_e_steps_of_one_state_visit_fresh_blocks(kind, data, corpus, num_topics,
     zero = LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)
     docs = [list(zip(*(part.tolist() for part in corpus.doc(d)))) for d in range(corpus.num_docs)]
     other = Corpus(corpus.vocab, docs, corpus.links[1:].tolist())
-    state = init_state(corpus, num_topics, alpha, seed=seed)
+    state = init_state(corpus, num_topics, alpha)
     visited, sweep = [], inference._sweep
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_sweep",
@@ -949,7 +947,7 @@ def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
         links = [drawn, LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)]
     for link in links:
         params = make_params(beta, alpha, link)
-        state = init_state(corpus, num_topics, alpha, seed=seed)
+        state = init_state(corpus, num_topics, alpha)
         run_e_step(corpus, params, state, tol=1e-8, max_sweeps=5)
         np.testing.assert_allclose(state.gamma, alpha + corpus.lengths[:, None] * state.phi_bar,
                                    rtol=1e-12)
@@ -981,10 +979,9 @@ def extreme_topics(draw, num_topics, num_terms):
 @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
 @settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
 @given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
-       alpha_total=st.sampled_from([1e-8, 1e-4]) | st.floats(1e-8, 10.0),
-       seed=st.integers(0, 2**16))
+       alpha_total=st.sampled_from([1e-8, 1e-4]) | st.floats(1e-8, 10.0))
 def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics,
-                                                  alpha_total, seed):
+                                                  alpha_total):
     # unguarded blocks iterate on topic weights with factored phi rows and
     # no underflow fallback; they must give what the per-document
     # log-space visit gives, with beta at its 1e-300 floor, a tiny alpha
@@ -997,8 +994,8 @@ def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics
     levels = e_step_blocks(corpus, params)
     assert not any(block.guarded for block in levels)
     reference_params = params if kind == "exponential" else make_params(beta, alpha)
-    weights = init_state(corpus, num_topics, alpha, seed=seed)
-    reference = init_state(corpus, num_topics, alpha, seed=seed)
+    weights = init_state(corpus, num_topics, alpha)
+    reference = init_state(corpus, num_topics, alpha)
     for _ in range(2):
         inference._sweep(params, weights, levels, 1e-6)
         for d in range(corpus.num_docs):
@@ -1017,8 +1014,8 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
     beta = np.array([[0.5, 0.5, 1e-300], [1e-300, 0.5, 0.5]])
     link = LinkParams(eta=np.array([-2000.0, 0.0]), nu=-1.0, kind="exponential")
     params = make_params(beta, [0.5, 0.5], link)
-    state = init_state(corpus, 2, params.alpha, seed=3)
-    reference = init_state(corpus, 2, params.alpha, seed=3)
+    state = init_state(corpus, 2, params.alpha)
+    reference = init_state(corpus, 2, params.alpha)
     for _ in range(2):
         inference._sweep(params, state, e_step_blocks(corpus, params), 1e-6)
         for d in range(corpus.num_docs):
@@ -1096,7 +1093,7 @@ def test_collapsed_matches_uncollapsed_fixed_point(kind):
         link = LinkParams(eta=np.array([1.5, -0.8]), nu=0.3, kind=kind)
     corpus = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(2, 2)]], links=[(0, 1)])
     params = make_params(beta, alpha, link)
-    state = uniform_state(corpus, alpha)
+    state = init_state(corpus, 2, alpha)
     state, _ = run_e_step(corpus, params, state, tol=1e-12, max_sweeps=400)
 
     phis, gammas = uncollapsed_fixed_point(

@@ -304,7 +304,7 @@ class TestInferHeldout:
         docs = data.draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1,
                                   max_size=3))
         corpus = Corpus([f"w{i}" for i in range(num_terms)], docs)
-        state = init_state(corpus, num_topics, model.params.alpha, seed=0)
+        state = init_state(corpus, num_topics, model.params.alpha)
         if zero[:, corpus.terms].any():
             with pytest.raises(ValueError, match=r"^beta of topic \d+ is zero for term \d+ "
                                                  r"of the corpus \(unsmoothed model\)$"):
@@ -339,7 +339,7 @@ class TestInferHeldout:
                                    max_size=num_terms, unique=True))
         words = [(t, data.draw(st.integers(1, 5))) for t in terms]
         corpus = Corpus([f"w{i}" for i in range(num_terms)], [words])
-        state = init_state(corpus, num_topics, model.params.alpha, seed=seed)
+        state = init_state(corpus, num_topics, model.params.alpha)
         run_e_step(corpus, model.params, state, tol=1e-15, max_sweeps=100_000)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prediction, "_MAX_ITERS", 100_000)
@@ -492,7 +492,7 @@ class TestRanks:
 def brute_force_fold_metrics(model, corpus, plan, fold, top_k):
     """Independent re-implementation of the rank metrics (slow and literal)."""
     train_corpus, train_ids = training_view(corpus, plan, fold)
-    state = prediction.train_posteriors(model, train_corpus, seed=plan.seed)
+    state = prediction.train_posteriors(model, train_corpus)
     train_pos = {int(o): i for i, o in enumerate(train_ids)}
     link_ranks = []
     word_ranks = []

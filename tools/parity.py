@@ -82,7 +82,7 @@ def cli_outputs(rtm):
             run_cli(rtm, ["report-topics", "--model", model, "--vocab", files[1],
                           "--top-k", "5"], f"{work}/topics-{kind}")
             run_cli(rtm, ["suggest-links", *flags, "--model", model, "--new-doc", "0:2 11:1",
-                          "--top-k", "30", "--seed", "42"], f"{work}/suggest-{kind}")
+                          "--top-k", "30"], f"{work}/suggest-{kind}")
             run_cli(rtm, ["eval", *flags, "--topics", "3", "--em-iters", "10", "--folds", "2",
                           "--link-fn", kind, "--seed", "42", "--verbose",
                           "--out", f"{work}/eval-{kind}"],
@@ -147,7 +147,7 @@ def suggest_outputs(rtm):
             rtm.save_model(rtm.FittedModel(params=params, kind="exponential",
                                            config={"smoothing": 0.01}), f"{name}/model.txt")
             model = rtm.load_model(f"{name}/model.txt")
-            state = rtm.prediction.train_posteriors(model, train, seed=42)
+            state = rtm.prediction.train_posteriors(model, train)
             for array in ("phi", "gamma", "phi_bar", "var_bar"):
                 np.save(f"{name}/{array}.npy", getattr(state, array))
             write_trace([rtm.elbo(train, model.params, state).total], f"{name}/bound.txt")
@@ -167,7 +167,7 @@ def e_step_outputs(rtm):
         beta = truth.beta + 0.01
         beta /= beta.sum(axis=1, keepdims=True)
         params = rtm.ModelParams(beta=beta, alpha=np.full(K, ALPHA), link=truth.link_params)
-        state = rtm.init_state(corpus, K, params.alpha, 42)
+        state = rtm.init_state(corpus, K, params.alpha)
         state, trace = rtm.run_e_step(corpus, params, state, max_sweeps=3)
         for array in ("phi", "gamma", "phi_bar", "var_bar"):
             np.save(f"e_step/{kind}-{array}.npy", getattr(state, array))

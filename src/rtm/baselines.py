@@ -33,16 +33,14 @@ def fit_link_regression(corpus, lda):
     `estimation.fit_link`, with the pseudo non-link / l2 regularization
     lda was fitted with.  lda's topics are unchanged.
     """
-    config = lda.config
-    reg = estimation.RegularizationConfig(rho=config["rho"], lam=config["lam"],
-                                          smoothing=config["smoothing"])
+    reg = estimation.RegularizationConfig(**lda.config)
     link = linkfn.LinkParams(eta=np.zeros(lda.params.num_topics), nu=0.0, kind="sigmoid")
     if corpus.num_links:
         state = prediction.train_posteriors(lda, corpus)
         link = estimation.fit_link(corpus, state, lda.params.alpha, reg, link)
     params = ModelParams(beta=lda.params.beta, alpha=lda.params.alpha, link=link)
     return FittedModel(params=params, kind="lda_regression",
-                       config=dict(config, kind="lda_regression"),
+                       config=dict(lda.config),
                        elbo_trace=lda.elbo_trace)
 
 

@@ -25,8 +25,6 @@ def _add_corpus_flags(p, links_required=False):
     p.add_argument("--docs", required=True, help="documents file")
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--links", required=links_required, default=None, help="links file")
-    p.add_argument("--drop-isolated", action="store_true",
-                   help="drop documents that participate in no link")
 
 
 def _add_fit_flags(p):
@@ -108,8 +106,7 @@ def build_parser():
 
 
 def _load(args):
-    return load_corpus(args.docs, args.vocab, args.links,
-                       drop_isolated=args.drop_isolated)
+    return load_corpus(args.docs, args.vocab, args.links)
 
 
 def _fit(corpus, args):

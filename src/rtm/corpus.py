@@ -6,14 +6,15 @@ the rows of one CSR matrix (see `Corpus`); links are unordered index
 pairs with no self-links.  File formats:
 
   docs file    one document per line: `M term:count [term:count ...]`
-               where M is the number of entries on the line, ids 0-based
+               where M is the number of entries on the line, ids 0-based;
+               document d is the d-th non-blank line, 0-based
   vocab file   one token per line; the token on line i has id i (a blank
                line inside the file is a token; trailing blank lines are not)
   links file   one `d1 d2` pair per line, whitespace separated, 0-based
 
 Directed link files are collapsed to undirected pairs and duplicates are
-removed.  Documents with no links are kept in memory (with a warning
-from the loader); `drop_isolated` reproduces pipelines that discard them.
+removed.  Documents with no links are kept (with a warning from the
+loader).
 """
 
 import logging
@@ -196,12 +197,13 @@ def read_vocab(path):
     return vocab
 
 
-def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
+def load_corpus(docs_path, vocab_path, links_path=None):
     """Load and validate a corpus from the documented file formats.
 
     Links are optional; directed input is collapsed to undirected pairs.
-    With drop_isolated=True, documents that participate in no link are
-    removed and the remainder renumbered.
+    Document d is the d-th non-blank line of the docs file (0-based), the
+    id that the links file and every report use.  Documents with no links
+    are kept, and a warning counts them.
     """
     vocab = read_vocab(vocab_path)
     num_terms = len(vocab)
@@ -236,9 +238,7 @@ def load_corpus(docs_path, vocab_path, links_path=None, drop_isolated=False):
 
     corpus = Corpus._from_checked(vocab, docs, pairs)
     isolated = corpus.isolated_docs()
-    if drop_isolated and isolated.size:
-        corpus = subcorpus(corpus, np.setdiff1d(np.arange(corpus.num_docs), isolated))
-    elif isolated.size:
+    if isolated.size:
         logger.warning("corpus has %d documents with no links", isolated.size)
     return corpus
 

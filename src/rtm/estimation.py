@@ -24,7 +24,7 @@ E-step with these updates until the bound stabilizes.
 import os
 import tempfile
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -244,7 +244,12 @@ def fit_link(corpus, state, alpha, reg, link):
 
 @dataclass
 class FittedModel:
-    """Estimated parameters plus fit metadata for persistence and prediction."""
+    """Estimated parameters plus fit metadata for persistence and prediction.
+
+    config holds the resolved regularization a later step reads back: the
+    smoothing that `save_model` writes, and for `fit` also rho and lam,
+    with which `baselines.fit_link_regression` fits its link to an LDA.
+    """
 
     params: ModelParams
     kind: str
@@ -303,10 +308,6 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     params = ModelParams(beta=beta, alpha=alpha, link=link)
     state = inference.init_state(corpus, num_topics, alpha)
 
-    config = {"num_topics": num_topics, "kind": kind, "alpha_total": alpha_total,
-              "rho": reg.rho, "lam": reg.lam, "smoothing": reg.smoothing,
-              "em_iters": em_iters, "tol": tol}
-
     trace = []
     previous = None
     for _ in range(em_iters):
@@ -326,7 +327,7 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
         previous = value
 
     return FittedModel(params=params, kind=kind if kind is not None else "lda",
-                       config=config, elbo_trace=trace)
+                       config=asdict(reg), elbo_trace=trace)
 
 
 # --- model persistence ----------------------------------------------------
@@ -439,4 +440,4 @@ def _parse_model(lines):
     alpha = np.full(k, alpha_total / k)
     params = ModelParams(beta=beta, alpha=alpha, link=link)
     return FittedModel(params=params, kind=kind,
-                       config={"alpha_total": alpha_total, "smoothing": smoothing})
+                       config={"smoothing": smoothing})

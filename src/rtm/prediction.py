@@ -69,7 +69,8 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     one row per distinct term, with the term's log beta as its evidence;
     a term whose beta column is zero in every topic is rejected.  links
     is a sequence of indices into train_phi_bar, the fixed posterior
-    means of the training documents.  The document is then one
+    means of the training documents; a repeated index counts once, as
+    the corpus loader collapses repeated links.  The document is then one
     pseudo-token (count 1) with no word evidence, which under an RTM kind
     takes the link gradient towards the linked means; baseline kinds
     ignore links.  A negative index is always rejected; an index past the
@@ -119,6 +120,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         bad = links[(links < 0) | (links >= upper)]
         if bad.size:
             raise ValueError(f"training document id {bad[0]} out of range [0, {upper})")
+        links = np.unique(links)
         factor, counts = np.ones((1, k)), np.ones(1)
         link = _topic_link(model)
         if link is not None:

@@ -59,7 +59,8 @@ class TestFitLdaRegression:
         direct = fit_lda_regression(corpus, 2, seed=3, em_iters=2, reg=reg)
         np.testing.assert_array_equal(staged.params.link.eta, direct.params.link.eta)
         assert staged.params.link.nu == direct.params.link.nu
-        assert staged.config == direct.config
+        assert staged.config == direct.config == lda.config
+        assert staged.config is not lda.config
         assert staged.kind == direct.kind == "lda_regression"
 
     def test_word_predictions_identical_to_lda(self, linked_corpus):

@@ -258,6 +258,26 @@ class TestSeedRejected:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "eval", "suggest-links"])
+def test_drop_isolated_is_not_a_flag(command, corpus_files, tmp_path, capsys):
+    # every report and suggestion names a document by its docs-file line, so
+    # no flag may renumber the corpus
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "--drop-isolated" not in capsys.readouterr().out
+    docs, vocab, links = corpus_files
+    if command == "suggest-links":
+        rest = ["--model", str(tmp_path / "model.txt"), "--new-doc", "0:1"]
+    else:
+        rest = ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--docs", docs, "--vocab", vocab, "--links", links, *rest,
+              "--drop-isolated"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --drop-isolated" in capsys.readouterr().err
+
+
 class TestOutOfMemory:
     """A size beyond the host's memory ends in one line, not a traceback."""
 

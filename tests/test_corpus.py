@@ -77,16 +77,15 @@ class TestLoader:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 5
 
-    def test_isolated_warning_and_drop(self, tmp_path, caplog):
+    def test_isolated_docs_kept_with_a_warning(self, tmp_path, caplog):
         docs, vocab, links = write_files(
             tmp_path, "1 0:1\n1 1:1\n1 0:2\n", "a\nb\n", "0 1\n")
         with caplog.at_level("WARNING"):
             c = load_corpus(docs, vocab, links)
         assert "no links" in caplog.text
         assert c.num_docs == 3
-        dropped = load_corpus(docs, vocab, links, drop_isolated=True)
-        assert dropped.num_docs == 2
-        assert dropped.link_set() == {(0, 1)}
+        np.testing.assert_array_equal(c.isolated_docs(), [2])
+        np.testing.assert_array_equal(c.doc(2)[1], [2])
 
     def test_blank_vocab_line_inside_keeps_its_id(self, tmp_path):
         # only the trailing blank lines are dropped; ids after an inner

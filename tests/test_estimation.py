@@ -284,6 +284,21 @@ class TestFit:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("kind", ["exponential", None])
+    def test_config_holds_the_resolved_regularization(self, tmp_path, kind):
+        # the settings a later step reads back, and nothing else: save_model
+        # reads smoothing, fit_link_regression rho, lam and smoothing
+        corpus, _ = generate_synthetic(2, 6, 15, 10, np.array([0.5, 0.5]),
+                                       np.array([-1.0, -1.0]), -0.5,
+                                       "exponential", seed=2)
+        model = fit(corpus, 2, kind=kind, reg=RegularizationConfig(lam=0.25, smoothing=0.5),
+                    seed=9, em_iters=2)
+        assert model.config == {"rho": float(corpus.num_links), "lam": 0.25,
+                                "smoothing": 0.5}
+        path = str(tmp_path / "model.txt")
+        save_model(model, path)
+        assert load_model(path).config == {"smoothing": 0.5}
+
     def test_em_objective_nondecreasing_exponential(self):
         corpus, _ = generate_synthetic(2, 8, 20, 15, np.array([0.5, 0.5]),
                                        np.array([-1.5, -1.5]), -1.0,

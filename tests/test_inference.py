@@ -713,6 +713,36 @@ def reference_visit(corpus, params, state, d, tol):
     state.phi_bar[d], state.var_bar[d] = doc_moments(state, corpus, d)
 
 
+def sweep_to_fixed_point(corpus, params, state, reference_params, reference,
+                         max_sweeps=1000):
+    """Sweep state by the E-step and reference by `reference_visit`, in step,
+    until a sweep moves no entry of the reference's gamma by more than 4
+    ulps; fail if max_sweeps sweeps do not get there.
+
+    Near a tie in a document's topics the iteration magnifies differences,
+    so two loops that round differently drift apart for a few sweeps (by
+    1.7e-12 after 2 sweeps of `test_weights_loop_at_a_near_tie`); at the
+    fixed point it contracts, and they agree again.  Rounding can keep
+    gamma cycling by an ulp for good, hence the 4 ulps.
+    """
+    levels = e_step_blocks(corpus, params)
+    for _ in range(max_sweeps):
+        previous = reference.gamma.copy()
+        inference._sweep(params, state, levels, 1e-6)
+        for d in range(corpus.num_docs):
+            reference_visit(corpus, reference_params, reference, d, 1e-6)
+        if np.all(np.abs(reference.gamma - previous) <= 4 * np.spacing(previous)):
+            return
+    pytest.fail(f"the reference's gamma still moves after {max_sweeps} sweeps")
+
+
+def assert_same_state(state, reference):
+    for name in ("phi", "gamma", "phi_bar", "var_bar"):
+        assert np.all(np.isfinite(getattr(state, name)))
+        np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
 @pytest.mark.parametrize("kind", ["sigmoid", "exponential"])
 def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypatch):
     # level 0 holds documents 0 and 1, each linked to document 2.  Documents
@@ -817,6 +847,26 @@ def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topic
         for name in ("phi", "gamma", "phi_bar", "var_bar"):
             np.testing.assert_allclose(getattr(wavefront, name), getattr(reference, name),
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_wavefront_sweep_at_a_near_tie():
+    # a draw that test_wavefront_sweep_matches_index_order_sweep accepts, but
+    # fails after its 2 sweeps by 1.7e-11: documents 0 and 2 are linked,
+    # 1 is isolated, and each is term 3 twice, whose beta (seed 21340) ties
+    # across the two topics to 8e-6 relative.  The strong exponential link
+    # pushes the pair to opposite topics, magnifying the two sweeps'
+    # rounding differences on the way.  At the fixed point they agree.  The
+    # comparison above keeps its 2 sweeps: under a guarded link the
+    # reference's gamma never stops changing, and some unguarded draws need
+    # thousands of sweeps
+    corpus = Corpus([f"w{i}" for i in range(6)], [[(3, 2)]] * 3, [(0, 2)])
+    beta = np.random.default_rng(21340).dirichlet(np.ones(6), size=2)
+    link = LinkParams(eta=np.full(2, -37.0), nu=-3.0, kind="exponential")
+    params = make_params(beta, [0.5, 0.5], link)
+    wavefront = init_state(corpus, 2, params.alpha)
+    reference = init_state(corpus, 2, params.alpha)
+    sweep_to_fixed_point(corpus, params, wavefront, params, reference)
+    assert_same_state(wavefront, reference)
 
 
 @pytest.mark.parametrize("kind", linkfn.KINDS)
@@ -996,14 +1046,23 @@ def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics
     reference_params = params if kind == "exponential" else make_params(beta, alpha)
     weights = init_state(corpus, num_topics, alpha)
     reference = init_state(corpus, num_topics, alpha)
-    for _ in range(2):
-        inference._sweep(params, weights, levels, 1e-6)
-        for d in range(corpus.num_docs):
-            reference_visit(corpus, reference_params, reference, d, 1e-6)
-    for name in ("phi", "gamma", "phi_bar", "var_bar"):
-        assert np.all(np.isfinite(getattr(weights, name)))
-        np.testing.assert_allclose(getattr(weights, name), getattr(reference, name),
-                                   rtol=0, atol=1e-12, err_msg=name)
+    sweep_to_fixed_point(corpus, params, weights, reference_params, reference)
+    assert_same_state(weights, reference)
+
+
+def test_weights_loop_at_a_near_tie():
+    # term 0 is nearly as likely in either topic and alpha is tiny, so from
+    # the uniform start each iteration moves gamma about 1.6 times further
+    # from the tie: after 2 sweeps the two loops differ by 1.7e-12 in
+    # gamma.  Both then settle on topic 0
+    corpus = Corpus(["a", "b"], [[(0, 2)]])
+    tie = 0.24999923954381417
+    params = make_params([[0.25, 0.75], [tie, 1.0 - tie]], [5e-5, 5e-5])
+    weights = init_state(corpus, 2, params.alpha)
+    reference = init_state(corpus, 2, params.alpha)
+    sweep_to_fixed_point(corpus, params, weights, params, reference)
+    assert_same_state(weights, reference)
+    np.testing.assert_allclose(reference.gamma, [[2.00005, 5e-5]], rtol=1e-12)
 
 
 def test_weights_loop_at_the_beta_floor_stays_finite():

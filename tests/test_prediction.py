@@ -219,7 +219,8 @@ class TestInferHeldout:
         links = data.draw(st.lists(st.integers(0, num_train - 1), min_size=1, max_size=5))
 
         post = infer_heldout(model, links=links, train_phi_bar=train_phi_bar, tol=tol)
-        iterates = parent_links_loop(model, np.array(links), train_phi_bar, tol)
+        # a repeated id counts once
+        iterates = parent_links_loop(model, np.unique(links), train_phi_bar, tol)
         # Both loops take the same steps from the same start.  The shared loop
         # stops after the first step whose mean |change in gamma| = sum |change
         # in phi| / K is below tol, the parent's after the first whose sum is
@@ -366,6 +367,21 @@ class TestInferHeldout:
         got = infer_heldout(model, words=split)
         for name in ("phi_bar", "gamma", "var"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_repeated_links_count_once(self):
+        # the corpus loader collapses a repeated link, so a repeated training
+        # id must not pull the posterior twice (it gave phi_bar (0.0316,
+        # 0.9684) for [0, 0], against (0.0883, 0.9117) for [0])
+        link = LinkParams(eta=np.array([-1.0, -1.0]), nu=-0.5, kind="exponential")
+        model = model_of([[0.7, 0.3], [0.2, 0.8]], [0.5, 0.5], link=link)
+        train_phi_bar = np.array([[0.9, 0.1], [0.2, 0.8]])
+        for once, repeated in (([0], [0, 0]), ([0, 1], [1, 0, 1, 0])):
+            want = infer_heldout(model, links=once, train_phi_bar=train_phi_bar)
+            got = infer_heldout(model, links=repeated, train_phi_bar=train_phi_bar)
+            for name in ("phi_bar", "gamma", "var"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        twice = infer_heldout(model, links=[0, 0], train_phi_bar=train_phi_bar)
+        np.testing.assert_allclose(twice.phi_bar, [0.0883, 0.9117], atol=1e-4)
 
     def test_baseline_kind_ignores_links(self):
         # identical beta: the lda_regression links-only posterior must not

@@ -7,7 +7,8 @@ pairs with no self-links.  File formats:
 
   docs file    one document per line: `M term:count [term:count ...]`
                where M is the number of entries on the line, ids 0-based;
-               document d is the d-th non-blank line, 0-based
+               document d is line d, 0-based (trailing blank lines are
+               dropped; a blank line before a document is an error)
   vocab file   one token per line; the token on line i has id i (a blank
                line inside the file is a token; trailing blank lines are not)
   links file   one `d1 d2` pair per line, whitespace separated, 0-based
@@ -201,17 +202,24 @@ def load_corpus(docs_path, vocab_path, links_path=None):
     """Load and validate a corpus from the documented file formats.
 
     Links are optional; directed input is collapsed to undirected pairs.
-    Document d is the d-th non-blank line of the docs file (0-based), the
-    id that the links file and every report use.  Documents with no links
-    are kept, and a warning counts them.
+    Document d is line d of the docs file (0-based), the id that the
+    links file and every report use.  Trailing blank lines of the docs
+    file are dropped, as `read_vocab` drops the vocab file's; a blank
+    line with a document after it is rejected, as it would shift the ids
+    after it.  Documents with no links are kept, and a warning counts
+    them.
     """
     vocab = read_vocab(vocab_path)
     num_terms = len(vocab)
 
+    lines = _read_lines(docs_path)
+    while lines and not lines[-1].strip():
+        lines.pop()
     docs = []
-    for lineno, line in enumerate(_read_lines(docs_path), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
-            continue
+            raise CorpusFormatError(f"{docs_path}: line {lineno} is blank, and a document "
+                                    f"follows it (a document's id is its line)")
         docs.append(_parse_doc_line(line, lineno, num_terms))
     if not docs:
         raise CorpusFormatError(f"no documents found in {docs_path}")

@@ -34,7 +34,13 @@ documents, each with its own damping step.  An unguarded block (the
 documents without pairs, or an exponential level) iterates on
 per-document topic weights with lda-c's factored softmax.  Either visit
 reads its documents' state and its neighbors' means when it starts, and
-writes the whole block once, when its last document leaves.
+writes the whole block once, when its last document leaves (see
+`VariationalState` for what each writes).  Each visit returns its
+documents' own bound terms, every term but the link term: a guarded
+visit from its rows, an unguarded one from its topic weights.  A
+sweep's bound is their sum plus the link term, so no sweep reads every
+phi row again; `elbo` reads the whole state, at the start of an E-step
+and after each M-step.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
@@ -113,11 +119,16 @@ class VariationalState:
     phi_bar     (D, K) cached per-document means (1/N_d) sum_n phi_{d,n}
     var_bar     (D, K) cached Var(zbar_{d,i}) = (1/N_d^2) sum_n phi (1 - phi)
 
-    Both caches are filled at construction, and every writer computes
-    them with `_mean` and `_variance`.  An E-step writes a document's phi
-    rows, gamma and both caches once per sweep, when the visit of its
-    block ends.  The state also keeps the E-steps' block layouts (see
-    `layout`), so the E-steps of a fit build them once.
+    Both caches are filled at construction.  An E-step writes a
+    document's phi rows, gamma and phi_bar once per sweep, when the visit
+    of its block ends.  A guarded visit computes phi_bar with `_mean` and
+    also writes var_bar; an unguarded visit writes phi_bar = (gamma -
+    alpha) / N_d, the rows' mean up to rounding, and leaves var_bar
+    stale until `run_e_step` returns and calls `refresh_var_bar`.  So
+    between E-steps all four agree; within an E-step var_bar is current
+    for the documents of guarded levels only, the ones read there.  The
+    state also keeps the E-steps' block layouts (see `layout`), so the
+    E-steps of a fit build them once.
     """
 
     def __init__(self, corpus, gamma, phi):
@@ -139,6 +150,11 @@ class VariationalState:
     @property
     def num_topics(self):
         return self.gamma.shape[1]
+
+    def refresh_var_bar(self):
+        """Recompute every document's var_bar from its phi rows."""
+        self.var_bar[...] = _variance(self.corpus.counts, self.phi, self.corpus.indptr[:-1],
+                                      self.corpus.lengths)
 
     def set_phi(self, d, term_index, new_phi):
         """Replace one term's phi row and recompute the document caches."""
@@ -170,7 +186,7 @@ def _log_beta_matrix(beta):
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
                      "lam", "objective", "slack"), "doc"),
-    **dict.fromkeys(("rows", "counts", "lb", "factor", "phi"), "row"),
+    **dict.fromkeys(("rows", "counts", "lb", "rowmax", "factor", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
 
@@ -274,9 +290,10 @@ def _e_step_blocks(corpus, params, layout):
 
     A corpus term whose beta is zero in some topic (an unsmoothed model)
     would start the bound at -inf, as `init_state` puts mass on every
-    topic.  Next to each row's log beta lb, factor holds exp(lb - its row
-    max), for the factored update of `_visit_unguarded`.  A block with
-    pairs is guarded unless the kind is exponential.
+    topic.  Next to each row's log beta lb, rowmax holds its row max and
+    factor exp(lb - rowmax), for the factored update and the bound terms
+    of `_visit_unguarded`.  A block with pairs is guarded unless the kind
+    is exponential.
     """
     blocks, order = layout
     lb = params.log_beta[:, corpus.terms].T
@@ -285,21 +302,24 @@ def _e_step_blocks(corpus, params, layout):
         raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
                          f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
     lb = lb[order]
-    factor = np.exp(lb - lb.max(axis=1, keepdims=True))
+    rowmax = lb.max(axis=1)
+    factor = np.exp(lb - rowmax[:, None])
     guarded = params.link is not None and params.link.kind != "exponential"
     # views of each block's run of rows
     bounds = np.cumsum([block.rows.shape[0] for block in blocks[:-1]])
-    return [block.replace(lb=block_lb, factor=block_factor,
+    return [block.replace(lb=block_lb, rowmax=block_rowmax, factor=block_factor,
                           guarded=guarded and block.neighbors.size > 0)
-            for block, block_lb, block_factor in zip(blocks, np.split(lb, bounds),
-                                                     np.split(factor, bounds))]
+            for block, block_lb, block_rowmax, block_factor in zip(
+                blocks, *(np.split(rows, bounds) for rows in (lb, rowmax, factor)))]
 
 
-def _store(state, block, phi, gamma):
-    """Write the block's phi rows and gamma, and its documents' phi_bar and var_bar."""
+def _store(state, block, phi, gamma, phi_bar):
+    """Write the block's phi rows and gamma, and its documents' phi_bar (the
+    mean of the rows) and var_bar.  Every guarded visit ends here, as its
+    neighbors read both caches."""
     state.phi[block.rows] = phi
     state.gamma[block.docs] = gamma
-    state.phi_bar[block.docs] = block.mean(phi)
+    state.phi_bar[block.docs] = phi_bar
     state.var_bar[block.docs] = block.variance(phi)
 
 
@@ -380,6 +400,16 @@ def _bound_parts(alpha, counts, lb, starts, lengths, phi, gamma, phi_bar):
     return z_term, word_term, theta_term, entropy
 
 
+def _link_term(corpus, params, state):
+    """The expected log link probability summed over the observed links."""
+    if params.link is None or not corpus.num_links:
+        return 0.0
+    l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
+    return float(linkfn.expected_log_link_batch(
+        params.link, state.phi_bar[l1], state.phi_bar[l2],
+        state.var_bar[l1], state.var_bar[l2]).sum())
+
+
 def elbo(corpus, params, state):
     """Evidence lower bound of the current state under the model.
 
@@ -387,14 +417,7 @@ def elbo(corpus, params, state):
     links only.  The entropy enters with its standard positive sign so
     the total is a genuine lower bound.
     """
-    link_term = 0.0
-    if params.link is not None and corpus.num_links:
-        l1, l2 = corpus.links[:, 0], corpus.links[:, 1]
-        vals = linkfn.expected_log_link_batch(
-            params.link, state.phi_bar[l1], state.phi_bar[l2],
-            state.var_bar[l1], state.var_bar[l2])
-        link_term = float(vals.sum())
-
+    link_term = _link_term(corpus, params, state)
     z_term, word_term, theta_prior, entropy_term = (float(part.sum()) for part in _bound_parts(
         params.alpha, corpus.counts, params.log_beta[:, corpus.terms].T, corpus.indptr[:-1],
         corpus.lengths, state.phi, state.gamma, state.phi_bar))
@@ -466,7 +489,8 @@ def _visit_guarded(params, state, block, tol):
     set when its gamma change falls below tol, when it is rejected, or
     after _DOC_MAX_ITERS iterations; its rows and gamma are kept by
     position in the block, which is written to the state once, when its
-    last document leaves.
+    last document leaves, by `_store`.  Returns the documents' own bound
+    terms (`_bound_parts`) of the rows written.
     """
     nb_means = state.phi_bar[block.neighbors]
     active = block.replace(gamma=state.gamma[block.docs], phi=state.phi[block.rows],
@@ -495,7 +519,10 @@ def _visit_guarded(params, state, block, tol):
             pos, row_pos = pos[~leaving], row_pos[~rows]
             active = active.take(~leaving)
     final_phi[row_pos], final_gamma[pos] = active.phi, active.gamma
-    _store(state, block, final_phi, final_gamma)
+    phi_bar = block.mean(final_phi)
+    _store(state, block, final_phi, final_gamma, phi_bar)
+    return float(sum(_bound_parts(params.alpha, block.counts, block.lb, block.starts, block.n,
+                                  final_phi, final_gamma, phi_bar)).sum())
 
 
 def _topic_weights(gamma, offset):
@@ -505,12 +532,6 @@ def _topic_weights(gamma, offset):
     if offset is not None:
         d += offset
     return np.exp(d - d.max(axis=1, keepdims=True))
-
-
-def _factored_phi(block, w):
-    """The phi rows F * w / (F @ w) of the block's documents, from their weights w."""
-    phi = block.factor * w[block.row_doc]
-    return phi / phi.sum(axis=1, keepdims=True)
 
 
 def _visit_unguarded(params, state, block, tol):
@@ -524,11 +545,28 @@ def _visit_unguarded(params, state, block, tol):
     (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
     shared by every topic cancels in the softmax.  An iteration computes
     the new gamma of every active document; a document leaves with its
-    last w and gamma under `_visit_guarded`'s test and cap, and the phi
-    rows are formed once after the loop, when the whole block is written
-    to the state.  F @ w cannot underflow: the largest weight is exactly
-    1 and every F entry is at least 1e-300, as `_e_step_blocks` rejects
-    zero beta and `_log_beta_matrix` clamps positive beta at 1e-300.
+    last w and gamma under `_visit_guarded`'s test and cap.  F @ w cannot
+    underflow: the largest weight is exactly 1 and every F entry is at
+    least 1e-300, as `_e_step_blocks` rejects zero beta and
+    `_log_beta_matrix` clamps positive beta at 1e-300.
+
+    When the last document leaves, the phi rows are formed once from the
+    final w, and the visit writes them, gamma and phi_bar = (gamma -
+    alpha) / n, the rows' mean, as gamma comes from the same w.  It
+    writes no var_bar: nothing reads it before `run_e_step` refreshes it
+    (an unguarded document's neighbors are unguarded too, and the link
+    term reads variances only for the gaussian kind, whose unguarded
+    documents have no links or eta = 0).
+
+    The visit returns its documents' own bound terms, from their weights
+    rather than their rows.  With log phi = lb - rowmax + log w -
+    log(F @ w) in each row, the word and entropy terms are
+    sum_n c_n (rowmax_n + log(F @ w)_n) - n phi_bar . log w; the last
+    product is 0 wherever w underflowed to 0, as gamma - alpha = n phi_bar
+    is exactly 0 there.  And as gamma = alpha + n phi_bar, the z|theta
+    term n phi_bar . E[log theta] cancels (alpha - gamma) . E[log theta]
+    in the theta term, leaving log Gamma(sum alpha) - sum log Gamma(alpha)
+    + sum log Gamma(gamma) - log Gamma(sum gamma).
 
     The visit reads its documents' gamma from the state.  The documents
     of an exponential level also read one offset per document, added to
@@ -541,10 +579,12 @@ def _visit_unguarded(params, state, block, tol):
     offset = None
     if block.neighbors.size:
         offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / block.n[:, None]
-    k = gamma.shape[1]
-    factor, counts, n = block.factor, block.counts, block.n
+    factor, counts = block.factor, block.counts
     num_rows, row_doc, starts = block.num_rows, block.row_doc, block.starts
     pos = np.arange(block.docs.shape[0])
+    # _visit_guarded's test, mean |change| per topic per token below tol,
+    # as a limit on the summed change
+    limit = tol * gamma.shape[1] * block.n
     final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):
         w = _topic_weights(gamma, offset)
@@ -552,8 +592,7 @@ def _visit_unguarded(params, state, block, tol):
         norm = np.einsum("rk,rk->r", factor, w.take(row_doc, axis=0))
         new_gamma = params.alpha + w * np.add.reduceat((counts / norm)[:, None] * factor,
                                                        starts, axis=0)
-        # the mean absolute change per topic, per token
-        leaving = np.abs(new_gamma - gamma).sum(axis=1) / k / n < tol
+        leaving = np.abs(new_gamma - gamma).sum(axis=1) < limit
         gamma = new_gamma
         num_leaving = np.count_nonzero(leaving)
         if num_leaving == leaving.shape[0]:
@@ -562,14 +601,25 @@ def _visit_unguarded(params, state, block, tol):
             final_w[pos[leaving]], final_gamma[pos[leaving]] = w[leaving], gamma[leaving]
             stay = ~leaving
             rows = stay[row_doc]
-            pos, w, gamma, n = pos[stay], w[stay], gamma[stay], n[stay]
+            pos, w, gamma, limit = pos[stay], w[stay], gamma[stay], limit[stay]
             if offset is not None:
                 offset = offset[stay]
             factor, counts, num_rows = factor[rows], counts[rows], num_rows[stay]
             row_doc = np.repeat(np.arange(pos.shape[0]), num_rows)
             starts = np.cumsum(num_rows) - num_rows
     final_w[pos], final_gamma[pos] = w, gamma
-    _store(state, block, _factored_phi(block, final_w), final_gamma)
+    phi = block.factor * final_w[block.row_doc]
+    norm = phi.sum(axis=1)
+    phi /= norm[:, None]
+    alpha = params.alpha
+    topic_counts = final_gamma - alpha  # n phi_bar
+    state.phi[block.rows] = phi
+    state.gamma[block.docs] = final_gamma
+    state.phi_bar[block.docs] = topic_counts / block.n[:, None]
+    own = (gammaln(final_gamma).sum(axis=1) - gammaln(final_gamma.sum(axis=1))
+           + np.add.reduceat(block.counts * (block.rowmax + np.log(norm)), block.starts)
+           - xlogy(topic_counts, final_w).sum(axis=1))
+    return float(own.sum() + block.docs.shape[0] * (gammaln(alpha.sum()) - gammaln(alpha).sum()))
 
 
 def _sweep(params, state, blocks, tol):
@@ -583,11 +633,15 @@ def _sweep(params, state, blocks, tol):
     never lowers the document's block objective.  The exponential kind
     is an exact block coordinate maximization and needs no safeguard,
     nor do the documents without pairs; those blocks iterate on topic
-    weights (see `_visit_unguarded`).
+    weights (see `_visit_unguarded`).  Returns the sum of the documents'
+    own bound terms that the visits return: the bound without its link
+    term.
     """
+    total = 0.0
     for block in blocks:
         visit = _visit_guarded if block.guarded else _visit_unguarded
-        visit(params, state, block, tol)
+        total += visit(params, state, block, tol)
+    return total
 
 
 def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=None):
@@ -596,10 +650,14 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     Terminates when the relative bound change between sweeps drops below
     tol or max_sweeps is reached; the latter is logged as a warning.
     The trace holds the bound before any update followed by one value
-    per sweep.  A caller that has just computed `elbo(corpus, params,
-    state).total`, as `fit` has after an M-step, passes it as
-    start_bound, the first value.  Deterministic, with fixed summation
-    order.
+    per sweep.  The first value is `elbo(corpus, params, state).total`,
+    unless a caller that has just computed it, as `fit` has after an
+    M-step, passes it as start_bound.  A sweep's value is the sum of the
+    own terms its visits return plus the link term over the observed
+    links, so no sweep reads every phi row again.  On return var_bar is
+    refreshed for every document, so phi_bar, var_bar and the rows
+    agree (see `VariationalState`).  Deterministic, with fixed
+    summation order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -610,8 +668,7 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")
     trace = [current]
     for _ in range(max_sweeps):
-        _sweep(params, state, blocks, tol)
-        value = elbo(corpus, params, state).total
+        value = _sweep(params, state, blocks, tol) + _link_term(corpus, params, state)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")
         trace.append(value)
@@ -621,4 +678,5 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     else:
         logger.warning("E-step stopped at max_sweeps=%d with the bound still changing "
                        "by more than tol=%g", max_sweeps, tol)
+    state.refresh_var_bar()
     return state, trace

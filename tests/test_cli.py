@@ -77,6 +77,16 @@ class TestFitCommand:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_blank_docs_line_before_a_document_exits_1(self, tmp_path, capsys):
+        docs = tmp_path / "docs.txt"
+        docs.write_text("1 0:1\n\n1 1:1\n")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("a\nb\n")
+        code = main(["fit", "--docs", str(docs), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "m.txt")])
+        assert_one_line_error(capsys, code, f"error: {docs}: line 2 is blank")
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestEvalCommand:
     def test_two_folds_emit_reports_and_summary(self, corpus_files, tmp_path, capsys):

@@ -95,6 +95,22 @@ class TestLoader:
         assert c.vocab == ["a", "", "b"]
         np.testing.assert_array_equal(c.doc(0)[0], [2])
 
+    def test_blank_docs_line_before_a_document_rejected(self, tmp_path):
+        # a skipped inner blank line would give the third line id 1, and the
+        # links line would join lines 1 and 3
+        docs, vocab, links = write_files(tmp_path, "1 0:1\n\n1 1:1\n", "a\nb\n", "0 1\n")
+        with pytest.raises(CorpusFormatError) as raised:
+            load_corpus(docs, vocab, links)
+        assert str(raised.value) == (f"{docs}: line 2 is blank, and a document follows it "
+                                     f"(a document's id is its line)")
+
+    def test_trailing_blank_docs_lines_dropped(self, tmp_path):
+        docs, vocab, links = write_files(tmp_path, "1 0:1\n1 1:1\n\n \n\n", "a\nb\n",
+                                         "0 1\n")
+        c = load_corpus(docs, vocab, links)
+        assert c.num_docs == 2
+        np.testing.assert_array_equal(c.doc(1)[0], [1])
+
     def test_links_optional(self, tmp_path):
         docs, vocab, _ = write_files(tmp_path, "1 0:1\n", "a\n", "")
         c = load_corpus(docs, vocab, None)

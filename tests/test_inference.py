@@ -364,6 +364,36 @@ def doc_moments(state, corpus, d):
             np.add.reduceat(counts * (p * (1.0 - p)), [0])[0] / n**2)
 
 
+def assert_consistent_caches(state, corpus, params):
+    """Each document's phi_bar and var_bar agree with its rows and gamma, as
+    `run_e_step` leaves them (var_bar refreshed for every document).
+
+    A guarded visit writes phi_bar as the mean of its rows, so it matches
+    `doc_moments` exactly.  An unguarded visit writes phi_bar = (gamma -
+    alpha) / n exactly; that is the rows' mean up to rounding, as the rows
+    and gamma come from the same topic weights w.  Per topic, n phi_bar
+    is w times a sum over the R rows of c / (F @ w) F, and n times the
+    rows' mean a sum of c F w / (F @ w) with F @ w summed in another
+    order: each carries at most 2K + R + 4 roundings of relative size u,
+    and gamma's own rounding and the subtraction of alpha add u gamma
+    each.  So they differ by at most (2K + R + 6) u gamma / n.
+    """
+    guarded = {int(d) for block in e_step_blocks(corpus, params) if block.guarded
+               for d in block.docs}
+    u = np.finfo(np.float64).eps / 2
+    for d in range(corpus.num_docs):
+        mean, var = doc_moments(state, corpus, d)
+        np.testing.assert_array_equal(state.var_bar[d], var)
+        if d in guarded:
+            np.testing.assert_array_equal(state.phi_bar[d], mean)
+            continue
+        n = corpus.lengths[d]
+        np.testing.assert_array_equal(state.phi_bar[d], (state.gamma[d] - params.alpha) / n)
+        num_rows = corpus.rows(d).stop - corpus.rows(d).start
+        bound = (2 * state.num_topics + num_rows + 6) * u * state.gamma[d] / n
+        assert np.all(np.abs(mean - state.phi_bar[d]) <= bound), (d, mean - state.phi_bar[d])
+
+
 def literal_log_link(link, mean_a, var_a, mean_b, var_b):
     """E[log psi] of one pair, written out from the link function definitions."""
     if link.kind == "gaussian":
@@ -717,7 +747,8 @@ def sweep_to_fixed_point(corpus, params, state, reference_params, reference,
                          max_sweeps=1000):
     """Sweep state by the E-step and reference by `reference_visit`, in step,
     until a sweep moves no entry of the reference's gamma by more than 4
-    ulps; fail if max_sweeps sweeps do not get there.
+    ulps; fail if max_sweeps sweeps do not get there.  state's var_bar is
+    then refreshed, as `run_e_step` does when it returns.
 
     Near a tie in a document's topics the iteration magnifies differences,
     so two loops that round differently drift apart for a few sweeps (by
@@ -732,6 +763,7 @@ def sweep_to_fixed_point(corpus, params, state, reference_params, reference,
         for d in range(corpus.num_docs):
             reference_visit(corpus, reference_params, reference, d, 1e-6)
         if np.all(np.abs(reference.gamma - previous) <= 4 * np.spacing(previous)):
+            state.refresh_var_bar()
             return
     pytest.fail(f"the reference's gamma still moves after {max_sweeps} sweeps")
 
@@ -783,13 +815,11 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
         np.testing.assert_array_equal(state.gamma[d], start.gamma[d])
     for d in range(corpus.num_docs):
         reference_visit(corpus, params, reference, d, 1e-6)
+    state.refresh_var_bar()
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
                                    rtol=0, atol=1e-12, err_msg=name)
-    for d in range(corpus.num_docs):
-        mean, var = doc_moments(state, corpus, d)
-        np.testing.assert_array_equal(state.phi_bar[d], mean)
-        np.testing.assert_array_equal(state.var_bar[d], var)
+    assert_consistent_caches(state, corpus, params)
 
 
 #: Hypothesis phases without shrinking: a failing example over
@@ -844,6 +874,7 @@ def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topic
             inference._sweep(params, wavefront, levels, 1e-6)
             for d in range(corpus.num_docs):
                 reference_visit(corpus, params, reference, d, 1e-6)
+        wavefront.refresh_var_bar()
         for name in ("phi", "gamma", "phi_bar", "var_bar"):
             np.testing.assert_allclose(getattr(wavefront, name), getattr(reference, name),
                                        rtol=0, atol=1e-12, err_msg=name)
@@ -922,6 +953,7 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
     inference._visit_unguarded(params, state, linkless, 1e-6)
     for d in linkless.docs:
         reference_visit(corpus, params, reference, d, 1e-6)
+    state.refresh_var_bar()
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
                                    rtol=0, atol=1e-12, err_msg=name)
@@ -989,6 +1021,7 @@ def zero_eta_or_drawn(data, kind, num_topics):
 def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
     # whichever loop visited a document, the weights loop of unguarded
     # blocks or the damped row loop, its gamma, caches and rows agree
+    # (see assert_consistent_caches)
     alpha = np.full(num_topics, 1.0 / num_topics)
     beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
     links = [None]
@@ -1001,10 +1034,7 @@ def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
         run_e_step(corpus, params, state, tol=1e-8, max_sweeps=5)
         np.testing.assert_allclose(state.gamma, alpha + corpus.lengths[:, None] * state.phi_bar,
                                    rtol=1e-12)
-        for d in range(corpus.num_docs):
-            mean, var = doc_moments(state, corpus, d)
-            np.testing.assert_array_equal(state.phi_bar[d], mean)
-            np.testing.assert_array_equal(state.var_bar[d], var)
+        assert_consistent_caches(state, corpus, params)
         assert np.all(state.phi >= 0)
         np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, rtol=1e-12)
 
@@ -1079,6 +1109,7 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
         inference._sweep(params, state, e_step_blocks(corpus, params), 1e-6)
         for d in range(corpus.num_docs):
             reference_visit(corpus, params, reference, d, 1e-6)
+    state.refresh_var_bar()
     assert state.phi_bar[0, 1] == 1.0
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         assert np.all(np.isfinite(getattr(state, name)))
@@ -1164,3 +1195,43 @@ def test_collapsed_matches_uncollapsed_fixed_point(kind):
     np.testing.assert_allclose(phis[0][2], doc0[1], atol=1e-7)
     np.testing.assert_allclose(gammas[0], state.gamma[0], atol=1e-7)
     np.testing.assert_allclose(gammas[1], state.gamma[1], atol=1e-7)
+
+
+@pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+@settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       alpha_total=st.sampled_from([1e-8, 1e-4]) | st.floats(1e-8, 10.0))
+def test_sweep_bound_is_the_bound_of_the_state(kind, data, corpus, num_topics, alpha_total):
+    # a sweep's trace value is the sum of its visits' own terms and the link
+    # term; it must be the bound of the state the sweep leaves.  Both sums
+    # add the same per-document and per-link terms in another order, but
+    # an unguarded document's terms come from its weights (see
+    # _visit_unguarded): sum_n c_n (rowmax_n + log(F @ w)_n) - n phi_bar .
+    # log w for its word and entropy terms, and log Gamma sums for its
+    # z|theta and theta terms.  Each of the bound's five parts sums terms
+    # of one sign, so their magnitudes add up to the part's; scale adds
+    # the five.  log w = d - max d, where d is E[log theta] plus the link
+    # offset, and n phi_bar . d is the document's z term plus its links'
+    # eta terms; the log Gamma terms are the theta term without its
+    # E[log theta] products.  So the weights form's terms are a few times
+    # scale at most (take 10).  A sum of N terms with m roundings each is
+    # off by at most (N + m) u of its terms' magnitude; here N <= 10
+    # documents x 4 rows x 3 topics + 45 links = 165 and m is a few tens,
+    # so the two values differ by at most about 10 x 200 x 1.1e-16 =
+    # 2.2e-13 of scale.  The tolerance is 1e-12
+    beta = data.draw(extreme_topics(num_topics, corpus.num_terms))
+    alpha = np.full(num_topics, alpha_total / num_topics)
+    links = [None]
+    if kind is not None:
+        links = [data.draw(link_params(kind, num_topics)),
+                 zero_eta_or_drawn(data, kind, num_topics)]
+    for link in links:
+        params = make_params(beta, alpha, link)
+        state = init_state(corpus, num_topics, alpha)
+        for _ in range(3):
+            _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=1)
+            bound = elbo(corpus, params, state)
+            scale = (abs(bound.link_term) + abs(bound.z_given_theta_term) + abs(bound.word_term)
+                     + abs(bound.theta_prior_term) + abs(bound.entropy_term))
+            assert type(trace[1]) is float
+            assert abs(trace[1] - bound.total) <= 1e-12 * scale

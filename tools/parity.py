@@ -1,12 +1,16 @@
-"""Write the outputs of an rtm source tree that a change must keep byte for byte.
+"""Write the outputs of an rtm source tree that a change must keep byte for
+byte, and compare two sets of them.
 
     python tools/parity.py SRC OUT
+    python tools/parity.py compare OLD NEW
 
 SRC is the src directory of an rtm checkout, OUT a directory that must
 not exist yet.  The script imports rtm from SRC only, so two trees (a
 change and its parent, say) are compared by running it once on each and
 then `diff -r OUT1 OUT2`.  Two runs on the same tree must give identical
-directories.  OUT holds:
+directories.  The compare mode is for a change that moves results on
+purpose: it prints how far each file of NEW is from the same file of OLD
+(see `compare`), and decides nothing.  OUT holds:
 
   cli/       on the two corpora of the CI end-to-end step (`rtm synth`, nu
              -1 and -2.5): `rtm fit --em-iters 10` model files of the four
@@ -174,7 +178,127 @@ def e_step_outputs(rtm):
         write_trace(trace, f"e_step/{kind}-trace.txt")
 
 
+def relative_difference(old, new):
+    """The largest |old - new| / max(|old|, |new|) over two same-shape float
+    arrays; entries equal on both sides (inf and nan too) count 0."""
+    old, new = np.asarray(old, dtype=np.float64), np.asarray(new, dtype=np.float64)
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rel = np.abs(old - new) / np.maximum(np.abs(old), np.abs(new))
+    rel = np.where(same, 0.0, rel)
+    return float(np.where(np.isnan(rel), np.inf, rel).max(initial=0.0))
+
+
+def as_float(token):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def top_orders_agree(old, new, top=20):
+    """Per row of two score matrices, whether the first `top` candidates by
+    descending score, ties by index (as `retrieval_order`), are the same."""
+    def order(scores):
+        return np.lexsort((np.broadcast_to(np.arange(scores.shape[1]), scores.shape),
+                           -scores), axis=1)[:, :top]
+    return np.all(order(np.atleast_2d(old)) == order(np.atleast_2d(new)), axis=1)
+
+
+def compare_file(old, new):
+    """(detail, relative difference or None, top-20 rows (agree, total) or
+    None, (old, new) line counts of a file of float lines or None) for two
+    versions of one output file that are not byte-identical."""
+    if old.suffix == ".npy":
+        a, b = np.load(old), np.load(new)
+        if a.shape != b.shape:
+            return f"shape {a.shape} -> {b.shape}", None, None, None
+        rel = relative_difference(a, b)
+        orders = None
+        if old.name == "scores.npy":
+            agree = top_orders_agree(a, b)
+            orders = int(agree.sum()), agree.shape[0]
+        return f"max rel {rel:.3g}", rel, orders, None
+    a_lines = old.read_text(encoding="utf-8").splitlines()
+    b_lines = new.read_text(encoding="utf-8").splitlines()
+    lengths = None
+    if all(as_float(line) is not None for line in a_lines + b_lines):
+        lengths = len(a_lines), len(b_lines)
+    a, b = " ".join(a_lines).split(), " ".join(b_lines).split()
+    a_num, b_num = [as_float(t) for t in a], [as_float(t) for t in b]
+    if len(a) != len(b) or any((x is None) != (y is None) or (x is None and s != t)
+                               for s, t, x, y in zip(a, b, a_num, b_num)):
+        line = next((i for i, (s, t) in enumerate(zip(a_lines, b_lines), 1) if s != t),
+                    min(len(a_lines), len(b_lines)) + 1)
+        detail = f"text differs from line {line}"
+        if lengths is not None:
+            detail += f", lines {lengths[0]} -> {lengths[1]}"
+        return detail, None, None, lengths
+    pairs = [(x, y) for x, y in zip(a_num, b_num) if x is not None]
+    rel = relative_difference(*zip(*pairs)) if pairs else 0.0
+    detail = f"max rel {rel:.3g}"
+    if lengths is not None:
+        detail += f", lines {lengths[0]}"
+    return detail, rel, None, lengths
+
+
+def compare(old, new):
+    """Print, for each file of two parity directories, whether it is
+    byte-identical and, if not, how far apart its numbers are.
+
+    A .npy array or a text file whose words match up to their numbers
+    gets the largest relative difference of its numbers; each row of a
+    scores.npy, whether its top-20 retrieval order agrees; a file of one
+    number per line (a bound trace, or a bound), its line count: EM
+    iterations for `fit` traces, sweeps + 1 for E-step traces.  Ends with
+    the largest difference per kind of file among the files that differ,
+    the traces whose length moved, and how many rows of all scores.npy
+    files keep their top-20 order.
+    """
+    def files(root):
+        return {str(path.relative_to(root)) for path in root.rglob("*") if path.is_file()}
+
+    old_files, new_files = files(old), files(new)
+    largest, moved, orders = {}, [], [0, 0]
+    counts = dict.fromkeys(("same", "differs", "only"), 0)
+    for name in sorted(old_files | new_files):
+        if name not in new_files or name not in old_files:
+            counts["only"] += 1
+            print(f"only in {'OLD' if name in old_files else 'NEW'}  {name}")
+            continue
+        a, b = old / name, new / name
+        if a.read_bytes() == b.read_bytes():
+            counts["same"] += 1
+            print(f"same     {name}")
+            if a.name == "scores.npy":
+                orders[0] += np.load(a).shape[0]
+            continue
+        counts["differs"] += 1
+        detail, rel, rows, lengths = compare_file(a, b)
+        print(f"differs  {name}  {detail}")
+        parts = name.split("/")
+        kind = f"{parts[0]}/*/{parts[-1]}" if len(parts) > 2 else name
+        if rel is not None and rel >= largest.get(kind, (-1.0, ""))[0]:
+            largest[kind] = rel, name
+        if rows is not None:
+            orders[0] += rows[0]
+            orders[1] += rows[1] - rows[0]
+        if lengths is not None and lengths[0] != lengths[1]:
+            moved.append(f"{name} {lengths[0]} -> {lengths[1]}")
+    print(f"\n{sum(counts.values())} files: {counts['same']} byte-identical, "
+          f"{counts['differs']} differ, {counts['only']} in one tree only")
+    print("largest relative difference, by kind of file:" + ("" if largest else " none"))
+    for kind, (rel, name) in sorted(largest.items()):
+        print(f"  {kind:<32} {rel:.3g}  ({name})")
+    print("files of one number per line whose line count moved:", ", ".join(moved) or "none")
+    print(f"top-20 retrieval orders of the scores.npy rows: {orders[0]} agree, "
+          f"{orders[1]} differ")
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "compare":
+        compare(Path(argv[2]), Path(argv[3]))
+        return
     if len(argv) != 3:
         raise SystemExit(__doc__)
     src, out = Path(argv[1]).resolve(), Path(argv[2])

@@ -173,12 +173,29 @@ class TestVerbose:
         assert lines == []
 
 
+def checkout_env():
+    """The environment of a child interpreter that imports this checkout's sources."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def run_strict(*args):
     """`python -W error -m rtm.cli ARGS` on this checkout's sources."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-W", "error", "-m", "rtm.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=checkout_env(), timeout=300)
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # every command loads what `import rtm.cli` loads, and scipy.stats would
+    # bring optimize, sparse, linalg and more: about 47 MB and 0.5 s of
+    # start-up on a 2-core host.  What scipy.special loads for itself
+    # differs between scipy versions, so only these two are checked
+    probe = ("import sys, rtm, rtm.cli; "
+             "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=checkout_env(), timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def assert_one_line_error(capsys, code, starts):
@@ -515,15 +532,14 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
                         kind="lda", config={"smoothing": 0.01})
     path = str(tmp_path / "m.txt")
     save_model(model, path)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         result = subprocess.run(
             [sys.executable, "-m", "rtm.cli", "report-topics", "--model", path,
              "--top-k", "200"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=checkout_env(),
+            timeout=300)
     finally:
         os.close(write_end)
     assert "Traceback" not in result.stderr

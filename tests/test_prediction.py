@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import psi
+from scipy.stats import rankdata
 
 from rtm import baselines, estimation, linkfn, prediction
 from rtm.corpus import Corpus, generate_synthetic, split_folds, training_view
@@ -499,6 +500,19 @@ class TestRanks:
         for transformed in (mapped, np.exp(scores), 3 * scores - 7):
             np.testing.assert_array_equal(average_ranks(transformed), base_ranks)
             np.testing.assert_array_equal(retrieval_order(transformed), base_order)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), pool=st.lists(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf]) | st.floats(allow_nan=False),
+        min_size=1, max_size=50))
+    def test_equals_scipy_rankdata(self, data, pool):
+        # scores drawn from a pool of 1-50 values tie often; ±inf, 0.0 and
+        # -0.0 (which tie with each other) are drawn into the pool often
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=50)),
+                          dtype=np.float64)
+        ranks = average_ranks(scores)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, rankdata(-scores, method="average"))
 
     def test_retrieval_order_breaks_ties_by_index(self):
         order = retrieval_order(np.array([0.5, 0.9, 0.5]))

@@ -32,7 +32,13 @@ and gaussian link gradients read the document's own mean.  Each
 iteration of a guarded level is one array step over its still-active
 documents, each with its own damping step.  An unguarded block (the
 documents without pairs, or an exponential level) iterates on
-per-document topic weights with lda-c's factored softmax.  Either visit
+per-document topic weights with lda-c's factored softmax.  It holds its
+rows' data per document, padded to its longest document's rows (a pad
+slot has row factor 1 and count 0, so it adds nothing and F @ w stays
+at least 1 there), and an iteration is two batched matmuls over its
+documents; a guarded level keeps flat rows.  The padding costs
+D_b x R_max x K floats per unguarded block, R_max / mean R times the
+rows' own (see `_e_step_blocks`).  Either visit
 reads its documents' state and its neighbors' means when it starts, and
 writes the whole block once, when its last document leaves (see
 `VariationalState` for what each writes).  Each visit returns its
@@ -185,8 +191,8 @@ def _log_beta_matrix(beta):
 #: the arrays of a _Block, by what they have one entry for
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
-                     "lam", "objective", "slack"), "doc"),
-    **dict.fromkeys(("rows", "counts", "lb", "rowmax", "factor", "phi"), "row"),
+                     "lam", "objective", "slack", "factor", "rowmax", "slot_counts"), "doc"),
+    **dict.fromkeys(("rows", "slot", "counts", "lb", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
 
@@ -197,11 +203,14 @@ class _Block:
     Each array in `_FIELDS` has one entry per document, per phi row, or
     per (document, neighbor) pair, in document order.  docs, rows and
     neighbors are corpus indices; row_doc and pair_doc give the position
-    in the block of the document that owns each row and pair.  guarded
-    says whether the block is a guarded level, visited by
-    `_visit_guarded`.  `pair_sum` needs a pair for every document, as in
-    a level.  `take` keeps a subset of the documents with their rows and
-    pairs.
+    in the block of the document that owns each row and pair, and slot
+    the row's position within its document.  guarded says whether the
+    block is a guarded level, visited by `_visit_guarded`.  An unguarded
+    block also holds its rows per document, padded to the block's
+    longest document (see `_e_step_blocks`): factor, rowmax and
+    slot_counts, whose entry [row_doc, slot] is the row's.  `pair_sum`
+    needs a pair for every document, as in a level.  `take` keeps a
+    subset of the documents with their rows and pairs.
     """
 
     def __init__(self, guarded=False, **arrays):
@@ -272,10 +281,11 @@ def _block_layout(corpus, coupled):
     and the corpus rows in block order.
     """
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
+    num_rows, rows = np.diff(corpus.indptr), np.arange(corpus.terms.shape[0])
     whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
-                   num_rows=np.diff(corpus.indptr),
+                   num_rows=num_rows,
                    num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
-                   rows=np.arange(corpus.terms.shape[0]),
+                   rows=rows, slot=rows - np.repeat(corpus.indptr[:-1], num_rows),
                    counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
     # -1 for the documents without pairs
     level = np.where(whole.num_pairs > 0, _levels(corpus) if coupled else 0, -1)
@@ -290,10 +300,21 @@ def _e_step_blocks(corpus, params, layout):
 
     A corpus term whose beta is zero in some topic (an unsmoothed model)
     would start the bound at -inf, as `init_state` puts mass on every
-    topic.  Next to each row's log beta lb, rowmax holds its row max and
-    factor exp(lb - rowmax), for the factored update and the bound terms
-    of `_visit_unguarded`.  A block with pairs is guarded unless the kind
-    is exponential.
+    topic.  A block with pairs is guarded unless the kind is exponential,
+    and holds each row's log beta lb.  An unguarded block (the documents
+    without pairs, or an exponential level) holds its rows per document
+    instead, for `_visit_unguarded`: padded to its longest document, of
+    R_max rows, factor (D_b, R_max, K) holds each row's exp(lb - rowmax),
+    rowmax (D_b, R_max) its row max and slot_counts (D_b, R_max) its
+    count.  A pad slot has lb = 0 in every topic: factor 1, rowmax 0 and
+    count 0.  factor takes D_b x R_max x K floats where the rows take
+    D_b x mean R x K.  R_max / mean R is 1.08-1.22 (median 1.14) on the
+    15-document corpora of the benchmark's fit-exponential draws, and
+    5.4 on the CI end-to-end step's skewed corpus, whose document of 50
+    distinct terms sits next to 8 of 1-5: there the padding is 11 kB and
+    a fit peaks at 56 MB, as before padding.  A corpus with one long
+    document pays its length for every document of that document's
+    block, and at eta = 0 every document is in one block.
     """
     blocks, order = layout
     lb = params.log_beta[:, corpus.terms].T
@@ -301,16 +322,25 @@ def _e_step_blocks(corpus, params, layout):
     if zero.size:
         raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
                          f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
-    lb = lb[order]
-    rowmax = lb.max(axis=1)
-    factor = np.exp(lb - rowmax[:, None])
     guarded = params.link is not None and params.link.kind != "exponential"
-    # views of each block's run of rows
+    # each block's run of rows
     bounds = np.cumsum([block.rows.shape[0] for block in blocks[:-1]])
-    return [block.replace(lb=block_lb, rowmax=block_rowmax, factor=block_factor,
-                          guarded=guarded and block.neighbors.size > 0)
-            for block, block_lb, block_rowmax, block_factor in zip(
-                blocks, *(np.split(rows, bounds) for rows in (lb, rowmax, factor)))]
+    return [block.replace(lb=block_lb, guarded=True) if guarded and block.neighbors.size
+            else _padded(block, block_lb)
+            for block, block_lb in zip(blocks, np.split(lb[order], bounds))]
+
+
+def _padded(block, lb):
+    """The unguarded block with its rows' log beta lb as padded per-document
+    factor, rowmax and slot_counts (see `_e_step_blocks`)."""
+    index = block.row_doc, block.slot
+    padded = np.zeros((block.docs.shape[0], block.num_rows.max(), lb.shape[1]))
+    padded[index] = lb
+    rowmax = padded.max(axis=2)
+    slot_counts = np.zeros_like(rowmax)
+    slot_counts[index] = block.counts
+    return block.replace(factor=np.exp(padded - rowmax[:, :, None]), rowmax=rowmax,
+                         slot_counts=slot_counts, guarded=False)
 
 
 def _store(state, block, phi, gamma, phi_bar):
@@ -543,15 +573,21 @@ def _visit_unguarded(params, state, block, tol):
     w = exp(d - max d), for d = psi(gamma) + offset, phi = F * w / (F @ w)
     row by row, and gamma = alpha + w * sum over rows of
     (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
-    shared by every topic cancels in the softmax.  An iteration computes
-    the new gamma of every active document; a document leaves with its
-    last w and gamma under `_visit_guarded`'s test and cap.  F @ w cannot
-    underflow: the largest weight is exactly 1 and every F entry is at
-    least 1e-300, as `_e_step_blocks` rejects zero beta and
-    `_log_beta_matrix` clamps positive beta at 1e-300.
+    shared by every topic cancels in the softmax.  The block keeps each
+    document's rows in its own padded stretch of F and of the counts
+    (see `_e_step_blocks`), so an iteration is two batched matmuls over
+    the active documents: F @ w for every slot, and the counts over
+    F @ w times F for gamma.  A pad slot adds nothing to gamma, as its
+    count is 0.  A document leaves with its last w and gamma under
+    `_visit_guarded`'s test and cap, and the rest are one index on the
+    document axis.  F @ w cannot underflow: the largest weight is exactly
+    1 and every F entry is at least 1e-300, as `_e_step_blocks` rejects
+    zero beta and `_log_beta_matrix` clamps positive beta at 1e-300; a
+    pad slot's F is 1, so its F @ w is at least 1.
 
     When the last document leaves, the phi rows are formed once from the
-    final w, and the visit writes them, gamma and phi_bar = (gamma -
+    final w, in the padded layout, and the visit writes the documents'
+    rows (block.slot picks them out), gamma and phi_bar = (gamma -
     alpha) / n, the rows' mean, as gamma comes from the same w.  It
     writes no var_bar: nothing reads it before `run_e_step` refreshes it
     (an unguarded document's neighbors are unguarded too, and the link
@@ -561,11 +597,12 @@ def _visit_unguarded(params, state, block, tol):
     The visit returns its documents' own bound terms, from their weights
     rather than their rows.  With log phi = lb - rowmax + log w -
     log(F @ w) in each row, the word and entropy terms are
-    sum_n c_n (rowmax_n + log(F @ w)_n) - n phi_bar . log w; the last
-    product is 0 wherever w underflowed to 0, as gamma - alpha = n phi_bar
-    is exactly 0 there.  And as gamma = alpha + n phi_bar, the z|theta
-    term n phi_bar . E[log theta] cancels (alpha - gamma) . E[log theta]
-    in the theta term, leaving log Gamma(sum alpha) - sum log Gamma(alpha)
+    sum_n c_n (rowmax_n + log(F @ w)_n) - n phi_bar . log w, summed over
+    the padded slots (a pad slot's count is 0); the last product is 0
+    wherever w underflowed to 0, as gamma - alpha = n phi_bar is exactly
+    0 there.  And as gamma = alpha + n phi_bar, the z|theta term
+    n phi_bar . E[log theta] cancels (alpha - gamma) . E[log theta] in
+    the theta term, leaving log Gamma(sum alpha) - sum log Gamma(alpha)
     + sum log Gamma(gamma) - log Gamma(sum gamma).
 
     The visit reads its documents' gamma from the state.  The documents
@@ -579,8 +616,7 @@ def _visit_unguarded(params, state, block, tol):
     offset = None
     if block.neighbors.size:
         offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / block.n[:, None]
-    factor, counts = block.factor, block.counts
-    num_rows, row_doc, starts = block.num_rows, block.row_doc, block.starts
+    factor, counts = block.factor, block.slot_counts
     pos = np.arange(block.docs.shape[0])
     # _visit_guarded's test, mean |change| per topic per token below tol,
     # as a limit on the summed change
@@ -588,10 +624,8 @@ def _visit_unguarded(params, state, block, tol):
     final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):
         w = _topic_weights(gamma, offset)
-        # take: a row gather several times faster than w[row_doc] here
-        norm = np.einsum("rk,rk->r", factor, w.take(row_doc, axis=0))
-        new_gamma = params.alpha + w * np.add.reduceat((counts / norm)[:, None] * factor,
-                                                       starts, axis=0)
+        norm = np.matmul(factor, w[:, :, None])[:, :, 0]
+        new_gamma = params.alpha + w * np.matmul((counts / norm)[:, None, :], factor)[:, 0]
         leaving = np.abs(new_gamma - gamma).sum(axis=1) < limit
         gamma = new_gamma
         num_leaving = np.count_nonzero(leaving)
@@ -600,24 +634,21 @@ def _visit_unguarded(params, state, block, tol):
         if num_leaving:
             final_w[pos[leaving]], final_gamma[pos[leaving]] = w[leaving], gamma[leaving]
             stay = ~leaving
-            rows = stay[row_doc]
-            pos, w, gamma, limit = pos[stay], w[stay], gamma[stay], limit[stay]
+            pos, w, gamma, limit, factor, counts = (
+                part[stay] for part in (pos, w, gamma, limit, factor, counts))
             if offset is not None:
                 offset = offset[stay]
-            factor, counts, num_rows = factor[rows], counts[rows], num_rows[stay]
-            row_doc = np.repeat(np.arange(pos.shape[0]), num_rows)
-            starts = np.cumsum(num_rows) - num_rows
     final_w[pos], final_gamma[pos] = w, gamma
-    phi = block.factor * final_w[block.row_doc]
-    norm = phi.sum(axis=1)
-    phi /= norm[:, None]
+    phi = block.factor * final_w[:, None, :]
+    norm = phi.sum(axis=2)
+    phi /= norm[:, :, None]
     alpha = params.alpha
     topic_counts = final_gamma - alpha  # n phi_bar
-    state.phi[block.rows] = phi
+    state.phi[block.rows] = phi[block.row_doc, block.slot]
     state.gamma[block.docs] = final_gamma
     state.phi_bar[block.docs] = topic_counts / block.n[:, None]
     own = (gammaln(final_gamma).sum(axis=1) - gammaln(final_gamma.sum(axis=1))
-           + np.add.reduceat(block.counts * (block.rowmax + np.log(norm)), block.starts)
+           + (block.slot_counts * (block.rowmax + np.log(norm))).sum(axis=1)
            - xlogy(topic_counts, final_w).sum(axis=1))
     return float(own.sum() + block.docs.shape[0] * (gammaln(alpha.sum()) - gammaln(alpha).sum()))
 
@@ -654,7 +685,9 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     unless a caller that has just computed it, as `fit` has after an
     M-step, passes it as start_bound.  A sweep's value is the sum of the
     own terms its visits return plus the link term over the observed
-    links, so no sweep reads every phi row again.  On return var_bar is
+    links, so no sweep reads every phi row again.  Uncoupled (eta = 0 or
+    no link), the link term does not depend on the state and is computed
+    once per E-step.  On return var_bar is
     refreshed for every document, so phi_bar, var_bar and the rows
     agree (see `VariationalState`).  Deterministic, with fixed
     summation order.
@@ -662,13 +695,18 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    blocks = _e_step_blocks(corpus, params, state.layout(corpus, _coupled(params)))
+    coupled = _coupled(params)
+    blocks = _e_step_blocks(corpus, params, state.layout(corpus, coupled))
     current = elbo(corpus, params, state).total if start_bound is None else start_bound
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")
+    # uncoupled, every link's predictor is exactly nu (-nu for the gaussian
+    # kind) whatever the state, so every sweep has the same link term
+    link_term = None if coupled else _link_term(corpus, params, state)
     trace = [current]
     for _ in range(max_sweeps):
-        value = _sweep(params, state, blocks, tol) + _link_term(corpus, params, state)
+        value = _sweep(params, state, blocks, tol) + (
+            _link_term(corpus, params, state) if coupled else link_term)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")
         trace.append(value)

@@ -31,31 +31,58 @@ def e_step_blocks(corpus, params):
     return inference._e_step_blocks(corpus, params, layout)
 
 
+def assert_padded(block, corpus, params):
+    """An unguarded block's padded arrays hold each document's rows in its
+    first num_rows slots, in row order, at [row_doc, slot]: the row factor
+    exp(lb - rowmax), rowmax and count.  Its pad slots hold factor 1,
+    rowmax 0 and count 0, and it keeps no flat log beta."""
+    assert not block.guarded and not hasattr(block, "lb")
+    lb = params.log_beta[:, corpus.terms[block.rows]].T
+    rowmax = lb.max(axis=1)
+    rows = block.row_doc, block.slot
+    filled = np.zeros(block.slot_counts.shape, dtype=bool)
+    filled[rows] = True
+    np.testing.assert_array_equal(filled, np.arange(filled.shape[1]) < block.num_rows[:, None])
+    assert block.factor.shape == (*filled.shape, params.num_topics)
+    np.testing.assert_array_equal(block.factor[rows], np.exp(lb - rowmax[:, None]))
+    np.testing.assert_array_equal(block.rowmax[rows], rowmax)
+    np.testing.assert_array_equal(block.slot_counts[rows], corpus.counts[block.rows])
+    assert np.all(block.factor[~filled] == 1.0)
+    assert not block.rowmax[~filled].any() and not block.slot_counts[~filled].any()
+
+
 def one_doc_block(state, params, d):
-    """Document d alone, taken from the E-step block that holds it."""
+    """Document d alone, taken from the E-step block that holds it.  Taken
+    from an unguarded block, it keeps that block's padding; the padded
+    arrays are checked before and after the take."""
     (block,) = [block for block in e_step_blocks(state.corpus, params)
                 if d in block.docs]
-    return block.take(block.docs == d)
+    alone = block.take(block.docs == d)
+    if not block.guarded:
+        for padded in (block, alone):
+            assert_padded(padded, state.corpus, params)
+    return alone
 
 
 def new_phi_row(d, term, state, params):
     """Row of term in the E-step's whole-document phi update of document d.
 
     The document must be unguarded (no link component, or the
-    exponential kind): its update is the factored one on topic weights.
-    A visit capped at one iteration writes the rows formed from the
-    state's gamma; it visits a copy, so state is left as it is.
+    exponential kind): its update is the factored one on topic weights,
+    and the term's row sits in the slot of its position in d.  A visit
+    capped at one iteration writes the rows formed from the state's
+    gamma; it visits a copy, so state is left as it is.
     """
-    terms = state.corpus.doc(d)[0]
-    term_index = int(np.searchsorted(terms, term))
-    assert terms[term_index] == term
+    terms, counts = state.corpus.doc(d)
+    (slot,) = np.flatnonzero(terms == term)
     block = one_doc_block(state, params, d)
     assert not block.guarded
+    assert block.slot_counts[0, slot] == counts[slot]
     visited = inference.VariationalState(state.corpus, state.gamma.copy(), state.phi.copy())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_DOC_MAX_ITERS", 1)
         inference._visit_unguarded(params, visited, block, 1e-6)
-    return visited.phi[state.corpus.rows(d)][term_index]
+    return visited.phi[block.rows[block.slot == slot]][0]
 
 
 def sequential_visit(corpus, params, state, d, tol):
@@ -304,7 +331,12 @@ class TestUpdateGamma:
         params = make_params([[1.0, 1e-300], [1e-300, 1.0]], [0.5, 0.5])
         state = init_state(c, 2, params.alpha)
         reference = init_state(c, 2, params.alpha)
-        inference._visit_unguarded(params, state, one_doc_block(state, params, 0), 1e-6)
+        block = one_doc_block(state, params, 0)
+        # the document's two slots: its row factors are one-hot up to 1e-300
+        np.testing.assert_allclose(block.factor[0], [[1.0, 1e-300], [1e-300, 1.0]],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(block.slot_counts[0], [count for _, count in doc])
+        inference._visit_unguarded(params, state, block, 1e-6)
         reference_visit(c, params, reference, 0, 1e-6)
         np.testing.assert_allclose(state.phi, np.eye(2), rtol=0, atol=1e-299)
         np.testing.assert_allclose(state.phi, reference.phi, rtol=0, atol=1e-299)
@@ -588,6 +620,38 @@ class TestEStep:
         # one pair evaluation per observed link per bound evaluation:
         # the initial value plus exactly one per sweep
         assert linkfn.pair_evals.count == len(trace) * corpus.num_links
+
+    @pytest.mark.parametrize("kind", linkfn.KINDS)
+    def test_uncoupled_link_term_is_computed_once(self, kind, monkeypatch):
+        # at eta = 0 every link's predictor is exactly nu (-nu for gaussian),
+        # whatever the state, so run_e_step computes the link term once; its
+        # trace must be byte for byte the one with each sweep's own link term
+        corpus, _ = generate_synthetic(2, 8, 20, 12, np.array([0.5, 0.5]),
+                                       np.array([-0.6, -0.6]), -0.8, "exponential", seed=11)
+        assert corpus.num_links > 0
+        link = LinkParams(eta=np.zeros(2), nu=-0.8 if kind == "exponential" else 0.8, kind=kind)
+        beta = np.arange(1.0, 9.0)
+        params = make_params(np.stack([beta, beta[::-1]]) / beta.sum(), [0.5, 0.5], link)
+        state = init_state(corpus, 2, params.alpha)
+        link_term, sweep = inference._link_term, inference._sweep
+        calls, expected = [], []
+
+        def counted_link_term(*args):
+            calls.append(args)
+            return link_term(*args)
+
+        def sweep_and_its_link_term(params, state, blocks, tol):
+            own = sweep(params, state, blocks, tol)
+            expected.append(own + link_term(corpus, params, state))
+            return own
+
+        monkeypatch.setattr(inference, "_link_term", counted_link_term)
+        monkeypatch.setattr(inference, "_sweep", sweep_and_its_link_term)
+        _, trace = run_e_step(corpus, params, state, tol=1e-10, max_sweeps=30)
+        assert len(trace) > 3
+        assert [value.hex() for value in trace[1:]] == [value.hex() for value in expected]
+        # elbo's at the start, and the one for every sweep
+        assert len(calls) == 2
 
     def test_sweep_cap_is_logged_once(self, caplog):
         corpus, _ = generate_synthetic(2, 8, 20, 12, np.array([0.5, 0.5]),
@@ -960,9 +1024,13 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
 
 
 def assert_same_blocks(blocks, expected):
+    """Same arrays in the same blocks: a guarded block's log beta rows, an
+    unguarded block's padded arrays, and every layout array."""
     assert len(blocks) == len(expected)
     for block, other in zip(blocks, expected):
         assert vars(block).keys() == vars(other).keys()
+        rows = {"lb"} if other.guarded else {"factor", "rowmax", "slot_counts", "slot"}
+        assert rows <= vars(other).keys()
         for name, value in vars(other).items():
             np.testing.assert_array_equal(getattr(block, name), value, err_msg=name)
 
@@ -1117,6 +1185,77 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
+@st.composite
+def skewed_corpora(draw, num_terms=24):
+    """Corpora of 1-row documents and documents of 10 to 16 rows, at least
+    one of each, with drawn links: an unguarded block pads a 1-row
+    document to its longest document's rows."""
+    num_docs = draw(st.integers(3, 8))
+    short = st.lists(st.integers(0, num_terms - 1), min_size=1, max_size=1)
+    long = st.lists(st.integers(0, num_terms - 1), min_size=10, max_size=16, unique=True)
+    docs = [draw(short), draw(long)] + [draw(short | long) for _ in range(num_docs - 2)]
+    docs = [[(term, draw(st.integers(1, 3))) for term in doc] for doc in docs]
+    pairs = [(a, b) for a in range(num_docs) for b in range(a + 1, num_docs)]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=num_docs))
+    return Corpus([f"w{i}" for i in range(num_terms)], docs, links)
+
+
+def test_padding_never_leaks():
+    # an unguarded block pads every document's rows to its longest
+    # document's; a 1-row document next to ones of 10 or more rows must get
+    # what the per-document reference gives it, whether the block's
+    # documents leave its loop at different iterations or all at the first
+    # (tol 1).  The sweep's own terms must be the bound of the state without
+    # its link term, to test_sweep_bound_is_the_bound_of_the_state's 1e-12
+    # of scale: here N <= 8 documents x 16 slots x 3 topics + 8 links = 392
+    # terms, so the two differ by at most about 10 x 450 x 1.1e-16 = 5e-13
+    # of scale.  seen records which of the two cases the examples reached
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=40, phases=NO_SHRINK)
+    @given(data=st.data(), corpus=skewed_corpora(), num_topics=st.integers(2, 3),
+           seed=st.integers(0, 2**16), tol=st.sampled_from([1e-6, 1.0]),
+           exponential=st.booleans())
+    def check(data, corpus, num_topics, seed, tol, exponential):
+        alpha = np.full(num_topics, 1.0 / num_topics)
+        beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms),
+                                                     size=num_topics)
+        link = data.draw(link_params("exponential", num_topics)) if exponential else None
+        params = make_params(beta, alpha, link)
+        blocks = e_step_blocks(corpus, params)
+        state = init_state(corpus, num_topics, alpha)
+        reference = init_state(corpus, num_topics, alpha)
+        # per visit, the number of documents still iterating in each iteration
+        active, visit, weights = [], inference._visit_unguarded, inference._topic_weights
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_visit_unguarded",
+                          lambda *args: active.append([]) or visit(*args))
+            patch.setattr(inference, "_topic_weights",
+                          lambda gamma, offset: active[-1].append(gamma.shape[0])
+                          or weights(gamma, offset))
+            own = inference._sweep(params, state, blocks, tol)
+        for d in range(corpus.num_docs):
+            reference_visit(corpus, params, reference, d, tol)
+        state.refresh_var_bar()
+        assert_same_state(state, reference)
+        bound = elbo(corpus, params, state)
+        parts = (bound.z_given_theta_term, bound.word_term, bound.theta_prior_term,
+                 bound.entropy_term)
+        scale = abs(bound.link_term) + sum(abs(part) for part in parts)
+        assert abs(own - sum(parts)) <= 1e-12 * scale
+        assert len(active) == len(blocks)
+        for block, counts in zip(blocks, active):
+            assert_padded(block, corpus, params)
+            if block.num_rows.min() == 1 and block.num_rows.max() >= 10:
+                if counts == [block.docs.size]:
+                    seen.add("all at the first iteration")
+                elif len(set(counts)) > 1:
+                    seen.add("at different iterations")
+
+    check()
+    assert seen == {"all at the first iteration", "at different iterations"}
+
+
 def literal_gradient_coefficient(kind, x):
     """c(x) = d log psi / dx, from the sigmoid and probit link definitions."""
     if kind == "sigmoid":
@@ -1206,7 +1345,8 @@ def test_sweep_bound_is_the_bound_of_the_state(kind, data, corpus, num_topics, a
     # term; it must be the bound of the state the sweep leaves.  Both sums
     # add the same per-document and per-link terms in another order, but
     # an unguarded document's terms come from its weights (see
-    # _visit_unguarded): sum_n c_n (rowmax_n + log(F @ w)_n) - n phi_bar .
+    # _visit_unguarded): the sum over its padded slots of c (rowmax +
+    # log(F @ w)), 0 in a pad slot as its count c is, minus n phi_bar .
     # log w for its word and entropy terms, and log Gamma sums for its
     # z|theta and theta terms.  Each of the bound's five parts sums terms
     # of one sign, so their magnitudes add up to the part's; scale adds
@@ -1216,7 +1356,7 @@ def test_sweep_bound_is_the_bound_of_the_state(kind, data, corpus, num_topics, a
     # E[log theta] products.  So the weights form's terms are a few times
     # scale at most (take 10).  A sum of N terms with m roundings each is
     # off by at most (N + m) u of its terms' magnitude; here N <= 10
-    # documents x 4 rows x 3 topics + 45 links = 165 and m is a few tens,
+    # documents x 4 slots x 3 topics + 45 links = 165 and m is a few tens,
     # so the two values differ by at most about 10 x 200 x 1.1e-16 =
     # 2.2e-13 of scale.  The tolerance is 1e-12
     beta = data.draw(extreme_topics(num_topics, corpus.num_terms))

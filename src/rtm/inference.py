@@ -16,7 +16,7 @@ documents it has pairs with, its linked neighbors.  Every kind's link
 gradient is proportional to eta, so at eta = 0 (where each fit starts),
 as without a link component, no document has pairs.  A document without
 pairs reads no one's mean and no one reads its, so all such documents
-form one block, visited first.  The others run as a wavefront, grouped
+are visited first, together.  The others run as a wavefront, grouped
 into levels: level[d] is 1 + the highest level of a lower-indexed
 neighbor of d, or 0 if there is none.  No two documents of a level are
 linked, every lower-indexed neighbor of a document sits in an earlier
@@ -24,8 +24,9 @@ level and every higher-indexed one in a later level.  Updating the
 blocks in turn, all documents of a block together, therefore gives each
 document exactly the values that the index-order sweep gives it.  Every
 document of a block keeps its own convergence test and iteration cap.
-The blocks depend only on the corpus and on whether eta is zero, so the
-state keeps their layout, and an E-step only gathers log beta into it.
+The blocks depend only on the corpus, on whether eta is zero and on
+whether the kind is exponential, so the state keeps their layout, and
+an E-step only gathers log beta into it.
 
 A level is guarded unless the kind is exponential: the sigmoid, probit
 and gaussian link gradients read the document's own mean.  Each
@@ -37,8 +38,10 @@ rows' data per document, padded to its longest document's rows (a pad
 slot has row factor 1 and count 0, so it adds nothing and F @ w stays
 at least 1 there), and an iteration is two batched matmuls over its
 documents; a guarded level keeps flat rows.  The padding costs
-D_b x R_max x K floats per unguarded block, R_max / mean R times the
-rows' own (see `_e_step_blocks`).  Either visit
+D_b x R_max x K floats per unguarded block, so the documents without
+pairs and each exponential level are split into runs of documents
+whose padded slots are at most twice their rows (see `_runs`), and a
+visit steps all runs of its level together.  Either visit
 reads its documents' state and its neighbors' means when it starts, and
 writes the whole block once, when its last document leaves (see
 `VariationalState` for what each writes).  Each visit returns its
@@ -59,6 +62,7 @@ update reads the live per-document means, so a document visit sees the
 neighbors already updated in the same sweep.
 """
 
+import itertools
 import logging
 
 from dataclasses import dataclass, field
@@ -145,12 +149,13 @@ class VariationalState:
         self.phi_bar, self.var_bar = _mean(*moments), _variance(*moments)
         self._layouts = {}
 
-    def layout(self, corpus, coupled):
-        """`_block_layout(corpus, coupled)`, built on first use, and again
-        for a corpus other than the one it was built for."""
-        cached = self._layouts.get(coupled)
+    def layout(self, corpus, params):
+        """`_block_layout` of corpus for params, built on first use, and
+        again for a corpus other than the one it was built for."""
+        key = _coupled(params), _guarded(params)
+        cached = self._layouts.get(key)
         if cached is None or cached[0] is not corpus:
-            cached = self._layouts[coupled] = corpus, _block_layout(corpus, coupled)
+            cached = self._layouts[key] = corpus, _block_layout(corpus, *key)
         return cached[1]
 
     @property
@@ -192,7 +197,7 @@ def _log_beta_matrix(beta):
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
                      "lam", "objective", "slack", "factor", "rowmax", "slot_counts"), "doc"),
-    **dict.fromkeys(("rows", "slot", "counts", "lb", "phi"), "row"),
+    **dict.fromkeys(("rows", "counts", "lb", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
 
@@ -201,14 +206,16 @@ class _Block:
     """A set of documents updated together, with their phi rows and links.
 
     Each array in `_FIELDS` has one entry per document, per phi row, or
-    per (document, neighbor) pair, in document order.  docs, rows and
-    neighbors are corpus indices; row_doc and pair_doc give the position
-    in the block of the document that owns each row and pair, and slot
-    the row's position within its document.  guarded says whether the
-    block is a guarded level, visited by `_visit_guarded`.  An unguarded
-    block also holds its rows per document, padded to the block's
-    longest document (see `_e_step_blocks`): factor, rowmax and
-    slot_counts, whose entry [row_doc, slot] is the row's.  `pair_sum`
+    per (document, neighbor) pair, in the block's document order.  docs,
+    rows and neighbors are corpus indices; row_doc and pair_doc give the
+    position in the block of the document that owns each row and pair.
+    level is the wavefront level of an E-step block's documents (-1 for
+    the documents without pairs), and guarded says whether the block is
+    a guarded level, visited by `_visit_guarded`.  An unguarded block is
+    one run of its level (see `_runs`) and also holds its rows per
+    document, padded to its longest document (see `_e_step_blocks`):
+    factor, rowmax and slot_counts, whose first num_rows slots of each
+    document hold its rows.  `pair_sum`
     needs a pair for every document, as in a level.  `take` keeps a
     subset of the documents with their rows and pairs.
     """
@@ -271,27 +278,66 @@ def _coupled(params):
     return params.link is not None and bool(params.link.eta.any())
 
 
-def _block_layout(corpus, coupled):
+def _guarded(params):
+    """Whether the levels of documents with pairs are guarded (see the module docstring)."""
+    return params.link is not None and params.link.kind != "exponential"
+
+
+def _block_layout(corpus, coupled, guarded):
     """The E-step's blocks in visit order, without their log beta, and their row order.
 
-    First the documents without pairs, as one block; then one block per
-    wavefront level of the others (see the module docstring).
-    Uncoupled, no document has pairs, so every document is in the first
-    block.  A block with no documents is left out.  Returns the blocks
-    and the corpus rows in block order.
+    First the documents without pairs, then one block per wavefront
+    level of the others (see the module docstring), guarded if guarded
+    is set.  Uncoupled, no document has pairs, so every document is
+    without pairs.  The documents without pairs, and each level that is
+    not guarded, are split into the runs of `_runs`, one block each.
+    Each block records its level.  A block with no documents is left
+    out.  Returns the blocks and the corpus rows in block order.
     """
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
-    num_rows, rows = np.diff(corpus.indptr), np.arange(corpus.terms.shape[0])
     whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
-                   num_rows=num_rows,
+                   num_rows=np.diff(corpus.indptr),
                    num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
-                   rows=rows, slot=rows - np.repeat(corpus.indptr[:-1], num_rows),
+                   rows=np.arange(corpus.terms.shape[0]),
                    counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
     # -1 for the documents without pairs
     level = np.where(whole.num_pairs > 0, _levels(corpus) if coupled else 0, -1)
-    blocks = [whole.take(level == i) for i in range(-1, int(level.max()) + 1)]
+    blocks = []
+    for i in range(-1, int(level.max()) + 1):
+        block = whole.take(level == i)
+        if i >= 0 and guarded:
+            blocks.append(block.replace(guarded=True, level=i))
+        else:
+            blocks.extend(run.replace(level=i) for run in _runs(block))
     blocks = [block for block in blocks if block.docs.size]
     return blocks, np.concatenate([block.rows for block in blocks])
+
+
+def _runs(block):
+    """The block's documents split into runs; padded to its longest
+    document, a run takes at most twice its rows' slots.
+
+    Longest first, a run takes documents while its size times its first
+    document's rows stays within twice their rows.  That holds for a
+    prefix of the rest, and for every document of at least half the
+    first one's rows, so the next run starts below half of that, and
+    there are at most 1 + log2 of the longest document's rows runs.  A
+    block whose documents all fit in one run is returned as it is.
+    """
+    num_rows = block.num_rows
+    if num_rows.size * num_rows.max(initial=0) <= 2 * num_rows.sum():
+        return [block]
+    order = np.argsort(-num_rows, kind="stable")
+    rows = num_rows[order]
+    runs, start = [], 0
+    while start < rows.size:
+        size = np.arange(1, rows.size - start + 1)
+        end = start + np.count_nonzero(size * rows[start] <= 2 * np.cumsum(rows[start:]))
+        keep = np.zeros(rows.size, dtype=bool)
+        keep[order[start:end]] = True
+        runs.append(block.take(keep))
+        start = end
+    return runs
 
 
 def _e_step_blocks(corpus, params, layout):
@@ -300,21 +346,15 @@ def _e_step_blocks(corpus, params, layout):
 
     A corpus term whose beta is zero in some topic (an unsmoothed model)
     would start the bound at -inf, as `init_state` puts mass on every
-    topic.  A block with pairs is guarded unless the kind is exponential,
-    and holds each row's log beta lb.  An unguarded block (the documents
-    without pairs, or an exponential level) holds its rows per document
-    instead, for `_visit_unguarded`: padded to its longest document, of
-    R_max rows, factor (D_b, R_max, K) holds each row's exp(lb - rowmax),
-    rowmax (D_b, R_max) its row max and slot_counts (D_b, R_max) its
-    count.  A pad slot has lb = 0 in every topic: factor 1, rowmax 0 and
-    count 0.  factor takes D_b x R_max x K floats where the rows take
-    D_b x mean R x K.  R_max / mean R is 1.08-1.22 (median 1.14) on the
-    15-document corpora of the benchmark's fit-exponential draws, and
-    5.4 on the CI end-to-end step's skewed corpus, whose document of 50
-    distinct terms sits next to 8 of 1-5: there the padding is 11 kB and
-    a fit peaks at 56 MB, as before padding.  A corpus with one long
-    document pays its length for every document of that document's
-    block, and at eta = 0 every document is in one block.
+    topic.  A guarded block holds each row's log beta lb.  An unguarded
+    block (a run of the documents without pairs or of an exponential
+    level) holds its rows per document instead, for `_visit_unguarded`:
+    padded to its longest document, of R_max rows, factor (D_b, R_max, K)
+    holds each row's exp(lb - rowmax), rowmax (D_b, R_max) its row max
+    and slot_counts (D_b, R_max) its count, each document's rows in its
+    first num_rows slots.  A pad slot has lb = 0 in every topic: factor 1,
+    rowmax 0 and count 0.  factor takes D_b x R_max x K floats, at most
+    twice its rows' own, as a run's D_b x R_max is (see `_runs`).
     """
     blocks, order = layout
     lb = params.log_beta[:, corpus.terms].T
@@ -322,25 +362,23 @@ def _e_step_blocks(corpus, params, layout):
     if zero.size:
         raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
                          f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
-    guarded = params.link is not None and params.link.kind != "exponential"
     # each block's run of rows
     bounds = np.cumsum([block.rows.shape[0] for block in blocks[:-1]])
-    return [block.replace(lb=block_lb, guarded=True) if guarded and block.neighbors.size
-            else _padded(block, block_lb)
+    return [block.replace(lb=block_lb) if block.guarded else _padded(block, block_lb)
             for block, block_lb in zip(blocks, np.split(lb[order], bounds))]
 
 
 def _padded(block, lb):
     """The unguarded block with its rows' log beta lb as padded per-document
     factor, rowmax and slot_counts (see `_e_step_blocks`)."""
-    index = block.row_doc, block.slot
-    padded = np.zeros((block.docs.shape[0], block.num_rows.max(), lb.shape[1]))
-    padded[index] = lb
+    filled = np.arange(block.num_rows.max()) < block.num_rows[:, None]
+    padded = np.zeros((*filled.shape, lb.shape[1]))
+    padded[filled] = lb
     rowmax = padded.max(axis=2)
     slot_counts = np.zeros_like(rowmax)
-    slot_counts[index] = block.counts
+    slot_counts[filled] = block.counts
     return block.replace(factor=np.exp(padded - rowmax[:, :, None]), rowmax=rowmax,
-                         slot_counts=slot_counts, guarded=False)
+                         slot_counts=slot_counts)
 
 
 def _store(state, block, phi, gamma, phi_bar):
@@ -564,35 +602,38 @@ def _topic_weights(gamma, offset):
     return np.exp(d - d.max(axis=1, keepdims=True))
 
 
-def _visit_unguarded(params, state, block, tol):
-    """Run the phi/gamma iteration of an unguarded block on topic weights.
+def _visit_unguarded(params, state, runs, tol):
+    """Run the phi/gamma iteration of an unguarded level on topic weights.
 
-    No document of an unguarded block reads its own mean or another
+    runs are the unguarded blocks of one level (or of the documents
+    without pairs), visited together: every iteration steps all their
+    active documents.  No document of them reads its own mean or another
     document's, so its phi rows are lda-c's factored softmax: with the
-    row factors F (block.factor) and the document's topic weights
+    row factors F (the run's factor) and the document's topic weights
     w = exp(d - max d), for d = psi(gamma) + offset, phi = F * w / (F @ w)
     row by row, and gamma = alpha + w * sum over rows of
     (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
-    shared by every topic cancels in the softmax.  The block keeps each
+    shared by every topic cancels in the softmax.  A run keeps each
     document's rows in its own padded stretch of F and of the counts
-    (see `_e_step_blocks`), so an iteration is two batched matmuls over
-    the active documents: F @ w for every slot, and the counts over
-    F @ w times F for gamma.  A pad slot adds nothing to gamma, as its
-    count is 0.  A document leaves with its last w and gamma under
+    (see `_e_step_blocks`), so an iteration is two batched matmuls per
+    run over its active documents: F @ w for every slot, and the counts
+    over F @ w times F for gamma.  A pad slot adds nothing to gamma, as
+    its count is 0.  A document leaves with its last w and gamma under
     `_visit_guarded`'s test and cap, and the rest are one index on the
-    document axis.  F @ w cannot underflow: the largest weight is exactly
-    1 and every F entry is at least 1e-300, as `_e_step_blocks` rejects
-    zero beta and `_log_beta_matrix` clamps positive beta at 1e-300; a
-    pad slot's F is 1, so its F @ w is at least 1.
+    document axis of each array.  F @ w cannot underflow: the largest
+    weight is exactly 1 and every F entry is at least 1e-300, as
+    `_e_step_blocks` rejects zero beta and `_log_beta_matrix` clamps
+    positive beta at 1e-300; a pad slot's F is 1, so its F @ w is at
+    least 1.
 
     When the last document leaves, the phi rows are formed once from the
-    final w, in the padded layout, and the visit writes the documents'
-    rows (block.slot picks them out), gamma and phi_bar = (gamma -
-    alpha) / n, the rows' mean, as gamma comes from the same w.  It
-    writes no var_bar: nothing reads it before `run_e_step` refreshes it
-    (an unguarded document's neighbors are unguarded too, and the link
-    term reads variances only for the gaussian kind, whose unguarded
-    documents have no links or eta = 0).
+    final w, run by run in the padded layout, and the visit writes the
+    documents' rows (each document's first num_rows slots), gamma and
+    phi_bar = (gamma - alpha) / n, the rows' mean, as gamma comes from
+    the same w.  It writes no var_bar: nothing reads it before
+    `run_e_step` refreshes it (an unguarded document's neighbors are
+    unguarded too, and the link term reads variances only for the
+    gaussian kind, whose unguarded documents have no links or eta = 0).
 
     The visit returns its documents' own bound terms, from their weights
     rather than their rows.  With log phi = lb - rowmax + log w -
@@ -612,20 +653,29 @@ def _visit_unguarded(params, state, block, tol):
     neighbors sit in other blocks, so their means, and the offsets, stay
     fixed during the visit.  The documents without pairs have no offset.
     """
-    gamma = state.gamma[block.docs]
+    # the runs' documents, one after another
+    block = runs[0] if len(runs) == 1 else _Block(**{
+        name: np.concatenate([getattr(run, name) for run in runs])
+        for name in ("docs", "n", "num_rows", "num_pairs", "neighbors")})
+    docs, n = block.docs, block.n
+    gamma = state.gamma[docs]
     offset = None
     if block.neighbors.size:
-        offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / block.n[:, None]
-    factor, counts = block.factor, block.slot_counts
-    pos = np.arange(block.docs.shape[0])
+        offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / n[:, None]
+    # each run's padded arrays and its stretch of the active documents
+    parts = _stretches([(run.factor, run.slot_counts) for run in runs])
+    pos = np.arange(docs.shape[0])
     # _visit_guarded's test, mean |change| per topic per token below tol,
     # as a limit on the summed change
-    limit = tol * gamma.shape[1] * block.n
+    limit = tol * gamma.shape[1] * n
     final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):
         w = _topic_weights(gamma, offset)
-        norm = np.matmul(factor, w[:, :, None])[:, :, 0]
-        new_gamma = params.alpha + w * np.matmul((counts / norm)[:, None, :], factor)[:, 0]
+        sums = []
+        for factor, counts, start, stop in parts:
+            norm = np.matmul(factor, w[start:stop, :, None])[:, :, 0]
+            sums.append(np.matmul((counts / norm)[:, None, :], factor)[:, 0])
+        new_gamma = params.alpha + w * (sums[0] if len(sums) == 1 else np.concatenate(sums))
         leaving = np.abs(new_gamma - gamma).sum(axis=1) < limit
         gamma = new_gamma
         num_leaving = np.count_nonzero(leaving)
@@ -634,27 +684,45 @@ def _visit_unguarded(params, state, block, tol):
         if num_leaving:
             final_w[pos[leaving]], final_gamma[pos[leaving]] = w[leaving], gamma[leaving]
             stay = ~leaving
-            pos, w, gamma, limit, factor, counts = (
-                part[stay] for part in (pos, w, gamma, limit, factor, counts))
+            pos, w, gamma, limit = pos[stay], w[stay], gamma[stay], limit[stay]
             if offset is not None:
                 offset = offset[stay]
+            parts = _stretches([(factor[stay[start:stop]], counts[stay[start:stop]])
+                                for factor, counts, start, stop in parts])
     final_w[pos], final_gamma[pos] = w, gamma
-    phi = block.factor * final_w[:, None, :]
-    norm = phi.sum(axis=2)
-    phi /= norm[:, :, None]
     alpha = params.alpha
     topic_counts = final_gamma - alpha  # n phi_bar
-    state.phi[block.rows] = phi[block.row_doc, block.slot]
-    state.gamma[block.docs] = final_gamma
-    state.phi_bar[block.docs] = topic_counts / block.n[:, None]
+    state.gamma[docs] = final_gamma
+    state.phi_bar[docs] = topic_counts / n[:, None]
+    row_terms, start = [], 0
+    for run in runs:
+        stop = start + run.docs.shape[0]
+        phi = run.factor * final_w[start:stop, None, :]
+        norm = phi.sum(axis=2)
+        phi /= norm[:, :, None]
+        state.phi[run.rows] = phi[np.arange(phi.shape[1]) < run.num_rows[:, None]]
+        row_terms.append((run.slot_counts * (run.rowmax + np.log(norm))).sum(axis=1))
+        start = stop
     own = (gammaln(final_gamma).sum(axis=1) - gammaln(final_gamma.sum(axis=1))
-           + (block.slot_counts * (block.rowmax + np.log(norm))).sum(axis=1)
-           - xlogy(topic_counts, final_w).sum(axis=1))
-    return float(own.sum() + block.docs.shape[0] * (gammaln(alpha.sum()) - gammaln(alpha).sum()))
+           + np.concatenate(row_terms) - xlogy(topic_counts, final_w).sum(axis=1))
+    return float(own.sum() + docs.shape[0] * (gammaln(alpha.sum()) - gammaln(alpha).sum()))
+
+
+def _stretches(parts):
+    """Each tuple of per-document arrays with the start and stop of its
+    documents among all, its first array's documents following the
+    previous tuple's; a tuple without documents is left out."""
+    stretches, start = [], 0
+    for arrays in parts:
+        stop = start + arrays[0].shape[0]
+        if stop > start:
+            stretches.append((*arrays, start, stop))
+        start = stop
+    return stretches
 
 
 def _sweep(params, state, blocks, tol):
-    """One full coordinate-ascent pass over all documents, block by block.
+    """One full coordinate-ascent pass over all documents, level by level.
 
     For the sigmoid, probit, and gaussian kinds the link gradient reads
     the document's own mean, which the whole-document update takes from
@@ -663,15 +731,15 @@ def _sweep(params, state, blocks, tol):
     safeguarded iteration by iteration (see `_visit_guarded`), so a visit
     never lowers the document's block objective.  The exponential kind
     is an exact block coordinate maximization and needs no safeguard,
-    nor do the documents without pairs; those blocks iterate on topic
-    weights (see `_visit_unguarded`).  Returns the sum of the documents'
-    own bound terms that the visits return: the bound without its link
-    term.
+    nor do the documents without pairs; those levels iterate on topic
+    weights, all runs of a level in one visit (see `_visit_unguarded`).
+    Returns the sum of the documents' own bound terms that the visits
+    return: the bound without its link term.
     """
     total = 0.0
-    for block in blocks:
-        visit = _visit_guarded if block.guarded else _visit_unguarded
-        total += visit(params, state, block, tol)
+    for _, (block, *runs) in itertools.groupby(blocks, key=lambda block: block.level):
+        total += (_visit_guarded(params, state, block, tol) if block.guarded
+                  else _visit_unguarded(params, state, [block, *runs], tol))
     return total
 
 
@@ -696,7 +764,7 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
         raise ValueError("tol must be positive")
 
     coupled = _coupled(params)
-    blocks = _e_step_blocks(corpus, params, state.layout(corpus, coupled))
+    blocks = _e_step_blocks(corpus, params, state.layout(corpus, params))
     current = elbo(corpus, params, state).total if start_bound is None else start_bound
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")

@@ -1,5 +1,6 @@
 """Tests for variational state, coordinate updates, and the bound."""
 
+import itertools
 import logging
 
 import numpy as np
@@ -27,28 +28,33 @@ def make_params(beta, alpha, link=None):
 
 def e_step_blocks(corpus, params):
     """The E-step's blocks in visit order, built as `run_e_step` builds them."""
-    layout = inference._block_layout(corpus, inference._coupled(params))
+    layout = inference._block_layout(corpus, inference._coupled(params),
+                                     inference._guarded(params))
     return inference._e_step_blocks(corpus, params, layout)
 
 
 def assert_padded(block, corpus, params):
     """An unguarded block's padded arrays hold each document's rows in its
-    first num_rows slots, in row order, at [row_doc, slot]: the row factor
-    exp(lb - rowmax), rowmax and count.  Its pad slots hold factor 1,
-    rowmax 0 and count 0, and it keeps no flat log beta."""
+    first num_rows slots, in row order: the row factor exp(lb - rowmax),
+    rowmax and count.  Its pad slots hold factor 1, rowmax 0 and count 0,
+    and it keeps no flat log beta.  The block's rows are its documents'
+    rows in document order."""
     assert not block.guarded and not hasattr(block, "lb")
-    lb = params.log_beta[:, corpus.terms[block.rows]].T
-    rowmax = lb.max(axis=1)
-    rows = block.row_doc, block.slot
-    filled = np.zeros(block.slot_counts.shape, dtype=bool)
-    filled[rows] = True
-    np.testing.assert_array_equal(filled, np.arange(filled.shape[1]) < block.num_rows[:, None])
-    assert block.factor.shape == (*filled.shape, params.num_topics)
-    np.testing.assert_array_equal(block.factor[rows], np.exp(lb - rowmax[:, None]))
-    np.testing.assert_array_equal(block.rowmax[rows], rowmax)
-    np.testing.assert_array_equal(block.slot_counts[rows], corpus.counts[block.rows])
-    assert np.all(block.factor[~filled] == 1.0)
-    assert not block.rowmax[~filled].any() and not block.slot_counts[~filled].any()
+    assert block.factor.shape == (*block.slot_counts.shape, params.num_topics)
+    assert block.rowmax.shape == block.slot_counts.shape
+    np.testing.assert_array_equal(block.rows, np.concatenate(
+        [np.arange(corpus.indptr[d], corpus.indptr[d + 1]) for d in block.docs]))
+    for p, d in enumerate(block.docs):
+        rows = corpus.rows(d)
+        lb = params.log_beta[:, corpus.terms[rows]].T
+        rowmax = lb.max(axis=1)
+        r = block.num_rows[p]
+        assert r == lb.shape[0]
+        np.testing.assert_array_equal(block.factor[p, :r], np.exp(lb - rowmax[:, None]))
+        np.testing.assert_array_equal(block.rowmax[p, :r], rowmax)
+        np.testing.assert_array_equal(block.slot_counts[p, :r], corpus.counts[rows])
+        assert np.all(block.factor[p, r:] == 1.0)
+        assert not block.rowmax[p, r:].any() and not block.slot_counts[p, r:].any()
 
 
 def one_doc_block(state, params, d):
@@ -81,8 +87,8 @@ def new_phi_row(d, term, state, params):
     visited = inference.VariationalState(state.corpus, state.gamma.copy(), state.phi.copy())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_DOC_MAX_ITERS", 1)
-        inference._visit_unguarded(params, visited, block, 1e-6)
-    return visited.phi[block.rows[block.slot == slot]][0]
+        inference._visit_unguarded(params, visited, [block], 1e-6)
+    return visited.phi[block.rows[slot]]
 
 
 def sequential_visit(corpus, params, state, d, tol):
@@ -336,7 +342,7 @@ class TestUpdateGamma:
         np.testing.assert_allclose(block.factor[0], [[1.0, 1e-300], [1e-300, 1.0]],
                                    rtol=1e-12, atol=0)
         np.testing.assert_array_equal(block.slot_counts[0], [count for _, count in doc])
-        inference._visit_unguarded(params, state, block, 1e-6)
+        inference._visit_unguarded(params, state, [block], 1e-6)
         reference_visit(c, params, reference, 0, 1e-6)
         np.testing.assert_allclose(state.phi, np.eye(2), rtol=0, atol=1e-299)
         np.testing.assert_allclose(state.phi, reference.phi, rtol=0, atol=1e-299)
@@ -926,14 +932,14 @@ def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topic
     alpha = np.full(num_topics, 1.0 / num_topics)
     beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
     drawn = data.draw(link_params(kind, num_topics))
-    # the drawn link, then eta = 0: one level of all documents, unguarded,
+    # the drawn link, then eta = 0: all documents without pairs, unguarded,
     # against the damped reference
     for link in (drawn, LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)):
         params = make_params(beta, alpha, link)
         wavefront = init_state(corpus, num_topics, alpha)
         reference = init_state(corpus, num_topics, alpha)
         levels = e_step_blocks(corpus, params)
-        assert (len(levels) == 1) == (not link.eta.any())
+        assert any(block.num_pairs.any() for block in levels) == link.eta.any()
         for _ in range(2):
             inference._sweep(params, wavefront, levels, 1e-6)
             for d in range(corpus.num_docs):
@@ -1002,20 +1008,23 @@ def test_zero_eta_sweeps_every_document_in_one_level(kind):
 def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics, seed):
     # an isolated document reads no mean and no one reads its: even where
     # the linked documents are damped, it is visited on topic weights in
-    # the first block, which holds the documents without pairs only
+    # the first blocks, the runs of the documents without pairs only
     alpha = np.full(num_topics, 1.0 / num_topics)
     beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
     link = data.draw(link_params(kind, num_topics))
     assume(link.eta.any())
     params = make_params(beta, alpha, link)
-    linkless, *levels = e_step_blocks(corpus, params)
-    np.testing.assert_array_equal(linkless.docs, corpus.isolated_docs())
-    assert not linkless.guarded and not linkless.num_pairs.any()
+    blocks = e_step_blocks(corpus, params)
+    num_runs = sum(not block.guarded for block in blocks)
+    linkless, levels = blocks[:num_runs], blocks[num_runs:]
+    np.testing.assert_array_equal(np.sort(np.concatenate([run.docs for run in linkless])),
+                                  corpus.isolated_docs())
+    assert not any(run.num_pairs.any() for run in linkless)
     assert levels and all(block.guarded and block.num_pairs.all() for block in levels)
     state = init_state(corpus, num_topics, alpha)
     reference = init_state(corpus, num_topics, alpha)
     inference._visit_unguarded(params, state, linkless, 1e-6)
-    for d in linkless.docs:
+    for d in corpus.isolated_docs():
         reference_visit(corpus, params, reference, d, 1e-6)
     state.refresh_var_bar()
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
@@ -1029,7 +1038,7 @@ def assert_same_blocks(blocks, expected):
     assert len(blocks) == len(expected)
     for block, other in zip(blocks, expected):
         assert vars(block).keys() == vars(other).keys()
-        rows = {"lb"} if other.guarded else {"factor", "rowmax", "slot_counts", "slot"}
+        rows = {"lb"} if other.guarded else {"factor", "rowmax", "slot_counts"}
         assert rows <= vars(other).keys()
         for name, value in vars(other).items():
             np.testing.assert_array_equal(getattr(block, name), value, err_msg=name)
@@ -1243,17 +1252,60 @@ def test_padding_never_leaks():
                  bound.entropy_term)
         scale = abs(bound.link_term) + sum(abs(part) for part in parts)
         assert abs(own - sum(parts)) <= 1e-12 * scale
-        assert len(active) == len(blocks)
-        for block, counts in zip(blocks, active):
+        for block in blocks:
             assert_padded(block, corpus, params)
-            if block.num_rows.min() == 1 and block.num_rows.max() >= 10:
-                if counts == [block.docs.size]:
+            assert block.slot_counts.size <= 2 * block.rows.size
+        # one visit per level, of all its runs
+        levels = [list(runs) for _, runs in itertools.groupby(blocks, lambda block: block.level)]
+        assert len(active) == len(levels)
+        for runs, counts in zip(levels, active):
+            num_rows = np.concatenate([run.num_rows for run in runs])
+            if num_rows.min() == 1 and num_rows.max() >= 10:
+                if counts == [num_rows.size]:
                     seen.add("all at the first iteration")
                 elif len(set(counts)) > 1:
                     seen.add("at different iterations")
+                    if len(runs) > 1:
+                        seen.add("at different iterations, in several runs")
 
     check()
-    assert seen == {"all at the first iteration", "at different iterations"}
+    assert seen == {"all at the first iteration", "at different iterations",
+                    "at different iterations, in several runs"}
+
+
+def test_long_document_pads_only_its_run():
+    # one document of 200 distinct terms next to 60 of 1 to 6: padded to
+    # the longest document, one block of all 61 would hold 61 x 200 slots
+    # for about 410 rows.  Each run holds at most twice its rows' slots,
+    # and a 6-row document is below half the long one's rows, so the long
+    # document's run takes one short document and holds at most 400
+    rng = np.random.default_rng(7)
+    num_terms = 240
+    docs = [[(t, 1 + t % 3) for t in range(200)]]
+    docs += [[(int(t), int(rng.integers(1, 4)))
+              for t in rng.choice(num_terms, rng.integers(1, 7), replace=False)]
+             for _ in range(60)]
+    corpus = Corpus([f"w{i}" for i in range(num_terms)], docs)
+    alpha = np.full(3, 0.1)
+    params = make_params(rng.dirichlet(np.ones(num_terms), size=3), alpha)
+    blocks = e_step_blocks(corpus, params)
+    np.testing.assert_array_equal(np.sort(np.concatenate([block.docs for block in blocks])),
+                                  np.arange(corpus.num_docs))
+    assert 1 < len(blocks) <= 1 + np.log2(200)
+    for block in blocks:
+        assert_padded(block, corpus, params)
+        assert block.slot_counts.size <= 2 * block.rows.size
+    (long,) = [block for block in blocks if 0 in block.docs]
+    assert long.slot_counts.size <= 400
+    assert sum(block.slot_counts.size for block in blocks) <= 2 * corpus.terms.size
+    # the runs' sweep is the per-document one
+    state = init_state(corpus, 3, alpha)
+    reference = init_state(corpus, 3, alpha)
+    inference._sweep(params, state, blocks, 1e-6)
+    for d in range(corpus.num_docs):
+        reference_visit(corpus, params, reference, d, 1e-6)
+    state.refresh_var_bar()
+    assert_same_state(state, reference)
 
 
 def literal_gradient_coefficient(kind, x):

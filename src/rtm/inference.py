@@ -206,9 +206,9 @@ class _Block:
     """A set of documents updated together, with their phi rows and links.
 
     Each array in `_FIELDS` has one entry per document, per phi row, or
-    per (document, neighbor) pair, in the block's document order.  docs,
-    rows and neighbors are corpus indices; row_doc and pair_doc give the
-    position in the block of the document that owns each row and pair.
+    per (document, neighbor) pair, in document order.  docs, rows and
+    neighbors are corpus indices; row_doc and pair_doc give the position
+    in the block of the document that owns each row and pair.
     level is the wavefront level of an E-step block's documents (-1 for
     the documents without pairs), and guarded says whether the block is
     a guarded level, visited by `_visit_guarded`.  An unguarded block is
@@ -654,14 +654,12 @@ def _visit_unguarded(params, state, runs, tol):
     fixed during the visit.  The documents without pairs have no offset.
     """
     # the runs' documents, one after another
-    block = runs[0] if len(runs) == 1 else _Block(**{
-        name: np.concatenate([getattr(run, name) for run in runs])
-        for name in ("docs", "n", "num_rows", "num_pairs", "neighbors")})
-    docs, n = block.docs, block.n
+    docs, n = _joined([run.docs for run in runs]), _joined([run.n for run in runs])
     gamma = state.gamma[docs]
     offset = None
-    if block.neighbors.size:
-        offset = block.pair_sum(state.phi_bar[block.neighbors]) * params.link.eta / n[:, None]
+    if runs[0].neighbors.size:
+        nb_sum = _joined([run.pair_sum(state.phi_bar[run.neighbors]) for run in runs])
+        offset = nb_sum * params.link.eta / n[:, None]
     # each run's padded arrays and its stretch of the active documents
     parts = _stretches([(run.factor, run.slot_counts) for run in runs])
     pos = np.arange(docs.shape[0])
@@ -675,7 +673,7 @@ def _visit_unguarded(params, state, runs, tol):
         for factor, counts, start, stop in parts:
             norm = np.matmul(factor, w[start:stop, :, None])[:, :, 0]
             sums.append(np.matmul((counts / norm)[:, None, :], factor)[:, 0])
-        new_gamma = params.alpha + w * (sums[0] if len(sums) == 1 else np.concatenate(sums))
+        new_gamma = params.alpha + w * _joined(sums)
         leaving = np.abs(new_gamma - gamma).sum(axis=1) < limit
         gamma = new_gamma
         num_leaving = np.count_nonzero(leaving)
@@ -704,8 +702,13 @@ def _visit_unguarded(params, state, runs, tol):
         row_terms.append((run.slot_counts * (run.rowmax + np.log(norm))).sum(axis=1))
         start = stop
     own = (gammaln(final_gamma).sum(axis=1) - gammaln(final_gamma.sum(axis=1))
-           + np.concatenate(row_terms) - xlogy(topic_counts, final_w).sum(axis=1))
+           + _joined(row_terms) - xlogy(topic_counts, final_w).sum(axis=1))
     return float(own.sum() + docs.shape[0] * (gammaln(alpha.sum()) - gammaln(alpha).sum()))
+
+
+def _joined(arrays):
+    """The arrays concatenated, or the only one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _stretches(parts):

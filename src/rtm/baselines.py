@@ -30,8 +30,8 @@ def fit_link_regression(corpus, lda):
     lda must come from fit_lda on corpus.  The stage infers corpus's
     LDA posteriors (`prediction.train_posteriors`), then fits the sigmoid
     link parameters to their pair covariates by the RTM's link M-step,
-    `estimation.fit_link`, with the pseudo non-link / l2 regularization
-    lda was fitted with.  lda's topics are unchanged.
+    `estimation.fit_link`, with the rho pseudo non-links lda was fitted
+    with.  lda's topics are unchanged.
     """
     reg = estimation.RegularizationConfig(**lda.config)
     link = linkfn.LinkParams(eta=np.zeros(lda.params.num_topics), nu=0.0, kind="sigmoid")

@@ -35,9 +35,6 @@ def _add_fit_flags(p):
     p.add_argument("--rho", type=float, default=None,
                    help="pseudo non-link count of every link M-step, LDA+regression's "
                         "too (default: number of links)")
-    p.add_argument("--l2", type=float, default=0.0, dest="lam",
-                   help="l2 penalty on eta in the sigmoid and probit link ascent and "
-                        "LDA+regression; the exponential and gaussian M-steps ignore it")
     p.add_argument("--smoothing", type=float, default=0.01,
                    help="pseudocount of every topic-word count in the topic update "
                         "(and of the unigram baseline)")
@@ -110,8 +107,7 @@ def _load(args):
 
 
 def _fit(corpus, args):
-    reg = estimation.RegularizationConfig(rho=args.rho, lam=args.lam,
-                                          smoothing=args.smoothing)
+    reg = estimation.RegularizationConfig(rho=args.rho, smoothing=args.smoothing)
     model = estimation.fit(
         corpus, args.topics, kind=args.link_fn,
         alpha_total=args.alpha_total, reg=reg, seed=args.seed,
@@ -137,8 +133,7 @@ def cmd_fit(args):
 
 
 def _baseline_suite(corpus, args):
-    reg = estimation.RegularizationConfig(rho=args.rho, lam=args.lam,
-                                          smoothing=args.smoothing)
+    reg = estimation.RegularizationConfig(rho=args.rho, smoothing=args.smoothing)
     lda = baselines.fit_lda(corpus, args.topics, alpha_total=args.alpha_total,
                             reg=reg, seed=args.seed, em_iters=args.em_iters,
                             tol=args.tol)

@@ -19,6 +19,7 @@ loader).
 """
 
 import logging
+import operator
 
 from dataclasses import dataclass
 
@@ -119,15 +120,31 @@ class Corpus:
 # Corpus prefixes with the document and load_corpus with the file line
 
 
+def _doc_id(value, name, num_docs):
+    """value as a document id in [0, num_docs).  Python and numpy integers
+    pass; anything else (a float, a string) is rejected, not truncated or
+    parsed, with a ValueError that calls it name."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if not 0 <= value < num_docs:
+        raise ValueError(f"{name} {value} out of range [0, {num_docs})")
+    return value
+
+
 def _merged_doc(doc, num_terms):
     """{term: summed count} of one document's (term, count) entries.
 
-    Rejects a term id outside [0, num_terms), a count below 1, and a
-    document without entries.
+    Rejects a term id or count that is not an integer, a term id outside
+    [0, num_terms), a count below 1, and a document without entries.
     """
     merged = {}
     for term, count in doc:
-        term, count = int(term), int(count)
+        try:
+            term, count = operator.index(term), operator.index(count)
+        except TypeError:
+            raise ValueError(f"entry {term!r}:{count!r} is not a pair of integers") from None
         if not 0 <= term < num_terms:
             raise ValueError(f"term id {term} out of range [0, {num_terms})")
         if count < 1:
@@ -139,13 +156,11 @@ def _merged_doc(doc, num_terms):
 
 
 def _link_pair(d1, d2, num_docs):
-    """(lower, higher) endpoint of one link; rejects self-links and endpoints
-    outside [0, num_docs)."""
-    d1, d2 = int(d1), int(d2)
+    """(lower, higher) endpoint of one link; rejects endpoints that are not
+    document ids (`_doc_id`) and self-links."""
+    d1, d2 = (_doc_id(d, "link endpoint", num_docs) for d in (d1, d2))
     if d1 == d2:
         raise ValueError(f"self-link on document {d1}")
-    if not (0 <= d1 < num_docs and 0 <= d2 < num_docs):
-        raise ValueError(f"link ({d1}, {d2}) out of range [0, {num_docs})")
     return min(d1, d2), max(d1, d2)
 
 
@@ -268,9 +283,10 @@ def write_corpus(corpus, docs_path, vocab_path, links_path):
 def subcorpus(corpus, doc_ids):
     """Corpus restricted to doc_ids (renumbered in the given order).
 
-    Links with an endpoint outside doc_ids are dropped.
+    Links with an endpoint outside doc_ids are dropped.  An id that is
+    not an integer in [0, corpus.num_docs) is rejected.
     """
-    doc_ids = [int(d) for d in doc_ids]
+    doc_ids = [_doc_id(d, "document id", corpus.num_docs) for d in doc_ids]
     remap = {d: i for i, d in enumerate(doc_ids)}
     docs = [list(zip(*corpus.doc(d))) for d in doc_ids]
     links = [(remap[a], remap[b]) for a, b in corpus.link_set()

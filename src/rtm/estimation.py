@@ -6,7 +6,7 @@ links are observed), so each kind carries its own regularization:
 
   sigmoid/probit  gradient ascent on the expected log likelihood of the
                   observed links plus rho pseudo non-links placed at the
-                  prior-mean covariate, optionally with an l2 penalty
+                  prior-mean covariate
   exponential     closed-form updates from a linear approximation of the
                   non-link log probability, exact at the covariate
                   extremes; always yields admissible parameters
@@ -39,31 +39,26 @@ _LOG_CLAMP = 1e-10
 
 @dataclass
 class RegularizationConfig:
-    """Link regularization: rho pseudo non-links, l2 weight, beta smoothing.
+    """Link regularization (rho pseudo non-links) and beta smoothing.
 
     rho=None defaults to the number of observed links at fit time, which
     keeps positive and pseudo-negative evidence balanced across corpus
-    sizes.  Sigmoid/probit fits require rho > 0 or lam > 0; without
-    either the one-class gradients diverge.  lam reaches only their
-    ascent (and so LDA+regression's); the exponential and gaussian
-    updates do not read it.
+    sizes.  Sigmoid/probit fits with links require rho > 0; without it
+    the one-class gradients diverge.
     """
 
     rho: float | None = None
-    lam: float = 0.0
     smoothing: float = 0.01
 
     def __post_init__(self):
         if self.rho is not None and not 0 <= self.rho < np.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.smoothing < np.inf:
             raise ValueError(f"smoothing must be finite and > 0, got {self.smoothing}")
 
     def resolved(self, num_links):
         rho = float(num_links) if self.rho is None else float(self.rho)
-        return RegularizationConfig(rho=rho, lam=self.lam, smoothing=self.smoothing)
+        return RegularizationConfig(rho=rho, smoothing=self.smoothing)
 
 
 @dataclass
@@ -100,12 +95,11 @@ def update_beta(corpus, state, smoothing):
     return beta / beta.sum(axis=1, keepdims=True)
 
 
-def link_regularizer(link, rho, lam, pi_alpha):
+def link_regularizer(link, rho, pi_alpha):
     """Additive regularization term of the link M-step objective.
 
     For sigmoid and probit this is rho pseudo non-links at the prior
-    covariate, rho log(1 - F(x_alpha)) = rho log F(-x_alpha), minus the
-    l2 penalty lam ||eta||^2.  Only their ascent reads lam.  For the
+    covariate, rho log(1 - F(x_alpha)) = rho log F(-x_alpha).  For the
     exponential kind it is the linearized non-link penalty, which is
     -inf on the admissibility boundary (nu = 0 or some eta_i + nu = 0)
     and beyond it, unless rho = 0; its closed-form update maximizes this
@@ -117,7 +111,7 @@ def link_regularizer(link, rho, lam, pi_alpha):
         return 0.0
     if link.kind in ("sigmoid", "probit"):
         x_alpha = float(link.eta @ pi_alpha + link.nu)
-        return -lam * float(link.eta @ link.eta) + rho * float(linkfn.log_link(link, -x_alpha))
+        return rho * float(linkfn.log_link(link, -x_alpha))
     # exponential: exact-at-the-extremes linear surrogate of log(1 - psi)
     if link.nu >= 0 or np.any(link.eta + link.nu >= 0):
         return -np.inf if rho > 0 else 0.0
@@ -126,21 +120,21 @@ def link_regularizer(link, rho, lam, pi_alpha):
     return rho * float(pi_alpha @ eta_lin + nu_lin)
 
 
-def regularized_link_objective(link, pi_bar_links, rho, lam, pi_alpha):
+def regularized_link_objective(link, pi_bar_links, rho, pi_alpha):
     """One-class M-step objective: the observed links' log probabilities
     at covariates pi_bar_links plus the link regularizer."""
     x = pi_bar_links @ link.eta + link.nu
-    return float(linkfn.log_link(link, x).sum()) + link_regularizer(link, rho, lam, pi_alpha)
+    return float(linkfn.log_link(link, x).sum()) + link_regularizer(link, rho, pi_alpha)
 
 
-def regularized_link_gradient(link, pi_bar_links, rho, lam, pi_alpha):
+def regularized_link_gradient(link, pi_bar_links, rho, pi_alpha):
     """Gradient of the objective above with respect to (eta, nu), for the
     sigmoid and probit kinds."""
     x = pi_bar_links @ link.eta + link.nu
     x_alpha = float(link.eta @ pi_alpha + link.nu)
     coeff = linkfn.gradient_coefficient(link, x)
     reg_coeff = -rho * float(linkfn.gradient_coefficient(link, -x_alpha))
-    grad_eta = coeff @ pi_bar_links + reg_coeff * pi_alpha - 2.0 * lam * link.eta
+    grad_eta = coeff @ pi_bar_links + reg_coeff * pi_alpha
     grad_nu = float(coeff.sum()) + reg_coeff
     return grad_eta, grad_nu
 
@@ -160,27 +154,24 @@ def fit_link_sigmoid_probit(link, pi_bar_links, reg, alpha):
         raise ValueError(f"kind must be sigmoid or probit, got {link.kind!r}")
     if reg.rho is None:
         raise ValueError("rho must be resolved before fitting")
-    if reg.rho <= 0 and reg.lam <= 0:
-        raise ValueError(
-            "one-class estimation requires rho > 0 or lam > 0; the "
-            "unregularized objective is unbounded above")
+    if reg.rho <= 0:
+        raise ValueError("one-class estimation requires rho > 0; the "
+                         "unregularized objective is unbounded above")
     pi_alpha = prior_pair_covariate(alpha)
     pi_bar_links = np.asarray(pi_bar_links, dtype=np.float64).reshape(-1, pi_alpha.shape[0])
 
-    current = regularized_link_objective(link, pi_bar_links, reg.rho, reg.lam, pi_alpha)
+    current = regularized_link_objective(link, pi_bar_links, reg.rho, pi_alpha)
     if not np.isfinite(current):
         raise FloatingPointError("non-finite link objective at start")
     for _ in range(_MAX_ASCENT_ITERS):
-        g_eta, g_nu = regularized_link_gradient(link, pi_bar_links, reg.rho, reg.lam,
-                                                pi_alpha)
+        g_eta, g_nu = regularized_link_gradient(link, pi_bar_links, reg.rho, pi_alpha)
         if max(np.abs(g_eta).max(initial=0.0), abs(g_nu)) < _GRAD_TOL:
             break
         step = _INITIAL_STEP
         while step >= 1e-16:
             cand = linkfn.LinkParams(eta=link.eta + step * g_eta,
                                      nu=link.nu + step * g_nu, kind=link.kind)
-            value = regularized_link_objective(cand, pi_bar_links, reg.rho, reg.lam,
-                                               pi_alpha)
+            value = regularized_link_objective(cand, pi_bar_links, reg.rho, pi_alpha)
             if np.isfinite(value) and value >= current:
                 link, current = cand, value
                 break
@@ -247,8 +238,8 @@ class FittedModel:
     """Estimated parameters plus fit metadata for persistence and prediction.
 
     config holds the resolved regularization a later step reads back: the
-    smoothing that `save_model` writes, and for `fit` also rho and lam,
-    with which `baselines.fit_link_regression` fits its link to an LDA.
+    smoothing that `save_model` writes, and for `fit` also rho, with
+    which `baselines.fit_link_regression` fits its link to an LDA.
     """
 
     params: ModelParams
@@ -265,8 +256,7 @@ def em_objective(corpus, params, state, reg):
     objective (exactly so for the exponential kind).
     """
     value = inference.elbo(corpus, params, state).total
-    value += link_regularizer(params.link, reg.rho, reg.lam,
-                              prior_pair_covariate(params.alpha))
+    value += link_regularizer(params.link, reg.rho, prior_pair_covariate(params.alpha))
     value += reg.smoothing * float(np.log(np.maximum(params.beta, 1e-300)).sum())
     return value
 

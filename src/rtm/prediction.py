@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import psi
 
 from . import inference, linkfn
-from .corpus import _merged_doc, training_view
+from .corpus import _doc_id, _merged_doc, training_view
 
 _MAX_ITERS = 100
 
@@ -72,9 +72,10 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     the corpus loader collapses repeated links.  The document is then one
     pseudo-token (count 1) with no word evidence, which under an RTM kind
     takes the link gradient towards the linked means; baseline kinds
-    ignore links.  A negative index is always rejected; an index past the
-    last training document only when train_phi_bar is given, which is
-    required under an RTM kind and optional under a baseline kind.
+    ignore links.  An index that is not an integer, or is negative, is
+    always rejected; an index past the last training document only when
+    train_phi_bar is given, which is required under an RTM kind and
+    optional under a baseline kind.
 
     phi starts uniform and gamma at alpha + N / K, for N tokens.  An
     iteration sets each phi row to the softmax of E[log theta] + evidence
@@ -113,14 +114,11 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         factor = np.exp(evidence - evidence.max(axis=1, keepdims=True))
         counts = np.array(list(merged.values()), dtype=np.float64)
     else:
-        links = np.asarray(list(links), dtype=np.int64)
-        if links.size == 0:
-            raise ValueError("empty link evidence")
         upper = np.inf if train_phi_bar is None else len(train_phi_bar)
-        bad = links[(links < 0) | (links >= upper)]
-        if bad.size:
-            raise ValueError(f"training document id {bad[0]} out of range [0, {upper})")
-        links = np.unique(links)
+        links = [_doc_id(d, "training document id", upper) for d in links]
+        if not links:
+            raise ValueError("empty link evidence")
+        links = np.unique(np.array(links, dtype=np.int64))
         factor, counts = np.ones((1, k)), np.ones(1)
         link = _topic_link(model)
         if link is not None:
@@ -260,8 +258,10 @@ def evaluate_fold(model, corpus, plan, fold, top_k=20):
     documents with no surviving links are skipped and counted.  Only
     models that score links need the training documents' posteriors
     (`train_posteriors`, which reads no seed).  They and every held-out
-    query run at their loops' own tolerances.
+    query run at their loops' own tolerances.  top_k must be at least 1.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     train_ids, test_ids = plan.train_docs(fold), plan.test_docs(fold)
     train_pos = {int(orig): i for i, orig in enumerate(train_ids)}
     scores_links = model.params.link is not None

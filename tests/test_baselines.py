@@ -53,7 +53,7 @@ class TestFitLdaRegression:
                                        np.array([-2.0, -2.0]), -1.0,
                                        "exponential", seed=5)
         assert corpus.num_links > 0
-        reg = estimation.RegularizationConfig(lam=0.1)
+        reg = estimation.RegularizationConfig(rho=3.0)
         lda = fit_lda(corpus, 2, seed=3, em_iters=2, reg=reg)
         staged = fit_link_regression(corpus, lda)
         direct = fit_lda_regression(corpus, 2, seed=3, em_iters=2, reg=reg)

@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,43 @@ def test_drop_isolated_is_not_a_flag(command, corpus_files, tmp_path, capsys):
     assert "unrecognized arguments: --drop-isolated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_l2_is_not_a_flag(command, capsys):
+    # rho's pseudo non-links are the link M-step's only regularizer
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert "--l2" not in capsys.readouterr().out
+
+
+def readme_walkthrough():
+    """(argv, stdout) of each `$ rtm` command of the README walk-through: the
+    command with its `\\` continuations joined, and the lines shown under it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Walk-through\n", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for block in section.split("\n\n"):
+        lines = [line[4:] for line in block.split("\n")]
+        if not lines[0].startswith("$ rtm "):
+            continue
+        command = lines.pop(0)
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        steps.append((shlex.split(command)[2:], "".join(line + "\n" for line in lines)))
+    return steps
+
+
+def test_readme_walkthrough_is_what_the_commands_print(tmp_path, monkeypatch, capsys):
+    # the walk-through must be regenerated whenever a fit changes
+    steps = readme_walkthrough()
+    assert [argv[0] for argv, _ in steps] == ["synth", "fit", "report-topics",
+                                               "suggest-links", "eval"]
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in steps:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == shown, argv
+
+
 class TestOutOfMemory:
     """A size beyond the host's memory ends in one line, not a traceback."""
 
@@ -343,7 +381,7 @@ class TestNonFiniteRejected:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("l2", "nan", "lam must be finite"), ("tol", "nan", "tol must be finite"),
+        ("tol", "nan", "tol must be finite"),
         ("tol", "-1", "tol must be finite and >= 0"),
         ("smoothing", "inf", "smoothing must be finite"), ("rho", "inf", "rho must be finite"),
         ("alpha_total", "inf", "alpha_total must be finite")])

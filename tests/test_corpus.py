@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -256,6 +257,39 @@ class TestSubcorpus:
         assert sub.num_docs == 2
         assert sub.link_set() == {(0, 1)}
         np.testing.assert_array_equal(sub.doc(0)[1], [3])
+
+
+class TestNonIntegerRejected:
+    """An id or count that is not an integer (a float, a string) is rejected
+    with one error that names it, not truncated or parsed; numpy integers
+    pass."""
+
+    @pytest.mark.parametrize("docs, links, message", [
+        ([[(0, 2.5)], [(1, 1)], [(2, 1)]], [], "doc 0: entry 0:2.5 is not a pair of integers"),
+        ([[(0, 2)], [(1.9, 1)], [(2, 1)]], [], "doc 1: entry 1.9:1 is not a pair of integers"),
+        ([[(0, 2)], [("1", 1)], [(2, 1)]], [], "doc 1: entry '1':1 is not a pair of integers"),
+        ([[(0, 2)], [(1, 1)], [(2, 1)]], [(0.9, 2)], "link endpoint 0.9 is not an integer"),
+        ([[(0, 2)], [(1, 1)], [(2, 1)]], [(0, "2")], "link endpoint '2' is not an integer")])
+    def test_corpus(self, docs, links, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(["a", "b", "c"], docs, links)
+
+    def test_numpy_integers_accepted(self):
+        c = Corpus(["a", "b", "c"], [[(np.int64(0), np.int32(2))], [(1, 1)], [(2, 1)]],
+                   links=[(np.uint8(2), np.int64(0))])
+        np.testing.assert_array_equal(c.counts, [2, 1, 1])
+        assert c.link_set() == {(0, 2)}
+
+    @pytest.mark.parametrize("doc_ids, message", [
+        ([2.7, 0], "document id 2.7 is not an integer"),
+        (["1"], "document id '1' is not an integer"),
+        ([np.float64(1.0)], f"document id {np.float64(1.0)!r} is not an integer"),
+        ([0, -1], "document id -1 out of range [0, 3)"),
+        ([3], "document id 3 out of range [0, 3)")])
+    def test_subcorpus(self, doc_ids, message):
+        c = Corpus(["a", "b", "c"], [[(0, 1)], [(1, 1)], [(2, 1)]], links=[(0, 2)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            subcorpus(c, doc_ids)
 
 
 class TestFolds:

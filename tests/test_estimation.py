@@ -64,9 +64,9 @@ class TestSigmoidProbitFit:
         for _ in range(20):
             eta = rng.normal(0, 1.0, size=k)
             nu = rng.normal(0, 1.0)
-            rho, lam = 5.0, 0.3
+            rho = 5.0
             g_eta, g_nu = regularized_link_gradient(LinkParams(eta, nu, kind), pi, rho,
-                                                    lam, pi_alpha)
+                                                    pi_alpha)
             grad = np.concatenate([g_eta, [g_nu]])
             theta = np.concatenate([eta, [nu]])
             for i in range(k + 1):
@@ -74,15 +74,15 @@ class TestSigmoidProbitFit:
                 up[i] += h
                 dn[i] -= h
                 fd = (regularized_link_objective(LinkParams(up[:k], up[k], kind), pi,
-                                                 rho, lam, pi_alpha)
+                                                 rho, pi_alpha)
                       - regularized_link_objective(LinkParams(dn[:k], dn[k], kind), pi,
-                                                   rho, lam, pi_alpha)) / (2 * h)
+                                                   rho, pi_alpha)) / (2 * h)
                 assert abs(grad[i] - fd) / max(abs(fd), 1e-8) < 1e-5
 
     def test_unregularized_config_rejected(self):
-        reg = RegularizationConfig(rho=0.0, lam=0.0)
+        reg = RegularizationConfig(rho=0.0)
         alpha = np.array([0.5, 0.5])
-        with pytest.raises(ValueError, match="rho > 0 or lam > 0"):
+        with pytest.raises(ValueError, match="requires rho > 0"):
             fit_link_sigmoid_probit(LinkParams(np.zeros(2), 0.0, "sigmoid"),
                                     np.full((4, 2), 0.2), reg, alpha)
 
@@ -93,7 +93,7 @@ class TestSigmoidProbitFit:
         pi_alpha = estimation.prior_pair_covariate(alpha)
         m = 8
         pi = np.tile(pi_alpha, (m, 1))
-        reg = RegularizationConfig(rho=float(m), lam=0.0)
+        reg = RegularizationConfig(rho=float(m))
         init = LinkParams(eta=np.array([1.0, -2.0]), nu=0.7, kind="sigmoid")
         params = fit_link_sigmoid_probit(init, pi, reg, alpha)
         prob = expit(params.eta @ pi_alpha + params.nu)
@@ -106,11 +106,11 @@ class TestSigmoidProbitFit:
         alpha = np.full(k, 0.5)
         pi_alpha = estimation.prior_pair_covariate(alpha)
         pi = rng.random((10, k)) * 0.5
-        reg = RegularizationConfig(rho=10.0, lam=0.1)
+        reg = RegularizationConfig(rho=10.0)
         init = LinkParams(eta=rng.normal(size=k), nu=0.5, kind=kind)
         fitted = fit_link_sigmoid_probit(init, pi, reg, alpha)
-        before = regularized_link_objective(init, pi, reg.rho, reg.lam, pi_alpha)
-        after = regularized_link_objective(fitted, pi, reg.rho, reg.lam, pi_alpha)
+        before = regularized_link_objective(init, pi, reg.rho, pi_alpha)
+        after = regularized_link_objective(fitted, pi, reg.rho, pi_alpha)
         assert after >= before
 
 
@@ -131,7 +131,7 @@ def test_objective_is_the_literal_sum_plus_regularizer(kind, data, num_topics, n
     pi = np.array([[data.draw(unit) for _ in range(num_topics)] for _ in range(num_links)])
     pi = pi.reshape(num_links, num_topics)
     alpha = np.array([data.draw(st.floats(0.05, 2.0)) for _ in range(num_topics)])
-    rho, lam = data.draw(st.floats(0.0, 20.0)), data.draw(st.floats(0.0, 2.0))
+    rho = data.draw(st.floats(0.0, 20.0))
     pi_alpha = (alpha / alpha.sum()) ** 2
 
     def log_f(x):
@@ -151,10 +151,8 @@ def test_objective_is_the_literal_sum_plus_regularizer(kind, data, num_topics, n
         non_link = math.log(1.0 - 1.0 / (1.0 + math.exp(-x_alpha)))
     else:
         non_link = math.log(1.0 - 0.5 * math.erfc(-x_alpha / math.sqrt(2.0)))
-    # the l2 penalty belongs to the sigmoid/probit ascent, the only update that reads lam
-    penalty = 0.0 if kind == "exponential" else lam * sum(e * e for e in eta)
-    expected = loglik + rho * non_link - penalty
-    value = regularized_link_objective(link, pi, rho, lam, pi_alpha)
+    expected = loglik + rho * non_link
+    value = regularized_link_objective(link, pi, rho, pi_alpha)
     assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -208,7 +206,7 @@ class TestExponentialFit:
 
         def objective(eta, nu):
             link = LinkParams(eta=eta, nu=nu, kind="exponential")
-            return (pi @ eta + nu).sum() + link_regularizer(link, rho, 0.0, pi_alpha)
+            return (pi @ eta + nu).sum() + link_regularizer(link, rho, pi_alpha)
 
         base = objective(best.eta, best.nu)
         for _ in range(50):
@@ -287,14 +285,13 @@ class TestFit:
     @pytest.mark.parametrize("kind", ["exponential", None])
     def test_config_holds_the_resolved_regularization(self, tmp_path, kind):
         # the settings a later step reads back, and nothing else: save_model
-        # reads smoothing, fit_link_regression rho, lam and smoothing
+        # reads smoothing, fit_link_regression rho and smoothing
         corpus, _ = generate_synthetic(2, 6, 15, 10, np.array([0.5, 0.5]),
                                        np.array([-1.0, -1.0]), -0.5,
                                        "exponential", seed=2)
-        model = fit(corpus, 2, kind=kind, reg=RegularizationConfig(lam=0.25, smoothing=0.5),
+        model = fit(corpus, 2, kind=kind, reg=RegularizationConfig(smoothing=0.5),
                     seed=9, em_iters=2)
-        assert model.config == {"rho": float(corpus.num_links), "lam": 0.25,
-                                "smoothing": 0.5}
+        assert model.config == {"rho": float(corpus.num_links), "smoothing": 0.5}
         path = str(tmp_path / "model.txt")
         save_model(model, path)
         assert load_model(path).config == {"smoothing": 0.5}
@@ -335,11 +332,11 @@ class TestFit:
         pi_alpha = estimation.prior_pair_covariate(alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert link_regularizer(link, reg.rho, 0.0, pi_alpha) == -np.inf
+            assert link_regularizer(link, reg.rho, pi_alpha) == -np.inf
             boundary = LinkParams(eta=np.array([0.5, -1.0]), nu=-0.5, kind="exponential")
-            assert link_regularizer(boundary, reg.rho, 0.0, pi_alpha) == -np.inf
+            assert link_regularizer(boundary, reg.rho, pi_alpha) == -np.inf
             # without pseudo non-links the penalty has no weight
-            assert link_regularizer(link, 0.0, 0.0, pi_alpha) == 0.0
+            assert link_regularizer(link, 0.0, pi_alpha) == 0.0
             assert em_objective(corpus, params, state, reg) == -np.inf
 
     def test_recovers_one_hot_topics(self):
@@ -428,15 +425,16 @@ class TestFit:
 @pytest.mark.parametrize("kind", ["exponential", "sigmoid", "probit", None])
 @settings(derandomize=True, deadline=None, max_examples=8)
 @given(num_topics=st.integers(2, 4), num_docs=st.integers(4, 16), seed=st.integers(0, 2**16),
-       lam=st.floats(0.0, 50.0))
-def test_em_objective_nondecreasing_across_em_iterations(kind, num_topics, num_docs, seed, lam):
+       rho_per_link=st.sampled_from([0.25, 1.0, 4.0]))
+def test_em_objective_nondecreasing_across_em_iterations(kind, num_topics, num_docs, seed,
+                                                         rho_per_link):
     # the E-step and both M-step updates ascend em_objective, whatever the
-    # l2 weight; gaussian is left out because its moment-matching link
-    # update is not an ascent step (see CHANGES.md)
+    # number of pseudo non-links; gaussian is left out because its
+    # moment-matching link update is not an ascent step (see CHANGES.md)
     alpha = np.full(num_topics, 1.0 / num_topics)
     corpus, _ = generate_synthetic(num_topics, 10, num_docs, 12, alpha,
                                    np.full(num_topics, 2.0), -2.0, "exponential", seed=seed)
-    reg = RegularizationConfig(lam=lam).resolved(corpus.num_links)
+    reg = RegularizationConfig(rho=rho_per_link * corpus.num_links)
     beta = 1.0 + np.random.default_rng(seed).random((num_topics, 10))
     beta /= beta.sum(axis=1, keepdims=True)
     link = None if kind is None else LinkParams(eta=np.zeros(num_topics), nu=0.0, kind=kind)
@@ -597,8 +595,6 @@ class TestRegularizationConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             RegularizationConfig(rho=-1.0)
-        with pytest.raises(ValueError):
-            RegularizationConfig(lam=-0.5)
         with pytest.raises(ValueError):
             RegularizationConfig(smoothing=0.0)
 

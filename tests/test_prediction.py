@@ -1,6 +1,7 @@
 """Tests for held-out inference, prediction, and rank metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,35 @@ class TestInferHeldout:
                          kind=kind)
         with pytest.raises(ValueError, match=r"^training document id -7 out of range"):
             infer_heldout(model, links=[-7, 10**9])
+
+    @pytest.mark.parametrize("links, message", [
+        ([1.7], "training document id 1.7 is not an integer"),
+        ([0, 1e30], "training document id 1e+30 is not an integer"),
+        (["0"], "training document id '0' is not an integer")])
+    def test_non_integer_link_rejected(self, links, message):
+        # not truncated to a training document, and no overflow
+        link = LinkParams(eta=np.array([-1.0]), nu=0.0, kind="exponential")
+        model = model_of([[0.5, 0.5]], [1.0], link=link)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            infer_heldout(model, links=links, train_phi_bar=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("words, message", [
+        ([(1, 2.7)], "entry 1:2.7 is not a pair of integers"),
+        ([(0, 1), ("1", 1)], "entry '1':1 is not a pair of integers")])
+    def test_non_integer_word_rejected(self, words, message):
+        model = model_of([[0.5, 0.5]], [1.0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            infer_heldout(model, words=words)
+
+    def test_numpy_integer_evidence_accepted(self):
+        link = LinkParams(eta=np.array([-1.0, -2.0]), nu=-0.5, kind="exponential")
+        model = model_of([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], link=link)
+        means = np.array([[0.9, 0.1], [0.2, 0.8]])
+        by_links = infer_heldout(model, links=np.array([1]), train_phi_bar=means)
+        np.testing.assert_array_equal(
+            by_links.gamma, infer_heldout(model, links=[1], train_phi_bar=means).gamma)
+        by_words = infer_heldout(model, words=[(np.int64(1), np.int32(2))])
+        np.testing.assert_array_equal(by_words.gamma, infer_heldout(model, words=[(1, 2)]).gamma)
 
     def test_empty_evidence_rejected(self):
         model = model_of([[0.5, 0.5]], [1.0])
@@ -590,6 +620,13 @@ class TestEvaluateFold:
         np.testing.assert_allclose(report.mean_word_rank, word_rank, rtol=1e-12)
         assert math.isnan(report.mean_link_rank) and math.isnan(report.precision_at_k)
         assert report.num_test_docs == plan.test_docs(0).size
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, planted, top_k):
+        # top_k 0 would divide by zero, -1 report a negative precision
+        corpus, plan, model = planted
+        with pytest.raises(ValueError, match=f"^top_k must be at least 1, got {top_k}$"):
+            evaluate_fold(model, corpus, plan, 0, top_k=top_k)
 
     def test_report_fields(self, planted):
         corpus, plan, model = planted

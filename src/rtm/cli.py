@@ -179,10 +179,10 @@ def cmd_eval(args):
     return 0
 
 
-def topic_word_scores(beta):
-    """Per-(topic, word) salience: beta * (log beta - mean over topics)."""
-    log_beta = np.log(np.maximum(beta, 1e-300))
-    return beta * (log_beta - log_beta.mean(axis=0))
+def topic_word_scores(params):
+    """Per-(topic, word) salience of a ModelParams' topics:
+    beta * (log beta - mean over topics), with its floored log beta."""
+    return params.beta * (params.log_beta - params.log_beta.mean(axis=0))
 
 
 def cmd_report_topics(args):
@@ -192,7 +192,7 @@ def cmd_report_topics(args):
     if vocab is not None and len(vocab) < model.params.num_terms:
         raise ValueError(f"vocab file {args.vocab} has {len(vocab)} tokens, fewer than "
                          f"the model's {model.params.num_terms} terms")
-    scores = topic_word_scores(model.params.beta)
+    scores = topic_word_scores(model.params)
     for k in range(scores.shape[0]):
         order = prediction.retrieval_order(scores[k])[:args.top_k]
         words = [vocab[w] if vocab else f"w{w}" for w in order]

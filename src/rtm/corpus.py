@@ -284,10 +284,14 @@ def subcorpus(corpus, doc_ids):
     """Corpus restricted to doc_ids (renumbered in the given order).
 
     Links with an endpoint outside doc_ids are dropped.  An id that is
-    not an integer in [0, corpus.num_docs) is rejected.
+    not an integer in [0, corpus.num_docs), or that is repeated, is
+    rejected.
     """
     doc_ids = [_doc_id(d, "document id", corpus.num_docs) for d in doc_ids]
     remap = {d: i for i, d in enumerate(doc_ids)}
+    if len(remap) < len(doc_ids):
+        repeated = next(d for i, d in enumerate(doc_ids) if remap[d] != i)
+        raise ValueError(f"document id {repeated} repeated")
     docs = [list(zip(*corpus.doc(d))) for d in doc_ids]
     links = [(remap[a], remap[b]) for a, b in corpus.link_set()
              if a in remap and b in remap]

@@ -43,8 +43,8 @@ class RegularizationConfig:
 
     rho=None defaults to the number of observed links at fit time, which
     keeps positive and pseudo-negative evidence balanced across corpus
-    sizes.  Sigmoid/probit fits with links require rho > 0; without it
-    the one-class gradients diverge.
+    sizes.  A link fitted to a corpus with links requires rho > 0, for
+    every kind (see `_check_rho`).
     """
 
     rho: float | None = None
@@ -154,9 +154,7 @@ def fit_link_sigmoid_probit(link, pi_bar_links, reg, alpha):
         raise ValueError(f"kind must be sigmoid or probit, got {link.kind!r}")
     if reg.rho is None:
         raise ValueError("rho must be resolved before fitting")
-    if reg.rho <= 0:
-        raise ValueError("one-class estimation requires rho > 0; the "
-                         "unregularized objective is unbounded above")
+    _check_rho(reg.rho)
     pi_alpha = prior_pair_covariate(alpha)
     pi_bar_links = np.asarray(pi_bar_links, dtype=np.float64).reshape(-1, pi_alpha.shape[0])
 
@@ -215,16 +213,30 @@ def fit_link_gaussian(stats, rho):
     return linkfn.LinkParams(eta=eta, nu=max(0.0, float(nu)), kind="gaussian")
 
 
+def _check_rho(rho):
+    """Reject rho <= 0 for a link fitted to observed links.
+
+    Without pseudo non-links a link fitted to positive links alone has
+    no evidence against linking: the sigmoid and probit objectives are
+    unbounded above, the exponential update gives eta = nu = 0 (every
+    pair linked with probability 1), and the gaussian intercept budgets
+    no non-link mass.
+    """
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0 to fit a link to a corpus with links, got {rho:g}")
+
+
 def fit_link(corpus, state, alpha, reg, link):
     """Link M-step from the variational state, for the kind of link.
 
     Serves both the RTM's EM iterations and LDA+regression.  Sigmoid and
     probit ascend from link; without observed links, link is returned.
-    reg must be resolved.
+    reg must be resolved, and its rho > 0 when corpus has links.
     """
     stats = collect_stats(corpus, state, alpha)
     if stats.num_links == 0:
         return link
+    _check_rho(reg.rho)
     if link.kind == "exponential":
         return fit_link_exponential(stats, reg.rho)
     if link.kind == "gaussian":
@@ -257,7 +269,7 @@ def em_objective(corpus, params, state, reg):
     """
     value = inference.elbo(corpus, params, state).total
     value += link_regularizer(params.link, reg.rho, prior_pair_covariate(params.alpha))
-    value += reg.smoothing * float(np.log(np.maximum(params.beta, 1e-300)).sum())
+    value += reg.smoothing * float(params.log_beta.sum())
     return value
 
 
@@ -274,10 +286,10 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     alpha is symmetric with total mass alpha_total; it is held fixed.
     num_topics and em_iters must be at least 1, alpha_total positive and
     finite, and tol finite and >= 0; at tol = 0 only an unchanged bound
-    stops EM before em_iters.
+    stops EM before em_iters.  With a link kind and a corpus with links,
+    the resolved rho must be > 0, which is checked before the first
+    E-step.
     """
-    if kind is not None and kind not in linkfn.KINDS:
-        raise ValueError(f"unknown link function kind: {kind!r}")
     if num_topics < 1:
         raise ValueError(f"num_topics must be at least 1, got {num_topics}")
     if em_iters < 1:
@@ -287,6 +299,8 @@ def fit(corpus, num_topics, kind="exponential", alpha_total=1.0,
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     reg = (reg or RegularizationConfig()).resolved(corpus.num_links)
+    if kind is not None and corpus.num_links:
+        _check_rho(reg.rho)
     alpha = np.full(num_topics, alpha_total / num_topics)
 
     rng = np.random.default_rng(seed)
@@ -332,9 +346,10 @@ def save_model(model, path):
     The file has 4 + K lines: `rtm-model v1`; `K V kind alpha_total
     smoothing`; nu; the K link coefficients eta; then one line of V
     log topic-word probabilities per topic.  Kinds without a link
-    component write nu = 0 and eta = 0.  An entry may be -inf (zero beta,
-    an unsmoothed model): the E-step rejects a corpus term with zero beta
-    in some topic, a held-out query a term with zero beta in every topic.
+    component write nu = 0 and eta = 0.  The rows are the model's
+    log_beta, so a beta below 1e-300, zero included, is written as the
+    floor log 1e-300 (see `inference.ModelParams`), and a file's entry
+    below the floor, -inf included, is read back as the floor.
 
     The text goes to a uniquely named temp file in the target directory
     (created by tempfile.mkstemp, so readable by its owner only), which

@@ -84,7 +84,11 @@ class ModelParams:
     beta is a K x V row-stochastic topic matrix, alpha a K-vector of
     positive normal floats, link a linkfn.LinkParams or None for a pure
     topic model with no link component.  The instance keeps its own
-    read-only copy of beta and computes log_beta from it once.
+    read-only copy of beta and computes log_beta from it once, as
+    log(max(beta, 1e-300)): every entry below 1e-300, zero included, is
+    served as 1e-300 to everything that reads log beta (the E-step, the
+    bound, held-out queries and model files), so log_beta is finite.
+    `prediction.predict_word_dist` uses beta as given.
     """
 
     beta: np.ndarray
@@ -104,12 +108,14 @@ class ModelParams:
         if not np.all(self.alpha >= tiny):
             raise ValueError(f"alpha must be at least {tiny:.4g} per topic (the smallest "
                              f"normal float), got {self.alpha.min():.4g}")
+        if not np.all(self.beta >= 0):
+            raise ValueError("beta entries must be nonnegative")
         if not np.all(np.abs(self.beta.sum(axis=1) - 1.0) <= 1e-8):
             raise ValueError("beta rows must sum to 1")
         if self.link is not None and self.link.eta.shape[0] != self.beta.shape[0]:
             raise ValueError("link coefficient length must equal the topic count")
         self.beta.flags.writeable = False
-        self.log_beta = _log_beta_matrix(self.beta)
+        self.log_beta = np.log(np.maximum(self.beta, 1e-300))
         self.log_beta.flags.writeable = False
 
     @property
@@ -184,11 +190,6 @@ def init_state(corpus, num_topics, alpha):
     gamma = np.tile(alpha, (corpus.num_docs, 1)) + corpus.lengths[:, None] / num_topics
     phi = np.full((corpus.terms.shape[0], num_topics), 1.0 / num_topics)
     return VariationalState(corpus, gamma, phi)
-
-
-def _log_beta_matrix(beta):
-    with np.errstate(divide="ignore"):
-        return np.where(beta > 0, np.log(np.maximum(beta, 1e-300)), -np.inf)
 
 
 # --- documents updated together -------------------------------------------
@@ -341,12 +342,9 @@ def _runs(block):
 
 
 def _e_step_blocks(corpus, params, layout):
-    """The blocks of a `_block_layout`, with each row's log beta; rejects a
-    corpus term with zero beta.
+    """The blocks of a `_block_layout`, with each row's log beta.
 
-    A corpus term whose beta is zero in some topic (an unsmoothed model)
-    would start the bound at -inf, as `init_state` puts mass on every
-    topic.  A guarded block holds each row's log beta lb.  An unguarded
+    A guarded block holds each row's log beta lb.  An unguarded
     block (a run of the documents without pairs or of an exponential
     level) holds its rows per document instead, for `_visit_unguarded`:
     padded to its longest document, of R_max rows, factor (D_b, R_max, K)
@@ -358,10 +356,6 @@ def _e_step_blocks(corpus, params, layout):
     """
     blocks, order = layout
     lb = params.log_beta[:, corpus.terms].T
-    zero = np.argwhere(np.isneginf(lb))
-    if zero.size:
-        raise ValueError(f"beta of topic {zero[0, 1]} is zero for term "
-                         f"{corpus.terms[zero[0, 0]]} of the corpus (unsmoothed model)")
     # each block's run of rows
     bounds = np.cumsum([block.rows.shape[0] for block in blocks[:-1]])
     return [block.replace(lb=block_lb) if block.guarded else _padded(block, block_lb)
@@ -448,17 +442,16 @@ def _bound_parts(alpha, counts, lb, starts, lengths, phi, gamma, phi_bar):
 
     The documents' rows are consecutive runs beginning at starts in
     counts, lb (log beta of each row's term) and phi; lengths, gamma
-    and phi_bar have one entry per document.  Returns four arrays with
-    one value per document; the theta term is E[log p(theta | alpha)]
-    plus the entropy of q(theta).
+    and phi_bar have one entry per document; lb is finite, as log beta
+    is floored (see `ModelParams`).  Returns four arrays with one value
+    per document; the theta term is E[log p(theta | alpha)] plus the
+    entropy of q(theta).
     """
     gamma_total = gamma.sum(axis=1)
     elog_theta = psi(gamma) - psi(gamma_total)[:, None]
 
     z_term = (lengths[:, None] * phi_bar * elog_theta).sum(axis=1)
-    # phi * lb only where phi > 0: a zero phi entry may meet a zero beta (lb = -inf)
-    word = np.multiply(phi, lb, out=np.zeros_like(phi), where=phi > 0)
-    word_term = np.add.reduceat(counts * word.sum(axis=1), starts)
+    word_term = np.add.reduceat(counts * (phi * lb).sum(axis=1), starts)
     # E[log p(theta)] + H[q(theta)] in one sum: apart, their (alpha - 1) and
     # (gamma - 1) products with E[log theta] are each about 1/alpha in size
     # and cancel only after rounding
@@ -621,10 +614,9 @@ def _visit_unguarded(params, state, runs, tol):
     its count is 0.  A document leaves with its last w and gamma under
     `_visit_guarded`'s test and cap, and the rest are one index on the
     document axis of each array.  F @ w cannot underflow: the largest
-    weight is exactly 1 and every F entry is at least 1e-300, as
-    `_e_step_blocks` rejects zero beta and `_log_beta_matrix` clamps
-    positive beta at 1e-300; a pad slot's F is 1, so its F @ w is at
-    least 1.
+    weight is exactly 1 and every F entry is at least 1e-300, as log
+    beta is floored at log 1e-300 (see `ModelParams`); a pad slot's F
+    is 1, so its F @ w is at least 1.
 
     When the last document leaves, the phi rows are formed once from the
     final w, run by run in the padded layout, and the visit writes the

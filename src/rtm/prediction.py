@@ -65,8 +65,8 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     words is a sequence of (term_id, count) pairs that must pass the
     corpus rules for one document; a repeated term has its counts summed,
     so the posterior is exactly that of the merged words.  phi then has
-    one row per distinct term, with the term's log beta as its evidence;
-    a term whose beta column is zero in every topic is rejected.  links
+    one row per distinct term, with the term's log beta as its evidence,
+    floored like every log beta (see `inference.ModelParams`).  links
     is a sequence of indices into train_phi_bar, the fixed posterior
     means of the training documents; a repeated index counts once, as
     the corpus loader collapses repeated links.  The document is then one
@@ -107,10 +107,6 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         merged = _merged_doc(words, params.num_terms)
         terms = list(merged)
         evidence = params.log_beta[:, terms].T
-        dead = np.isneginf(evidence).all(axis=1)
-        if dead.any():
-            raise ValueError(f"beta column of term {terms[np.argmax(dead)]} is entirely "
-                             "zero (unsmoothed model)")
         factor = np.exp(evidence - evidence.max(axis=1, keepdims=True))
         counts = np.array(list(merged.values()), dtype=np.float64)
     else:

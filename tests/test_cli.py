@@ -610,17 +610,19 @@ class TestReportTopics:
         score = float(first.split("(")[1].split(")")[0])
         np.testing.assert_allclose(score, 0.45 * np.log(9.0), atol=1e-4)
 
+    @staticmethod
+    def scores(beta):
+        beta = np.array(beta)
+        return topic_word_scores(ModelParams(beta=beta, alpha=np.ones(beta.shape[0])))
+
     def test_identical_rows_score_zero(self):
-        beta = np.array([[0.3, 0.7], [0.3, 0.7]])
-        np.testing.assert_allclose(topic_word_scores(beta), 0.0, atol=1e-12)
+        np.testing.assert_allclose(self.scores([[0.3, 0.7], [0.3, 0.7]]), 0.0, atol=1e-12)
 
     def test_single_topic_scores_zero(self):
-        beta = np.array([[0.2, 0.3, 0.5]])
-        np.testing.assert_allclose(topic_word_scores(beta), 0.0, atol=1e-12)
+        np.testing.assert_allclose(self.scores([[0.2, 0.3, 0.5]]), 0.0, atol=1e-12)
 
     def test_hand_computed_matrix_value(self):
-        beta = np.array([[0.9, 0.1], [0.1, 0.9]])
-        scores = topic_word_scores(beta)
+        scores = self.scores([[0.9, 0.1], [0.1, 0.9]])
         expected = 0.9 * (np.log(0.9) - 0.5 * (np.log(0.9) + np.log(0.1)))
         np.testing.assert_allclose(scores[0, 0], expected, rtol=1e-12)
         np.testing.assert_allclose(scores[0, 0], 0.988751, atol=1e-6)
@@ -699,41 +701,29 @@ class TestSuggestLinks:
                      "--model", model_path, "--new-doc", "0:2"])
         assert_one_line_error(capsys, code, "error: corpus has 30 terms, more than the model's 20")
 
-    LOG_HALF = "-0.6931471805599453"
-
-    @staticmethod
-    def suggest_with_zero_beta(tmp_path, log_beta_rows, new_doc):
-        """`python -W error -m rtm.cli suggest-links` with a 2-topic, 3-term
-        exponential model of the given log beta rows, over two linked
-        training documents that use terms 0 and 1."""
+    def test_log_beta_below_the_floor_is_served_as_the_floor(self, tmp_path):
+        # `python -W error -m rtm.cli suggest-links` with a 2-topic, 3-term
+        # exponential model over two linked training documents that use
+        # terms 0 and 1.  Term 1 is below the floor log 1e-300 in topic 0,
+        # where the training posteriors' E-step reads it, and term 2 in both
+        # topics, where only the query reads it.  An entry of -inf (zero
+        # beta) or -800 (beta underflows to zero) gives the output of the
+        # floor itself
         docs, vocab, links = (tmp_path / f"{n}.txt" for n in ("docs", "vocab", "links"))
         docs.write_text("2 0:2 1:1\n2 0:1 1:2\n")
         vocab.write_text("a\nb\nc\n")
         links.write_text("0 1\n")
-        model = tmp_path / "m.txt"
-        model.write_text("rtm-model v1\n2 3 exponential 1 0.01\n-1\n-0.5 -0.5\n"
-                         + "".join(row + "\n" for row in log_beta_rows))
-        result = run_strict("suggest-links", "--docs", docs, "--vocab", vocab,
-                            "--links", links, "--model", model, "--new-doc", new_doc)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        return result.stderr
-
-    def test_zero_beta_column_rejected(self, tmp_path):
-        # term 2 has log beta -inf in both topics and no training document
-        # uses it, so only the query reaches it; it must not be scored as nan
-        half = self.LOG_HALF
-        stderr = self.suggest_with_zero_beta(tmp_path, [f"{half} {half} -inf"] * 2, "0:1 2:1")
-        assert stderr == "error: beta column of term 2 is entirely zero (unsmoothed model)\n"
-
-    def test_training_term_zero_in_one_topic_rejected(self, tmp_path):
-        # term 1, used by the training documents, has beta 0 in topic 0: the
-        # E-step of the training posteriors rejects it before its first bound
-        half = self.LOG_HALF
-        stderr = self.suggest_with_zero_beta(
-            tmp_path, [f"{half} -inf {half}", f"{half} {half} -inf"], "0:1")
-        assert stderr == ("error: beta of topic 0 is zero for term 1 of the corpus "
-                          "(unsmoothed model)\n")
+        outputs = []
+        for low in ("-inf", "-800", repr(float(np.log(1e-300)))):
+            model = tmp_path / f"m{low}.txt"
+            model.write_text("rtm-model v1\n2 3 exponential 1 0.01\n-1\n-0.5 -0.5\n"
+                             f"0 {low} {low}\n-0.6931471805599453 -0.6931471805599453 {low}\n")
+            result = run_strict("suggest-links", "--docs", docs, "--vocab", vocab,
+                                "--links", links, "--model", model, "--new-doc", "0:1 2:1")
+            assert (result.returncode, result.stderr) == (0, "")
+            outputs.append(result.stdout)
+        assert outputs[0].splitlines()[0] == "rank\tdoc_id\tscore"
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_empty_new_doc_rejected(self, tmp_path, capsys):
         docs, vocab, links = self.make_planted(tmp_path)
@@ -748,6 +738,11 @@ class TestSuggestLinks:
 
 
 class TestSynthCommand:
+    def test_eta_needs_one_or_k_values(self, tmp_path, capsys):
+        code = main(["synth", "--out", str(tmp_path / "x"), "--topics", "3", "--eta=-1,-2"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: --eta needs 1 or 3 values\n")
+
     def test_writes_loadable_corpus(self, tmp_path, capsys):
         out = tmp_path / "synthetic"
         code = main(["synth", "--out", str(out), "--topics", "2",

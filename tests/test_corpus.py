@@ -258,6 +258,39 @@ class TestSubcorpus:
         assert sub.link_set() == {(0, 1)}
         np.testing.assert_array_equal(sub.doc(0)[1], [3])
 
+    def test_repeated_id_rejected(self):
+        # on the chain 0-1-2, a second copy of document 1 would keep only
+        # the link to 2, and the first copy none
+        c = Corpus(["a"], [[(0, 1)]] * 3, links=[(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"^document id 1 repeated$"):
+            subcorpus(c, [1, 1, 0])
+        with pytest.raises(ValueError, match=r"^document id 0 repeated$"):
+            subcorpus(c, [0, 2, 1, 0])
+
+
+class TestRejectionMessages:
+    """Each input rule fails with its own one-line message."""
+
+    def test_corpus_without_documents(self):
+        with pytest.raises(ValueError, match=r"^corpus must contain at least one document$"):
+            Corpus(["a"], [])
+
+    @pytest.mark.parametrize("docs, links, message", [
+        ("1 0-1\n", "", "docs line 1: malformed entry '0-1' (expected term:count)"),
+        ("1 0:1\n1 a:1\n", "", "docs line 2: malformed entry 'a:1'"),
+        ("1 0:1\nx 0:1\n", "", "docs line 2: missing entry count"),
+        ("\n \n", "", "no documents found in {docs}"),
+        ("1 0:1\n1 1:1\n", "0 1\n0 1 1\n", "links line 2: expected two indices, got '0 1 1'"),
+        ("1 0:1\n1 1:1\n", "0 x\n", "links line 1: non-integer index in '0 x'")])
+    def test_loader(self, tmp_path, docs, links, message):
+        docs, vocab, links = write_files(tmp_path, docs, "a\nb\n", links)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(message.format(docs=docs))}$"):
+            load_corpus(docs, vocab, links)
+
+    def test_block_topics_need_a_term_per_topic(self):
+        with pytest.raises(ValueError, match=r"^need at least one term per topic$"):
+            block_topics(3, 2)
+
 
 class TestNonIntegerRejected:
     """An id or count that is not an integer (a float, a string) is rejected

@@ -79,10 +79,24 @@ class TestSigmoidProbitFit:
                                                    rho, pi_alpha)) / (2 * h)
                 assert abs(grad[i] - fd) / max(abs(fd), 1e-8) < 1e-5
 
+    def test_wrong_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^kind must be sigmoid or probit, "
+                                             r"got 'exponential'$"):
+            fit_link_sigmoid_probit(LinkParams(np.zeros(2), -1.0, "exponential"),
+                                    np.full((4, 2), 0.2), RegularizationConfig(rho=1.0),
+                                    np.array([0.5, 0.5]))
+
+    def test_unresolved_rho_rejected(self):
+        with pytest.raises(ValueError, match=r"^rho must be resolved before fitting$"):
+            fit_link_sigmoid_probit(LinkParams(np.zeros(2), 0.0, "sigmoid"),
+                                    np.full((4, 2), 0.2), RegularizationConfig(),
+                                    np.array([0.5, 0.5]))
+
     def test_unregularized_config_rejected(self):
         reg = RegularizationConfig(rho=0.0)
         alpha = np.array([0.5, 0.5])
-        with pytest.raises(ValueError, match="requires rho > 0"):
+        with pytest.raises(ValueError, match=r"^rho must be > 0 to fit a link to a corpus "
+                                             r"with links, got 0$"):
             fit_link_sigmoid_probit(LinkParams(np.zeros(2), 0.0, "sigmoid"),
                                     np.full((4, 2), 0.2), reg, alpha)
 
@@ -281,6 +295,44 @@ class TestFit:
             save_model(model, str(p))
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_unknown_kind_rejected(self):
+        corpus = Corpus(["a", "b"], [[(0, 1)], [(1, 1)]], links=[(0, 1)])
+        with pytest.raises(ValueError, match=r"^unknown link function kind: 'cosine'$"):
+            fit(corpus, 2, kind="cosine")
+
+    @pytest.mark.parametrize("kind", [*linkfn.KINDS, "lda_regression"])
+    def test_zero_rho_rejected_with_links(self, kind, monkeypatch):
+        # without pseudo non-links every kind's link fit degenerates: fit
+        # rejects rho = 0 before its first E-step, and fit_link, which
+        # LDA+regression calls on its LDA's posteriors, before any update
+        # (for sigmoid and probit, fit_link_sigmoid_probit checks it too)
+        corpus, _ = generate_synthetic(2, 6, 12, 10, np.array([0.5, 0.5]),
+                                       np.array([-1.0, -1.0]), -0.5, "exponential", seed=2)
+        assert corpus.num_links
+        reg = RegularizationConfig(rho=0.0)
+        message = r"^rho must be > 0 to fit a link to a corpus with links, got 0$"
+        if kind == "lda_regression":
+            lda = baselines.fit_lda(corpus, 2, reg=reg, em_iters=2)
+            with pytest.raises(ValueError, match=message):
+                baselines.fit_link_regression(corpus, lda)
+            return
+        alpha = np.full(2, 0.5)
+        with pytest.raises(ValueError, match=message):
+            estimation.fit_link(corpus, init_state(corpus, 2, alpha), alpha, reg,
+                                LinkParams(np.zeros(2), 0.0, kind))
+        monkeypatch.setattr(inference, "run_e_step", lambda *args, **kwargs: pytest.fail(
+            "E-step run"))
+        with pytest.raises(ValueError, match=message):
+            fit(corpus, 2, kind=kind, reg=reg)
+
+    @pytest.mark.parametrize("kind, links", [*((kind, []) for kind in linkfn.KINDS),
+                                             (None, [(0, 1)])])
+    def test_zero_rho_fits_where_no_link_is_fitted(self, kind, links):
+        # a link kind on a corpus without links, or no link kind: rho is never read
+        corpus = Corpus(["a", "b"], [[(0, 1)], [(1, 1)]], links)
+        model = fit(corpus, 2, kind=kind, reg=RegularizationConfig(rho=0.0), em_iters=2)
+        assert model.config["rho"] == 0.0
 
     @pytest.mark.parametrize("kind", ["exponential", None])
     def test_config_holds_the_resolved_regularization(self, tmp_path, kind):
@@ -530,6 +582,20 @@ class TestModelFile:
         p.write_text("something else\n")
         with pytest.raises(ValueError, match="not a model file"):
             load_model(str(p))
+
+    @pytest.mark.parametrize("lines, message", [
+        (["2 3 exponential 1"], "malformed model header"),
+        (["2 3 cosine 1 0.01"], "unknown model kind 'cosine'"),
+        (["2 3 exponential 1 0.01", "-1", "-0.5"], "expected 2 link coefficients"),
+        (["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800", "0 -800"],
+         "topic matrix shape mismatch")])
+    def test_parse_rejection_messages(self, tmp_path, lines, message):
+        # lines replace the valid file's lines from its header on
+        valid = ["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800 -800", "0 -800 -800"]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(["rtm-model v1", *lines, *valid[len(lines):]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_model(str(path))
 
     def test_unnormalized_rows_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -18,7 +18,7 @@ from rtm.corpus import Corpus, generate_synthetic
 from rtm.estimation import FittedModel
 from rtm.inference import ElboBreakdown, ModelParams, elbo, init_state, run_e_step
 from rtm.linkfn import LinkParams
-from rtm.prediction import train_posteriors
+from rtm.prediction import infer_heldout
 
 
 def make_params(beta, alpha, link=None):
@@ -134,13 +134,6 @@ def two_doc_corpus():
     return Corpus(["a", "b"], [[(0, 1)], [(1, 1)]], links=[(0, 1)])
 
 
-def unsmoothed_example(link=None):
-    """Two linked documents over terms 0 and 1, and a model whose beta is
-    zero for term 1 in topic 0 and for the unused term 2 in topic 1."""
-    corpus = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(0, 1), (1, 2)]], [(0, 1)])
-    return corpus, make_params([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]], [0.5, 0.5], link)
-
-
 class TestModelParams:
     def test_log_beta_comes_from_its_own_read_only_copy(self):
         beta = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
@@ -148,11 +141,24 @@ class TestModelParams:
         beta[0] = [1.0, 0.0, 0.0]
         assert beta.flags.writeable
         np.testing.assert_array_equal(params.beta[0], [0.5, 0.5, 0.0])
-        np.testing.assert_array_equal(params.log_beta[0], [np.log(0.5), np.log(0.5), -np.inf])
+        # a zero beta is served as the floor 1e-300
+        np.testing.assert_array_equal(params.log_beta[0],
+                                      [np.log(0.5), np.log(0.5), np.log(1e-300)])
         np.testing.assert_array_equal(params.log_beta[1], np.log([0.2, 0.3, 0.5]))
         for array in (params.beta, params.log_beta):
             with pytest.raises(ValueError):
                 array[0, 0] = 0.1
+
+    @pytest.mark.parametrize("beta, alpha, link, message", [
+        ([0.5, 0.5], [1.0], None, "beta must be a K x V matrix"),
+        ([[0.5, 0.5]], [0.5, 0.5], None, "alpha must have one entry per topic"),
+        ([[0.5, 0.5]], [1.0], LinkParams(np.zeros(2), -1.0, "exponential"),
+         "link coefficient length must equal the topic count"),
+        # a negative entry would otherwise be served as the floor 1e-300
+        ([[1.5, -0.5]], [1.0], None, "beta entries must be nonnegative")])
+    def test_rejection_messages(self, beta, alpha, link, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_params(beta, alpha, link)
 
     def test_rows_must_sum_to_one_within_1e_8(self):
         # an absolute test, as load_model's: allclose's default rtol of
@@ -242,15 +248,6 @@ class TestUpdatePhi:
         state.set_phi(0, 0, np.full(2, 0.5))
         updated = new_phi_row(0, 0, state, params)
         assert abs(updated[0] - best.x) < 1e-6
-
-    def test_all_zero_beta_column_rejected(self):
-        c = Corpus(["a", "b"], [[(0, 1), (1, 1)]])
-        state = init_state(c, 2, np.array([0.5, 0.5]))
-        beta = np.array([[1.0, 0.0], [1.0, 0.0]])
-        params = make_params(beta, [0.5, 0.5])
-        with pytest.raises(ValueError, match=r"^beta of topic 0 is zero for term 1 of the "
-                                             r"corpus \(unsmoothed model\)$"):
-            new_phi_row(0, 1, state, params)
 
 
 class TestWholeDocumentVisit:
@@ -500,11 +497,13 @@ class TestElbo:
                                   words=[0, 1], links=[(0, 1)])
         assert abs(analytic - oracle) < 1e-6
 
-    def test_zero_phi_where_beta_is_zero_adds_nothing(self):
-        # term 1 has beta 0 in topic 0, and its phi rows put no mass there:
-        # that entry adds 0 * log 0 = 0 to the word term, with no "invalid
-        # value" warning (the suite turns warnings into errors)
-        c, params = unsmoothed_example()
+    def test_zero_phi_where_beta_is_floored_adds_nothing(self):
+        # term 1 has beta 0 in topic 0, served as the floor 1e-300, and its
+        # phi rows put no mass there: that entry adds 0 * log 1e-300 = 0 to
+        # the word term, with no warning (the suite turns warnings into
+        # errors).  Term 2 has beta 0 in topic 1, and no document uses it
+        c = Corpus(["a", "b", "c"], [[(0, 2), (1, 1)], [(0, 1), (1, 2)]], [(0, 1)])
+        params = make_params([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]], [0.5, 0.5])
         phi = init_state(c, 2, params.alpha).phi
         phi[c.terms == 1] = [0.0, 1.0]
         state = inference.VariationalState(c, np.full((2, 2), 2.0), phi)
@@ -587,22 +586,6 @@ class TestEStep:
         assert len(trace) == 2
         np.testing.assert_allclose(state.phi[c.rows(0)], 1.0)
         np.testing.assert_allclose(state.gamma[0], [1.0 + 3.0])
-
-    @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
-    def test_term_zero_in_one_topic_rejected_before_any_bound(self, kind, monkeypatch):
-        # init_state puts mass on every topic, so term 1, whose beta is zero
-        # in topic 0, would start the bound at -inf; term 2 is zero in topic 1
-        # but no document uses it
-        link = None if kind is None else LinkParams(eta=np.array([-0.5, 2.0]), nu=-1.0,
-                                                    kind=kind)
-        corpus, params = unsmoothed_example(link)
-        model = FittedModel(params=params, kind=kind or "lda", config={})
-        monkeypatch.setattr(inference, "elbo", lambda *args: pytest.fail("bound computed"))
-        message = r"^beta of topic 0 is zero for term 1 of the corpus \(unsmoothed model\)$"
-        with pytest.raises(ValueError, match=message):
-            run_e_step(corpus, params, init_state(corpus, 2, params.alpha))
-        with pytest.raises(ValueError, match=message):
-            train_posteriors(model, corpus)
 
     def test_non_finite_bound_raises(self):
         corpus = two_doc_corpus()
@@ -1124,7 +1107,7 @@ def extreme_topics(draw, num_topics, num_terms):
     so log beta is at least -690.8: a term's row of log beta spans up to
     ~691 nats, and its row factor exp(lb - max lb) reaches 1e-300.  Log
     weights of -700 or more keep every beta entry a positive normal
-    float after normalization (the E-step rejects a zero one).
+    float after normalization.
     """
     weight = st.floats(-700.0, -650.0) | st.floats(-50.0, 0.0)
     log_w = np.array([draw(st.lists(weight, min_size=num_terms, max_size=num_terms))
@@ -1192,6 +1175,48 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
         assert np.all(np.isfinite(getattr(state, name)))
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
                                    rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+@settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
+@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+       seed=st.integers(0, 2**16))
+def test_beta_below_the_floor_is_served_as_the_floor(kind, data, corpus, num_topics, seed):
+    # beta entries below 1e-300, zero and subnormal ones included, give the
+    # bytes of the same model with those entries at 1e-300: the E-step's
+    # state and trace, the bound, and words-only and links-only held-out
+    # posteriors.  Each topic keeps one entry above the floor
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
+    terms = st.lists(st.booleans(), min_size=corpus.num_terms, max_size=corpus.num_terms)
+    below = np.array([data.draw(terms) for _ in range(num_topics)])
+    below[np.arange(num_topics), [data.draw(st.integers(0, corpus.num_terms - 1))
+                                  for _ in range(num_topics)]] = False
+    beta[below] = 0.0
+    beta /= beta.sum(axis=1, keepdims=True)
+    tiny = st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(0.0, 1e-300)
+    drawn = np.array([data.draw(tiny) for _ in range(np.count_nonzero(below))])
+    link = None if kind is None else data.draw(link_params(kind, num_topics))
+    entry = st.tuples(st.integers(0, corpus.num_terms - 1), st.integers(1, 3))
+    words = data.draw(st.lists(entry, min_size=1, max_size=4))
+    links = data.draw(st.lists(st.integers(0, corpus.num_docs - 1), min_size=1, max_size=3))
+    results = []
+    for values in (drawn, 1e-300):
+        served = beta.copy()
+        served[below] = values
+        params = make_params(served, alpha, link)
+        state, trace = run_e_step(corpus, params, init_state(corpus, num_topics, alpha),
+                                  tol=1e-8, max_sweeps=3)
+        model = FittedModel(params=params, kind=kind or "lda", config={})
+        posteriors = (infer_heldout(model, words=words),
+                      infer_heldout(model, links=links, train_phi_bar=state.phi_bar))
+        bound = np.array(list(vars(elbo(corpus, params, state)).values()))
+        assert np.all(np.isfinite(trace)) and np.all(np.isfinite(bound))
+        results.append([params.log_beta, state.gamma, state.phi, state.phi_bar, state.var_bar,
+                        np.array(trace), bound, *(vars(post)[name] for post in posteriors
+                                                 for name in ("phi_bar", "gamma", "var"))])
+    for got, expected in zip(*results):
+        assert got.tobytes() == expected.tobytes()
 
 
 @st.composite

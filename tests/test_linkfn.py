@@ -346,6 +346,18 @@ def literal_link(kind, x):
     return math.exp(x)
 
 
+class TestRejectionMessages:
+    def test_eta_must_be_a_vector(self):
+        with pytest.raises(ValueError, match=r"^eta must be a 1-D coefficient vector$"):
+            LinkParams(np.zeros((2, 1)), -1.0, "exponential")
+
+    @pytest.mark.parametrize("kind", [kind for kind in linkfn.KINDS if kind != "gaussian"])
+    def test_grad_phi_gaussian_needs_the_gaussian_kind(self, kind):
+        with pytest.raises(ValueError, match=r"^grad_phi_gaussian requires the gaussian kind$"):
+            linkfn.grad_phi_gaussian(LinkParams(np.full(2, -0.5), -0.5, kind),
+                                     np.full(2, 0.5), 1, np.full(2, 0.25), 2)
+
+
 class TestSingleDefinitions:
     """log_link and gradient_coefficient against the formulas written out."""
 

@@ -130,6 +130,12 @@ def simplex(num_topics):
 
 
 class TestInferHeldout:
+    def test_links_only_needs_train_phi_bar_under_an_rtm_kind(self):
+        model = model_of([[0.4, 0.6], [0.5, 0.5]], [0.5, 0.5],
+                         LinkParams(np.full(2, -0.5), -0.5, "exponential"))
+        with pytest.raises(ValueError, match=r"^links-only inference requires train_phi_bar$"):
+            infer_heldout(model, links=[0])
+
     def test_words_only_single_topic(self):
         model = model_of([[0.4, 0.6]], [1.0])
         post = infer_heldout(model, words=[(0, 2), (1, 1)])
@@ -308,49 +314,6 @@ class TestInferHeldout:
             path = [it[i] for it in iterates[first:]]
             bound = sum(float(np.abs(b - a).sum()) for a, b in zip(path, path[1:]))
             assert np.abs(got - iterates[stopped][i]).sum() <= bound + 1e-12 * n
-
-    def test_zero_beta_column_rejected(self):
-        # term 2 has probability zero under every topic: its phi row has no
-        # finite softmax, so the query is rejected rather than scored as nan
-        model = model_of([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0]], [0.5, 0.5])
-        with pytest.raises(ValueError, match=r"^beta column of term 2 is entirely zero"):
-            infer_heldout(model, words=[(0, 1), (2, 1)])
-        # zero in one topic only is fine
-        post = infer_heldout(model, words=[(0, 1), (1, 2)])
-        assert np.all(np.isfinite(post.gamma))
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(data=st.data(), num_topics=st.integers(1, 3), num_terms=st.integers(1, 5))
-    def test_zero_beta_rules_of_e_step_and_query(self, data, num_topics, num_terms):
-        # beta with zero entries, never a whole topic: the E-step rejects a
-        # corpus term that is zero in some topic, a query only a term that
-        # is zero in every topic
-        zero = np.array([data.draw(st.lists(st.booleans(), min_size=num_terms,
-                                            max_size=num_terms)) for _ in range(num_topics)])
-        for row in zero:
-            if row.all():
-                row[data.draw(st.integers(0, num_terms - 1))] = False
-        beta = np.where(zero, 0.0, 1.0)
-        model = model_of(beta / beta.sum(axis=1, keepdims=True), np.full(num_topics, 0.5))
-        entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 3))
-        docs = data.draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1,
-                                  max_size=3))
-        corpus = Corpus([f"w{i}" for i in range(num_terms)], docs)
-        state = init_state(corpus, num_topics, model.params.alpha)
-        if zero[:, corpus.terms].any():
-            with pytest.raises(ValueError, match=r"^beta of topic \d+ is zero for term \d+ "
-                                                 r"of the corpus \(unsmoothed model\)$"):
-                run_e_step(corpus, model.params, state)
-        else:
-            _, trace = run_e_step(corpus, model.params, state)
-            assert np.all(np.isfinite(trace))
-        query = data.draw(st.lists(entry, min_size=1, max_size=3))
-        if zero[:, [t for t, _ in query]].all(axis=0).any():
-            with pytest.raises(ValueError, match=r"^beta column of term \d+ is entirely zero "
-                                                 r"\(unsmoothed model\)$"):
-                infer_heldout(model, words=query)
-        else:
-            assert np.all(np.isfinite(infer_heldout(model, words=query).gamma))
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(data=st.data(), num_topics=st.integers(2, 5), num_terms=st.integers(1, 10),

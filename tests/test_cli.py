@@ -701,14 +701,15 @@ class TestSuggestLinks:
                      "--model", model_path, "--new-doc", "0:2"])
         assert_one_line_error(capsys, code, "error: corpus has 30 terms, more than the model's 20")
 
-    def test_log_beta_below_the_floor_is_served_as_the_floor(self, tmp_path):
-        # `python -W error -m rtm.cli suggest-links` with a 2-topic, 3-term
-        # exponential model over two linked training documents that use
-        # terms 0 and 1.  Term 1 is below the floor log 1e-300 in topic 0,
-        # where the training posteriors' E-step reads it, and term 2 in both
-        # topics, where only the query reads it.  An entry of -inf (zero
-        # beta) or -800 (beta underflows to zero) gives the output of the
-        # floor itself
+    LOG_HALF = "-0.6931471805599453"
+
+    @staticmethod
+    def suggest_below_the_floor(tmp_path, log_beta_rows, new_doc):
+        """The outputs of `python -W error -m rtm.cli suggest-links` with a
+        2-topic, 3-term exponential model over two linked training documents
+        that use terms 0 and 1, with each `{low}` of the log beta rows set to
+        -inf (zero beta), to -800 (beta underflows to zero) and to the floor
+        log 1e-300."""
         docs, vocab, links = (tmp_path / f"{n}.txt" for n in ("docs", "vocab", "links"))
         docs.write_text("2 0:2 1:1\n2 0:1 1:2\n")
         vocab.write_text("a\nb\nc\n")
@@ -717,12 +718,28 @@ class TestSuggestLinks:
         for low in ("-inf", "-800", repr(float(np.log(1e-300)))):
             model = tmp_path / f"m{low}.txt"
             model.write_text("rtm-model v1\n2 3 exponential 1 0.01\n-1\n-0.5 -0.5\n"
-                             f"0 {low} {low}\n-0.6931471805599453 -0.6931471805599453 {low}\n")
+                             + "".join(row.format(low=low) + "\n" for row in log_beta_rows))
             result = run_strict("suggest-links", "--docs", docs, "--vocab", vocab,
-                                "--links", links, "--model", model, "--new-doc", "0:1 2:1")
+                                "--links", links, "--model", model, "--new-doc", new_doc)
             assert (result.returncode, result.stderr) == (0, "")
+            assert result.stdout.splitlines()[0] == "rank\tdoc_id\tscore"
             outputs.append(result.stdout)
-        assert outputs[0].splitlines()[0] == "rank\tdoc_id\tscore"
+        return outputs
+
+    def test_zero_beta_column_is_served_as_the_floor(self, tmp_path):
+        # term 2 is below the floor in both topics and no training document
+        # uses it, so only the query reads it
+        half = self.LOG_HALF
+        outputs = self.suggest_below_the_floor(tmp_path, [f"{half} {half} {{low}}"] * 2,
+                                               "0:1 2:1")
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_training_term_zero_in_one_topic_is_served_as_the_floor(self, tmp_path):
+        # term 1, used by the training documents, is below the floor in
+        # topic 0, where the training posteriors' E-step reads it
+        half = self.LOG_HALF
+        outputs = self.suggest_below_the_floor(
+            tmp_path, [f"{half} {{low}} {half}", f"{half} {half} {{low}}"], "0:1")
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_empty_new_doc_rejected(self, tmp_path, capsys):

@@ -315,6 +315,38 @@ class TestInferHeldout:
             bound = sum(float(np.abs(b - a).sum()) for a, b in zip(path, path[1:]))
             assert np.abs(got - iterates[stopped][i]).sum() <= bound + 1e-12 * n
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), num_topics=st.integers(1, 3), num_terms=st.integers(1, 5))
+    def test_zero_beta_in_e_step_and_query_is_served_as_the_floor(self, data, num_topics,
+                                                                   num_terms):
+        # beta with zero entries, never a whole topic: a corpus term that is
+        # zero in some topic and a query term that is zero in every topic
+        # give the E-step and the words-only query of the model with those
+        # entries at 1e-300, and finite
+        zero = np.array([data.draw(st.lists(st.booleans(), min_size=num_terms,
+                                            max_size=num_terms)) for _ in range(num_topics)])
+        for row in zero:
+            if row.all():
+                row[data.draw(st.integers(0, num_terms - 1))] = False
+        beta = np.where(zero, 0.0, 1.0)
+        beta /= beta.sum(axis=1, keepdims=True)
+        entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 3))
+        docs = data.draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1,
+                                  max_size=3))
+        corpus = Corpus([f"w{i}" for i in range(num_terms)], docs)
+        query = data.draw(st.lists(entry, min_size=1, max_size=3))
+        results = []
+        for served in (beta, np.where(zero, 1e-300, beta)):
+            model = model_of(served, np.full(num_topics, 0.5))
+            state, trace = run_e_step(corpus, model.params,
+                                      init_state(corpus, num_topics, model.params.alpha))
+            post = infer_heldout(model, words=query)
+            assert np.all(np.isfinite(trace)) and np.all(np.isfinite(post.gamma))
+            results.append([state.gamma, state.phi, np.array(trace),
+                            post.gamma, post.phi_bar, post.var])
+        for got, expected in zip(*results):
+            assert got.tobytes() == expected.tobytes()
+
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(data=st.data(), num_topics=st.integers(2, 5), num_terms=st.integers(1, 10),
            alpha_total=st.floats(0.01, 2.0), seed=st.integers(0, 2**16))

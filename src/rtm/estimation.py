@@ -428,7 +428,8 @@ def _parse_model(lines):
     if len(lines) < 4 + k:
         raise ValueError(f"truncated model file: fewer than {4 + k} lines "
                          f"for {k} topic rows")
-    log_beta = np.array([[float(x) for x in lines[4 + i].split()] for i in range(k)])
+    # one conversion for the whole matrix, accepting exactly the tokens float() does
+    log_beta = np.array([line.split() for line in lines[4:4 + k]], dtype=np.float64)
     if log_beta.shape != (k, v):
         raise ValueError("topic matrix shape mismatch")
     beta = np.exp(log_beta)

@@ -62,6 +62,7 @@ update reads the live per-document means, so a document visit sees the
 neighbors already updated in the same sweep.
 """
 
+import functools
 import itertools
 import logging
 
@@ -88,7 +89,11 @@ class ModelParams:
     log(max(beta, 1e-300)): every entry below 1e-300, zero included, is
     served as 1e-300 to everything that reads log beta (the E-step, the
     bound, held-out queries and model files), so log_beta is finite.
-    `prediction.predict_word_dist` uses beta as given.
+    `prediction.predict_word_dist` uses beta as given.  row_factor is a
+    read-only V x K array, exp(log_beta - its max over topics) with one
+    row per term: the word evidence of `prediction.infer_heldout` in
+    lda-c's factored form.  It is computed on first use, once per
+    instance, so fits and E-steps, which never read it, never pay for it.
     """
 
     beta: np.ndarray
@@ -117,6 +122,12 @@ class ModelParams:
         self.beta.flags.writeable = False
         self.log_beta = np.log(np.maximum(self.beta, 1e-300))
         self.log_beta.flags.writeable = False
+
+    @functools.cached_property
+    def row_factor(self):
+        factor = np.exp(self.log_beta - self.log_beta.max(axis=0)).T.copy()
+        factor.flags.writeable = False
+        return factor
 
     @property
     def num_topics(self):
@@ -738,11 +749,20 @@ def _sweep(params, state, blocks, tol):
     return total
 
 
+def _check_tol(tol):
+    """Reject a posterior loop's tolerance unless it is finite and > 0:
+    at 0, below it or nan no loop converges, and at inf every loop stops
+    after one step."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=None):
     """Coordinate ascent to convergence; returns (state, elbo trace).
 
     Terminates when the relative bound change between sweeps drops below
     tol or max_sweeps is reached; the latter is logged as a warning.
+    tol must be finite and > 0.
     The trace holds the bound before any update followed by one value
     per sweep.  The first value is `elbo(corpus, params, state).total`,
     unless a caller that has just computed it, as `fit` has after an
@@ -755,8 +775,7 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     agree (see `VariationalState`).  Deterministic, with fixed
     summation order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
 
     coupled = _coupled(params)
     blocks = _e_step_blocks(corpus, params, state.layout(corpus, params))

@@ -8,9 +8,10 @@ against the frozen model (`infer_heldout`).  Words enter as one row of
 phi per distinct term, with that term's log beta as evidence.  Links
 enter as a single pseudo-token with no word evidence, pulled by the
 gradient of the expected log links towards the posterior means of the
-linked training documents.  The loop iterates on K per-topic weights:
-the evidence is exponentiated once per query, as in lda-c, and the phi
-rows are formed after the loop.
+linked training documents.  The loop iterates on K per-topic weights,
+as in lda-c: the words' evidence enters as row factors that each model
+computes once (`inference.ModelParams.row_factor`), and the phi rows
+are formed after the loop.
 
 Evaluation reports the average rank of each true link among all scored
 training documents and of each held-out token among the vocabulary
@@ -81,15 +82,17 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     iteration sets each phi row to the softmax of E[log theta] + evidence
     + link gradient, then gamma to alpha + counts @ phi.  The softmax is
     taken in factored form: with the row factor F = exp(evidence - its
-    row max), computed once, and the topic weights w = exp(d - max d) for
-    d = psi(gamma) + link gradient, phi = F * w / (F @ w) row by row.  So
-    gamma = alpha + w * ((counts / (F @ w)) @ F) takes two matrix-vector
-    products, and phi is formed after the loop (each iteration only for
-    the links-only pseudo-token, whose link gradient reads it).
-    psi(sum gamma) is left out of E[log theta], as a shift shared by
-    every topic cancels in the softmax.  The loop stops once
-    sum |change in gamma| < tol * K * N, that is mean |change| / N < tol,
-    or after _MAX_ITERS (100) iterations.  The cap binds: for
+    row max), the query's rows of `ModelParams.row_factor` (computed once
+    per model, on its first query), and the topic weights
+    w = exp(d - max d) for d = psi(gamma) + link gradient,
+    phi = F * w / (F @ w) row by row.  So gamma = alpha + w * ((counts /
+    (F @ w)) @ F) takes two matrix-vector products, and phi is formed
+    after the loop (each iteration only for the links-only pseudo-token,
+    whose link gradient reads it).  psi(sum gamma) is left out of
+    E[log theta], as a shift shared by every topic cancels in the
+    softmax.  The loop stops once sum |change in gamma| < tol * K * N,
+    that is mean |change| / N < tol, or after _MAX_ITERS (100)
+    iterations; tol must be finite and > 0.  The cap binds: for
     generating-parameter models of three 200-document exponential draws
     (K = 10, 500 terms, 40 tokens, alpha 0.1, eta 2.5, nu -2.5; the
     benchmark's suggest workload at seeds 1-5), 17-30 of 480 word queries
@@ -97,6 +100,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     """
     if (words is None) == (links is None):
         raise ValueError("provide exactly one of words= or links=")
+    inference._check_tol(tol)
     params = model.params
     k = params.num_topics
     link = None
@@ -105,9 +109,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
         if not words:
             raise ValueError("empty word evidence")
         merged = _merged_doc(words, params.num_terms)
-        terms = list(merged)
-        evidence = params.log_beta[:, terms].T
-        factor = np.exp(evidence - evidence.max(axis=1, keepdims=True))
+        factor = params.row_factor[list(merged)]
         counts = np.array(list(merged.values()), dtype=np.float64)
     else:
         upper = np.inf if train_phi_bar is None else len(train_phi_bar)
@@ -123,19 +125,22 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
             neighbor_means = np.asarray(train_phi_bar)[links]
             phi_row = np.full(k, 1.0 / k)
 
-    n = counts.sum()
+    # ufunc reductions and ndarray.dot: the ndarray methods and @ cost
+    # about twice as much per call at these sizes, for the same results
+    alpha = params.alpha
+    n = np.add.reduce(counts)
     stop = tol * k * n
-    gamma = params.alpha + n / k
+    gamma = alpha + n / k
     for _ in range(_MAX_ITERS):
         d = psi(gamma)
         if link is not None:
             d += _link_gradient(link, neighbor_means, phi_row)
-        w = np.exp(d - d.max())
-        norm = factor @ w
-        new_gamma = params.alpha + w * ((counts / norm) @ factor)
+        w = np.exp(d - np.maximum.reduce(d))
+        norm = factor.dot(w)
+        new_gamma = alpha + w * (counts / norm).dot(factor)
         if link is not None:
             phi_row = w / norm[0]
-        change = np.abs(new_gamma - gamma).sum()
+        change = np.add.reduce(np.absolute(new_gamma - gamma))
         gamma = new_gamma
         if change < stop:
             break
@@ -190,9 +195,9 @@ def average_ranks(scores):
 
 
 def retrieval_order(scores):
-    """Candidate indices by descending score, ties broken by index."""
-    scores = np.asarray(scores)
-    return np.lexsort((np.arange(scores.shape[0]), -scores))
+    """Candidate indices by descending score, ties broken by index: a
+    stable sort of the negated scores, so 0.0 ties -0.0."""
+    return np.argsort(-np.asarray(scores), kind="stable")
 
 
 @dataclass

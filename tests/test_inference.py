@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ class TestModelParams:
     def test_rejection_messages(self, beta, alpha, link, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_params(beta, alpha, link)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data(), num_topics=st.integers(1, 4), num_terms=st.integers(1, 8))
+    def test_row_factor_is_each_terms_factor_read_only(self, data, num_topics, num_terms):
+        # one contiguous row per term, exp(lb - max lb) of that term's log
+        # beta bit for bit, down to the floor; computed on first use, once
+        beta = data.draw(extreme_topics(num_topics, num_terms))
+        params = make_params(beta, np.ones(num_topics))
+        assert "row_factor" not in vars(params)
+        factor = params.row_factor
+        assert params.row_factor is factor
+        assert factor.shape == (num_terms, num_topics) and factor.flags.c_contiguous
+        for term in range(num_terms):
+            evidence = params.log_beta[:, term]
+            assert factor[term].tobytes() == np.exp(evidence - evidence.max()).tobytes()
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.5
+
+    def test_e_step_leaves_row_factor_uncomputed(self):
+        corpus = two_doc_corpus()
+        params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5],
+                             LinkParams(np.full(2, -1.0), -1.0, "exponential"))
+        run_e_step(corpus, params, init_state(corpus, 2, params.alpha))
+        assert "row_factor" not in vars(params)
 
     def test_rows_must_sum_to_one_within_1e_8(self):
         # an absolute test, as load_model's: allclose's default rtol of
@@ -675,6 +700,16 @@ class TestEStep:
         state = init_state(corpus, 2, params.alpha)
         with pytest.raises(ValueError):
             run_e_step(corpus, params, state, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # nan ran every sweep to max_sweeps and warned; inf stopped after one
+        corpus = two_doc_corpus()
+        params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
+        state = init_state(corpus, 2, params.alpha)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'tol must be finite and > 0, got {tol}')}$"):
+            run_e_step(corpus, params, state, tol=tol)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from scipy.special import psi
 from scipy.stats import rankdata
 
 from rtm import baselines, estimation, linkfn, prediction
-from rtm.corpus import Corpus, generate_synthetic, split_folds, training_view
+from rtm.corpus import Corpus, _merged_doc, generate_synthetic, split_folds, training_view
 from rtm.estimation import FittedModel, fit
 from rtm.inference import ModelParams, init_state, run_e_step
 from rtm.linkfn import LinkParams
@@ -108,6 +108,78 @@ def log_space_words_loop(model, words, tol):
         gamma = new_gamma
         iterates.append((gamma, counts @ phi / n, counts @ (phi * (1.0 - phi)) / n**2))
     return iterates, len(iterates) - 1 if stopped is None else stopped
+
+
+def pre_row_factor_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
+    """infer_heldout as it was before the row factors were computed once
+    per model and its loop ran on ufunc reductions and ndarray.dot: its
+    words and links branches and loop verbatim, past the input checks.
+    The current loop must give the same bytes."""
+    params = model.params
+    k = params.num_topics
+    link = None
+    if words is not None:
+        merged = _merged_doc(list(words), params.num_terms)
+        terms = list(merged)
+        evidence = params.log_beta[:, terms].T
+        factor = np.exp(evidence - evidence.max(axis=1, keepdims=True))
+        counts = np.array(list(merged.values()), dtype=np.float64)
+    else:
+        links = np.unique(np.array(links, dtype=np.int64))
+        factor, counts = np.ones((1, k)), np.ones(1)
+        link = prediction._topic_link(model)
+        if link is not None:
+            neighbor_means = np.asarray(train_phi_bar)[links]
+            phi_row = np.full(k, 1.0 / k)
+
+    n = counts.sum()
+    stop = tol * k * n
+    gamma = params.alpha + n / k
+    for _ in range(prediction._MAX_ITERS):
+        d = psi(gamma)
+        if link is not None:
+            d += prediction._link_gradient(link, neighbor_means, phi_row)
+        w = np.exp(d - d.max())
+        norm = factor @ w
+        new_gamma = params.alpha + w * ((counts / norm) @ factor)
+        if link is not None:
+            phi_row = w / norm[0]
+        change = np.abs(new_gamma - gamma).sum()
+        gamma = new_gamma
+        if change < stop:
+            break
+    phi = factor * (w / norm[:, None])
+    return HeldoutPosterior(phi_bar=counts @ phi / n, gamma=gamma,
+                            var=counts @ (phi * (1.0 - phi)) / n**2)
+
+
+def assert_same_bytes(got, expected):
+    for name in ("gamma", "phi_bar", "var"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def extreme_words_model(data, num_topics, num_terms, alpha_total):
+    """A words-only model and query at the loop's extremes: log beta
+    entries spread over 900 nats, some of them -inf (zero beta, served as
+    the floor), every column keeping one entry that survives
+    normalization, and alpha_total split over the topics."""
+    entry = st.one_of(st.floats(-900.0, 0.0), st.just(-np.inf))
+    logits = np.array([[data.draw(entry) for _ in range(num_terms)]
+                       for _ in range(num_topics)])
+    for row in logits:
+        if np.isneginf(row).all():
+            row[data.draw(st.integers(0, num_terms - 1))] = 0.0
+    logits -= logits.max(axis=1, keepdims=True)
+    for term in range(num_terms):
+        if (logits[:, term] < -700.0).all():
+            logits[data.draw(st.integers(0, num_topics - 1)), term] = \
+                data.draw(st.floats(-700.0, 0.0))
+    beta = np.exp(logits)
+    alpha = alpha_total * data.draw(simplex(num_topics))
+    model = model_of(beta / beta.sum(axis=1, keepdims=True), alpha)
+    terms = data.draw(st.lists(st.integers(0, num_terms - 1), min_size=1,
+                               max_size=num_terms, unique=True))
+    return model, [(t, data.draw(st.integers(1, 5))) for t in terms]
 
 
 def draw_link(data, kind, num_topics):
@@ -278,26 +350,7 @@ class TestInferHeldout:
            tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
     def test_words_only_matches_log_space_loop(self, data, num_topics, num_terms,
                                                alpha_total, tol):
-        # log beta entries spread over 900 nats, some of them -inf (zero beta),
-        # but every column keeps one entry that survives normalization
-        entry = st.one_of(st.floats(-900.0, 0.0), st.just(-np.inf))
-        logits = np.array([[data.draw(entry) for _ in range(num_terms)]
-                           for _ in range(num_topics)])
-        for row in logits:
-            if np.isneginf(row).all():
-                row[data.draw(st.integers(0, num_terms - 1))] = 0.0
-        logits -= logits.max(axis=1, keepdims=True)
-        for term in range(num_terms):
-            if (logits[:, term] < -700.0).all():
-                logits[data.draw(st.integers(0, num_topics - 1)), term] = \
-                    data.draw(st.floats(-700.0, 0.0))
-        beta = np.exp(logits)
-        alpha = alpha_total * data.draw(simplex(num_topics))
-        model = model_of(beta / beta.sum(axis=1, keepdims=True), alpha)
-        terms = data.draw(st.lists(st.integers(0, num_terms - 1), min_size=1,
-                                   max_size=num_terms, unique=True))
-        words = [(t, data.draw(st.integers(1, 5))) for t in terms]
-
+        model, words = extreme_words_model(data, num_topics, num_terms, alpha_total)
         post = infer_heldout(model, words=words, tol=tol)
         iterates, stopped = log_space_words_loop(model, words, tol)
         n = sum(c for _, c in words)
@@ -314,6 +367,51 @@ class TestInferHeldout:
             path = [it[i] for it in iterates[first:]]
             bound = sum(float(np.abs(b - a).sum()) for a, b in zip(path, path[1:]))
             assert np.abs(got - iterates[stopped][i]).sum() <= bound + 1e-12 * n
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data(), num_topics=st.integers(1, 5), num_terms=st.integers(1, 8),
+           alpha_total=st.one_of(st.sampled_from([1e-300, 1e-150, 1e-20, 1e-3]),
+                                 st.floats(1e-300, 10.0)),
+           tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
+    def test_words_only_bytes_match_the_pre_row_factor_loop(self, data, num_topics,
+                                                            num_terms, alpha_total, tol):
+        # the row factors computed once per model and the ufunc loop take
+        # the same floating-point steps as the per-query factors did
+        model, words = extreme_words_model(data, num_topics, num_terms, alpha_total)
+        assert_same_bytes(infer_heldout(model, words=words, tol=tol),
+                          pre_row_factor_heldout(model, words=words, tol=tol))
+
+    @pytest.mark.parametrize("kind", (*linkfn.KINDS, "lda", "lda_regression", "unigram"))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), num_topics=st.integers(1, 4), num_train=st.integers(1, 6),
+           alpha_total=st.one_of(st.sampled_from([1e-300, 1e-20]), st.floats(1e-3, 10.0)),
+           tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
+    def test_links_only_bytes_match_the_pre_row_factor_loop(self, kind, data, num_topics,
+                                                            num_train, alpha_total, tol):
+        link = None
+        if kind in linkfn.KINDS:
+            link = draw_link(data, kind, num_topics)
+        elif kind == "lda_regression":
+            link = draw_link(data, "sigmoid", num_topics)
+        alpha = alpha_total * data.draw(simplex(num_topics))
+        model = model_of(np.full((num_topics, 2), 0.5), alpha, link=link, kind=kind)
+        train_phi_bar = np.array([data.draw(simplex(num_topics)) for _ in range(num_train)])
+        links = data.draw(st.lists(st.integers(0, num_train - 1), min_size=1, max_size=5))
+        assert_same_bytes(
+            infer_heldout(model, links=links, train_phi_bar=train_phi_bar, tol=tol),
+            pre_row_factor_heldout(model, links=links, train_phi_bar=train_phi_bar, tol=tol))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # at 0, below or nan the loop ran to its cap; at inf it stopped after
+        # one iteration
+        link = LinkParams(eta=np.array([-1.0, -1.0]), nu=-0.5, kind="exponential")
+        model = model_of([[0.5, 0.5], [0.25, 0.75]], [0.5, 0.5], link=link)
+        message = f"^{re.escape(f'tol must be finite and > 0, got {tol}')}$"
+        with pytest.raises(ValueError, match=message):
+            infer_heldout(model, words=[(0, 1)], tol=tol)
+        with pytest.raises(ValueError, match=message):
+            infer_heldout(model, links=[0], train_phi_bar=np.full((1, 2), 0.5), tol=tol)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(data=st.data(), num_topics=st.integers(1, 3), num_terms=st.integers(1, 5))
@@ -542,6 +640,18 @@ class TestRanks:
     def test_retrieval_order_breaks_ties_by_index(self):
         order = retrieval_order(np.array([0.5, 0.9, 0.5]))
         np.testing.assert_array_equal(order, [1, 0, 2])
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), pool=st.lists(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf]) | st.floats(allow_nan=False),
+        min_size=1, max_size=50))
+    def test_retrieval_order_equals_lexsort_by_index(self, data, pool):
+        # tie-heavy scores, 0.0 and -0.0 among them: the stable sort of the
+        # negated scores is the lexsort with the index as its second key
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=50)),
+                          dtype=np.float64)
+        expected = np.lexsort((np.arange(scores.shape[0]), -scores))
+        assert retrieval_order(scores).tobytes() == expected.tobytes()
 
 
 def brute_force_fold_metrics(model, corpus, plan, fold, top_k):

@@ -25,7 +25,11 @@ purpose: it prints how far each file of NEW is from the same file of OLD
              bound traces
   suggest/   the 3 draws of the benchmark's suggest workload for seeds 1
              and 2: `train_posteriors` arrays and bound, and every query's
-             score vector
+             score vector and `infer_heldout` posterior from its words
+             (words-*.npy: gamma, phi_bar and var, one row per query);
+             and for each query with links into the training documents,
+             the links-only posterior from them (links-*.npy, and the
+             queries they belong to in links-docs.npy)
   e_step/    3-sweep `run_e_step` states and traces of 100-doc draws of
              every link kind under their generating models
   log.txt    what rtm logged: isolated documents, E-steps stopped at
@@ -155,13 +159,24 @@ def suggest_outputs(rtm):
             for array in ("phi", "gamma", "phi_bar", "var_bar"):
                 np.save(f"{name}/{array}.npy", getattr(state, array))
             write_trace([rtm.elbo(train, model.params, state).total], f"{name}/bound.txt")
-            scores = []
+            scores, by_words, by_links, linked = [], [], [], []
             for doc in range(40, full.num_docs):
                 words = list(zip(*(part.tolist() for part in full.doc(doc))))
                 heldout = rtm.infer_heldout(model, words=words)
+                by_words.append(heldout)
                 scores.append(rtm.score_train_docs(model, heldout, state.phi_bar,
                                                    state.var_bar))
+                links = [other for other in full.neighbors[doc].tolist() if other < 40]
+                if links:
+                    linked.append(doc)
+                    by_links.append(rtm.infer_heldout(model, links=links,
+                                                      train_phi_bar=state.phi_bar))
             np.save(f"{name}/scores.npy", np.array(scores))
+            np.save(f"{name}/links-docs.npy", np.array(linked, dtype=np.int64))
+            for prefix, posteriors in (("words", by_words), ("links", by_links)):
+                for array in ("gamma", "phi_bar", "var"):
+                    np.save(f"{name}/{prefix}-{array}.npy",
+                            np.array([getattr(post, array) for post in posteriors]))
 
 
 def e_step_outputs(rtm):
@@ -200,8 +215,7 @@ def top_orders_agree(old, new, top=20):
     """Per row of two score matrices, whether the first `top` candidates by
     descending score, ties by index (as `retrieval_order`), are the same."""
     def order(scores):
-        return np.lexsort((np.broadcast_to(np.arange(scores.shape[1]), scores.shape),
-                           -scores), axis=1)[:, :top]
+        return np.argsort(-scores, axis=1, kind="stable")[:, :top]
     return np.all(order(np.atleast_2d(old)) == order(np.atleast_2d(new)), axis=1)
 
 

@@ -26,7 +26,7 @@ document exactly the values that the index-order sweep gives it.  Every
 document of a block keeps its own convergence test and iteration cap.
 The blocks depend only on the corpus, on whether eta is zero and on
 whether the kind is exponential, so the state keeps their layout, and
-an E-step only gathers log beta into it.
+an E-step only gathers the model's arrays into it (see `ModelParams`).
 
 A level is guarded unless the kind is exponential: the sigmoid, probit
 and gaussian link gradients read the document's own mean.  Each
@@ -34,15 +34,14 @@ iteration of a guarded level is one array step over its still-active
 documents, each with its own damping step.  An unguarded block (the
 documents without pairs, or an exponential level) iterates on
 per-document topic weights with lda-c's factored softmax.  It holds its
-rows' data per document, padded to its longest document's rows (a pad
-slot has row factor 1 and count 0, so it adds nothing and F @ w stays
-at least 1 there), and an iteration is two batched matmuls over its
-documents; a guarded level keeps flat rows.  The padding costs
-D_b x R_max x K floats per unguarded block, so the documents without
-pairs and each exponential level are split into runs of documents
-whose padded slots are at most twice their rows (see `_runs`), and a
-visit steps all runs of its level together.  Either visit
-reads its documents' state and its neighbors' means when it starts, and
+rows per document in slots, padded to its longest document's rows (a
+pad slot has count 0, so it adds nothing), and an iteration is two
+batched matmuls over its documents; a guarded level keeps flat rows.
+The padding costs D_b x R_max x K floats per unguarded block, so the
+documents without pairs and each exponential level are split into runs
+of documents whose padded slots are at most twice their rows (see
+`_runs`), and a visit steps all runs of its level together.  Either
+visit reads its documents' state and its neighbors' means when it starts, and
 writes the whole block once, when its last document leaves (see
 `VariationalState` for what each writes).  Each visit returns its
 documents' own bound terms, every term but the link term: a guarded
@@ -62,7 +61,6 @@ update reads the live per-document means, so a document visit sees the
 neighbors already updated in the same sweep.
 """
 
-import functools
 import itertools
 import logging
 
@@ -72,6 +70,7 @@ import numpy as np
 from scipy.special import gammaln, psi, xlogy
 
 from . import linkfn
+from .corpus import _doc_id
 
 logger = logging.getLogger(__name__)
 
@@ -89,17 +88,21 @@ class ModelParams:
     log(max(beta, 1e-300)): every entry below 1e-300, zero included, is
     served as 1e-300 to everything that reads log beta (the E-step, the
     bound, held-out queries and model files), so log_beta is finite.
-    `prediction.predict_word_dist` uses beta as given.  row_factor is a
-    read-only V x K array, exp(log_beta - its max over topics) with one
-    row per term: the word evidence of `prediction.infer_heldout` in
-    lda-c's factored form.  It is computed on first use, once per
-    instance, so fits and E-steps, which never read it, never pay for it.
+    `prediction.predict_word_dist` uses beta as given.  row_max, the
+    V-vector log_beta.max(axis=0), and row_factor, the V x K array
+    exp(log_beta - row_max).T, are the word evidence of lda-c's factored
+    softmax, which the E-step and held-out queries gather by term; each
+    row has an entry exactly 1 and none below about 1e-300.  Each array
+    derived from beta is read-only and built once, at construction: per
+    EM iteration, one K x V exp next to the K x V log.
     """
 
     beta: np.ndarray
     alpha: np.ndarray
     link: linkfn.LinkParams | None = None
     log_beta: np.ndarray = field(init=False, repr=False, compare=False)
+    row_max: np.ndarray = field(init=False, repr=False, compare=False)
+    row_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.beta = np.array(self.beta, dtype=np.float64)
@@ -119,15 +122,11 @@ class ModelParams:
             raise ValueError("beta rows must sum to 1")
         if self.link is not None and self.link.eta.shape[0] != self.beta.shape[0]:
             raise ValueError("link coefficient length must equal the topic count")
-        self.beta.flags.writeable = False
         self.log_beta = np.log(np.maximum(self.beta, 1e-300))
-        self.log_beta.flags.writeable = False
-
-    @functools.cached_property
-    def row_factor(self):
-        factor = np.exp(self.log_beta - self.log_beta.max(axis=0)).T.copy()
-        factor.flags.writeable = False
-        return factor
+        self.row_max = self.log_beta.max(axis=0)
+        self.row_factor = np.exp(self.log_beta - self.row_max).T.copy()
+        for array in (self.beta, self.log_beta, self.row_max, self.row_factor):
+            array.flags.writeable = False
 
     @property
     def num_topics(self):
@@ -154,8 +153,13 @@ class VariationalState:
     stale until `run_e_step` returns and calls `refresh_var_bar`.  So
     between E-steps all four agree; within an E-step var_bar is current
     for the documents of guarded levels only, the ones read there.  The
-    state also keeps the E-steps' block layouts (see `layout`), so the
-    E-steps of a fit build them once.
+    state also keeps the E-steps' block layouts (see `layout`), which
+    depend on the corpus alone, so the E-steps of a fit build them once.
+
+    A state belongs to its corpus's documents and its topic count:
+    `run_e_step` and `elbo` reject a corpus of other documents (other
+    links are accepted) or a model of another topic count, and `set_phi`
+    an index outside a document.
     """
 
     def __init__(self, corpus, gamma, phi):
@@ -185,8 +189,14 @@ class VariationalState:
                                       self.corpus.lengths)
 
     def set_phi(self, d, term_index, new_phi):
-        """Replace one term's phi row and recompute the document caches."""
+        """Replace one term's phi row and recompute the document caches.
+
+        d must be a document of the corpus and term_index the position of
+        a row within it: integers in range, as `corpus._doc_id` checks an id.
+        """
+        d = _doc_id(d, "document", self.corpus.num_docs)
         rows = self.corpus.rows(d)
+        term_index = _doc_id(term_index, "term index", rows.stop - rows.start)
         self.phi[rows.start + term_index] = new_phi
         doc = slice(d, d + 1)
         moments = self.corpus.counts[rows], self.phi[rows], [0], self.corpus.lengths[doc]
@@ -198,6 +208,8 @@ def init_state(corpus, num_topics, alpha):
     1/K, and gamma_d = alpha + N_d/K, so gamma = alpha + N_d * phi_bar_d
     holds from the start."""
     alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (num_topics,):
+        raise ValueError(f"alpha must have {num_topics} entries, one per topic")
     gamma = np.tile(alpha, (corpus.num_docs, 1)) + corpus.lengths[:, None] / num_topics
     phi = np.full((corpus.terms.shape[0], num_topics), 1.0 / num_topics)
     return VariationalState(corpus, gamma, phi)
@@ -208,8 +220,9 @@ def init_state(corpus, num_topics, alpha):
 #: the arrays of a _Block, by what they have one entry for
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
-                     "lam", "objective", "slack", "factor", "rowmax", "slot_counts"), "doc"),
-    **dict.fromkeys(("rows", "counts", "lb", "phi"), "row"),
+                     "lam", "objective", "slack", "factor", "rowmax", "slot_terms",
+                     "slot_counts"), "doc"),
+    **dict.fromkeys(("rows", "terms", "counts", "lb", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
 
@@ -218,18 +231,17 @@ class _Block:
     """A set of documents updated together, with their phi rows and links.
 
     Each array in `_FIELDS` has one entry per document, per phi row, or
-    per (document, neighbor) pair, in document order.  docs, rows and
-    neighbors are corpus indices; row_doc and pair_doc give the position
-    in the block of the document that owns each row and pair.
+    per (document, neighbor) pair, in document order.  docs, rows, terms
+    and neighbors are corpus indices; row_doc and pair_doc give the
+    position in the block of the document that owns each row and pair.
     level is the wavefront level of an E-step block's documents (-1 for
     the documents without pairs), and guarded says whether the block is
     a guarded level, visited by `_visit_guarded`.  An unguarded block is
-    one run of its level (see `_runs`) and also holds its rows per
-    document, padded to its longest document (see `_e_step_blocks`):
-    factor, rowmax and slot_counts, whose first num_rows slots of each
-    document hold its rows.  `pair_sum`
-    needs a pair for every document, as in a level.  `take` keeps a
-    subset of the documents with their rows and pairs.
+    one run of its level (see `_runs`) and holds its rows per document in
+    slots (see `_slotted`), with factor and rowmax in an E-step (see
+    `_e_step_blocks`).  `pair_sum` needs a pair for every document, as
+    in a level.  `take` keeps a subset of the documents with their rows
+    and pairs.
     """
 
     def __init__(self, guarded=False, **arrays):
@@ -296,21 +308,21 @@ def _guarded(params):
 
 
 def _block_layout(corpus, coupled, guarded):
-    """The E-step's blocks in visit order, without their log beta, and their row order.
+    """The E-step's blocks in visit order, without the model's arrays.
 
     First the documents without pairs, then one block per wavefront
     level of the others (see the module docstring), guarded if guarded
     is set.  Uncoupled, no document has pairs, so every document is
     without pairs.  The documents without pairs, and each level that is
-    not guarded, are split into the runs of `_runs`, one block each.
-    Each block records its level.  A block with no documents is left
-    out.  Returns the blocks and the corpus rows in block order.
+    not guarded, are split into the runs of `_runs`, one block each, and
+    each run holds its rows in slots (see `_slotted`).  Each block
+    records its level.  A block with no documents is left out.
     """
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
     whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
                    num_rows=np.diff(corpus.indptr),
                    num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
-                   rows=np.arange(corpus.terms.shape[0]),
+                   rows=np.arange(corpus.terms.shape[0]), terms=corpus.terms,
                    counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
     # -1 for the documents without pairs
     level = np.where(whole.num_pairs > 0, _levels(corpus) if coupled else 0, -1)
@@ -320,9 +332,20 @@ def _block_layout(corpus, coupled, guarded):
         if i >= 0 and guarded:
             blocks.append(block.replace(guarded=True, level=i))
         else:
-            blocks.extend(run.replace(level=i) for run in _runs(block))
-    blocks = [block for block in blocks if block.docs.size]
-    return blocks, np.concatenate([block.rows for block in blocks])
+            blocks.extend(_slotted(run).replace(level=i) for run in _runs(block))
+    return [block for block in blocks if block.docs.size]
+
+
+def _slotted(run):
+    """The run with slot_terms and slot_counts (D_b, R_max): each
+    document's terms and counts in its first num_rows slots, padded to
+    the longest document with count 0, so a pad's term (0) does not matter."""
+    filled = np.arange(run.num_rows.max(initial=0)) < run.num_rows[:, None]
+    slot_terms = np.zeros(filled.shape, dtype=run.terms.dtype)
+    slot_terms[filled] = run.terms
+    slot_counts = np.zeros(filled.shape)
+    slot_counts[filled] = run.counts
+    return run.replace(slot_terms=slot_terms, slot_counts=slot_counts)
 
 
 def _runs(block):
@@ -352,38 +375,20 @@ def _runs(block):
     return runs
 
 
-def _e_step_blocks(corpus, params, layout):
-    """The blocks of a `_block_layout`, with each row's log beta.
+def _e_step_blocks(params, blocks):
+    """The blocks of a `_block_layout` with the model's arrays for their rows.
 
-    A guarded block holds each row's log beta lb.  An unguarded
-    block (a run of the documents without pairs or of an exponential
-    level) holds its rows per document instead, for `_visit_unguarded`:
-    padded to its longest document, of R_max rows, factor (D_b, R_max, K)
-    holds each row's exp(lb - rowmax), rowmax (D_b, R_max) its row max
-    and slot_counts (D_b, R_max) its count, each document's rows in its
-    first num_rows slots.  A pad slot has lb = 0 in every topic: factor 1,
-    rowmax 0 and count 0.  factor takes D_b x R_max x K floats, at most
-    twice its rows' own, as a run's D_b x R_max is (see `_runs`).
+    A guarded block gets each row's log beta lb.  An unguarded block (a
+    run of the documents without pairs or of an exponential level) gets
+    each slot's term's row factor and row max (see `ModelParams`) for
+    `_visit_unguarded`: factor (D_b, R_max, K) and rowmax (D_b, R_max),
+    at most twice its rows' floats, as a run's slots are (see `_runs`).
+    Each array is one gather.
     """
-    blocks, order = layout
-    lb = params.log_beta[:, corpus.terms].T
-    # each block's run of rows
-    bounds = np.cumsum([block.rows.shape[0] for block in blocks[:-1]])
-    return [block.replace(lb=block_lb) if block.guarded else _padded(block, block_lb)
-            for block, block_lb in zip(blocks, np.split(lb[order], bounds))]
-
-
-def _padded(block, lb):
-    """The unguarded block with its rows' log beta lb as padded per-document
-    factor, rowmax and slot_counts (see `_e_step_blocks`)."""
-    filled = np.arange(block.num_rows.max()) < block.num_rows[:, None]
-    padded = np.zeros((*filled.shape, lb.shape[1]))
-    padded[filled] = lb
-    rowmax = padded.max(axis=2)
-    slot_counts = np.zeros_like(rowmax)
-    slot_counts[filled] = block.counts
-    return block.replace(factor=np.exp(padded - rowmax[:, :, None]), rowmax=rowmax,
-                         slot_counts=slot_counts)
+    return [block.replace(lb=params.log_beta[:, block.terms].T) if block.guarded
+            else block.replace(factor=params.row_factor[block.slot_terms],
+                               rowmax=params.row_max[block.slot_terms])
+            for block in blocks]
 
 
 def _store(state, block, phi, gamma, phi_bar):
@@ -482,13 +487,27 @@ def _link_term(corpus, params, state):
         state.var_bar[l1], state.var_bar[l2]).sum())
 
 
+def _check_state(corpus, params, state):
+    """Reject a state built for other documents than corpus's, or for
+    another topic count than the model's.  The links may differ."""
+    if corpus is not state.corpus and not all(
+            np.array_equal(getattr(corpus, name), getattr(state.corpus, name))
+            for name in ("indptr", "terms", "counts")):
+        raise ValueError("the state was built for other documents than the corpus's")
+    if params.num_topics != state.num_topics:
+        raise ValueError(f"the model has {params.num_topics} topics and the state "
+                         f"{state.num_topics}")
+
+
 def elbo(corpus, params, state):
     """Evidence lower bound of the current state under the model.
 
     The link term sums the expected log link probability over observed
     links only.  The entropy enters with its standard positive sign so
-    the total is a genuine lower bound.
+    the total is a genuine lower bound.  The state must hold corpus's
+    documents and the model's topic count (see `_check_state`).
     """
+    _check_state(corpus, params, state)
     link_term = _link_term(corpus, params, state)
     z_term, word_term, theta_prior, entropy_term = (float(part.sum()) for part in _bound_parts(
         params.alpha, corpus.counts, params.log_beta[:, corpus.terms].T, corpus.indptr[:-1],
@@ -624,10 +643,9 @@ def _visit_unguarded(params, state, runs, tol):
     over F @ w times F for gamma.  A pad slot adds nothing to gamma, as
     its count is 0.  A document leaves with its last w and gamma under
     `_visit_guarded`'s test and cap, and the rest are one index on the
-    document axis of each array.  F @ w cannot underflow: the largest
-    weight is exactly 1 and every F entry is at least 1e-300, as log
-    beta is floored at log 1e-300 (see `ModelParams`); a pad slot's F
-    is 1, so its F @ w is at least 1.
+    document axis of each array.  F @ w > 0 in every slot, pads
+    included: a slot's F is a term's row of row_factor, with no entry
+    below about 1e-300 (see `ModelParams`), and the largest weight is 1.
 
     When the last document leaves, the phi rows are formed once from the
     final w, run by run in the padded layout, and the visit writes the
@@ -642,12 +660,12 @@ def _visit_unguarded(params, state, runs, tol):
     rather than their rows.  With log phi = lb - rowmax + log w -
     log(F @ w) in each row, the word and entropy terms are
     sum_n c_n (rowmax_n + log(F @ w)_n) - n phi_bar . log w, summed over
-    the padded slots (a pad slot's count is 0); the last product is 0
-    wherever w underflowed to 0, as gamma - alpha = n phi_bar is exactly
-    0 there.  And as gamma = alpha + n phi_bar, the z|theta term
-    n phi_bar . E[log theta] cancels (alpha - gamma) . E[log theta] in
-    the theta term, leaving log Gamma(sum alpha) - sum log Gamma(alpha)
-    + sum log Gamma(gamma) - log Gamma(sum gamma).
+    the padded slots (0 in a pad, of count 0 and finite rowmax and F @ w);
+    the last product is 0 wherever w underflowed to 0, as gamma - alpha
+    = n phi_bar is exactly 0 there.  And as gamma = alpha + n phi_bar,
+    the z|theta term n phi_bar . E[log theta] cancels (alpha - gamma) .
+    E[log theta] in the theta term, leaving log Gamma(sum alpha) - sum
+    log Gamma(alpha) + sum log Gamma(gamma) - log Gamma(sum gamma).
 
     The visit reads its documents' gamma from the state.  The documents
     of an exponential level also read one offset per document, added to
@@ -772,13 +790,15 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     no link), the link term does not depend on the state and is computed
     once per E-step.  On return var_bar is
     refreshed for every document, so phi_bar, var_bar and the rows
-    agree (see `VariationalState`).  Deterministic, with fixed
-    summation order.
+    agree (see `VariationalState`).  The state must hold corpus's
+    documents and the model's topic count (see `_check_state`).
+    Deterministic, with fixed summation order.
     """
     _check_tol(tol)
+    _check_state(corpus, params, state)
 
     coupled = _coupled(params)
-    blocks = _e_step_blocks(corpus, params, state.layout(corpus, params))
+    blocks = _e_step_blocks(params, state.layout(corpus, params))
     current = elbo(corpus, params, state).total if start_bound is None else start_bound
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")

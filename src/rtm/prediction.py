@@ -10,8 +10,8 @@ enter as a single pseudo-token with no word evidence, pulled by the
 gradient of the expected log links towards the posterior means of the
 linked training documents.  The loop iterates on K per-topic weights,
 as in lda-c: the words' evidence enters as row factors that each model
-computes once (`inference.ModelParams.row_factor`), and the phi rows
-are formed after the loop.
+builds once, at construction (`inference.ModelParams.row_factor`, which
+the E-step gathers too), and the phi rows are formed after the loop.
 
 Evaluation reports the average rank of each true link among all scored
 training documents and of each held-out token among the vocabulary
@@ -82,8 +82,8 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     iteration sets each phi row to the softmax of E[log theta] + evidence
     + link gradient, then gamma to alpha + counts @ phi.  The softmax is
     taken in factored form: with the row factor F = exp(evidence - its
-    row max), the query's rows of `ModelParams.row_factor` (computed once
-    per model, on its first query), and the topic weights
+    row max), the query's rows of `ModelParams.row_factor` (built once
+    per model, at its construction), and the topic weights
     w = exp(d - max d) for d = psi(gamma) + link gradient,
     phi = F * w / (F @ w) row by row.  So gamma = alpha + w * ((counts /
     (F @ w)) @ F) takes two matrix-vector products, and phi is formed

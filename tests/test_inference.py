@@ -31,31 +31,35 @@ def e_step_blocks(corpus, params):
     """The E-step's blocks in visit order, built as `run_e_step` builds them."""
     layout = inference._block_layout(corpus, inference._coupled(params),
                                      inference._guarded(params))
-    return inference._e_step_blocks(corpus, params, layout)
+    return inference._e_step_blocks(params, layout)
 
 
 def assert_padded(block, corpus, params):
     """An unguarded block's padded arrays hold each document's rows in its
-    first num_rows slots, in row order: the row factor exp(lb - rowmax),
-    rowmax and count.  Its pad slots hold factor 1, rowmax 0 and count 0,
-    and it keeps no flat log beta.  The block's rows are its documents'
-    rows in document order."""
+    first num_rows slots, in row order: the term, its count, and the
+    term's row factor exp(lb - rowmax) and rowmax, which are the model's
+    rows of the term bit for bit.  Its pad slots hold count 0, whatever
+    their term, and it keeps no flat log beta.  The block's rows are its
+    documents' rows in document order."""
     assert not block.guarded and not hasattr(block, "lb")
     assert block.factor.shape == (*block.slot_counts.shape, params.num_topics)
-    assert block.rowmax.shape == block.slot_counts.shape
+    assert block.rowmax.shape == block.slot_terms.shape == block.slot_counts.shape
     np.testing.assert_array_equal(block.rows, np.concatenate(
         [np.arange(corpus.indptr[d], corpus.indptr[d + 1]) for d in block.docs]))
     for p, d in enumerate(block.docs):
         rows = corpus.rows(d)
-        lb = params.log_beta[:, corpus.terms[rows]].T
+        terms = corpus.terms[rows]
+        lb = params.log_beta[:, terms].T
         rowmax = lb.max(axis=1)
         r = block.num_rows[p]
         assert r == lb.shape[0]
+        np.testing.assert_array_equal(block.slot_terms[p, :r], terms)
         np.testing.assert_array_equal(block.factor[p, :r], np.exp(lb - rowmax[:, None]))
         np.testing.assert_array_equal(block.rowmax[p, :r], rowmax)
+        assert block.factor[p, :r].tobytes() == params.row_factor[terms].tobytes()
+        assert block.rowmax[p, :r].tobytes() == params.row_max[terms].tobytes()
         np.testing.assert_array_equal(block.slot_counts[p, :r], corpus.counts[rows])
-        assert np.all(block.factor[p, r:] == 1.0)
-        assert not block.rowmax[p, r:].any() and not block.slot_counts[p, r:].any()
+        assert not block.slot_counts[p, r:].any()
 
 
 def one_doc_block(state, params, d):
@@ -165,25 +169,32 @@ class TestModelParams:
     @given(data=st.data(), num_topics=st.integers(1, 4), num_terms=st.integers(1, 8))
     def test_row_factor_is_each_terms_factor_read_only(self, data, num_topics, num_terms):
         # one contiguous row per term, exp(lb - max lb) of that term's log
-        # beta bit for bit, down to the floor; computed on first use, once
+        # beta bit for bit, down to the floor, with max lb in row_max
         beta = data.draw(extreme_topics(num_topics, num_terms))
         params = make_params(beta, np.ones(num_topics))
-        assert "row_factor" not in vars(params)
         factor = params.row_factor
-        assert params.row_factor is factor
         assert factor.shape == (num_terms, num_topics) and factor.flags.c_contiguous
+        assert params.row_max.shape == (num_terms,)
         for term in range(num_terms):
             evidence = params.log_beta[:, term]
+            assert params.row_max[term].tobytes() == evidence.max().tobytes()
             assert factor[term].tobytes() == np.exp(evidence - evidence.max()).tobytes()
         with pytest.raises(ValueError):
             factor[0, 0] = 0.5
 
-    def test_e_step_leaves_row_factor_uncomputed(self):
+    def test_row_max_and_row_factor_are_built_read_only_at_construction(self):
+        # every array derived from beta is built with the instance, once:
+        # E-steps and queries only gather from them, and leave them as built
         corpus = two_doc_corpus()
         params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5],
                              LinkParams(np.full(2, -1.0), -1.0, "exponential"))
+        built = {name: vars(params)[name] for name in ("log_beta", "row_max", "row_factor")}
+        for array in built.values():
+            assert not array.flags.writeable
         run_e_step(corpus, params, init_state(corpus, 2, params.alpha))
-        assert "row_factor" not in vars(params)
+        infer_heldout(FittedModel(params=params, kind="exponential", config={}), words=[(0, 1)])
+        for name, array in built.items():
+            assert getattr(params, name) is array
 
     def test_rows_must_sum_to_one_within_1e_8(self):
         # an absolute test, as load_model's: allclose's default rtol of
@@ -216,6 +227,32 @@ class TestInitState:
             mean, var = doc_moments(state, c, d)
             np.testing.assert_allclose(state.phi_bar[d], mean, rtol=1e-12)
             np.testing.assert_allclose(state.var_bar[d], var, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [[0.5, 0.5], [0.5] * 4, 0.5])
+    def test_alpha_needs_one_entry_per_topic(self, alpha):
+        # two entries gave gamma (D, 2) next to phi (nnz, 3)
+        c = Corpus(["a", "b"], [[(0, 2), (1, 2)]])
+        with pytest.raises(ValueError, match=r"^alpha must have 3 entries, one per topic$"):
+            init_state(c, 3, alpha)
+
+
+class TestSetPhi:
+    @pytest.mark.parametrize("d, term_index, message", [
+        # wrote document 0's last row and left its phi_bar stale
+        (1, -1, "term index -1 out of range [0, 1)"),
+        # wrote document 1's row
+        (0, 2, "term index 2 out of range [0, 2)"),
+        (2, 0, "document 2 out of range [0, 2)"),
+        (-1, 0, "document -1 out of range [0, 2)"),
+        (0, 1.0, "term index 1.0 is not an integer")])
+    def test_index_outside_the_document_is_rejected(self, d, term_index, message):
+        c = Corpus(["a", "b", "c"], [[(0, 1), (1, 1)], [(2, 1)]])
+        state = init_state(c, 2, np.full(2, 0.5))
+        before = [array.copy() for array in (state.phi, state.phi_bar, state.var_bar)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state.set_phi(d, term_index, np.array([0.9, 0.1]))
+        for array, old in zip((state.phi, state.phi_bar, state.var_bar), before):
+            np.testing.assert_array_equal(array, old)
 
 
 class TestUpdatePhi:
@@ -693,6 +730,29 @@ class TestEStep:
             _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=100)
         assert len(trace) < 101
         assert not [r for r in caplog.records if r.name == "rtm.inference"]
+
+    @pytest.mark.parametrize("step", [run_e_step, elbo])
+    @pytest.mark.parametrize("docs", [
+        # the same shapes: both ran silently
+        [[(1, 1)], [(0, 1)]],
+        # other shapes: numpy failed to broadcast
+        [[(0, 1), (1, 2)], [(1, 1)]]])
+    def test_state_of_other_documents_is_rejected(self, step, docs):
+        corpus = two_doc_corpus()
+        params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5],
+                             LinkParams(np.full(2, -1.0), -1.0, "exponential"))
+        state = init_state(Corpus(["a", "b"], docs, links=[(0, 1)]), 2, params.alpha)
+        with pytest.raises(ValueError,
+                           match="^the state was built for other documents than the corpus's$"):
+            step(corpus, params, state)
+
+    @pytest.mark.parametrize("step", [run_e_step, elbo])
+    def test_state_of_another_topic_count_is_rejected(self, step):
+        corpus = two_doc_corpus()
+        params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
+        state = init_state(corpus, 3, np.full(3, 0.5))
+        with pytest.raises(ValueError, match="^the model has 2 topics and the state 3$"):
+            step(corpus, params, state)
 
     def test_invalid_tol_rejected(self):
         corpus = two_doc_corpus()

@@ -3,65 +3,39 @@
 The variational family factorizes over per-document Dirichlet parameters
 gamma and per-term topic simplexes phi (tokens of the same term share
 one phi vector), stored as one (nnz, K) array aligned with the
-corpus's CSR terms.  Coordinate ascent sweeps documents in index order;
-within a document, all phi rows are updated at once from the current
-state (a softmax over topics in each of the document's rows) followed by
-gamma, repeating until the document stabilizes.  The objective is the
-evidence lower bound with the expected log link probability summed over
-observed links only, so per-sweep link work scales with the number of
-links rather than the number of document pairs.
+corpus's CSR terms.  Coordinate ascent sweeps the documents; within a
+document, all phi rows are updated at once from the current state (a
+softmax over topics in each of the document's rows) followed by gamma,
+repeating until the document stabilizes.  The objective is the evidence
+lower bound with the expected log link probability summed over observed
+links only, so per-sweep link work scales with the number of links
+rather than the number of document pairs.
 
 A document's update reads only its own rows and the means of the
 documents it has pairs with, its linked neighbors.  Every kind's link
 gradient is proportional to eta, so at eta = 0 (where each fit starts),
-as without a link component, no document has pairs.  A document without
-pairs reads no one's mean and no one reads its, so all such documents
-are visited first, together.  The others run as a wavefront, grouped
-into levels: level[d] is 1 + the highest level of a lower-indexed
-neighbor of d, or 0 if there is none.  No two documents of a level are
-linked, every lower-indexed neighbor of a document sits in an earlier
-level and every higher-indexed one in a later level.  Updating the
-blocks in turn, all documents of a block together, therefore gives each
-document exactly the values that the index-order sweep gives it.  Every
-document of a block keeps its own convergence test and iteration cap.
-The blocks depend only on the corpus, on whether eta is zero and on
-whether the kind is exponential, so the state keeps their layout, and
-an E-step only gathers the model's arrays into it (see `ModelParams`).
-
-A level is guarded unless the kind is exponential: the sigmoid, probit
-and gaussian link gradients read the document's own mean.  Each
-iteration of a guarded level is one array step over its still-active
-documents, each with its own damping step.  An unguarded block (the
-documents without pairs, or an exponential level) iterates on
-per-document topic weights with lda-c's factored softmax.  It holds its
-rows per document in slots, padded to its longest document's rows (a
-pad slot has count 0, so it adds nothing), and an iteration is two
-batched matmuls over its documents; a guarded level keeps flat rows.
-The padding costs D_b x R_max x K floats per unguarded block, so the
-documents without pairs and each exponential level are split into runs
-of documents whose padded slots are at most twice their rows (see
-`_runs`), and a visit steps all runs of its level together.  Either
-visit reads its documents' state and its neighbors' means when it starts, and
-writes the whole block once, when its last document leaves (see
-`VariationalState` for what each writes).  Each visit returns its
-documents' own bound terms, every term but the link term: a guarded
-visit from its rows, an unguarded one from its topic weights.  A
-sweep's bound is their sum plus the link term, so no sweep reads every
-phi row again; `elbo` reads the whole state, at the start of an E-step
-and after each M-step.
+as without a link component, no document has pairs.  A sweep is a
+Jacobi sweep: every document reads its neighbors' means from the
+sweep's start, so all are updated together, in at most two visits (see
+`_sweep`).  The blocks depend only on the corpus, on whether eta is
+zero and on whether the kind is exponential, so the state keeps their
+layout, and an E-step only gathers the model's arrays into it (see
+`ModelParams`).  Each visit writes its documents once (see
+`VariationalState`) and returns their own bound terms, every term but
+the link term; a sweep's bound is their sum plus the link term, so no
+sweep reads every phi row again.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
 bound.  For the exponential kind the link gradient does not read the
 document's own phi, so the whole-document update is an exact block
-coordinate maximization.  For the other kinds it is a Jacobi update
-over the document's rows, damped within each visit wherever it would
-lower the document's block objective.  There is one sweep order: every
-update reads the live per-document means, so a document visit sees the
-neighbors already updated in the same sweep.
+coordinate maximization given its neighbors' means.  For the other
+kinds it is a Jacobi update over the document's rows, damped within
+each visit wherever it would lower the document's block objective.
+Moving both ends of a link at once can still lower the bound, so
+`run_e_step` checks each sweep's bound (see `_step_back`).
 """
 
-import itertools
 import logging
 
 from dataclasses import dataclass, field
@@ -147,14 +121,15 @@ class VariationalState:
 
     Both caches are filled at construction.  An E-step writes a
     document's phi rows, gamma and phi_bar once per sweep, when the visit
-    of its block ends.  A guarded visit computes phi_bar with `_mean` and
-    also writes var_bar; an unguarded visit writes phi_bar = (gamma -
-    alpha) / N_d, the rows' mean up to rounding, and leaves var_bar
-    stale until `run_e_step` returns and calls `refresh_var_bar`.  So
-    between E-steps all four agree; within an E-step var_bar is current
-    for the documents of guarded levels only, the ones read there.  The
-    state also keeps the E-steps' block layouts (see `layout`), which
-    depend on the corpus alone, so the E-steps of a fit build them once.
+    that holds it ends.  The guarded visit computes phi_bar with `_mean`
+    and also writes var_bar; the unguarded visit writes phi_bar = (gamma
+    - alpha) / N_d, the rows' mean up to rounding, and leaves var_bar
+    stale until `run_e_step` returns and calls `refresh_var_bar`;
+    `_step_back` writes all four.  So between E-steps all four agree;
+    within an E-step var_bar is current for the guarded block's
+    documents only, the ones read there.  The state also keeps the
+    E-steps' block layouts (see `layout`), which depend on the corpus
+    alone, so the E-steps of a fit build them once.
 
     A state belongs to its corpus's documents and its topic count:
     `run_e_step` and `elbo` reject a corpus of other documents (other
@@ -234,13 +209,11 @@ class _Block:
     per (document, neighbor) pair, in document order.  docs, rows, terms
     and neighbors are corpus indices; row_doc and pair_doc give the
     position in the block of the document that owns each row and pair.
-    level is the wavefront level of an E-step block's documents (-1 for
-    the documents without pairs), and guarded says whether the block is
-    a guarded level, visited by `_visit_guarded`.  An unguarded block is
-    one run of its level (see `_runs`) and holds its rows per document in
-    slots (see `_slotted`), with factor and rowmax in an E-step (see
-    `_e_step_blocks`).  `pair_sum` needs a pair for every document, as
-    in a level.  `take` keeps a subset of the documents with their rows
+    guarded says whether the block is visited by `_visit_guarded`.  An
+    unguarded block is one run (see `_runs`) and holds its rows per
+    document in slots (see `_slotted`), with factor and rowmax in an
+    E-step (see `_e_step_blocks`).  `pair_sum` needs a pair for every
+    document.  `take` keeps a subset of the documents with their rows
     and pairs.
     """
 
@@ -288,35 +261,24 @@ def _variance(counts, phi, starts, n):
     return np.add.reduceat(counts[:, None] * (phi * (1.0 - phi)), starts, axis=0) / n[:, None] ** 2
 
 
-def _levels(corpus):
-    """Wavefront level of every document (see the module docstring)."""
-    level = []
-    for d, ns in enumerate(corpus.neighbors):
-        lower = ns[:np.searchsorted(ns, d)].tolist()
-        level.append(1 + max((level[n] for n in lower), default=-1))
-    return np.array(level, dtype=np.int64)
-
-
 def _coupled(params):
     """Whether documents read their neighbors' means (see the module docstring)."""
     return params.link is not None and bool(params.link.eta.any())
 
 
 def _guarded(params):
-    """Whether the levels of documents with pairs are guarded (see the module docstring)."""
+    """Whether the documents with pairs are guarded (see the module docstring)."""
     return params.link is not None and params.link.kind != "exponential"
 
 
 def _block_layout(corpus, coupled, guarded):
     """The E-step's blocks in visit order, without the model's arrays.
 
-    First the documents without pairs, then one block per wavefront
-    level of the others (see the module docstring), guarded if guarded
-    is set.  Uncoupled, no document has pairs, so every document is
-    without pairs.  The documents without pairs, and each level that is
-    not guarded, are split into the runs of `_runs`, one block each, and
-    each run holds its rows in slots (see `_slotted`).  Each block
-    records its level.  A block with no documents is left out.
+    First the documents without pairs, then those with pairs, each
+    split into the runs of `_runs`, one block each, holding its rows in
+    slots (see `_slotted`); if guarded is set, the documents with pairs
+    are one guarded block instead.  Uncoupled, no document has pairs.  A
+    block with no documents is left out.
     """
     neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
     whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
@@ -324,15 +286,12 @@ def _block_layout(corpus, coupled, guarded):
                    num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
                    rows=np.arange(corpus.terms.shape[0]), terms=corpus.terms,
                    counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
-    # -1 for the documents without pairs
-    level = np.where(whole.num_pairs > 0, _levels(corpus) if coupled else 0, -1)
-    blocks = []
-    for i in range(-1, int(level.max()) + 1):
-        block = whole.take(level == i)
-        if i >= 0 and guarded:
-            blocks.append(block.replace(guarded=True, level=i))
-        else:
-            blocks.extend(_slotted(run).replace(level=i) for run in _runs(block))
+    paired = whole.num_pairs > 0
+    blocks = [_slotted(run) for run in _runs(whole.take(~paired))]
+    if guarded:
+        blocks.append(whole.take(paired).replace(guarded=True))
+    else:
+        blocks.extend(_slotted(run) for run in _runs(whole.take(paired)))
     return [block for block in blocks if block.docs.size]
 
 
@@ -379,8 +338,7 @@ def _e_step_blocks(params, blocks):
     """The blocks of a `_block_layout` with the model's arrays for their rows.
 
     A guarded block gets each row's log beta lb.  An unguarded block (a
-    run of the documents without pairs or of an exponential level) gets
-    each slot's term's row factor and row max (see `ModelParams`) for
+    run) gets each slot's term's row factor and row max (see `ModelParams`) for
     `_visit_unguarded`: factor (D_b, R_max, K) and rowmax (D_b, R_max),
     at most twice its rows' floats, as a run's slots are (see `_runs`).
     Each array is one gather.
@@ -402,7 +360,7 @@ def _store(state, block, phi, gamma, phi_bar):
 
 
 def _phi_update(params, block, elog_theta):
-    """New phi rows for every term of a guarded level's documents.
+    """New phi rows for every term of the guarded block's documents.
 
     elog_theta holds one row per document.  Each phi row combines its
     document's expected log topic proportions, the word evidence, and
@@ -534,23 +492,34 @@ def _block_objective(params, block, phi, gamma, phi_bar):
     return value + block.pair_sum(vals)
 
 
+def _mix(start, end, lam):
+    """Rows a step lam (a scalar, or one per row) from start toward end:
+    their normalized geometric mix, or the arithmetic mix in a row whose
+    geometric mix is 0 in every topic, as where exp underflow left the
+    row and its end with disjoint supports."""
+    mix = start ** (1.0 - lam) * end ** lam
+    total = mix.sum(axis=1, keepdims=True)
+    if not total.all():
+        mix = np.where(total > 0, mix, (1.0 - lam) * start + lam * end)
+        total = mix.sum(axis=1, keepdims=True)
+    return mix / total
+
+
 def _damp(params, block, proposal):
-    """Safeguard the step of every document of a guarded level.
+    """Safeguard the step of every document of the guarded block.
 
     proposal holds the undamped phi rows.  Each document moves from its
-    rows toward them by the geometric mix with its step lam; while that
-    would lower its block objective, lam is halved.  The document is
-    rejected, keeping the rows it started from, once lam falls below
-    1e-4.  Updates block.lam and block.objective; returns the new phi
-    rows, phi_bar and gamma, in fresh arrays, and the rejected mask.
+    rows toward them by `_mix` with its step lam; while that would lower
+    its block objective, lam is halved.  The document is rejected,
+    keeping the rows it started from, once lam falls below 1e-4.
+    Updates block.lam and block.objective; returns the new phi rows,
+    phi_bar and gamma, in fresh arrays, and the rejected mask.
     """
     phi, phi_bar, gamma = block.phi.copy(), block.phi_bar.copy(), block.gamma.copy()
     pending = np.ones(block.docs.shape[0], dtype=bool)
     rejected = np.zeros_like(pending)
     while pending.any():
-        lam = block.lam[block.row_doc, None]
-        mix = block.phi ** (1.0 - lam) * proposal ** lam
-        mix /= mix.sum(axis=1, keepdims=True)
+        mix = _mix(block.phi, proposal, block.lam[block.row_doc, None])
         mix_bar = block.mean(mix)
         mix_gamma = params.alpha + block.n[:, None] * mix_bar
         value = _block_objective(params, block, mix, mix_gamma, mix_bar)
@@ -567,15 +536,16 @@ def _damp(params, block, proposal):
 
 
 def _visit_guarded(params, state, block, tol):
-    """Run the damped phi/gamma iteration of a guarded level's documents.
+    """Run the damped phi/gamma iteration of the guarded block's documents.
 
     The visit reads its documents' phi rows, gamma and means, and its
-    neighbors' means and variances, from the state; the neighbors sit in
-    other blocks, so theirs stay fixed during the visit.  Each iteration
-    replaces every phi row of each active document by the whole-document
-    update, then its gamma, in one array step.  Every document is
-    safeguarded iteration by iteration (see `_damp`); a document's step
-    stays as small as its last damping for the rest of the visit.
+    neighbors' means and variances, from the state when it starts; the
+    neighbors' stay fixed during the visit, though the neighbors are in
+    the block too.  Each iteration replaces every phi row of each active
+    document by the whole-document update, then its gamma, in one array
+    step.  Every document is safeguarded iteration by iteration (see
+    `_damp`); a document's step stays as small as its last damping for
+    the rest of the visit.
     Damping does not move fixed points.  A document leaves the working
     set when its gamma change falls below tol, when it is rejected, or
     after _DOC_MAX_ITERS iterations; its rows and gamma are kept by
@@ -626,15 +596,14 @@ def _topic_weights(gamma, offset):
 
 
 def _visit_unguarded(params, state, runs, tol):
-    """Run the phi/gamma iteration of an unguarded level on topic weights.
+    """Run the phi/gamma iteration of the unguarded blocks on topic weights.
 
-    runs are the unguarded blocks of one level (or of the documents
-    without pairs), visited together: every iteration steps all their
-    active documents.  No document of them reads its own mean or another
-    document's, so its phi rows are lda-c's factored softmax: with the
-    row factors F (the run's factor) and the document's topic weights
-    w = exp(d - max d), for d = psi(gamma) + offset, phi = F * w / (F @ w)
-    row by row, and gamma = alpha + w * sum over rows of
+    runs are the unguarded blocks of a layout, visited together: every
+    iteration steps all their active documents.  No document of them
+    reads its own mean or another document's, so its phi rows are
+    lda-c's factored softmax: with the row factors F (the run's factor)
+    and the document's topic weights w = exp(d - max d), for d =
+    psi(gamma) + offset, phi = F * w / (F @ w) row by row, and gamma = alpha + w * sum over rows of
     (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
     shared by every topic cancels in the softmax.  A run keeps each
     document's rows in its own padded stretch of F and of the counts
@@ -667,19 +636,20 @@ def _visit_unguarded(params, state, runs, tol):
     E[log theta] in the theta term, leaving log Gamma(sum alpha) - sum
     log Gamma(alpha) + sum log Gamma(gamma) - log Gamma(sum gamma).
 
-    The visit reads its documents' gamma from the state.  The documents
-    of an exponential level also read one offset per document, added to
-    E[log theta] in every row: nb_sum * eta / n, as their link gradient
-    does not read their own means (its coefficient c(x) is 1).  The
-    neighbors sit in other blocks, so their means, and the offsets, stay
-    fixed during the visit.  The documents without pairs have no offset.
+    The visit reads its documents' gamma from the state, and for the
+    documents with pairs (of the exponential kind) one offset each,
+    added to E[log theta] in every row: nb_sum * eta / n, from the
+    neighbors' means when the visit starts, as their link gradient does
+    not read their own means (its coefficient c(x) is 1).  The documents
+    without pairs get offset 0, or none if no run has pairs.
     """
     # the runs' documents, one after another
     docs, n = _joined([run.docs for run in runs]), _joined([run.n for run in runs])
     gamma = state.gamma[docs]
     offset = None
-    if runs[0].neighbors.size:
-        nb_sum = _joined([run.pair_sum(state.phi_bar[run.neighbors]) for run in runs])
+    if any(run.neighbors.size for run in runs):
+        nb_sum = _joined([run.pair_sum(state.phi_bar[run.neighbors]) if run.neighbors.size
+                          else np.zeros((run.docs.shape[0], gamma.shape[1])) for run in runs])
         offset = nb_sum * params.link.eta / n[:, None]
     # each run's padded arrays and its stretch of the active documents
     parts = _stretches([(run.factor, run.slot_counts) for run in runs])
@@ -746,25 +716,43 @@ def _stretches(parts):
 
 
 def _sweep(params, state, blocks, tol):
-    """One full coordinate-ascent pass over all documents, level by level.
+    """One Jacobi sweep over all documents, in at most two visits.
 
-    For the sigmoid, probit, and gaussian kinds the link gradient reads
-    the document's own mean, which the whole-document update takes from
-    the start of each iteration (and sigmoid and probit also linearize
-    the link), so an iteration can overshoot.  Their levels are guarded:
-    safeguarded iteration by iteration (see `_visit_guarded`), so a visit
-    never lowers the document's block objective.  The exponential kind
-    is an exact block coordinate maximization and needs no safeguard,
-    nor do the documents without pairs; those levels iterate on topic
-    weights, all runs of a level in one visit (see `_visit_unguarded`).
-    Returns the sum of the documents' own bound terms that the visits
-    return: the bound without its link term.
+    First the unguarded runs, all in one visit on topic weights (see
+    `_visit_unguarded`), then the guarded block, if the layout has one:
+    for the sigmoid, probit, and gaussian kinds the link gradient reads
+    the document's own mean, so an iteration can overshoot, and
+    `_visit_guarded` damps it.  No document of the first visit is a
+    neighbor of one of the second, so every document reads its
+    neighbors' means from the sweep's start.  Returns the documents' own
+    bound terms: the bound without its link term.
     """
-    total = 0.0
-    for _, (block, *runs) in itertools.groupby(blocks, key=lambda block: block.level):
-        total += (_visit_guarded(params, state, block, tol) if block.guarded
-                  else _visit_unguarded(params, state, [block, *runs], tol))
+    runs = [block for block in blocks if not block.guarded]
+    total = _visit_unguarded(params, state, runs, tol) if runs else 0.0
+    if blocks[-1].guarded:
+        total += _visit_guarded(params, state, blocks[-1], tol)
     return total
+
+
+def _step_back(corpus, params, state, start, floor):
+    """Step a sweep whose bound fell below floor back toward start, its
+    phi rows, gamma and phi_bar; return the bound, or None if the state
+    is reset to start.  Every row moves by `_mix` with one step lam, and
+    gamma = alpha + N_d phi_bar_d, as in `_damp`; lam starts at 1/2 and
+    is halved while the bound is below floor, down to `_damp`'s 1e-4.
+    Either way var_bar is refreshed."""
+    end, lam = state.phi.copy(), 1.0
+    while (lam := lam / 2) >= 1e-4:
+        state.phi[...] = _mix(start[0], end, lam)
+        state.phi_bar[...] = _mean(corpus.counts, state.phi, corpus.indptr[:-1], corpus.lengths)
+        state.gamma[...] = params.alpha + corpus.lengths[:, None] * state.phi_bar
+        state.refresh_var_bar()
+        value = elbo(corpus, params, state).total
+        if value >= floor:
+            return value
+    state.phi[...], state.gamma[...], state.phi_bar[...] = start
+    state.refresh_var_bar()
+    return None
 
 
 def _check_tol(tol):
@@ -780,18 +768,20 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
 
     Terminates when the relative bound change between sweeps drops below
     tol or max_sweeps is reached; the latter is logged as a warning.
-    tol must be finite and > 0.
-    The trace holds the bound before any update followed by one value
-    per sweep.  The first value is `elbo(corpus, params, state).total`,
-    unless a caller that has just computed it, as `fit` has after an
-    M-step, passes it as start_bound.  A sweep's value is the sum of the
-    own terms its visits return plus the link term over the observed
-    links, so no sweep reads every phi row again.  Uncoupled (eta = 0 or
-    no link), the link term does not depend on the state and is computed
-    once per E-step.  On return var_bar is
-    refreshed for every document, so phi_bar, var_bar and the rows
-    agree (see `VariationalState`).  The state must hold corpus's
-    documents and the model's topic count (see `_check_state`).
+    tol must be finite and > 0.  The trace holds the bound before any
+    update followed by one value per sweep.  The first value is
+    `elbo(corpus, params, state).total`, unless a caller that has just
+    computed it, as `fit` has after an M-step, passes it as start_bound.
+    A sweep's value is the sum of the own terms its visits return plus
+    the link term over the observed links.  Uncoupled (eta = 0 or no
+    link), the link term does not depend on the state and is computed
+    once per E-step.  A sweep that lowers the bound by more than
+    `_damp`'s slack, 1e-12 (1 + |bound|), is stepped back (see
+    `_step_back`), or reset to its start, which repeats the previous
+    value and stops the E-step; either is logged once per E-step.  On
+    return var_bar is refreshed for every document, so phi_bar, var_bar
+    and the rows agree (see `VariationalState`).  The state must hold
+    corpus's documents and the model's topic count (see `_check_state`).
     Deterministic, with fixed summation order.
     """
     _check_tol(tol)
@@ -806,11 +796,17 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     # kind) whatever the state, so every sweep has the same link term
     link_term = None if coupled else _link_term(corpus, params, state)
     trace = [current]
+    fell = []  # per sweep that lowered the bound, what _step_back returned
     for _ in range(max_sweeps):
+        start = state.phi.copy(), state.gamma.copy(), state.phi_bar.copy()
         value = _sweep(params, state, blocks, tol) + (
             _link_term(corpus, params, state) if coupled else link_term)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")
+        floor = current - 1e-12 * (1.0 + abs(current))
+        if value < floor:
+            fell.append(_step_back(corpus, params, state, start, floor))
+            value = current if fell[-1] is None else fell[-1]
         trace.append(value)
         if abs(value - current) <= tol * max(1.0, abs(current)):
             break
@@ -818,5 +814,9 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     else:
         logger.warning("E-step stopped at max_sweeps=%d with the bound still changing "
                        "by more than tol=%g", max_sweeps, tol)
+    if fell:
+        logger.warning("the bound fell in %d of %d E-step sweeps (stepped back toward their "
+                       "start state: %d, kept at it: %d)", len(fell), len(trace) - 1,
+                       len(fell) - fell.count(None), fell.count(None))
     state.refresh_var_bar()
     return state, trace

@@ -422,16 +422,20 @@ class TestFit:
         assert tiny == pytest.approx(small, rel=1e-6)
 
     @pytest.mark.parametrize("kind", ["exponential", "sigmoid"])
-    def test_levels_are_computed_once_per_fit(self, kind, monkeypatch):
-        # the wavefront levels depend only on the corpus: the first coupled
-        # E-step of a fit computes them, and the later ones reuse them
+    def test_block_layout_is_built_once_per_fit(self, kind, monkeypatch):
+        # the E-step's block layout depends only on the corpus, on whether
+        # eta is zero and on the kind: the first E-step of a fit (at eta = 0)
+        # builds the uncoupled layout, the first coupled one the coupled
+        # layout, and the later ones reuse it
         corpus, _ = generate_synthetic(2, 8, 20, 15, np.array([0.5, 0.5]),
                                        np.array([-1.5, -1.5]), -1.0, "exponential", seed=7)
-        calls, levels = [], inference._levels
-        monkeypatch.setattr(inference, "_levels", lambda c: calls.append(c) or levels(c))
+        calls, layout = [], inference._block_layout
+        monkeypatch.setattr(inference, "_block_layout",
+                            lambda *args: calls.append(args) or layout(*args))
         model = fit(corpus, 2, kind=kind, seed=1, em_iters=4, tol=0)
         assert len(model.elbo_trace) == 4 and model.params.link.eta.any()
-        assert calls == [corpus]
+        guarded = kind != "exponential"
+        assert calls == [(corpus, False, guarded), (corpus, True, guarded)]
 
     def test_bound_is_computed_once_per_state_and_parameters(self, monkeypatch):
         # fit's bound after an M-step is the next E-step's starting bound: it

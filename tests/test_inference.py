@@ -1,8 +1,8 @@
 """Tests for variational state, coordinate updates, and the bound."""
 
-import itertools
 import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,12 +96,13 @@ def new_phi_row(d, term, state, params):
     return visited.phi[block.rows[slot]]
 
 
-def sequential_visit(corpus, params, state, d, tol):
+def sequential_visit(corpus, params, state, d, tol, start=None):
     """Reference per-term visit: rows in term-id order, each from the live mean.
 
     This is the document iteration the whole-document update replaced:
     one term's row at a time, the document mean updated by the row's
-    increment before the next term reads it, then gamma.
+    increment before the next term reads it, then gamma.  The neighbors'
+    means are read from start's phi_bar, or from state's if start is None.
     """
     log_beta = params.log_beta
     link = params.link
@@ -109,12 +110,13 @@ def sequential_visit(corpus, params, state, d, tol):
     terms, counts = corpus.doc(d)
     phi_d = state.phi[corpus.rows(d)]
     n_d = float(corpus.lengths[d])
+    start = state if start is None else start
     for _ in range(inference._DOC_MAX_ITERS):
         elog = psi(state.gamma[d]) - psi(state.gamma[d].sum())
         for t, term in enumerate(terms):
             exponent = elog + log_beta[:, term]
             if link is not None and neighbors.size:
-                nb_means = state.phi_bar[neighbors]
+                nb_means = start.phi_bar[neighbors]
                 if link.kind == "gaussian":
                     minus = state.phi_bar[d] - phi_d[t] / n_d
                     total = nb_means.sum(axis=0) - neighbors.size * (minus + 0.5 / n_d)
@@ -315,8 +317,8 @@ class TestUpdatePhi:
 class TestWholeDocumentVisit:
     def test_exponential_visit_matches_sequential_reference(self):
         # the exponential link gradient does not read the document's own
-        # phi, so updating every row at once, and every document of a
-        # level at once, is the per-term iteration in index order
+        # phi, so updating every row at once is the per-term iteration;
+        # every document reads its neighbors' means from the sweep's start
         corpus, _ = generate_synthetic(3, 30, 25, 30, np.full(3, 0.3),
                                        np.full(3, -2.0), -1.0, "exponential", seed=17)
         assert corpus.num_links > 0
@@ -326,8 +328,9 @@ class TestWholeDocumentVisit:
         whole = init_state(corpus, 3, params.alpha)
         reference = init_state(corpus, 3, params.alpha)
         inference._sweep(params, whole, e_step_blocks(corpus, params), 1e-6)
+        start = sweep_start(reference)
         for d in range(corpus.num_docs):
-            sequential_visit(corpus, params, reference, d, 1e-6)
+            sequential_visit(corpus, params, reference, d, 1e-6, start)
         for d in range(corpus.num_docs):
             rows = corpus.rows(d)
             np.testing.assert_allclose(whole.phi[rows], reference.phi[rows], rtol=0, atol=1e-12)
@@ -391,7 +394,7 @@ class TestUpdateGamma:
         # each term is nearly all in one topic (beta 1e-300 in the other),
         # so every phi row of the visit is one-hot up to 1e-300: term 0's
         # row is [1, 0] and term 1's [0, 1]; the weights loop of unguarded
-        # levels and the log-space reference agree
+        # blocks and the log-space reference agree
         c = Corpus(["a", "b"], [doc])
         params = make_params([[1.0, 1e-300], [1e-300, 1.0]], [0.5, 0.5])
         state = init_state(c, 2, params.alpha)
@@ -473,7 +476,9 @@ def assert_consistent_caches(state, corpus, params):
     rows' mean a sum of c F w / (F @ w) with F @ w summed in another
     order: each carries at most 2K + R + 4 roundings of relative size u,
     and gamma's own rounding and the subtraction of alpha add u gamma
-    each.  So they differ by at most (2K + R + 6) u gamma / n.
+    each.  So they differ by at most (2K + R + 6) u gamma / n.  A sweep
+    stepped back (see `inference._step_back`) writes every document's
+    phi_bar as the mean of its rows instead, and gamma = alpha + n phi_bar.
     """
     guarded = {int(d) for block in e_step_blocks(corpus, params) if block.guarded
                for d in block.docs}
@@ -485,10 +490,13 @@ def assert_consistent_caches(state, corpus, params):
             np.testing.assert_array_equal(state.phi_bar[d], mean)
             continue
         n = corpus.lengths[d]
-        np.testing.assert_array_equal(state.phi_bar[d], (state.gamma[d] - params.alpha) / n)
+        from_gamma = (state.gamma[d] - params.alpha) / n
+        assert np.array_equal(state.phi_bar[d], from_gamma) or np.array_equal(
+            state.phi_bar[d], mean), (d, state.phi_bar[d], from_gamma, mean)
         num_rows = corpus.rows(d).stop - corpus.rows(d).start
         bound = (2 * state.num_topics + num_rows + 6) * u * state.gamma[d] / n
-        assert np.all(np.abs(mean - state.phi_bar[d]) <= bound), (d, mean - state.phi_bar[d])
+        for other in (mean, from_gamma):
+            assert np.all(np.abs(other - state.phi_bar[d]) <= bound), (d, other - state.phi_bar[d])
 
 
 def literal_log_link(link, mean_a, var_a, mean_b, var_b):
@@ -721,6 +729,51 @@ class TestEStep:
         assert records[0].levelno == logging.WARNING
         assert "max_sweeps=2" in records[0].getMessage()
 
+    def test_stepped_back_sweeps_are_logged_once(self, caplog, monkeypatch):
+        # the Jacobi sweeps of the strongly linked probit draw lower the bound
+        corpus, params = strongly_linked_probit_draw()
+        calls, step_back = [], inference._step_back
+        monkeypatch.setattr(inference, "_step_back",
+                            lambda *args: calls.append(args) or step_back(*args))
+        with caplog.at_level(logging.WARNING, logger="rtm.inference"):
+            _, trace = run_e_step(corpus, params, init_state(corpus, 2, params.alpha),
+                                  tol=1e-8, max_sweeps=100)
+        assert len(trace) < 101 and calls
+        assert np.all(np.diff(trace) >= -1e-12 * (1.0 + np.abs(trace[:-1])))
+        records = [r for r in caplog.records if r.name == "rtm.inference"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert records[0].getMessage() == (
+            f"the bound fell in {len(calls)} of {len(trace) - 1} E-step sweeps (stepped back "
+            f"toward their start state: {len(calls)}, kept at it: 0)")
+
+    def test_sweep_that_no_step_mends_keeps_its_start(self, caplog, monkeypatch):
+        # a sweep that puts every row on its least likely topic lowers the
+        # bound, and so does each geometric mix of it with the start, one-hot
+        # too: the E-step keeps the sweep's start state, bit for bit, logs
+        # it, and stops
+        corpus = two_doc_corpus()
+        link = LinkParams(eta=np.array([-0.2, -0.2]), nu=-0.2, kind="exponential")
+        params = make_params([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5], link)
+        state, _ = run_e_step(corpus, params, init_state(corpus, 2, params.alpha), tol=1e-10)
+        start = {name: getattr(state, name).copy() for name in ("phi", "gamma", "phi_bar",
+                                                                "var_bar")}
+
+        def worst_sweep(params, state, blocks, tol):
+            state.phi[...] = np.eye(2)[np.argmin(state.phi, axis=1)]
+            bound = elbo(corpus, params, state)
+            return bound.total - bound.link_term
+
+        monkeypatch.setattr(inference, "_sweep", worst_sweep)
+        with caplog.at_level(logging.WARNING, logger="rtm.inference"):
+            _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=100)
+        assert len(trace) == 2 and trace[1] == trace[0]
+        for name, value in start.items():
+            np.testing.assert_array_equal(getattr(state, name), value, err_msg=name)
+        assert [r.getMessage() for r in caplog.records if r.name == "rtm.inference"] == [
+            "the bound fell in 1 of 1 E-step sweeps (stepped back toward their start state: 0, "
+            "kept at it: 1)"]
+
     def test_converged_e_step_logs_nothing(self, caplog):
         corpus = two_doc_corpus()
         link = LinkParams(eta=np.array([-0.2, -0.2]), nu=-0.2, kind="exponential")
@@ -814,12 +867,43 @@ def test_e_step_trace_nondecreasing_for_every_kind(kind, data, num_topics, doc_l
     assert np.all(diffs >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
-def reference_visit(corpus, params, state, d, tol):
-    """Document d's visit in the per-document sweep that the wavefront replaced.
+def strongly_linked_probit_draw():
+    """test_e_step_trace_nondecreasing_for_every_kind's probit draw at
+    K 2, doc_length 2 and seed 0 with eta (-33, -35) and nu 0: its Jacobi
+    sweeps lower the bound, and exp underflow leaves exact zeros in its
+    rows."""
+    alpha = np.full(2, 0.5)
+    corpus, _ = generate_synthetic(2, 8, 10, 2, alpha, np.full(2, -1.0), -0.5, "exponential",
+                                   seed=0)
+    beta = np.random.default_rng(0).dirichlet(np.ones(8), size=2)
+    return corpus, make_params(beta, alpha, LinkParams(np.array([-33.0, -35.0]), 0.0, "probit"))
+
+
+def test_mix_of_rows_with_disjoint_supports_is_defined():
+    # where a row and its step have disjoint supports, as exact zeros from
+    # exp underflow allow, the geometric mix is 0 in every topic and
+    # normalizing it was 0/0, "invalid value encountered in divide"; such
+    # a row takes the arithmetic mix, and other rows the geometric one
+    start, end = np.array([[1.0, 0.0], [0.2, 0.8]]), np.array([[0.0, 1.0], [0.6, 0.4]])
+    geometric = 0.2 ** 0.75 * 0.6 ** 0.25, 0.8 ** 0.75 * 0.4 ** 0.25
+    np.testing.assert_allclose(inference._mix(start, end, 0.25),
+                               [[0.75, 0.25], np.array(geometric) / sum(geometric)],
+                               rtol=1e-15)
+    corpus, params = strongly_linked_probit_draw()
+    state = init_state(corpus, 2, params.alpha)
+    _, trace = run_e_step(corpus, params, state, tol=1e-8, max_sweeps=10)
+    assert np.all(np.diff(trace) >= -1e-8 * np.maximum(1.0, np.abs(trace[:-1])))
+    assert np.all(np.isfinite(state.phi)) and np.all(np.isfinite(state.gamma))
+
+
+def reference_visit(corpus, params, state, d, tol, start=None):
+    """Document d's visit in a per-document sweep.
 
     Each iteration computes the whole-document update from the live
-    state, then gamma.  A safeguarded document (a linked one, for every
-    kind but exponential) damps the step geometrically, halving lam
+    state, then gamma.  The neighbors' means and variances are read from
+    start, a `sweep_start` copy, or from the live state if start is None
+    (the index-order sweep).  A safeguarded document (a linked one, for
+    every kind but exponential) damps the step geometrically, halving lam
     until its block objective is no lower, and keeps the rows it started
     from if no lam >= 1e-4 is; lam stays small for the rest of the visit.
     """
@@ -830,6 +914,7 @@ def reference_visit(corpus, params, state, d, tol):
     lb = params.log_beta[:, terms].T
     link = params.link
     neighbors = corpus.neighbors[d] if link is not None else corpus.neighbors[d][:0]
+    start = state if start is None else start
 
     def write(phi_d, gamma_d):
         state.phi[rows] = phi_d
@@ -839,7 +924,7 @@ def reference_visit(corpus, params, state, d, tol):
     def phi_update():
         exponent = psi(state.gamma[d]) - psi(state.gamma[d].sum()) + lb
         if neighbors.size:
-            nb_means = state.phi_bar[neighbors]
+            nb_means = start.phi_bar[neighbors]
             if link.kind == "gaussian":
                 minus = state.phi_bar[d] - state.phi[rows] / n_d
                 exponent = exponent + linkfn.grad_phi_gaussian(
@@ -858,8 +943,8 @@ def reference_visit(corpus, params, state, d, tol):
         value = float(sum(parts)[0])
         if neighbors.size:
             value += float(linkfn.expected_log_link_batch(
-                link, state.phi_bar[d], state.phi_bar[neighbors],
-                doc_moments(state, corpus, d)[1], state.var_bar[neighbors]).sum())
+                link, state.phi_bar[d], start.phi_bar[neighbors],
+                doc_moments(state, corpus, d)[1], start.var_bar[neighbors]).sum())
         return value
 
     guard = neighbors.size > 0 and link.kind != "exponential"
@@ -891,28 +976,46 @@ def reference_visit(corpus, params, state, d, tol):
     state.phi_bar[d], state.var_bar[d] = doc_moments(state, corpus, d)
 
 
+def sweep_start(state):
+    """Copies of the state's phi_bar and var_bar, which every document of
+    a Jacobi sweep reads its neighbors' from."""
+    return SimpleNamespace(phi_bar=state.phi_bar.copy(), var_bar=state.var_bar.copy())
+
+
+def reference_sweep(corpus, params, state, tol):
+    """The E-step's Jacobi sweep by `reference_visit`: every document reads
+    its neighbors' means and variances from the sweep's start."""
+    start = sweep_start(state)
+    for d in range(corpus.num_docs):
+        reference_visit(corpus, params, state, d, tol, start)
+
+
 def sweep_to_fixed_point(corpus, params, state, reference_params, reference,
                          max_sweeps=1000):
-    """Sweep state by the E-step and reference by `reference_visit`, in step,
-    until a sweep moves no entry of the reference's gamma by more than 4
+    """Sweep state by the E-step and reference by `reference_sweep`, in step,
+    until two sweeps move no entry of the reference's gamma by more than 4
     ulps; fail if max_sweeps sweeps do not get there.  state's var_bar is
     then refreshed, as `run_e_step` does when it returns.
 
     Near a tie in a document's topics the iteration magnifies differences,
     so two loops that round differently drift apart for a few sweeps (by
     1.7e-12 after 2 sweeps of `test_weights_loop_at_a_near_tie`); at the
-    fixed point it contracts, and they agree again.  Rounding can keep
-    gamma cycling by an ulp for good, hence the 4 ulps.
+    fixed point it contracts, and they agree again.  Under strong links
+    a Jacobi sweep without `run_e_step`'s check can settle on a cycle of
+    two states instead, each linked pair swapping topics every sweep,
+    hence two sweeps.  Rounding can keep gamma cycling by an ulp for
+    good, hence the 4 ulps.
     """
-    levels = e_step_blocks(corpus, params)
+    blocks = e_step_blocks(corpus, params)
+    previous = [reference.gamma.copy()]
     for _ in range(max_sweeps):
-        previous = reference.gamma.copy()
-        inference._sweep(params, state, levels, 1e-6)
-        for d in range(corpus.num_docs):
-            reference_visit(corpus, reference_params, reference, d, 1e-6)
-        if np.all(np.abs(reference.gamma - previous) <= 4 * np.spacing(previous)):
+        inference._sweep(params, state, blocks, 1e-6)
+        reference_sweep(corpus, reference_params, reference, 1e-6)
+        if len(previous) == 2 and np.all(
+                np.abs(reference.gamma - previous[0]) <= 4 * np.spacing(previous[0])):
             state.refresh_var_bar()
             return
+        previous = [*previous, reference.gamma.copy()][-2:]
     pytest.fail(f"the reference's gamma still moves after {max_sweeps} sweeps")
 
 
@@ -925,13 +1028,14 @@ def assert_same_state(state, reference):
 
 @pytest.mark.parametrize("kind", ["sigmoid", "exponential"])
 def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypatch):
-    # level 0 holds documents 0 and 1, each linked to document 2.  Documents
-    # 0 and 2 start at their fixed point, one term almost only in topic 0,
-    # so their gamma does not change and they leave on the first iteration.
-    # Document 1's two terms favour opposite topics by the same ratio, so
-    # its gamma moves slowly and it runs to the cap.  Guarded (sigmoid) or
-    # not (exponential), the sweep must give what the per-document sweep
-    # gives, with every document written once, when its block's visit ends
+    # documents 0 and 1 are each linked to document 2, so all three share
+    # one block.  Documents 0 and 2 start at their fixed point, one term
+    # almost only in topic 0, so their gamma does not change and they leave
+    # on the first iteration.  Document 1's two terms favour opposite topics
+    # by the same ratio, so its gamma moves slowly and it runs to the cap.
+    # Guarded (sigmoid) or not (exponential), the sweep must give what the
+    # per-document Jacobi sweep gives, with every document written once,
+    # when the block's visit ends
     corpus = Corpus(["a", "b", "c", "d"], [[(0, 3)], [(1, 30), (2, 20)], [(0, 2)]],
                     [(0, 2), (1, 2)])
     eta = 2.0 if kind == "sigmoid" else -1.0
@@ -944,8 +1048,8 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
     state, reference = (inference.VariationalState(corpus, start.gamma.copy(), start.phi.copy())
                         for _ in range(2))
     blocks = e_step_blocks(corpus, params)
-    assert [block.docs.tolist() for block in blocks] == [[0, 1], [2]]
-    assert [block.guarded for block in blocks] == [kind == "sigmoid"] * 2
+    assert [block.docs.tolist() for block in blocks] == [[0, 1, 2]]
+    assert [block.guarded for block in blocks] == [kind == "sigmoid"]
 
     # the last argument of either loop's per-iteration step has one row per
     # active document
@@ -958,11 +1062,10 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
 
     monkeypatch.setattr(inference, step, counted)
     inference._sweep(params, state, blocks, 1e-6)
-    assert active == [2] + [1] * (inference._DOC_MAX_ITERS - 1) + [1]
+    assert active == [3] + [1] * (inference._DOC_MAX_ITERS - 1)
     for d in (0, 2):
         np.testing.assert_array_equal(state.gamma[d], start.gamma[d])
-    for d in range(corpus.num_docs):
-        reference_visit(corpus, params, reference, d, 1e-6)
+    reference_sweep(corpus, params, reference, 1e-6)
     state.refresh_var_bar()
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
@@ -971,15 +1074,15 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
 
 
 #: Hypothesis phases without shrinking: a failing example over
-#: mixed_level_corpora is reported as drawn, as shrinking it can run for
+#: mixed_corpora is reported as drawn, as shrinking it can run for
 #: minutes
 NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
 
 
 @st.composite
-def mixed_level_corpora(draw, num_terms=6):
+def mixed_corpora(draw, num_terms=6):
     """Small linked corpora with an isolated document, so a coupled E-step has
-    a block without pairs next to its levels."""
+    a block without pairs next to those with pairs."""
     num_docs = draw(st.integers(3, 10))
     entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 3))
     docs = [draw(st.lists(entry, min_size=1, max_size=4)) for _ in range(num_docs)]
@@ -988,64 +1091,6 @@ def mixed_level_corpora(draw, num_terms=6):
     pairs = [(a, b) for i, a in enumerate(others) for b in others[i + 1:]]
     links = draw(st.lists(st.sampled_from(pairs), unique=True)) + [(0, others[1])]
     return Corpus([f"w{i}" for i in range(num_terms)], docs, links)
-
-
-@pytest.mark.parametrize("kind", linkfn.KINDS)
-@settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
-       seed=st.integers(0, 2**16))
-def test_wavefront_sweep_matches_index_order_sweep(kind, data, corpus, num_topics, seed):
-    level = inference._levels(corpus)
-    # every link joins a lower level to a higher one, so no level holds
-    # both ends of a link; each document sits just above its highest
-    # lower-indexed neighbor
-    for a, b in corpus.links:
-        assert level[a] < level[b]
-    for d, ns in enumerate(corpus.neighbors):
-        lower = ns[ns < d]
-        assert level[d] == (level[lower].max() + 1 if lower.size else 0)
-    assert level[0] == 0 and corpus.neighbors[0].size
-    assert np.all(level[corpus.isolated_docs()] == 0)
-
-    alpha = np.full(num_topics, 1.0 / num_topics)
-    beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
-    drawn = data.draw(link_params(kind, num_topics))
-    # the drawn link, then eta = 0: all documents without pairs, unguarded,
-    # against the damped reference
-    for link in (drawn, LinkParams(eta=np.zeros(num_topics), nu=drawn.nu, kind=kind)):
-        params = make_params(beta, alpha, link)
-        wavefront = init_state(corpus, num_topics, alpha)
-        reference = init_state(corpus, num_topics, alpha)
-        levels = e_step_blocks(corpus, params)
-        assert any(block.num_pairs.any() for block in levels) == link.eta.any()
-        for _ in range(2):
-            inference._sweep(params, wavefront, levels, 1e-6)
-            for d in range(corpus.num_docs):
-                reference_visit(corpus, params, reference, d, 1e-6)
-        wavefront.refresh_var_bar()
-        for name in ("phi", "gamma", "phi_bar", "var_bar"):
-            np.testing.assert_allclose(getattr(wavefront, name), getattr(reference, name),
-                                       rtol=0, atol=1e-12, err_msg=name)
-
-
-def test_wavefront_sweep_at_a_near_tie():
-    # a draw that test_wavefront_sweep_matches_index_order_sweep accepts, but
-    # fails after its 2 sweeps by 1.7e-11: documents 0 and 2 are linked,
-    # 1 is isolated, and each is term 3 twice, whose beta (seed 21340) ties
-    # across the two topics to 8e-6 relative.  The strong exponential link
-    # pushes the pair to opposite topics, magnifying the two sweeps'
-    # rounding differences on the way.  At the fixed point they agree.  The
-    # comparison above keeps its 2 sweeps: under a guarded link the
-    # reference's gamma never stops changing, and some unguarded draws need
-    # thousands of sweeps
-    corpus = Corpus([f"w{i}" for i in range(6)], [[(3, 2)]] * 3, [(0, 2)])
-    beta = np.random.default_rng(21340).dirichlet(np.ones(6), size=2)
-    link = LinkParams(eta=np.full(2, -37.0), nu=-3.0, kind="exponential")
-    params = make_params(beta, [0.5, 0.5], link)
-    wavefront = init_state(corpus, 2, params.alpha)
-    reference = init_state(corpus, 2, params.alpha)
-    sweep_to_fixed_point(corpus, params, wavefront, params, reference)
-    assert_same_state(wavefront, reference)
 
 
 @pytest.mark.parametrize("kind", linkfn.KINDS)
@@ -1068,20 +1113,19 @@ def test_zero_eta_sweeps_every_document_in_one_level(kind):
     assert not whole.guarded
 
     # one nonzero component couples the documents again: the isolated
-    # document comes first, alone and unguarded, then the chain level by
-    # level, each document with pairs
+    # document comes first, alone and unguarded, then the whole chain in
+    # one block, each document with pairs, guarded unless exponential
     eta = -0.5 if kind == "exponential" else 2.0
-    isolated, *levels = blocks([0.0, eta])
+    isolated, chain = blocks([0.0, eta])
     assert isolated.docs.tolist() == [4] and not isolated.num_pairs.any()
     assert not isolated.guarded
-    assert [block.docs.tolist() for block in levels] == [[0], [1], [2], [3]]
-    assert all(block.num_pairs.all() for block in levels)
-    assert [block.guarded for block in levels] == [kind != "exponential"] * 4
+    assert chain.docs.tolist() == [0, 1, 2, 3] and chain.num_pairs.all()
+    assert chain.guarded == (kind != "exponential")
 
 
 @pytest.mark.parametrize("kind", [kind for kind in linkfn.KINDS if kind != "exponential"])
 @settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        seed=st.integers(0, 2**16))
 def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics, seed):
     # an isolated document reads no mean and no one reads its: even where
@@ -1093,12 +1137,11 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
     assume(link.eta.any())
     params = make_params(beta, alpha, link)
     blocks = e_step_blocks(corpus, params)
-    num_runs = sum(not block.guarded for block in blocks)
-    linkless, levels = blocks[:num_runs], blocks[num_runs:]
+    *linkless, linked = blocks
     np.testing.assert_array_equal(np.sort(np.concatenate([run.docs for run in linkless])),
                                   corpus.isolated_docs())
-    assert not any(run.num_pairs.any() for run in linkless)
-    assert levels and all(block.guarded and block.num_pairs.all() for block in levels)
+    assert not any(run.guarded or run.num_pairs.any() for run in linkless)
+    assert linked.guarded and linked.num_pairs.all()
     state = init_state(corpus, num_topics, alpha)
     reference = init_state(corpus, num_topics, alpha)
     inference._visit_unguarded(params, state, linkless, 1e-6)
@@ -1108,6 +1151,29 @@ def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
                                    rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
+@settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
+       seed=st.integers(0, 2**16))
+def test_each_sweep_makes_at_most_two_visits(kind, data, corpus, num_topics, seed):
+    # one visit of every unguarded run, then, for a coupled guarded kind,
+    # one of the guarded block
+    alpha = np.full(num_topics, 1.0 / num_topics)
+    beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
+    link = None if kind is None else data.draw(link_params(kind, num_topics))
+    params = make_params(beta, alpha, link)
+    visits = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_sweep", "_visit_unguarded", "_visit_guarded"):
+            patch.setattr(inference, name, lambda *args, name=name, visit=getattr(
+                inference, name): visits.append(name) or visit(*args))
+        _, trace = run_e_step(corpus, params, init_state(corpus, num_topics, alpha),
+                              tol=1e-8, max_sweeps=3)
+    guarded = kind not in ("exponential", None) and bool(link.eta.any())
+    assert visits == ["_sweep", "_visit_unguarded", *["_visit_guarded"] * guarded] * (
+        len(trace) - 1)
 
 
 def assert_same_blocks(blocks, expected):
@@ -1124,7 +1190,7 @@ def assert_same_blocks(blocks, expected):
 
 @pytest.mark.parametrize("kind", linkfn.KINDS)
 @settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        seed=st.integers(0, 2**16))
 def test_e_steps_of_one_state_visit_fresh_blocks(kind, data, corpus, num_topics, seed):
     # a state keeps the E-step's block layout, without log beta; every
@@ -1171,7 +1237,7 @@ def zero_eta_or_drawn(data, kind, num_topics):
 
 @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
 @settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        seed=st.integers(0, 2**16))
 def test_e_step_writes_a_consistent_state(kind, data, corpus, num_topics, seed):
     # whichever loop visited a document, the weights loop of unguarded
@@ -1213,21 +1279,20 @@ def extreme_topics(draw, num_topics, num_terms):
 
 @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
 @settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        alpha_total=st.sampled_from([1e-8, 1e-4]) | st.floats(1e-8, 10.0))
 def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics,
                                                   alpha_total):
     # unguarded blocks iterate on topic weights with factored phi rows and
     # no underflow fallback; they must give what the per-document
     # log-space visit gives, with beta at its 1e-300 floor, a tiny alpha
-    # and exponential links far below zero.  At eta = 0 the E-step's level
-    # has no pairs, so the reference runs without a link, undamped
+    # and exponential links far below zero.  At eta = 0 the E-step's blocks
+    # have no pairs, so the reference runs without a link, undamped
     beta = data.draw(extreme_topics(num_topics, corpus.num_terms))
     alpha = np.full(num_topics, alpha_total / num_topics)
     link = zero_eta_or_drawn(data, kind, num_topics)
     params = make_params(beta, alpha, link)
-    levels = e_step_blocks(corpus, params)
-    assert not any(block.guarded for block in levels)
+    assert not any(block.guarded for block in e_step_blocks(corpus, params))
     reference_params = params if kind == "exponential" else make_params(beta, alpha)
     weights = init_state(corpus, num_topics, alpha)
     reference = init_state(corpus, num_topics, alpha)
@@ -1262,8 +1327,7 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
     reference = init_state(corpus, 2, params.alpha)
     for _ in range(2):
         inference._sweep(params, state, e_step_blocks(corpus, params), 1e-6)
-        for d in range(corpus.num_docs):
-            reference_visit(corpus, params, reference, d, 1e-6)
+        reference_sweep(corpus, params, reference, 1e-6)
     state.refresh_var_bar()
     assert state.phi_bar[0, 1] == 1.0
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
@@ -1274,7 +1338,7 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
 
 @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
 @settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        seed=st.integers(0, 2**16))
 def test_beta_below_the_floor_is_served_as_the_floor(kind, data, corpus, num_topics, seed):
     # beta entries below 1e-300, zero and subnormal ones included, give the
@@ -1363,8 +1427,7 @@ def test_padding_never_leaks():
                           lambda gamma, offset: active[-1].append(gamma.shape[0])
                           or weights(gamma, offset))
             own = inference._sweep(params, state, blocks, tol)
-        for d in range(corpus.num_docs):
-            reference_visit(corpus, params, reference, d, tol)
+        reference_sweep(corpus, params, reference, tol)
         state.refresh_var_bar()
         assert_same_state(state, reference)
         bound = elbo(corpus, params, state)
@@ -1375,18 +1438,19 @@ def test_padding_never_leaks():
         for block in blocks:
             assert_padded(block, corpus, params)
             assert block.slot_counts.size <= 2 * block.rows.size
-        # one visit per level, of all its runs
-        levels = [list(runs) for _, runs in itertools.groupby(blocks, lambda block: block.level)]
-        assert len(active) == len(levels)
-        for runs, counts in zip(levels, active):
-            num_rows = np.concatenate([run.num_rows for run in runs])
-            if num_rows.min() == 1 and num_rows.max() >= 10:
-                if counts == [num_rows.size]:
-                    seen.add("all at the first iteration")
-                elif len(set(counts)) > 1:
-                    seen.add("at different iterations")
-                    if len(runs) > 1:
-                        seen.add("at different iterations, in several runs")
+        # the unguarded runs, the documents without pairs first, and no
+        # guarded block; one visit of them all
+        paired = [bool(block.num_pairs.any()) for block in blocks]
+        assert paired == sorted(paired) and not any(block.guarded for block in blocks)
+        (counts,) = active
+        num_rows = np.concatenate([run.num_rows for run in blocks])
+        if num_rows.min() == 1 and num_rows.max() >= 10:
+            if counts == [num_rows.size]:
+                seen.add("all at the first iteration")
+            elif len(set(counts)) > 1:
+                seen.add("at different iterations")
+                if len(blocks) > 1:
+                    seen.add("at different iterations, in several runs")
 
     check()
     assert seen == {"all at the first iteration", "at different iterations",
@@ -1510,7 +1574,7 @@ def test_collapsed_matches_uncollapsed_fixed_point(kind):
 
 @pytest.mark.parametrize("kind", [*linkfn.KINDS, None])
 @settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
-@given(data=st.data(), corpus=mixed_level_corpora(), num_topics=st.integers(2, 3),
+@given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        alpha_total=st.sampled_from([1e-8, 1e-4]) | st.floats(1e-8, 10.0))
 def test_sweep_bound_is_the_bound_of_the_state(kind, data, corpus, num_topics, alpha_total):
     # a sweep's trace value is the sum of its visits' own terms and the link

@@ -31,9 +31,11 @@ purpose: it prints how far each file of NEW is from the same file of OLD
              the links-only posterior from them (links-*.npy, and the
              queries they belong to in links-docs.npy)
   e_step/    3-sweep `run_e_step` states and traces of 100-doc draws of
-             every link kind under their generating models
+             every link kind under their generating models, and the
+             converged E-step of a 10-doc probit draw whose sweeps lower
+             the bound, so that `run_e_step` steps them back
   log.txt    what rtm logged: isolated documents, E-steps stopped at
-             max_sweeps
+             max_sweeps or with sweeps stepped back
 
 Bounds are written with repr, which round-trips every float exactly.
 Single-threaded BLAS is pinned before numpy loads.
@@ -181,16 +183,27 @@ def suggest_outputs(rtm):
 
 def e_step_outputs(rtm):
     os.makedirs("e_step", exist_ok=True)
+    runs = []
     for kind, (eta, nu) in E_STEP_LINKS.items():
         corpus, truth = draw(rtm, 100, [1, 0], kind, eta, nu)
         beta = truth.beta + 0.01
         beta /= beta.sum(axis=1, keepdims=True)
         params = rtm.ModelParams(beta=beta, alpha=np.full(K, ALPHA), link=truth.link_params)
-        state = rtm.init_state(corpus, K, params.alpha)
-        state, trace = rtm.run_e_step(corpus, params, state, max_sweeps=3)
+        runs.append((kind, corpus, params, 3))
+    # two topics, documents of 2 tokens and eta (-33, -35): probit sweeps that
+    # move both ends of a link at once lower the bound here
+    corpus, _ = rtm.generate_synthetic(2, 8, 10, 2, np.full(2, 0.5), np.full(2, -1.0), -0.5,
+                                       "exponential", 0)
+    beta = np.random.default_rng(0).dirichlet(np.ones(8), size=2)
+    link = rtm.LinkParams(np.array([-33.0, -35.0]), 0.0, "probit")
+    runs.append(("probit-stepped-back", corpus,
+                 rtm.ModelParams(beta=beta, alpha=np.full(2, 0.5), link=link), 100))
+    for name, corpus, params, max_sweeps in runs:
+        state = rtm.init_state(corpus, params.num_topics, params.alpha)
+        state, trace = rtm.run_e_step(corpus, params, state, max_sweeps=max_sweeps)
         for array in ("phi", "gamma", "phi_bar", "var_bar"):
-            np.save(f"e_step/{kind}-{array}.npy", getattr(state, array))
-        write_trace(trace, f"e_step/{kind}-trace.txt")
+            np.save(f"e_step/{name}-{array}.npy", getattr(state, array))
+        write_trace(trace, f"e_step/{name}-trace.txt")
 
 
 def relative_difference(old, new):

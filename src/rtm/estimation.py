@@ -396,7 +396,9 @@ def load_model(path):
 
     Validates the header, the link coefficients for the file's kind
     (finite, and admissible for the exponential and gaussian kinds) and
-    the row normalization.  Every parse or validation error is one
+    the row normalization.  Trailing blank lines are dropped, as
+    `corpus.load_corpus` drops the docs file's; any other line after the
+    K topic rows is an error.  Every parse or validation error is one
     ValueError line that starts with path.
     """
     try:
@@ -407,6 +409,8 @@ def load_model(path):
 
 
 def _parse_model(lines):
+    while lines and not lines[-1].strip():
+        lines.pop()
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"not a model file (missing '{_MAGIC}' header)")
     if len(lines) < 4:
@@ -428,6 +432,8 @@ def _parse_model(lines):
     if len(lines) < 4 + k:
         raise ValueError(f"truncated model file: fewer than {4 + k} lines "
                          f"for {k} topic rows")
+    if len(lines) > 4 + k:
+        raise ValueError(f"unexpected line {5 + k} after the {k} topic rows")
     # one conversion for the whole matrix, accepting exactly the tokens float() does
     log_beta = np.array([line.split() for line in lines[4:4 + k]], dtype=np.float64)
     if log_beta.shape != (k, v):

@@ -17,10 +17,8 @@ gradient is proportional to eta, so at eta = 0 (where each fit starts),
 as without a link component, no document has pairs.  A sweep is a
 Jacobi sweep: every document reads its neighbors' means from the
 sweep's start, so all are updated together, in at most two visits (see
-`_sweep`).  The blocks depend only on the corpus, on whether eta is
-zero and on whether the kind is exponential, so the state keeps their
-layout, and an E-step only gathers the model's arrays into it (see
-`ModelParams`).  Each visit writes its documents once (see
+`_sweep`), on blocks that each E-step builds from the corpus and the
+model (see `_blocks`).  Each visit writes its documents once (see
 `VariationalState`) and returns their own bound terms, every term but
 the link term; a sweep's bound is their sum plus the link term, so no
 sweep reads every phi row again.
@@ -127,9 +125,7 @@ class VariationalState:
     stale until `run_e_step` returns and calls `refresh_var_bar`;
     `_step_back` writes all four.  So between E-steps all four agree;
     within an E-step var_bar is current for the guarded block's
-    documents only, the ones read there.  The state also keeps the
-    E-steps' block layouts (see `layout`), which depend on the corpus
-    alone, so the E-steps of a fit build them once.
+    documents only, the ones read there.
 
     A state belongs to its corpus's documents and its topic count:
     `run_e_step` and `elbo` reject a corpus of other documents (other
@@ -143,16 +139,6 @@ class VariationalState:
         self.phi = phi
         moments = corpus.counts, phi, corpus.indptr[:-1], corpus.lengths
         self.phi_bar, self.var_bar = _mean(*moments), _variance(*moments)
-        self._layouts = {}
-
-    def layout(self, corpus, params):
-        """`_block_layout` of corpus for params, built on first use, and
-        again for a corpus other than the one it was built for."""
-        key = _coupled(params), _guarded(params)
-        cached = self._layouts.get(key)
-        if cached is None or cached[0] is not corpus:
-            cached = self._layouts[key] = corpus, _block_layout(corpus, *key)
-        return cached[1]
 
     @property
     def num_topics(self):
@@ -209,17 +195,14 @@ class _Block:
     per (document, neighbor) pair, in document order.  docs, rows, terms
     and neighbors are corpus indices; row_doc and pair_doc give the
     position in the block of the document that owns each row and pair.
-    guarded says whether the block is visited by `_visit_guarded`.  An
-    unguarded block is one run (see `_runs`) and holds its rows per
-    document in slots (see `_slotted`), with factor and rowmax in an
-    E-step (see `_e_step_blocks`).  `pair_sum` needs a pair for every
-    document.  `take` keeps a subset of the documents with their rows
-    and pairs.
+    An E-step's blocks (see `_blocks`) are unguarded runs (see `_runs`),
+    which hold their rows per document in slots (see `_slotted`), and
+    the guarded block, which holds each row's log beta lb.  `take` keeps
+    a subset of the documents with their rows and pairs.
     """
 
-    def __init__(self, guarded=False, **arrays):
+    def __init__(self, **arrays):
         self.__dict__.update(arrays)
-        self.guarded = guarded
         positions = np.arange(self.docs.shape[0])
         self.row_doc = np.repeat(positions, self.num_rows)
         self.starts = np.cumsum(self.num_rows) - self.num_rows
@@ -229,8 +212,8 @@ class _Block:
     def take(self, keep):
         """The documents where the boolean array keep is set."""
         masks = {"doc": keep, "row": keep[self.row_doc], "pair": keep[self.pair_doc]}
-        return _Block(self.guarded, **{name: value[masks[_FIELDS[name]]]
-                                       for name, value in vars(self).items() if name in _FIELDS})
+        return _Block(**{name: value[masks[_FIELDS[name]]]
+                         for name, value in vars(self).items() if name in _FIELDS})
 
     def replace(self, **arrays):
         """The same documents with the given arrays added or replaced."""
@@ -239,8 +222,14 @@ class _Block:
         return block
 
     def pair_sum(self, values):
-        """Per-document sums of per-pair values."""
-        return np.add.reduceat(values, self.pair_starts, axis=0)
+        """Per-document sums of per-pair values, 0 for a document without pairs."""
+        if self.num_pairs.all():
+            return np.add.reduceat(values, self.pair_starts, axis=0)
+        # reduceat gives an empty segment the value at its start
+        paired = self.num_pairs > 0
+        sums = np.zeros((paired.shape[0], *values.shape[1:]))
+        sums[paired] = np.add.reduceat(values, self.pair_starts[paired], axis=0)
+        return sums
 
     def mean(self, phi):
         """phi_bar of each document from its rows."""
@@ -266,45 +255,44 @@ def _coupled(params):
     return params.link is not None and bool(params.link.eta.any())
 
 
-def _guarded(params):
-    """Whether the documents with pairs are guarded (see the module docstring)."""
-    return params.link is not None and params.link.kind != "exponential"
+def _blocks(corpus, params):
+    """The E-step's blocks: the unguarded runs, and the guarded block or None.
 
-
-def _block_layout(corpus, coupled, guarded):
-    """The E-step's blocks in visit order, without the model's arrays.
-
-    First the documents without pairs, then those with pairs, each
-    split into the runs of `_runs`, one block each, holding its rows in
-    slots (see `_slotted`); if guarded is set, the documents with pairs
-    are one guarded block instead.  Uncoupled, no document has pairs.  A
-    block with no documents is left out.
+    Coupled, under the sigmoid, probit and gaussian kinds, the documents
+    with pairs are the guarded block, with each row's log beta lb.  Every
+    other document, with pairs or not, is in one of the runs of `_runs`,
+    each holding its rows in slots (see `_slotted`).  Uncoupled, no
+    document has pairs.  A run with no documents is left out.
     """
-    neighbors = corpus.neighbors if coupled else [np.zeros(0, np.int64)] * corpus.num_docs
+    neighbors = corpus.neighbors if _coupled(params) else [np.zeros(0, np.int64)] * corpus.num_docs
     whole = _Block(docs=np.arange(corpus.num_docs), n=corpus.lengths.astype(np.float64),
                    num_rows=np.diff(corpus.indptr),
                    num_pairs=np.array([ns.size for ns in neighbors], dtype=np.int64),
                    rows=np.arange(corpus.terms.shape[0]), terms=corpus.terms,
                    counts=corpus.counts.astype(np.float64), neighbors=np.concatenate(neighbors))
+    guarded = None
     paired = whole.num_pairs > 0
-    blocks = [_slotted(run) for run in _runs(whole.take(~paired))]
-    if guarded:
-        blocks.append(whole.take(paired).replace(guarded=True))
-    else:
-        blocks.extend(_slotted(run) for run in _runs(whole.take(paired)))
-    return [block for block in blocks if block.docs.size]
+    if paired.any() and params.link.kind != "exponential":
+        guarded, whole = whole.take(paired), whole.take(~paired)
+        guarded.lb = params.log_beta[:, guarded.terms].T
+    return [_slotted(params, run) for run in _runs(whole) if run.docs.size], guarded
 
 
-def _slotted(run):
-    """The run with slot_terms and slot_counts (D_b, R_max): each
-    document's terms and counts in its first num_rows slots, padded to
-    the longest document with count 0, so a pad's term (0) does not matter."""
+def _slotted(params, run):
+    """The run with its rows in slots: slot_terms and slot_counts (D_b,
+    R_max) hold each document's terms and counts in its first num_rows
+    slots, padded to the longest document with term 0 and count 0, so a
+    pad's term does not matter; factor (D_b, R_max, K) and rowmax (D_b,
+    R_max) hold each slot's term's row factor and row max (see
+    `ModelParams`) for `_visit_unguarded`, at most twice its rows' floats,
+    as a run's slots are (see `_runs`)."""
     filled = np.arange(run.num_rows.max(initial=0)) < run.num_rows[:, None]
     slot_terms = np.zeros(filled.shape, dtype=run.terms.dtype)
     slot_terms[filled] = run.terms
     slot_counts = np.zeros(filled.shape)
     slot_counts[filled] = run.counts
-    return run.replace(slot_terms=slot_terms, slot_counts=slot_counts)
+    return run.replace(slot_terms=slot_terms, slot_counts=slot_counts,
+                       factor=params.row_factor[slot_terms], rowmax=params.row_max[slot_terms])
 
 
 def _runs(block):
@@ -332,21 +320,6 @@ def _runs(block):
         runs.append(block.take(keep))
         start = end
     return runs
-
-
-def _e_step_blocks(params, blocks):
-    """The blocks of a `_block_layout` with the model's arrays for their rows.
-
-    A guarded block gets each row's log beta lb.  An unguarded block (a
-    run) gets each slot's term's row factor and row max (see `ModelParams`) for
-    `_visit_unguarded`: factor (D_b, R_max, K) and rowmax (D_b, R_max),
-    at most twice its rows' floats, as a run's slots are (see `_runs`).
-    Each array is one gather.
-    """
-    return [block.replace(lb=params.log_beta[:, block.terms].T) if block.guarded
-            else block.replace(factor=params.row_factor[block.slot_terms],
-                               rowmax=params.row_max[block.slot_terms])
-            for block in blocks]
 
 
 def _store(state, block, phi, gamma, phi_bar):
@@ -596,9 +569,9 @@ def _topic_weights(gamma, offset):
 
 
 def _visit_unguarded(params, state, runs, tol):
-    """Run the phi/gamma iteration of the unguarded blocks on topic weights.
+    """Run the phi/gamma iteration of the unguarded runs on topic weights.
 
-    runs are the unguarded blocks of a layout, visited together: every
+    runs are the E-step's unguarded runs, visited together: every
     iteration steps all their active documents.  No document of them
     reads its own mean or another document's, so its phi rows are
     lda-c's factored softmax: with the row factors F (the run's factor)
@@ -607,7 +580,7 @@ def _visit_unguarded(params, state, runs, tol):
     (counts / (F @ w)) * F.  psi(sum gamma) is left out of d, as a shift
     shared by every topic cancels in the softmax.  A run keeps each
     document's rows in its own padded stretch of F and of the counts
-    (see `_e_step_blocks`), so an iteration is two batched matmuls per
+    (see `_slotted`), so an iteration is two batched matmuls per
     run over its active documents: F @ w for every slot, and the counts
     over F @ w times F for gamma.  A pad slot adds nothing to gamma, as
     its count is 0.  A document leaves with its last w and gamma under
@@ -636,20 +609,19 @@ def _visit_unguarded(params, state, runs, tol):
     E[log theta] in the theta term, leaving log Gamma(sum alpha) - sum
     log Gamma(alpha) + sum log Gamma(gamma) - log Gamma(sum gamma).
 
-    The visit reads its documents' gamma from the state, and for the
-    documents with pairs (of the exponential kind) one offset each,
-    added to E[log theta] in every row: nb_sum * eta / n, from the
-    neighbors' means when the visit starts, as their link gradient does
-    not read their own means (its coefficient c(x) is 1).  The documents
-    without pairs get offset 0, or none if no run has pairs.
+    The visit reads its documents' gamma from the state, and if any of
+    them has pairs (of the exponential kind) one offset each, added to
+    E[log theta] in every row: nb_sum * eta / n, from the neighbors'
+    means when the visit starts, as their link gradient does not read
+    their own means (its coefficient c(x) is 1).  A document without
+    pairs gets offset 0, as its nb_sum is 0.
     """
     # the runs' documents, one after another
     docs, n = _joined([run.docs for run in runs]), _joined([run.n for run in runs])
     gamma = state.gamma[docs]
     offset = None
     if any(run.neighbors.size for run in runs):
-        nb_sum = _joined([run.pair_sum(state.phi_bar[run.neighbors]) if run.neighbors.size
-                          else np.zeros((run.docs.shape[0], gamma.shape[1])) for run in runs])
+        nb_sum = _joined([run.pair_sum(state.phi_bar[run.neighbors]) for run in runs])
         offset = nb_sum * params.link.eta / n[:, None]
     # each run's padded arrays and its stretch of the active documents
     parts = _stretches([(run.factor, run.slot_counts) for run in runs])
@@ -715,11 +687,11 @@ def _stretches(parts):
     return stretches
 
 
-def _sweep(params, state, blocks, tol):
+def _sweep(params, state, runs, guarded, tol):
     """One Jacobi sweep over all documents, in at most two visits.
 
     First the unguarded runs, all in one visit on topic weights (see
-    `_visit_unguarded`), then the guarded block, if the layout has one:
+    `_visit_unguarded`), then the guarded block, unless it is None:
     for the sigmoid, probit, and gaussian kinds the link gradient reads
     the document's own mean, so an iteration can overshoot, and
     `_visit_guarded` damps it.  No document of the first visit is a
@@ -727,10 +699,9 @@ def _sweep(params, state, blocks, tol):
     neighbors' means from the sweep's start.  Returns the documents' own
     bound terms: the bound without its link term.
     """
-    runs = [block for block in blocks if not block.guarded]
     total = _visit_unguarded(params, state, runs, tol) if runs else 0.0
-    if blocks[-1].guarded:
-        total += _visit_guarded(params, state, blocks[-1], tol)
+    if guarded is not None:
+        total += _visit_guarded(params, state, guarded, tol)
     return total
 
 
@@ -788,7 +759,7 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     _check_state(corpus, params, state)
 
     coupled = _coupled(params)
-    blocks = _e_step_blocks(params, state.layout(corpus, params))
+    runs, guarded = _blocks(corpus, params)
     current = elbo(corpus, params, state).total if start_bound is None else start_bound
     if not np.isfinite(current):
         raise FloatingPointError(f"non-finite ELBO at E-step start: {current}")
@@ -799,7 +770,7 @@ def run_e_step(corpus, params, state, tol=1e-6, max_sweeps=100, *, start_bound=N
     fell = []  # per sweep that lowered the bound, what _step_back returned
     for _ in range(max_sweeps):
         start = state.phi.copy(), state.gamma.copy(), state.phi_bar.copy()
-        value = _sweep(params, state, blocks, tol) + (
+        value = _sweep(params, state, runs, guarded, tol) + (
             _link_term(corpus, params, state) if coupled else link_term)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite ELBO during E-step: {value}")

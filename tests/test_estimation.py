@@ -421,22 +421,6 @@ class TestFit:
         tiny, small = (fit(corpus, 10, alpha_total=a).elbo_trace[-1] for a in (1e-20, 1e-8))
         assert tiny == pytest.approx(small, rel=1e-6)
 
-    @pytest.mark.parametrize("kind", ["exponential", "sigmoid"])
-    def test_block_layout_is_built_once_per_fit(self, kind, monkeypatch):
-        # the E-step's block layout depends only on the corpus, on whether
-        # eta is zero and on the kind: the first E-step of a fit (at eta = 0)
-        # builds the uncoupled layout, the first coupled one the coupled
-        # layout, and the later ones reuse it
-        corpus, _ = generate_synthetic(2, 8, 20, 15, np.array([0.5, 0.5]),
-                                       np.array([-1.5, -1.5]), -1.0, "exponential", seed=7)
-        calls, layout = [], inference._block_layout
-        monkeypatch.setattr(inference, "_block_layout",
-                            lambda *args: calls.append(args) or layout(*args))
-        model = fit(corpus, 2, kind=kind, seed=1, em_iters=4, tol=0)
-        assert len(model.elbo_trace) == 4 and model.params.link.eta.any()
-        guarded = kind != "exponential"
-        assert calls == [(corpus, False, guarded), (corpus, True, guarded)]
-
     def test_bound_is_computed_once_per_state_and_parameters(self, monkeypatch):
         # fit's bound after an M-step is the next E-step's starting bound: it
         # is passed on, not computed again.  A sweep's bound comes from its
@@ -592,7 +576,10 @@ class TestModelFile:
         (["2 3 cosine 1 0.01"], "unknown model kind 'cosine'"),
         (["2 3 exponential 1 0.01", "-1", "-0.5"], "expected 2 link coefficients"),
         (["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800", "0 -800"],
-         "topic matrix shape mismatch")])
+         "topic matrix shape mismatch"),
+        # a third topic row and a garbage line after the header's 2 rows
+        (["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800 -800", "0 -800 -800",
+          "0 -800 -800", "garbage"], "unexpected line 7 after the 2 topic rows")])
     def test_parse_rejection_messages(self, tmp_path, lines, message):
         # lines replace the valid file's lines from its header on
         valid = ["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800 -800", "0 -800 -800"]
@@ -600,6 +587,17 @@ class TestModelFile:
         path.write_text("\n".join(["rtm-model v1", *lines, *valid[len(lines):]]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_model(str(path))
+
+    def test_trailing_blank_lines_are_dropped(self, tmp_path):
+        # as the docs file's are; the model reads as without them
+        path = tmp_path / "model.txt"
+        model = FittedModel(params=ModelParams(beta=np.full((2, 3), 1 / 3), alpha=np.ones(2)),
+                            kind="lda", config={"smoothing": 0.01})
+        save_model(model, str(path))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n \n\t\n")
+        loaded = load_model(str(path))
+        assert loaded.params.log_beta.tobytes() == model.params.log_beta.tobytes()
 
     def test_unnormalized_rows_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"

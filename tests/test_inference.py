@@ -28,10 +28,10 @@ def make_params(beta, alpha, link=None):
 
 
 def e_step_blocks(corpus, params):
-    """The E-step's blocks in visit order, built as `run_e_step` builds them."""
-    layout = inference._block_layout(corpus, inference._coupled(params),
-                                     inference._guarded(params))
-    return inference._e_step_blocks(params, layout)
+    """The E-step's blocks in visit order, built as `run_e_step` builds them:
+    the unguarded runs, then the guarded block if there is one."""
+    runs, guarded = inference._blocks(corpus, params)
+    return runs if guarded is None else [*runs, guarded]
 
 
 def assert_padded(block, corpus, params):
@@ -41,7 +41,7 @@ def assert_padded(block, corpus, params):
     rows of the term bit for bit.  Its pad slots hold count 0, whatever
     their term, and it keeps no flat log beta.  The block's rows are its
     documents' rows in document order."""
-    assert not block.guarded and not hasattr(block, "lb")
+    assert not hasattr(block, "lb")
     assert block.factor.shape == (*block.slot_counts.shape, params.num_topics)
     assert block.rowmax.shape == block.slot_terms.shape == block.slot_counts.shape
     np.testing.assert_array_equal(block.rows, np.concatenate(
@@ -69,7 +69,7 @@ def one_doc_block(state, params, d):
     (block,) = [block for block in e_step_blocks(state.corpus, params)
                 if d in block.docs]
     alone = block.take(block.docs == d)
-    if not block.guarded:
+    if not hasattr(block, "lb"):
         for padded in (block, alone):
             assert_padded(padded, state.corpus, params)
     return alone
@@ -87,7 +87,7 @@ def new_phi_row(d, term, state, params):
     terms, counts = state.corpus.doc(d)
     (slot,) = np.flatnonzero(terms == term)
     block = one_doc_block(state, params, d)
-    assert not block.guarded
+    assert not hasattr(block, "lb")
     assert block.slot_counts[0, slot] == counts[slot]
     visited = inference.VariationalState(state.corpus, state.gamma.copy(), state.phi.copy())
     with pytest.MonkeyPatch.context() as patch:
@@ -327,7 +327,7 @@ class TestWholeDocumentVisit:
         params = make_params(beta, np.full(3, 0.3), link)
         whole = init_state(corpus, 3, params.alpha)
         reference = init_state(corpus, 3, params.alpha)
-        inference._sweep(params, whole, e_step_blocks(corpus, params), 1e-6)
+        inference._sweep(params, whole, *inference._blocks(corpus, params), 1e-6)
         start = sweep_start(reference)
         for d in range(corpus.num_docs):
             sequential_visit(corpus, params, reference, d, 1e-6, start)
@@ -480,8 +480,8 @@ def assert_consistent_caches(state, corpus, params):
     stepped back (see `inference._step_back`) writes every document's
     phi_bar as the mean of its rows instead, and gamma = alpha + n phi_bar.
     """
-    guarded = {int(d) for block in e_step_blocks(corpus, params) if block.guarded
-               for d in block.docs}
+    _, block = inference._blocks(corpus, params)
+    guarded = set() if block is None else set(block.docs.tolist())
     u = np.finfo(np.float64).eps / 2
     for d in range(corpus.num_docs):
         mean, var = doc_moments(state, corpus, d)
@@ -699,8 +699,8 @@ class TestEStep:
             calls.append(args)
             return link_term(*args)
 
-        def sweep_and_its_link_term(params, state, blocks, tol):
-            own = sweep(params, state, blocks, tol)
+        def sweep_and_its_link_term(params, state, runs, guarded, tol):
+            own = sweep(params, state, runs, guarded, tol)
             expected.append(own + link_term(corpus, params, state))
             return own
 
@@ -759,7 +759,7 @@ class TestEStep:
         start = {name: getattr(state, name).copy() for name in ("phi", "gamma", "phi_bar",
                                                                 "var_bar")}
 
-        def worst_sweep(params, state, blocks, tol):
+        def worst_sweep(params, state, runs, guarded, tol):
             state.phi[...] = np.eye(2)[np.argmin(state.phi, axis=1)]
             bound = elbo(corpus, params, state)
             return bound.total - bound.link_term
@@ -1006,10 +1006,10 @@ def sweep_to_fixed_point(corpus, params, state, reference_params, reference,
     hence two sweeps.  Rounding can keep gamma cycling by an ulp for
     good, hence the 4 ulps.
     """
-    blocks = e_step_blocks(corpus, params)
+    runs, guarded = inference._blocks(corpus, params)
     previous = [reference.gamma.copy()]
     for _ in range(max_sweeps):
-        inference._sweep(params, state, blocks, 1e-6)
+        inference._sweep(params, state, runs, guarded, 1e-6)
         reference_sweep(corpus, reference_params, reference, 1e-6)
         if len(previous) == 2 and np.all(
                 np.abs(reference.gamma - previous[0]) <= 4 * np.spacing(previous[0])):
@@ -1047,9 +1047,10 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
         start.gamma[d] = params.alpha + corpus.lengths[d] * np.array([1.0, 0.0])
     state, reference = (inference.VariationalState(corpus, start.gamma.copy(), start.phi.copy())
                         for _ in range(2))
-    blocks = e_step_blocks(corpus, params)
-    assert [block.docs.tolist() for block in blocks] == [[0, 1, 2]]
-    assert [block.guarded for block in blocks] == [kind == "sigmoid"]
+    runs, guarded = inference._blocks(corpus, params)
+    (block,) = runs if guarded is None else [*runs, guarded]
+    assert block.docs.tolist() == [0, 1, 2]
+    assert (block is guarded) == (kind == "sigmoid")
 
     # the last argument of either loop's per-iteration step has one row per
     # active document
@@ -1061,7 +1062,7 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
         return original(*args)
 
     monkeypatch.setattr(inference, step, counted)
-    inference._sweep(params, state, blocks, 1e-6)
+    inference._sweep(params, state, runs, guarded, 1e-6)
     assert active == [3] + [1] * (inference._DOC_MAX_ITERS - 1)
     for d in (0, 2):
         np.testing.assert_array_equal(state.gamma[d], start.gamma[d])
@@ -1093,6 +1094,20 @@ def mixed_corpora(draw, num_terms=6):
     return Corpus([f"w{i}" for i in range(num_terms)], docs, links)
 
 
+def test_pair_sum_of_documents_with_and_without_pairs():
+    # a run of the exponential kind holds documents with and without pairs,
+    # here first, in the middle and last; each gets the sum of its own
+    # pairs' values, and 0 if it has none
+    corpus = Corpus(["a"], [[(0, 1)]] * 6, [(1, 2), (1, 4), (2, 4)])
+    link = LinkParams(eta=np.full(2, -1.0), nu=-0.5, kind="exponential")
+    (run,), guarded = inference._blocks(corpus, make_params(np.ones((2, 1)), [0.5, 0.5], link))
+    assert guarded is None and run.num_pairs.tolist() == [0, 2, 2, 0, 2, 0]
+    values = np.random.default_rng(3).normal(size=(run.neighbors.size, 3))
+    for per_pair in (values, values[:, 0]):
+        expected = [per_pair[run.pair_doc == p].sum(axis=0) for p in range(run.docs.size)]
+        np.testing.assert_array_equal(run.pair_sum(per_pair), expected)
+
+
 @pytest.mark.parametrize("kind", linkfn.KINDS)
 def test_zero_eta_sweeps_every_document_in_one_level(kind):
     # a chain 0-1-2-3 and an isolated document 4
@@ -1103,53 +1118,72 @@ def test_zero_eta_sweeps_every_document_in_one_level(kind):
 
     def blocks(eta):
         link = LinkParams(eta=np.array(eta), nu=nu, kind=kind)
-        return e_step_blocks(corpus, make_params(beta, [0.5, 0.5], link))
+        return inference._blocks(corpus, make_params(beta, [0.5, 0.5], link))
 
     # the link gradient is proportional to eta: at eta = 0 no document
     # reads another, so there are no pairs and no safeguard
-    (whole,) = blocks([0.0, 0.0])
+    (whole,), guarded = blocks([0.0, 0.0])
     np.testing.assert_array_equal(whole.docs, np.arange(5))
     assert whole.neighbors.size == 0 and not whole.num_pairs.any()
-    assert not whole.guarded
+    assert guarded is None
 
-    # one nonzero component couples the documents again: the isolated
-    # document comes first, alone and unguarded, then the whole chain in
-    # one block, each document with pairs, guarded unless exponential
+    # one nonzero component couples the documents again: guarded unless
+    # exponential, the whole chain is one block, each document with pairs,
+    # and the isolated document is alone and unguarded.  The exponential
+    # kind keeps every document in one run, with or without pairs
     eta = -0.5 if kind == "exponential" else 2.0
-    isolated, chain = blocks([0.0, eta])
-    assert isolated.docs.tolist() == [4] and not isolated.num_pairs.any()
-    assert not isolated.guarded
-    assert chain.docs.tolist() == [0, 1, 2, 3] and chain.num_pairs.all()
-    assert chain.guarded == (kind != "exponential")
+    (run,), guarded = blocks([0.0, eta])
+    if kind == "exponential":
+        assert guarded is None and run.docs.tolist() == [0, 1, 2, 3, 4]
+        assert run.num_pairs.tolist() == [1, 2, 2, 1, 0]
+        return
+    assert run.docs.tolist() == [4] and not run.num_pairs.any()
+    assert guarded.docs.tolist() == [0, 1, 2, 3] and guarded.num_pairs.all()
 
 
-@pytest.mark.parametrize("kind", [kind for kind in linkfn.KINDS if kind != "exponential"])
+@pytest.mark.parametrize("kind", linkfn.KINDS)
 @settings(derandomize=True, deadline=None, max_examples=10, phases=NO_SHRINK)
 @given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        seed=st.integers(0, 2**16))
 def test_isolated_documents_are_visited_unguarded(kind, data, corpus, num_topics, seed):
     # an isolated document reads no mean and no one reads its: even where
     # the linked documents are damped, it is visited on topic weights in
-    # the first blocks, the runs of the documents without pairs only
+    # the unguarded runs, which then hold the documents without pairs
+    # only.  The exponential kind has no guarded block: its runs hold the
+    # linked documents too, and an isolated document's offset is exactly 0
     alpha = np.full(num_topics, 1.0 / num_topics)
     beta = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms), size=num_topics)
     link = data.draw(link_params(kind, num_topics))
     assume(link.eta.any())
     params = make_params(beta, alpha, link)
-    blocks = e_step_blocks(corpus, params)
-    *linkless, linked = blocks
-    np.testing.assert_array_equal(np.sort(np.concatenate([run.docs for run in linkless])),
-                                  corpus.isolated_docs())
-    assert not any(run.guarded or run.num_pairs.any() for run in linkless)
-    assert linked.guarded and linked.num_pairs.all()
+    runs, guarded = inference._blocks(corpus, params)
+    docs = np.concatenate([run.docs for run in runs])
+    isolated = corpus.isolated_docs()
+    if kind == "exponential":
+        assert guarded is None
+        np.testing.assert_array_equal(np.sort(docs), np.arange(corpus.num_docs))
+    else:
+        np.testing.assert_array_equal(np.sort(docs), isolated)
+        assert not any(run.num_pairs.any() for run in runs)
+        assert guarded.num_pairs.all()
     state = init_state(corpus, num_topics, alpha)
     reference = init_state(corpus, num_topics, alpha)
-    inference._visit_unguarded(params, state, linkless, 1e-6)
-    for d in corpus.isolated_docs():
+    offsets, weights = [], inference._topic_weights
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_topic_weights",
+                      lambda gamma, offset: offsets.append(offset) or weights(gamma, offset))
+        inference._visit_unguarded(params, state, runs, 1e-6)
+    if kind == "exponential":
+        assert not offsets[0][np.isin(docs, isolated)].any()
+    else:
+        assert offsets[0] is None
+    for d in isolated:
         reference_visit(corpus, params, reference, d, 1e-6)
     state.refresh_var_bar()
-    for name in ("phi", "gamma", "phi_bar", "var_bar"):
-        np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
+    rows = np.concatenate([np.arange(corpus.indptr[d], corpus.indptr[d + 1]) for d in isolated])
+    for name, index in (("phi", rows), ("gamma", isolated), ("phi_bar", isolated),
+                        ("var_bar", isolated)):
+        np.testing.assert_allclose(getattr(state, name)[index], getattr(reference, name)[index],
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
@@ -1177,12 +1211,17 @@ def test_each_sweep_makes_at_most_two_visits(kind, data, corpus, num_topics, see
 
 
 def assert_same_blocks(blocks, expected):
-    """Same arrays in the same blocks: a guarded block's log beta rows, an
-    unguarded block's padded arrays, and every layout array."""
-    assert len(blocks) == len(expected)
-    for block, other in zip(blocks, expected):
+    """Same arrays in the same blocks, each a pair of the unguarded runs and
+    the guarded block or None: a guarded block's log beta rows, a run's
+    padded arrays, and every other array."""
+    (runs, guarded), (expected_runs, expected_guarded) = blocks, expected
+    assert (guarded is None) == (expected_guarded is None) and len(runs) == len(expected_runs)
+    pairs = [(run, other, {"factor", "rowmax", "slot_counts"})
+             for run, other in zip(runs, expected_runs)]
+    if guarded is not None:
+        pairs.append((guarded, expected_guarded, {"lb"}))
+    for block, other, rows in pairs:
         assert vars(block).keys() == vars(other).keys()
-        rows = {"lb"} if other.guarded else {"factor", "rowmax", "slot_counts"}
         assert rows <= vars(other).keys()
         for name, value in vars(other).items():
             np.testing.assert_array_equal(getattr(block, name), value, err_msg=name)
@@ -1193,10 +1232,11 @@ def assert_same_blocks(blocks, expected):
 @given(data=st.data(), corpus=mixed_corpora(), num_topics=st.integers(2, 3),
        seed=st.integers(0, 2**16))
 def test_e_steps_of_one_state_visit_fresh_blocks(kind, data, corpus, num_topics, seed):
-    # a state keeps the E-step's block layout, without log beta; every
-    # E-step on it must visit the blocks built afresh from its corpus and
-    # parameters: at eta = 0 and then not, under another beta, and with
-    # another corpus object of the same documents, here without one link
+    # a state holds no blocks, only its corpus and variational arrays;
+    # every E-step on it must visit the blocks built afresh from its
+    # corpus and parameters: at eta = 0 and then not, under another beta,
+    # and with another corpus object of the same documents, here without
+    # one link
     alpha = np.full(num_topics, 1.0 / num_topics)
     betas = np.random.default_rng(seed).dirichlet(np.ones(corpus.num_terms),
                                                   size=(2, num_topics))
@@ -1209,8 +1249,8 @@ def test_e_steps_of_one_state_visit_fresh_blocks(kind, data, corpus, num_topics,
     visited, sweep = [], inference._sweep
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_sweep",
-                      lambda params, state, blocks, tol: visited.append(blocks)
-                      or sweep(params, state, blocks, tol))
+                      lambda params, state, runs, guarded, tol: visited.append((runs, guarded))
+                      or sweep(params, state, runs, guarded, tol))
         for c, beta, link in ((corpus, betas[0], zero), (corpus, betas[0], drawn),
                               (corpus, betas[1], drawn), (corpus, betas[1], zero),
                               (other, betas[1], drawn), (corpus, betas[0], drawn)):
@@ -1219,7 +1259,8 @@ def test_e_steps_of_one_state_visit_fresh_blocks(kind, data, corpus, num_topics,
             run_e_step(c, params, state, tol=1e-8, max_sweeps=2)
             assert visited
             for blocks in visited:
-                assert_same_blocks(blocks, e_step_blocks(c, params))
+                assert_same_blocks(blocks, inference._blocks(c, params))
+            assert vars(state).keys() == {"corpus", "gamma", "phi", "phi_bar", "var_bar"}
 
 
 def zero_eta_or_drawn(data, kind, num_topics):
@@ -1292,7 +1333,7 @@ def test_weights_loop_matches_log_space_reference(kind, data, corpus, num_topics
     alpha = np.full(num_topics, alpha_total / num_topics)
     link = zero_eta_or_drawn(data, kind, num_topics)
     params = make_params(beta, alpha, link)
-    assert not any(block.guarded for block in e_step_blocks(corpus, params))
+    assert inference._blocks(corpus, params)[1] is None
     reference_params = params if kind == "exponential" else make_params(beta, alpha)
     weights = init_state(corpus, num_topics, alpha)
     reference = init_state(corpus, num_topics, alpha)
@@ -1326,7 +1367,7 @@ def test_weights_loop_at_the_beta_floor_stays_finite():
     state = init_state(corpus, 2, params.alpha)
     reference = init_state(corpus, 2, params.alpha)
     for _ in range(2):
-        inference._sweep(params, state, e_step_blocks(corpus, params), 1e-6)
+        inference._sweep(params, state, *inference._blocks(corpus, params), 1e-6)
         reference_sweep(corpus, params, reference, 1e-6)
     state.refresh_var_bar()
     assert state.phi_bar[0, 1] == 1.0
@@ -1415,7 +1456,7 @@ def test_padding_never_leaks():
                                                      size=num_topics)
         link = data.draw(link_params("exponential", num_topics)) if exponential else None
         params = make_params(beta, alpha, link)
-        blocks = e_step_blocks(corpus, params)
+        runs, guarded = inference._blocks(corpus, params)
         state = init_state(corpus, num_topics, alpha)
         reference = init_state(corpus, num_topics, alpha)
         # per visit, the number of documents still iterating in each iteration
@@ -1426,7 +1467,7 @@ def test_padding_never_leaks():
             patch.setattr(inference, "_topic_weights",
                           lambda gamma, offset: active[-1].append(gamma.shape[0])
                           or weights(gamma, offset))
-            own = inference._sweep(params, state, blocks, tol)
+            own = inference._sweep(params, state, runs, guarded, tol)
         reference_sweep(corpus, params, reference, tol)
         state.refresh_var_bar()
         assert_same_state(state, reference)
@@ -1435,21 +1476,20 @@ def test_padding_never_leaks():
                  bound.entropy_term)
         scale = abs(bound.link_term) + sum(abs(part) for part in parts)
         assert abs(own - sum(parts)) <= 1e-12 * scale
-        for block in blocks:
-            assert_padded(block, corpus, params)
-            assert block.slot_counts.size <= 2 * block.rows.size
-        # the unguarded runs, the documents without pairs first, and no
-        # guarded block; one visit of them all
-        paired = [bool(block.num_pairs.any()) for block in blocks]
-        assert paired == sorted(paired) and not any(block.guarded for block in blocks)
+        for run in runs:
+            assert_padded(run, corpus, params)
+            assert run.slot_counts.size <= 2 * run.rows.size
+        # the unguarded runs, with or without pairs, and no guarded block;
+        # one visit of them all
+        assert guarded is None
         (counts,) = active
-        num_rows = np.concatenate([run.num_rows for run in blocks])
+        num_rows = np.concatenate([run.num_rows for run in runs])
         if num_rows.min() == 1 and num_rows.max() >= 10:
             if counts == [num_rows.size]:
                 seen.add("all at the first iteration")
             elif len(set(counts)) > 1:
                 seen.add("at different iterations")
-                if len(blocks) > 1:
+                if len(runs) > 1:
                     seen.add("at different iterations, in several runs")
 
     check()
@@ -1472,7 +1512,8 @@ def test_long_document_pads_only_its_run():
     corpus = Corpus([f"w{i}" for i in range(num_terms)], docs)
     alpha = np.full(3, 0.1)
     params = make_params(rng.dirichlet(np.ones(num_terms), size=3), alpha)
-    blocks = e_step_blocks(corpus, params)
+    blocks, guarded = inference._blocks(corpus, params)
+    assert guarded is None
     np.testing.assert_array_equal(np.sort(np.concatenate([block.docs for block in blocks])),
                                   np.arange(corpus.num_docs))
     assert 1 < len(blocks) <= 1 + np.log2(200)
@@ -1485,7 +1526,7 @@ def test_long_document_pads_only_its_run():
     # the runs' sweep is the per-document one
     state = init_state(corpus, 3, alpha)
     reference = init_state(corpus, 3, alpha)
-    inference._sweep(params, state, blocks, 1e-6)
+    inference._sweep(params, state, blocks, None, 1e-6)
     for d in range(corpus.num_docs):
         reference_visit(corpus, params, reference, d, 1e-6)
     state.refresh_var_bar()

@@ -19,6 +19,10 @@ purpose: it prints how far each file of NEW is from the same file of OLD
              --em-iters 10` directories, with each command's stdout and
              stderr; fit and eval run with --verbose, so stderr holds their
              bound traces
+  skewed/    on the CI end-to-end step's hand-written corpus of skewed
+             lengths, which the E-step splits into runs: `rtm fit --em-iters
+             5 --verbose` model files of the four link kinds and
+             `suggest-links --top-k 5` on each, with stdout and stderr
   readme/    the README walk-through's commands and their stdout
   fit/       `fit` + `save_model` of the 16 draws of the benchmark's
              fit-exponential workload for seeds 1 and 2: model files and
@@ -100,6 +104,28 @@ def cli_outputs(rtm):
         lda = rtm.baselines.fit_lda(rtm.load_corpus(*files), 3, seed=42, em_iters=10)
         rtm.save_model(lda, f"{work}/lda.model")
         write_trace(lda.elbo_trace, f"{work}/lda.trace")
+
+
+def skewed_outputs(rtm):
+    """The CI end-to-end step's corpus of skewed lengths: document 0 has 50
+    distinct terms and the other 8 have 1 to 5; document 8 has no links."""
+    os.makedirs("skewed")
+    files = [f"skewed/{part}.txt" for part in ("docs", "vocab", "links")]
+    first = " ".join(f"{t}:{t % 3 + 1}" for t in range(50))
+    rest = ["5 0:2 1:1 2:3 50:1 51:2", "5 3:1 4:2 5:1 52:2 53:1", "4 6:2 7:1 54:1 55:3",
+            "5 8:1 9:2 10:1 56:1 57:2", "5 11:1 12:1 13:2 58:1 59:1", "4 14:3 15:1 16:1 50:2",
+            "5 20:1 30:2 40:1 55:1 59:2", "1 45:4"]
+    links = ["0 1", "0 6", "1 3", "2 4", "4 5", "3 7", "2 7"]
+    for path, lines in zip(files, ([f"50 {first}", *rest], [f"w{t}" for t in range(60)],
+                                   links)):
+        Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    flags = ["--docs", files[0], "--vocab", files[1], "--links", files[2]]
+    for kind in KINDS:
+        model = f"skewed/{kind}.model"
+        run_cli(rtm, ["fit", *flags, "--topics", "3", "--em-iters", "5", "--link-fn", kind,
+                      "--seed", "42", "--verbose", "--out", model], f"skewed/fit-{kind}")
+        run_cli(rtm, ["suggest-links", *flags, "--model", model, "--new-doc", "0:2 50:1",
+                      "--top-k", "5"], f"skewed/suggest-{kind}")
 
 
 def readme_outputs(rtm):
@@ -340,6 +366,7 @@ def main(argv):
     os.chdir(out)
     logging.basicConfig(filename="log.txt", format="%(levelname)s %(name)s: %(message)s")
     cli_outputs(rtm)
+    skewed_outputs(rtm)
     readme_outputs(rtm)
     fit_outputs(rtm)
     suggest_outputs(rtm)

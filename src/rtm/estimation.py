@@ -433,7 +433,7 @@ def _parse_model(lines):
         raise ValueError(f"truncated model file: fewer than {4 + k} lines "
                          f"for {k} topic rows")
     if len(lines) > 4 + k:
-        raise ValueError(f"unexpected line {5 + k} after the {k} topic rows")
+        raise ValueError(f"more than {4 + k} lines for {k} topic rows")
     # one conversion for the whole matrix, accepting exactly the tokens float() does
     log_beta = np.array([line.split() for line in lines[4:4 + k]], dtype=np.float64)
     if log_beta.shape != (k, v):

@@ -223,8 +223,6 @@ class _Block:
 
     def pair_sum(self, values):
         """Per-document sums of per-pair values, 0 for a document without pairs."""
-        if self.num_pairs.all():
-            return np.add.reduceat(values, self.pair_starts, axis=0)
         # reduceat gives an empty segment the value at its start
         paired = self.num_pairs > 0
         sums = np.zeros((paired.shape[0], *values.shape[1:]))

@@ -579,7 +579,10 @@ class TestModelFile:
          "topic matrix shape mismatch"),
         # a third topic row and a garbage line after the header's 2 rows
         (["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800 -800", "0 -800 -800",
-          "0 -800 -800", "garbage"], "unexpected line 7 after the 2 topic rows")])
+          "0 -800 -800", "garbage"], "more than 6 lines for 2 topic rows"),
+        # a blank line among the topic rows
+        (["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800 -800", "", "0 -800 -800"],
+         "more than 6 lines for 2 topic rows")])
     def test_parse_rejection_messages(self, tmp_path, lines, message):
         # lines replace the valid file's lines from its header on
         valid = ["2 3 exponential 1 0.01", "-1", "-0.5 -0.5", "0 -800 -800", "0 -800 -800"]

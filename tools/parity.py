@@ -19,10 +19,11 @@ purpose: it prints how far each file of NEW is from the same file of OLD
              --em-iters 10` directories, with each command's stdout and
              stderr; fit and eval run with --verbose, so stderr holds their
              bound traces
-  skewed/    on the CI end-to-end step's hand-written corpus of skewed
-             lengths, which the E-step splits into runs: `rtm fit --em-iters
-             5 --verbose` model files of the four link kinds and
-             `suggest-links --top-k 5` on each, with stdout and stderr
+  skewed/    a copy of tools/skewed-corpus, the hand-written corpus of
+             skewed lengths that the E-step splits into runs, and on it
+             `rtm fit --em-iters 5 --verbose` model files of the four link
+             kinds and `suggest-links --top-k 5` on each, with stdout and
+             stderr
   readme/    the README walk-through's commands and their stdout
   fit/       `fit` + `save_model` of the 16 draws of the benchmark's
              fit-exponential workload for seeds 1 and 2: model files and
@@ -53,10 +54,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib
 import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
 
+#: the hand-written corpus of skewed lengths (see `skewed_outputs`)
+SKEWED_CORPUS = Path(__file__).resolve().parent / "skewed-corpus"
 #: link kinds, in the order the CLI lists them
 KINDS = ("sigmoid", "exponential", "probit", "gaussian")
 #: the benchmark's draws: K, V, alpha, doc length, eta (all topics), nu
@@ -107,18 +111,13 @@ def cli_outputs(rtm):
 
 
 def skewed_outputs(rtm):
-    """The CI end-to-end step's corpus of skewed lengths: document 0 has 50
-    distinct terms and the other 8 have 1 to 5; document 8 has no links."""
+    """The corpus of skewed lengths in tools/skewed-corpus, which the CI
+    end-to-end step runs too: document 0 has 50 distinct terms and the
+    other 8 have 1 to 5; document 8 has no links."""
     os.makedirs("skewed")
     files = [f"skewed/{part}.txt" for part in ("docs", "vocab", "links")]
-    first = " ".join(f"{t}:{t % 3 + 1}" for t in range(50))
-    rest = ["5 0:2 1:1 2:3 50:1 51:2", "5 3:1 4:2 5:1 52:2 53:1", "4 6:2 7:1 54:1 55:3",
-            "5 8:1 9:2 10:1 56:1 57:2", "5 11:1 12:1 13:2 58:1 59:1", "4 14:3 15:1 16:1 50:2",
-            "5 20:1 30:2 40:1 55:1 59:2", "1 45:4"]
-    links = ["0 1", "0 6", "1 3", "2 4", "4 5", "3 7", "2 7"]
-    for path, lines in zip(files, ([f"50 {first}", *rest], [f"w{t}" for t in range(60)],
-                                   links)):
-        Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    for path in files:
+        shutil.copyfile(SKEWED_CORPUS / Path(path).name, path)
     flags = ["--docs", files[0], "--vocab", files[1], "--links", files[2]]
     for kind in KINDS:
         model = f"skewed/{kind}.model"

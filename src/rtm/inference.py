@@ -18,10 +18,10 @@ as without a link component, no document has pairs.  A sweep is a
 Jacobi sweep: every document reads its neighbors' means from the
 sweep's start, so all are updated together, in at most two visits (see
 `_sweep`), on blocks that each E-step builds from the corpus and the
-model (see `_blocks`).  Each visit writes its documents once (see
-`VariationalState`) and returns their own bound terms, every term but
-the link term; a sweep's bound is their sum plus the link term, so no
-sweep reads every phi row again.
+model (see `_blocks`).  Each visit writes its documents once, the
+guarded one each as it leaves (see `VariationalState`), and returns
+their own bound terms, every term but the link term; a sweep's bound
+is their sum plus the link term, so no sweep reads every phi row again.
 
 For the sigmoid and probit kinds the link expectation is first-order
 (see linkfn); what this module maximizes and reports is that surrogate
@@ -118,14 +118,14 @@ class VariationalState:
     var_bar     (D, K) cached Var(zbar_{d,i}) = (1/N_d^2) sum_n phi (1 - phi)
 
     Both caches are filled at construction.  An E-step writes a
-    document's phi rows, gamma and phi_bar once per sweep, when the visit
-    that holds it ends.  The guarded visit computes phi_bar with `_mean`
-    and also writes var_bar; the unguarded visit writes phi_bar = (gamma
-    - alpha) / N_d, the rows' mean up to rounding, and leaves var_bar
-    stale until `run_e_step` returns and calls `refresh_var_bar`;
-    `_step_back` writes all four.  So between E-steps all four agree;
-    within an E-step var_bar is current for the guarded block's
-    documents only, the ones read there.
+    document's phi rows, gamma and phi_bar once per sweep.  The guarded
+    visit writes rows and gamma as each document leaves, then phi_bar,
+    by `_mean`, and var_bar when it ends; the unguarded visit writes all
+    when it ends, phi_bar = (gamma - alpha) / N_d, the rows' mean up to
+    rounding, and leaves var_bar stale until `run_e_step` returns and
+    calls `refresh_var_bar`; `_step_back` writes all four.  So between
+    E-steps all four agree; within an E-step var_bar is current for the
+    guarded block's documents only, the ones read there.
 
     A state belongs to its corpus's documents and its topic count:
     `run_e_step` and `elbo` reject a corpus of other documents (other
@@ -181,8 +181,8 @@ def init_state(corpus, num_topics, alpha):
 #: the arrays of a _Block, by what they have one entry for
 _FIELDS = {
     **dict.fromkeys(("docs", "n", "num_rows", "num_pairs", "gamma", "phi_bar", "nb_sum",
-                     "lam", "objective", "slack", "factor", "rowmax", "slot_terms",
-                     "slot_counts"), "doc"),
+                     "lam", "objective", "slack", "limit", "factor", "rowmax",
+                     "slot_terms", "slot_counts"), "doc"),
     **dict.fromkeys(("rows", "terms", "counts", "lb", "phi"), "row"),
     **dict.fromkeys(("neighbors", "nb_means", "nb_var"), "pair"),
 }
@@ -318,16 +318,6 @@ def _runs(block):
         runs.append(block.take(keep))
         start = end
     return runs
-
-
-def _store(state, block, phi, gamma, phi_bar):
-    """Write the block's phi rows and gamma, and its documents' phi_bar (the
-    mean of the rows) and var_bar.  Every guarded visit ends here, as its
-    neighbors read both caches."""
-    state.phi[block.rows] = phi
-    state.gamma[block.docs] = gamma
-    state.phi_bar[block.docs] = phi_bar
-    state.var_bar[block.docs] = block.variance(phi)
 
 
 def _phi_update(params, block, elog_theta):
@@ -510,51 +500,49 @@ def _visit_guarded(params, state, block, tol):
     """Run the damped phi/gamma iteration of the guarded block's documents.
 
     The visit reads its documents' phi rows, gamma and means, and its
-    neighbors' means and variances, from the state when it starts; the
-    neighbors' stay fixed during the visit, though the neighbors are in
-    the block too.  Each iteration replaces every phi row of each active
-    document by the whole-document update, then its gamma, in one array
-    step.  Every document is safeguarded iteration by iteration (see
-    `_damp`); a document's step stays as small as its last damping for
-    the rest of the visit.
-    Damping does not move fixed points.  A document leaves the working
-    set when its gamma change falls below tol, when it is rejected, or
-    after _DOC_MAX_ITERS iterations; its rows and gamma are kept by
-    position in the block, which is written to the state once, when its
-    last document leaves, by `_store`.  Returns the documents' own bound
-    terms (`_bound_parts`) of the rows written.
+    neighbors' means and variances, from the state when it starts and
+    not after, so the neighbors' stay fixed, though they are in the block
+    too, and the sweep stays Jacobi.  Each iteration replaces every phi
+    row of each active document by the whole-document update, then its
+    gamma, in one array step.  Every document is safeguarded iteration by
+    iteration (see `_damp`); a document's step stays as small as its last
+    damping for the rest of the visit.  Damping does not move fixed
+    points.  A document leaves the working set when its summed gamma
+    change falls below tol K N_d, as in `_visit_unguarded`, when it is
+    rejected, or after _DOC_MAX_ITERS iterations; its phi rows and gamma
+    are written to the state as it leaves.  Then the visit writes the
+    block's phi_bar and var_bar from its rows, and returns the documents'
+    own bound terms (`_bound_parts`) of them.
     """
     nb_means = state.phi_bar[block.neighbors]
     active = block.replace(gamma=state.gamma[block.docs], phi=state.phi[block.rows],
                            phi_bar=state.phi_bar[block.docs], lam=np.ones(block.docs.shape[0]),
                            nb_means=nb_means, nb_sum=block.pair_sum(nb_means),
-                           nb_var=state.var_bar[block.neighbors])
+                           nb_var=state.var_bar[block.neighbors],
+                           limit=tol * state.num_topics * block.n)
     active.objective = _block_objective(params, active, active.phi, active.gamma,
                                         active.phi_bar)
     active.slack = 1e-12 * (1.0 + np.abs(active.objective))
-    k = active.gamma.shape[1]
-    pos, row_pos = np.arange(block.docs.shape[0]), np.arange(block.rows.shape[0])
-    final_phi, final_gamma = np.empty_like(active.phi), np.empty_like(active.gamma)
     for _ in range(_DOC_MAX_ITERS):
         elog_theta = psi(active.gamma) - psi(active.gamma.sum(axis=1))[:, None]
         phi, phi_bar, gamma, rejected = _damp(params, active,
                                               _phi_update(params, active, elog_theta))
-        # the mean absolute change per topic, per token
-        leaving = (np.abs(gamma - active.gamma).sum(axis=1) / k / active.n < tol) | rejected
+        leaving = (np.abs(gamma - active.gamma).sum(axis=1) < active.limit) | rejected
         active.phi, active.phi_bar, active.gamma = phi, phi_bar, gamma
         num_leaving = np.count_nonzero(leaving)
         if num_leaving == leaving.shape[0]:
             break
         if num_leaving:
             rows = leaving[active.row_doc]
-            final_phi[row_pos[rows]], final_gamma[pos[leaving]] = phi[rows], gamma[leaving]
-            pos, row_pos = pos[~leaving], row_pos[~rows]
+            state.phi[active.rows[rows]] = phi[rows]
+            state.gamma[active.docs[leaving]] = gamma[leaving]
             active = active.take(~leaving)
-    final_phi[row_pos], final_gamma[pos] = active.phi, active.gamma
-    phi_bar = block.mean(final_phi)
-    _store(state, block, final_phi, final_gamma, phi_bar)
+    state.phi[active.rows], state.gamma[active.docs] = active.phi, active.gamma
+    phi, gamma = state.phi[block.rows], state.gamma[block.docs]
+    phi_bar = state.phi_bar[block.docs] = block.mean(phi)
+    state.var_bar[block.docs] = block.variance(phi)
     return float(sum(_bound_parts(params.alpha, block.counts, block.lb, block.starts, block.n,
-                                  final_phi, final_gamma, phi_bar)).sum())
+                                  phi, gamma, phi_bar)).sum())
 
 
 def _topic_weights(gamma, offset):
@@ -582,7 +570,7 @@ def _visit_unguarded(params, state, runs, tol):
     run over its active documents: F @ w for every slot, and the counts
     over F @ w times F for gamma.  A pad slot adds nothing to gamma, as
     its count is 0.  A document leaves with its last w and gamma under
-    `_visit_guarded`'s test and cap, and the rest are one index on the
+    the test and cap of `_visit_guarded`, and the rest are one index on the
     document axis of each array.  F @ w > 0 in every slot, pads
     included: a slot's F is a term's row of row_factor, with no entry
     below about 1e-300 (see `ModelParams`), and the largest weight is 1.
@@ -624,8 +612,8 @@ def _visit_unguarded(params, state, runs, tol):
     # each run's padded arrays and its stretch of the active documents
     parts = _stretches([(run.factor, run.slot_counts) for run in runs])
     pos = np.arange(docs.shape[0])
-    # _visit_guarded's test, mean |change| per topic per token below tol,
-    # as a limit on the summed change
+    # the leave test of both visits: the summed |change| below tol K n,
+    # a mean change per topic per token below tol
     limit = tol * gamma.shape[1] * n
     final_w, final_gamma = np.empty_like(gamma), np.empty_like(gamma)
     for _ in range(_DOC_MAX_ITERS):

@@ -1026,21 +1026,23 @@ def assert_same_state(state, reference):
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("kind", ["sigmoid", "exponential"])
+@pytest.mark.parametrize("kind", ["sigmoid", "exponential", "probit", "gaussian"])
 def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypatch):
     # documents 0 and 1 are each linked to document 2, so all three share
     # one block.  Documents 0 and 2 start at their fixed point, one term
     # almost only in topic 0, so their gamma does not change and they leave
     # on the first iteration.  Document 1's two terms favour opposite topics
     # by the same ratio, so its gamma moves slowly and it runs to the cap.
-    # Guarded (sigmoid) or not (exponential), the sweep must give what the
-    # per-document Jacobi sweep gives, with every document written once,
-    # when the block's visit ends
+    # Guarded (sigmoid, probit and gaussian, each its own link gradient) or
+    # not (exponential), the sweep must give what the per-document Jacobi
+    # sweep gives: a guarded document is written when it leaves, an
+    # unguarded one when the visit ends, and neither is read again there
     corpus = Corpus(["a", "b", "c", "d"], [[(0, 3)], [(1, 30), (2, 20)], [(0, 2)]],
                     [(0, 2), (1, 2)])
-    eta = 2.0 if kind == "sigmoid" else -1.0
+    eta = -1.0 if kind == "exponential" else 2.0
+    nu = 1.0 if kind == "gaussian" else -1.0
     params = make_params([[0.4, 0.3, 0.2, 0.1], [1e-300, 0.2, 0.3, 0.5]], [0.5, 0.5],
-                         LinkParams(eta=np.full(2, eta), nu=-1.0, kind=kind))
+                         LinkParams(eta=np.full(2, eta), nu=nu, kind=kind))
     start = init_state(corpus, 2, params.alpha)
     for d in (0, 2):
         start.phi[corpus.rows(d)] = [1.0, 0.0]
@@ -1050,11 +1052,11 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
     runs, guarded = inference._blocks(corpus, params)
     (block,) = runs if guarded is None else [*runs, guarded]
     assert block.docs.tolist() == [0, 1, 2]
-    assert (block is guarded) == (kind == "sigmoid")
+    assert (block is guarded) == (kind != "exponential")
 
     # the last argument of either loop's per-iteration step has one row per
     # active document
-    step = "_phi_update" if kind == "sigmoid" else "_topic_weights"
+    step = "_topic_weights" if kind == "exponential" else "_phi_update"
     original, active = getattr(inference, step), []
 
     def counted(*args):
@@ -1071,6 +1073,12 @@ def test_first_iteration_leaver_and_capped_document_share_a_block(kind, monkeypa
     for name in ("phi", "gamma", "phi_bar", "var_bar"):
         np.testing.assert_allclose(getattr(state, name), getattr(reference, name),
                                    rtol=0, atol=1e-12, err_msg=name)
+    # the leavers' rows move off their start [1, 0] by about 1e-301 in topic
+    # 1, so only a relative comparison shows that they were written
+    for d in (0, 2):
+        rows = corpus.rows(d)
+        assert np.all(state.phi[rows, 1] > 0)
+        np.testing.assert_allclose(state.phi[rows], reference.phi[rows], rtol=1e-12, atol=0)
     assert_consistent_caches(state, corpus, params)
 
 

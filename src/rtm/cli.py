@@ -205,6 +205,7 @@ def cmd_suggest_links(args):
     _check_top_k(args)
     corpus = _load(args)
     model = estimation.load_model(args.model)
+    prediction.check_scores_links(model)
     heldout = prediction.infer_heldout(model, words=_parse_entries(args.new_doc.split()))
     state = prediction.train_posteriors(model, corpus)
     scores = prediction.score_train_docs(model, heldout,

@@ -12,6 +12,8 @@ linked training documents.  The loop iterates on K per-topic weights,
 as in lda-c: the words' evidence enters as row factors that each model
 builds once, at construction (`inference.ModelParams.row_factor`, which
 the E-step gathers too), and the phi rows are formed after the loop.
+Its map on gamma converges linearly, and the loop speeds it up by
+squared extrapolation (SQUAREM), returning always a map's output.
 
 Evaluation reports the average rank of each true link among all scored
 training documents and of each held-out token among the vocabulary
@@ -20,6 +22,7 @@ precision of the top-k retrieved documents.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 from scipy.special import psi
@@ -78,25 +81,37 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     train_phi_bar is given, which is required under an RTM kind and
     optional under a baseline kind.
 
-    phi starts uniform and gamma at alpha + N / K, for N tokens.  An
-    iteration sets each phi row to the softmax of E[log theta] + evidence
-    + link gradient, then gamma to alpha + counts @ phi.  The softmax is
-    taken in factored form: with the row factor F = exp(evidence - its
-    row max), the query's rows of `ModelParams.row_factor` (built once
-    per model, at its construction), and the topic weights
-    w = exp(d - max d) for d = psi(gamma) + link gradient,
-    phi = F * w / (F @ w) row by row.  So gamma = alpha + w * ((counts /
-    (F @ w)) @ F) takes two matrix-vector products, and phi is formed
-    after the loop (each iteration only for the links-only pseudo-token,
-    whose link gradient reads it).  psi(sum gamma) is left out of
-    E[log theta], as a shift shared by every topic cancels in the
-    softmax.  The loop stops once sum |change in gamma| < tol * K * N,
-    that is mean |change| / N < tol, or after _MAX_ITERS (100)
-    iterations; tol must be finite and > 0.  The cap binds: for
+    phi starts uniform and gamma at alpha + N / K, for N tokens.  One map
+    G sets each phi row to the softmax of E[log theta] + evidence + link
+    gradient, then gamma to alpha + counts @ phi.  The softmax is taken
+    in factored form: with the row factor F = exp(evidence - its row
+    max), the query's rows of `ModelParams.row_factor` (built once per
+    model, at its construction), and the topic weights w = exp(d - max d)
+    for d = psi(gamma) + link gradient, phi = F * w / (F @ w) row by row.
+    So G(gamma) = alpha + w * ((counts / (F @ w)) @ F) takes two
+    matrix-vector products, and phi is formed after the loop.  The
+    links-only pseudo-token's phi, which its link gradient reads, is
+    (gamma - alpha) / N, so G is a function of gamma alone.
+    psi(sum gamma) is left out of E[log theta], as a shift shared by
+    every topic cancels in the softmax.
+
+    G converges linearly, so the loop runs it in cycles of squared
+    extrapolation (SQUAREM; Varadhan & Roland 2008).  From gamma, with
+    r = G(gamma) - gamma, v = G(G(gamma)) - 2 G(gamma) + gamma and the
+    step s = |r| / |v| in Euclidean norm, a cycle moves to x = gamma +
+    2 s r + s^2 v, and one more map, G(x), stabilises it before the next
+    cycle starts there.  When s is at most 1, or x is below alpha in some
+    topic, the cycle ends at G(G(gamma)) instead, and the next one starts
+    there.  Every map is tested: the loop stops once sum |G(gamma) -
+    gamma| < tol * K * N, that is mean |change| / N < tol, or after
+    _MAX_ITERS (100) maps, and it returns that last map's output and
+    phi, never an extrapolated point.  tol must be finite and > 0.  For
     generating-parameter models of three 200-document exponential draws
     (K = 10, 500 terms, 40 tokens, alpha 0.1, eta 2.5, nu -2.5; the
-    benchmark's suggest workload at seeds 1-5), 17-30 of 480 word queries
-    per seed stop at it unconverged at tol 1e-6.
+    benchmark's suggest workload at seeds 1-3), the 1,440 word queries
+    run a mean of 16.4 maps at tol 1e-6 (median 14, at most 86) and none
+    stops at the cap; the plain iteration of G ran a mean of 30.2 (median
+    18), and 73 queries stopped at the cap unconverged.
     """
     if (words is None) == (links is None):
         raise ValueError("provide exactly one of words= or links=")
@@ -123,7 +138,6 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
             if train_phi_bar is None:
                 raise ValueError("links-only inference requires train_phi_bar")
             neighbor_means = np.asarray(train_phi_bar)[links]
-            phi_row = np.full(k, 1.0 / k)
 
     # ufunc reductions and ndarray.dot: the ndarray methods and @ cost
     # about twice as much per call at these sizes, for the same results
@@ -131,22 +145,45 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     n = np.add.reduce(counts)
     stop = tol * k * n
     gamma = alpha + n / k
+    r, stabilise = None, False
     for _ in range(_MAX_ITERS):
         d = psi(gamma)
         if link is not None:
-            d += _link_gradient(link, neighbor_means, phi_row)
+            d += _link_gradient(link, neighbor_means, (gamma - alpha) / n)
         w = np.exp(d - np.maximum.reduce(d))
         norm = factor.dot(w)
-        new_gamma = alpha + w * (counts / norm).dot(factor)
-        if link is not None:
-            phi_row = w / norm[0]
-        change = np.add.reduce(np.absolute(new_gamma - gamma))
-        gamma = new_gamma
-        if change < stop:
+        mapped = alpha + w * (counts / norm).dot(factor)
+        delta = mapped - gamma
+        if np.add.reduce(np.absolute(delta)) < stop:
             break
+        if stabilise:
+            # G(x) stabilises the extrapolated point; a cycle starts there
+            stabilise, gamma = False, mapped
+        elif r is None:
+            start, r, gamma = gamma, delta, mapped
+        else:
+            # a cycle's second map: extrapolate from start along r and v
+            v = delta - r
+            rr, vv = r.dot(r), v.dot(v)
+            gamma = mapped
+            if rr > vv > 0:
+                # the square roots apart, as rr / vv can overflow
+                s = sqrt(rr) / sqrt(vv)
+                x = start + s * (2.0 * r + s * v)
+                if np.minimum.reduce(x - alpha) >= 0:
+                    gamma, stabilise = x, True
+            r = None
+    # the last map's output, whose w and norm give phi, never an x
+    gamma = mapped
     phi = factor * (w / norm[:, None])
     return HeldoutPosterior(phi_bar=counts @ phi / n, gamma=gamma,
                             var=counts @ (phi * (1.0 - phi)) / n**2)
+
+
+def check_scores_links(model):
+    """Raise ValueError unless model has a link function to score links with."""
+    if model.params.link is None:
+        raise ValueError(f"model kind {model.kind!r} does not score links")
 
 
 def score_train_docs(model, heldout, train_phi_bar, train_var):
@@ -158,8 +195,7 @@ def score_train_docs(model, heldout, train_phi_bar, train_var):
     gaussian).  train_phi_bar holds one training document's posterior
     mean per row, train_var the matching variances.
     """
-    if model.params.link is None:
-        raise ValueError(f"model kind {model.kind!r} does not score links")
+    check_scores_links(model)
     return np.exp(linkfn.expected_log_link_batch(
         model.params.link, heldout.phi_bar, train_phi_bar, heldout.var, train_var))
 

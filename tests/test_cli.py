@@ -742,6 +742,25 @@ class TestSuggestLinks:
             tmp_path, [f"{half} {{low}} {half}", f"{half} {half} {{low}}"], "0:1")
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("kind", ["lda", "unigram"])
+    def test_model_without_link_function_rejected_first(self, tmp_path, capsys, monkeypatch,
+                                                        kind):
+        # before the query and the training documents' E-step run
+        docs, vocab, links = self.make_planted(tmp_path)
+        model = FittedModel(params=ModelParams(beta=np.full((2, 4), 0.25),
+                                               alpha=np.full(2, 0.5)),
+                            kind=kind, config={"smoothing": 0.01})
+        model_path = str(tmp_path / "m.txt")
+        save_model(model, model_path)
+        called = []
+        for name in ("infer_heldout", "train_posteriors"):
+            monkeypatch.setattr(prediction, name,
+                                lambda *args, name=name, **kwargs: called.append(name))
+        code = main(["suggest-links", "--docs", docs, "--vocab", vocab, "--links", links,
+                     "--model", model_path, "--new-doc", "0:2"])
+        assert_one_line_error(capsys, code, f"error: model kind '{kind}' does not score links")
+        assert called == []
+
     def test_empty_new_doc_rejected(self, tmp_path, capsys):
         docs, vocab, links = self.make_planted(tmp_path)
         model_path = str(tmp_path / "m.txt")

@@ -379,10 +379,11 @@ class TestInferHeldout:
            alpha_total=st.one_of(st.sampled_from([1e-300, 1e-150, 1e-20, 1e-3]),
                                  st.floats(1e-300, 10.0)),
            tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
-    def test_words_only_row_factors_per_model_match_per_query(self, data, num_topics,
-                                                              num_terms, alpha_total, tol):
+    def test_words_only_bytes_match_the_pre_row_factor_loop(self, data, num_topics,
+                                                            num_terms, alpha_total, tol):
         # the row factors gathered from the model's, built once, take the
-        # loop through the same floating-point steps as the query's own
+        # loop through the same floating-point steps as the query's own, as
+        # each query computed them before the model kept them
         model, words = extreme_words_model(data, num_topics, num_terms, alpha_total)
         per_query = model_of(model.params.beta, model.params.alpha)
         per_query.params.row_factor = PerQueryRowFactor(model.params.log_beta)

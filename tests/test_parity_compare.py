@@ -36,7 +36,38 @@ def test_compare_reports_differences_and_decides_nothing(tmp_path, capsys):
     assert "5 files: 1 byte-identical, 3 differ, 1 in one tree only" in lines
     assert ("files of one number per line whose line count moved: "
             "fit/draw0/trace.txt 2 -> 3") in lines
-    assert "top-20 retrieval orders of the scores.npy rows: 1 agree, 1 differ" in lines
+    assert ("top-20 retrieval orders of the scores.npy rows, up to swaps within 1e-06 "
+            "relative: 1 agree, 1 differ") in lines
+    assert "maps per words query, OLD: none" in lines
+
+
+def test_swap_within_the_tolerance_keeps_the_order():
+    scores = np.linspace(1.0, 2.0, 30)[None]
+    moved = scores.copy()
+    # the top two, 1e-7 apart relative in both trees, trade places
+    moved[0, 29] = scores[0, 28] * (1 - 1e-7)
+    scores[0, 29] = scores[0, 28] * (1 + 1e-7)
+    assert parity.top_orders_agree(scores, moved).tolist() == [True]
+
+
+def test_swap_beyond_the_tolerance_moves_the_order():
+    scores = np.linspace(1.0, 2.0, 30)[None]
+    moved = scores.copy()
+    # candidate 10, outside the first 20, overtakes candidate 11, the 20th
+    # (position 19), by 1e-5 relative
+    moved[0, 10] = scores[0, 11] * (1 + 1e-5)
+    assert parity.top_orders_agree(scores, moved).tolist() == [False]
+    # a swap counts only where the scores stand farther apart in both trees
+    assert parity.top_orders_agree(scores, moved, tol=1e-3).tolist() == [True]
+
+
+def test_map_counts_are_summarised_per_tree(tmp_path):
+    for i, counts in enumerate(([9, 10, 30], [12])):
+        (tmp_path / f"draw{i}").mkdir()
+        np.save(tmp_path / f"draw{i}" / "words-maps.npy", np.array(counts))
+    assert parity.map_summary(tmp_path, "words") == \
+        "mean 15.25, median 11, p95 27.3, max 30 (4 queries)"
+    assert parity.map_summary(tmp_path, "links") == "none"
 
 
 def test_relative_difference_counts_equal_entries_as_zero():

@@ -34,7 +34,9 @@ purpose: it prints how far each file of NEW is from the same file of OLD
              (words-*.npy: gamma, phi_bar and var, one row per query);
              and for each query with links into the training documents,
              the links-only posterior from them (links-*.npy, and the
-             queries they belong to in links-docs.npy)
+             queries they belong to in links-docs.npy); words-maps.npy
+             and links-maps.npy hold each query's number of maps, counted
+             through the one `psi` call that each map of the loop makes
   e_step/    3-sweep `run_e_step` states and traces of 100-doc draws of
              every link kind under their generating models, and the
              converged E-step of a 10-doc probit draw whose sweeps lower
@@ -68,6 +70,9 @@ K, V, ALPHA, LENGTH, ETA, NU = 10, 500, 0.1, 40, 2.5, -2.5
 #: guarded and unguarded E-step draws: eta (all topics), nu
 E_STEP_LINKS = {"sigmoid": (3.0, -3.0), "exponential": (2.5, -2.5),
                 "probit": (1.5, -2.5), "gaussian": (10.0, 0.0)}
+#: scores within this relative difference of each other, in both trees, may
+#: swap places without moving a top-20 retrieval order (see `compare`)
+ORDER_TOL = 1e-6
 
 
 def run_cli(rtm, argv, out):
@@ -170,6 +175,18 @@ def fit_outputs(rtm):
             write_trace(model.elbo_trace, f"{name}/trace.txt")
 
 
+def counted_query(rtm, model, **evidence):
+    """`infer_heldout(model, **evidence)` and its number of maps, counted
+    through `rtm.prediction.psi`, which its loop calls once per map."""
+    prediction = rtm.prediction
+    psi, maps = prediction.psi, []
+    prediction.psi = lambda x: maps.append(None) or psi(x)
+    try:
+        return prediction.infer_heldout(model, **evidence), len(maps)
+    finally:
+        prediction.psi = psi
+
+
 def suggest_outputs(rtm):
     for seed in (1, 2):
         for i in range(3):
@@ -187,23 +204,28 @@ def suggest_outputs(rtm):
                 np.save(f"{name}/{array}.npy", getattr(state, array))
             write_trace([rtm.elbo(train, model.params, state).total], f"{name}/bound.txt")
             scores, by_words, by_links, linked = [], [], [], []
+            maps = {"words": [], "links": []}
             for doc in range(40, full.num_docs):
                 words = list(zip(*(part.tolist() for part in full.doc(doc))))
-                heldout = rtm.infer_heldout(model, words=words)
+                heldout, count = counted_query(rtm, model, words=words)
                 by_words.append(heldout)
+                maps["words"].append(count)
                 scores.append(rtm.score_train_docs(model, heldout, state.phi_bar,
                                                    state.var_bar))
                 links = [other for other in full.neighbors[doc].tolist() if other < 40]
                 if links:
                     linked.append(doc)
-                    by_links.append(rtm.infer_heldout(model, links=links,
-                                                      train_phi_bar=state.phi_bar))
+                    heldout, count = counted_query(rtm, model, links=links,
+                                                   train_phi_bar=state.phi_bar)
+                    by_links.append(heldout)
+                    maps["links"].append(count)
             np.save(f"{name}/scores.npy", np.array(scores))
             np.save(f"{name}/links-docs.npy", np.array(linked, dtype=np.int64))
             for prefix, posteriors in (("words", by_words), ("links", by_links)):
                 for array in ("gamma", "phi_bar", "var"):
                     np.save(f"{name}/{prefix}-{array}.npy",
                             np.array([getattr(post, array) for post in posteriors]))
+                np.save(f"{name}/{prefix}-maps.npy", np.array(maps[prefix], dtype=np.int64))
 
 
 def e_step_outputs(rtm):
@@ -249,12 +271,30 @@ def as_float(token):
         return None
 
 
-def top_orders_agree(old, new, top=20):
+def top_orders_agree(old, new, top=20, tol=ORDER_TOL):
     """Per row of two score matrices, whether the first `top` candidates by
-    descending score, ties by index (as `retrieval_order`), are the same."""
-    def order(scores):
-        return np.argsort(-scores, axis=1, kind="stable")[:, :top]
-    return np.all(order(np.atleast_2d(old)) == order(np.atleast_2d(new)), axis=1)
+    descending score, ties by index (as `retrieval_order`), agree up to
+    swaps within tol: no two candidates of either tree's first `top` are
+    ranked in opposite order by the trees while their scores differ by
+    more than tol relative, max(|a|, |b|) * tol, in both trees.  A
+    candidate that leaves the first `top` swaps with one that enters."""
+    old, new = np.atleast_2d(old), np.atleast_2d(new)
+    agree = []
+    for a, b in zip(old, new):
+        ranks = []
+        for scores in (a, b):
+            rank = np.empty(scores.size, dtype=np.int64)
+            rank[np.argsort(-scores, kind="stable")] = np.arange(scores.size)
+            ranks.append(rank)
+        pool = np.flatnonzero((ranks[0] < top) | (ranks[1] < top))
+        swapped = ((ranks[0][pool, None] < ranks[0][pool]) !=
+                   (ranks[1][pool, None] < ranks[1][pool]))
+        for scores in (a, b):
+            x = scores[pool]
+            gap = np.abs(x[:, None] - x) > tol * np.maximum(np.abs(x[:, None]), np.abs(x))
+            swapped &= gap
+        agree.append(not swapped.any())
+    return np.array(agree)
 
 
 def compare_file(old, new):
@@ -300,12 +340,14 @@ def compare(old, new):
 
     A .npy array or a text file whose words match up to their numbers
     gets the largest relative difference of its numbers; each row of a
-    scores.npy, whether its top-20 retrieval order agrees; a file of one
-    number per line (a bound trace, or a bound), its line count: EM
-    iterations for `fit` traces, sweeps + 1 for E-step traces.  Ends with
-    the largest difference per kind of file among the files that differ,
-    the traces whose length moved, and how many rows of all scores.npy
-    files keep their top-20 order.
+    scores.npy, whether its top-20 retrieval order agrees up to swaps
+    within ORDER_TOL (`top_orders_agree`); a file of one number per line
+    (a bound trace, or a bound), its line count: EM iterations for `fit`
+    traces, sweeps + 1 for E-step traces.  Ends with the largest
+    difference per kind of file among the files that differ, the traces
+    whose length moved, how many rows of all scores.npy files keep their
+    top-20 order, and the mean, median, p95 and max of each tree's
+    held-out maps per query (words-maps.npy and links-maps.npy).
     """
     def files(root):
         return {str(path.relative_to(root)) for path in root.rglob("*") if path.is_file()}
@@ -343,8 +385,23 @@ def compare(old, new):
     for kind, (rel, name) in sorted(largest.items()):
         print(f"  {kind:<32} {rel:.3g}  ({name})")
     print("files of one number per line whose line count moved:", ", ".join(moved) or "none")
-    print(f"top-20 retrieval orders of the scores.npy rows: {orders[0]} agree, "
-          f"{orders[1]} differ")
+    print(f"top-20 retrieval orders of the scores.npy rows, up to swaps within "
+          f"{ORDER_TOL:g} relative: {orders[0]} agree, {orders[1]} differ")
+    for prefix in ("words", "links"):
+        for label, root in (("OLD", old), ("NEW", new)):
+            print(f"maps per {prefix} query, {label}: {map_summary(root, prefix)}")
+
+
+def map_summary(root, prefix):
+    """Mean, median, p95 and max of the map counts in a tree's
+    <prefix>-maps.npy files, or "none" if it has none."""
+    counts = [np.load(path) for path in sorted(root.rglob(f"{prefix}-maps.npy"))]
+    if not counts:
+        return "none"
+    counts = np.concatenate(counts)
+    return (f"mean {counts.mean():.2f}, median {np.median(counts):g}, "
+            f"p95 {np.percentile(counts, 95):g}, max {counts.max()} "
+            f"({counts.size} queries)")
 
 
 def main(argv):

@@ -396,13 +396,12 @@ def generate_synthetic(num_topics, num_terms, num_docs, doc_length, alpha,
         terms = np.flatnonzero(word_counts)
         docs.append([(int(t), int(word_counts[t])) for t in terms])
 
-    # one anchor document at a time, in the pair order of triu_indices, so that
-    # no (pairs, K) array is ever held
-    left, right = np.triu_indices(num_docs, k=1)
-    probs = np.concatenate([link_probability(params, zbar[i], zbar[i + 1:])
-                            for i in range(num_docs)])
-    linked = rng.random(probs.shape[0]) < probs
-    links = list(zip(left[linked], right[linked]))
+    # pairs (i, j > i) in order, one anchor i at a time with its uniforms,
+    # so that no per-pair array outlives its anchor
+    links = []
+    for i in range(num_docs):
+        probs = link_probability(params, zbar[i], zbar[i + 1:])
+        links += [(i, j) for j in i + 1 + np.flatnonzero(rng.random(probs.shape[0]) < probs)]
 
     truth = SyntheticTruth(beta=beta, alpha=alpha, theta=theta, zbar=zbar, link_params=params)
     return Corpus([f"w{j}" for j in range(num_terms)], docs, links), truth

@@ -108,15 +108,7 @@ def infer_heldout(model, words=None, links=None, train_phi_bar=None, tol=1e-6):
     next one starts there.  Every map is tested: the loop stops once
     sum |G(gamma) - gamma| < tol * K * N, that is mean |change| / N <
     tol, or after _MAX_ITERS (100) maps, and it returns that last map's
-    output and phi, never an extrapolated point.  tol must be finite and > 0.  For
-    generating-parameter models of three 200-document exponential draws
-    (K = 10, 500 terms, 40 tokens, alpha 0.1, eta 2.5, nu -2.5; the
-    benchmark's suggest workload at seeds 1-3), the 1,440 word queries
-    run a mean of 10.7 maps at tol 1e-6 (median 10, at most 30) and none
-    stops at the cap.  Dropping each x below alpha instead of projecting
-    it ran a mean of 16.4 (median 14, at most 86), and the plain iteration
-    of G a mean of 30.2 (median 18), with 73 queries stopped at the cap
-    unconverged.
+    output and phi, never an extrapolated point.  tol must be finite and > 0.
     """
     if (words is None) == (links is None):
         raise ValueError("provide exactly one of words= or links=")

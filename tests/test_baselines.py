@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtm import baselines, estimation
 from rtm.baselines import fit_lda, fit_lda_regression, fit_link_regression, unigram
@@ -90,6 +92,25 @@ class TestFitLdaRegression:
         c = train_corpus.num_docs
         np.testing.assert_allclose(report.mean_link_rank, (c + 1) / 2)
 
+    def test_regression_stage_on_reloaded_lda_resolves_rho_as_fit_does(self, linked_corpus,
+                                                                      tmp_path):
+        # a model file keeps no rho, so the stage falls back to fit's
+        # default, the corpus's number of links, as the lda was fitted with
+        lda = fit_lda(linked_corpus, 2, seed=3, em_iters=4)
+        path = str(tmp_path / "lda.model")
+        estimation.save_model(lda, path)
+        loaded = estimation.load_model(path)
+        assert "rho" not in loaded.config
+        given_rho = estimation.FittedModel(
+            params=loaded.params, kind=loaded.kind,
+            config={**loaded.config, "rho": linked_corpus.num_links})
+        link = fit_link_regression(linked_corpus, loaded).params.link
+        expected = fit_link_regression(linked_corpus, given_rho).params.link
+        assert link.eta.tobytes() == expected.eta.tobytes()
+        assert link.nu == expected.nu
+        fitted = fit_link_regression(linked_corpus, lda).params.link
+        np.testing.assert_allclose(link.eta, fitted.eta, rtol=1e-10)
+
     def test_lda_alone_scores_no_links(self, linked_corpus):
         plan = split_folds(linked_corpus, 3, seed=2)
         model = fit_lda(training_view(linked_corpus, plan, 0)[0], 2,
@@ -105,6 +126,20 @@ class TestUnigram:
         model = unigram(c, smoothing=1e-9)
         np.testing.assert_allclose(model.params.beta, [[0.75, 0.25]], atol=1e-8)
         assert model.kind == "unigram"
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), num_terms=st.integers(1, 8),
+           smoothing=st.floats(1e-9, 1e3) | st.sampled_from([0.01, 1e-300, 1e300]))
+    def test_is_the_one_topic_lda_after_one_em_iteration(self, data, num_terms, smoothing):
+        # the pipeline with K = 1: every phi row is 1, so the M-step's topic
+        # update gives the smoothed term frequencies, byte for byte
+        entry = st.tuples(st.integers(0, num_terms - 1), st.integers(1, 50))
+        docs = data.draw(st.lists(st.lists(entry, min_size=1, max_size=6),
+                                  min_size=1, max_size=6))
+        c = Corpus([f"w{i}" for i in range(num_terms)], docs)
+        lda = fit_lda(c, 1, reg=estimation.RegularizationConfig(smoothing=smoothing),
+                      em_iters=1)
+        assert unigram(c, smoothing).params.beta.tobytes() == lda.params.beta.tobytes()
 
     def test_most_frequent_term_ranks_first(self):
         c = Corpus(["a", "b", "c"], [[(0, 5), (1, 2), (2, 1)]])

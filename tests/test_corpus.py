@@ -424,7 +424,11 @@ class TestSynthetic:
     def test_batched_draw_matches_per_pair_reference(self, kind, eta, nu, seed,
                                                      num_docs, num_topics):
         # the reference replays the sampler and then scores and draws pair by
-        # pair, with each kind's formula written out
+        # pair, with each kind's formula written out, in the pair-array
+        # formulation: every pair in the order of triu_indices, then one
+        # uniform per pair from a single rng.random.  The sampler draws each
+        # anchor's uniforms with its probabilities, which gives the same
+        # doubles, so the links equal the formulation's byte for byte
         alpha = np.full(num_topics, 0.5)
         corpus, truth = generate_synthetic(num_topics, 12, num_docs, 8, alpha,
                                            np.full(num_topics, eta), nu, kind, seed)
@@ -450,9 +454,14 @@ class TestSynthetic:
 
         left, right = np.triu_indices(num_docs, k=1)
         reference = np.array([formula(zbar[a], zbar[b]) for a, b in zip(left, right)])
-        linked = rng.random(reference.shape[0]) < reference
+        uniforms = rng.random(reference.shape[0])
+        linked = uniforms < reference
         assert corpus.link_set() == {(int(a), int(b))
                                      for a, b in zip(left[linked], right[linked])}
+        probs = np.concatenate([link_probability(truth.link_params, zbar[i], zbar[i + 1:])
+                                for i in range(num_docs)])
+        linked = uniforms < probs
+        assert corpus.links.tobytes() == np.column_stack([left[linked], right[linked]]).tobytes()
         np.testing.assert_allclose(
             link_probability(truth.link_params, zbar[left], zbar[right]), reference,
             rtol=1e-13, atol=0)

@@ -2,6 +2,7 @@
 
 import logging
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import norm
 
 from rtm import inference, linkfn
-from rtm.corpus import Corpus, generate_synthetic
+from rtm.corpus import Corpus, generate_synthetic, load_corpus
 from rtm.estimation import FittedModel
 from rtm.inference import ElboBreakdown, ModelParams, elbo, init_state, run_e_step
 from rtm.linkfn import LinkParams
@@ -1546,6 +1547,31 @@ def test_long_document_pads_only_its_run():
         reference_visit(corpus, params, reference, d, 1e-6)
     state.refresh_var_bar()
     assert_same_state(state, reference)
+
+
+@pytest.mark.parametrize("kind, eta", [("exponential", 0.0), ("exponential", -1.0),
+                                       ("sigmoid", 1.0)])
+def test_skewed_corpus_splits_into_runs(kind, eta):
+    # tools/skewed-corpus is the corpus on which CI and tools/parity.py run
+    # the E-step's runs: uncoupled (eta = 0, every fit's first E-step) and
+    # under the exponential kind its documents split into several runs, and
+    # linkless document 8 shares a run with linked documents; under the
+    # sigmoid kind the linked documents are guarded and document 8 runs alone
+    skewed = Path(__file__).resolve().parents[1] / "tools" / "skewed-corpus"
+    corpus = load_corpus(*(str(skewed / f"{part}.txt") for part in ("docs", "vocab", "links")))
+    link = LinkParams(eta=np.full(3, eta), nu=-1.0, kind=kind)
+    params = make_params(np.full((3, corpus.num_terms), 1 / corpus.num_terms), np.full(3, 1 / 3),
+                         link)
+    runs, guarded = inference._blocks(corpus, params)
+    (run_of_8,) = [run.docs.tolist() for run in runs if 8 in run.docs]
+    linked = [d for d in range(corpus.num_docs) if corpus.neighbors[d].size]
+    assert 8 not in linked
+    if guarded is None:
+        assert len(runs) >= 2
+        assert set(run_of_8) & set(linked)
+    else:
+        assert guarded.docs.tolist() == linked
+        assert run_of_8 == [8]
 
 
 def literal_gradient_coefficient(kind, x):

@@ -22,8 +22,9 @@ purpose: it prints how far each file of NEW is from the same file of OLD
   skewed/    a copy of tools/skewed-corpus, the hand-written corpus of
              skewed lengths that the E-step splits into runs, and on it
              `rtm fit --em-iters 5 --verbose` model files of the four link
-             kinds and `suggest-links --top-k 5` on each, with stdout and
-             stderr
+             kinds, `suggest-links --top-k 5` on each, and `eval --folds 2
+             --em-iters 5` directories of each kind, with each command's
+             stdout and stderr
   readme/    the README walk-through's commands and their stdout
   fit/       `fit` + `save_model` of the 16 draws of the benchmark's
              fit-exponential workload for seeds 1 and 2: model files and
@@ -130,6 +131,9 @@ def skewed_outputs(rtm):
                       "--seed", "42", "--verbose", "--out", model], f"skewed/fit-{kind}")
         run_cli(rtm, ["suggest-links", *flags, "--model", model, "--new-doc", "0:2 50:1",
                       "--top-k", "5"], f"skewed/suggest-{kind}")
+        run_cli(rtm, ["eval", *flags, "--topics", "3", "--em-iters", "5", "--folds", "2",
+                      "--link-fn", kind, "--seed", "42", "--out", f"skewed/eval-{kind}"],
+                f"skewed/eval-{kind}")
 
 
 def readme_outputs(rtm):
